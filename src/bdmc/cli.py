@@ -92,7 +92,10 @@ def _parse_mode(text: str):
         parts = text.split(":")
         if len(parts) != 3:
             raise InputError("sampled mode is sample:<count>:<seed>")
-        return ("sampled", int(parts[1]), int(parts[2]))
+        try:
+            return ("sampled", int(parts[1]), int(parts[2]))
+        except ValueError:
+            raise InputError("sampled mode is sample:<count>:<seed> with integers") from None
     raise InputError(f"unknown mode {text!r}; use 'exhaustive' or 'sample:N:SEED'")
 
 

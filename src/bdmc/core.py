@@ -6,12 +6,17 @@ module owns the graph representation, structural validation (acyclicity,
 decomposability, smoothness), input-variable scopes, and brute-force semantic
 evaluation used as the oracle by every checker.
 
+All structure comes from one pass, analyze(): callers thread its GraphAnalysis
+(topological order, depths, scopes, validation report) through every step on
+one graph version; validate, compute_scopes and topo_order are views of it.
+
 Variable ids ("source space"): inputs are 1..n, auxiliaries of the leaves get
 ids above n, assigned leaf by leaf.  Literals are signed ints.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -182,20 +187,6 @@ class BdmcGraph:
 
     def leaf_of_node(self, node_id: int) -> LeafEncoding:
         return self.leaves[self.nodes[node_id].leaf - 1]
-
-    def var_name(self, var: int) -> str:
-        if 1 <= var <= self.num_inputs:
-            return self.input_names[var - 1]
-        for leaf in self.leaves:
-            for v, name in zip(leaf.aux_vars, leaf.aux_names):
-                if v == var:
-                    return name if _aux_name_unique(self, name) else f"{name}@{leaf.index}"
-        return f"v{var}"
-
-
-def _aux_name_unique(graph: BdmcGraph, name: str) -> bool:
-    count = sum(leaf.aux_names.count(name) for leaf in graph.leaves)
-    return count <= 1
 
 
 def assemble_graph(
@@ -376,67 +367,6 @@ def _find_cycle(graph: BdmcGraph) -> tuple[int, ...]:
     return ()
 
 
-def _reachable(graph: BdmcGraph) -> set[int]:
-    seen = {graph.root}
-    todo = [graph.root]
-    while todo:
-        nid = todo.pop()
-        for ch in graph.nodes[nid].children:
-            if ch not in seen:
-                seen.add(ch)
-                todo.append(ch)
-    return seen
-
-
-def topo_order(graph: BdmcGraph) -> list[int]:
-    """Deterministic topological order (parents first) of reachable nodes."""
-    import heapq
-
-    reach = _reachable(graph)
-    indeg = {nid: 0 for nid in reach}
-    for nid in reach:
-        for ch in graph.nodes[nid].children:
-            indeg[ch] += 1
-    heap = [nid for nid, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        nid = heapq.heappop(heap)
-        order.append(nid)
-        for ch in graph.nodes[nid].children:
-            indeg[ch] -= 1
-            if indeg[ch] == 0:
-                heapq.heappush(heap, ch)
-    if len(order) != len(reach):
-        raise StructureError("cycle detected; topological order undefined")
-    return order
-
-
-def compute_scopes(graph: BdmcGraph) -> "VarScopeMap":
-    """var(v) for every node, H_i per input variable, range per input variable."""
-    cycle = _find_cycle(graph)
-    if cycle:
-        raise StructureError(f"cycle detected through nodes {list(cycle)}")
-    order = topo_order(graph)
-    var_sets: list[frozenset[int]] = [frozenset()] * graph.num_nodes
-    for nid in reversed(order):
-        nd = graph.nodes[nid]
-        if nd.kind == "leaf":
-            var_sets[nid] = frozenset(graph.leaves[nd.leaf - 1].input_vars)
-        else:
-            acc: set[int] = set()
-            for ch in nd.children:
-                acc |= var_sets[ch]
-            var_sets[nid] = frozenset(acc)
-    holders = []
-    for v in graph.input_vars:
-        holders.append(frozenset(nid for nid in range(graph.num_nodes) if v in var_sets[nid]))
-    ranges = []
-    for v in graph.input_vars:
-        ranges.append(tuple(lf.index for lf in graph.leaves if v in lf.input_vars))
-    return VarScopeMap(tuple(var_sets), tuple(holders), tuple(ranges))
-
-
 @dataclass(frozen=True)
 class VarScopeMap:
     var_sets: tuple[frozenset[int], ...]
@@ -453,78 +383,188 @@ class VarScopeMap:
         return self.ranges[abs(lit) - 1]
 
 
-def validate(graph: BdmcGraph) -> ValidationReport:
-    """Structural report: acyclicity, reachability, decomposability, smoothness,
-    aux disjointness, and var(root) covering the declared inputs."""
-    cycle = _find_cycle(graph)
-    acyclic = not cycle
-    reach = _reachable(graph)
-    unreachable = tuple(sorted(set(range(graph.num_nodes)) - reach))
-    seen_aux: set[int] = set()
-    aux_disjoint = True
-    for leaf in graph.leaves:
-        for v in leaf.aux_vars:
-            if v in seen_aux:
-                aux_disjoint = False
-            seen_aux.add(v)
+@dataclass(frozen=True)
+class GraphAnalysis:
+    """The structure of one graph version, computed once by analyze().
+
+    ``order`` is the deterministic topological order (parents first) of the
+    reachable nodes and ``depths`` the longest-path depth of every node (-1
+    if unreachable); both are None when a reachable cycle leaves them
+    undefined.  ``scopes`` is None on any cycle.  Operations on the same
+    graph take the caller's analysis instead of walking the graph again; it
+    is passed explicitly and never cached beyond the call that made it.
+    """
+
+    graph: BdmcGraph
+    report: ValidationReport
+    order: Optional[tuple[int, ...]]
+    depths: Optional[tuple[int, ...]]
+    leveled: bool  # every edge spans one level and all leaves share one
+    scopes: Optional[VarScopeMap]
+
+    def topo_order(self) -> tuple[int, ...]:
+        if self.order is None:
+            raise StructureError("cycle detected; topological order undefined")
+        return self.order
+
+    def node_depths(self) -> tuple[int, ...]:
+        self.topo_order()  # raises where a reachable cycle leaves depths undefined
+        return self.depths
+
+    def var_scopes(self) -> VarScopeMap:
+        if self.scopes is None:
+            raise StructureError(f"cycle detected through nodes {list(self.report.cycle)}")
+        return self.scopes
+
+    def require_valid(self, need_decomposable: bool = True) -> "GraphAnalysis":
+        report = self.report
+        if not report.acyclic:
+            raise StructureError(f"cycle detected through nodes {list(report.cycle)}")
+        if not report.covers_inputs:
+            raise StructureError(
+                f"input variables {list(report.missing_inputs)} appear in no leaf (var(root) != x)"
+            )
+        if not report.aux_disjoint:
+            raise StructureError("leaf auxiliary variable sets are not pairwise disjoint")
+        if need_decomposable and not report.decomposable:
+            raise StructureError(
+                f"graph is not decomposable; witness (node, var) = {report.decomp_witness}"
+            )
+        return self
+
+
+def analyze(graph: BdmcGraph) -> GraphAnalysis:
+    """Every structural fact of a graph version from one pass.
+
+    A reachability sweep from the root counts in-degrees; one heap-ordered
+    Kahn sweep then gives the topological order, the longest-path depths and
+    strict leveling.  Var-sets come from one bottom-up sweep; holders, ranges
+    and the validation report from single sweeps over nodes and leaves.
+    Acyclicity covers all nodes: _find_cycle runs only to name a cycle, or
+    to rule one out among unreachable nodes.
+    """
+    nodes, n, root = graph.nodes, graph.num_nodes, graph.root
+    indeg = [0] * n
+    reached = [False] * n
+    reached[root] = True
+    todo = [root]
+    while todo:
+        for ch in nodes[todo.pop()].children:
+            indeg[ch] += 1
+            if not reached[ch]:
+                reached[ch] = True
+                todo.append(ch)
+    unreachable = tuple(nid for nid in range(n) if not reached[nid])
+    depth = [-1] * n
+    depth[root] = 0
+    leaf_depths: set[int] = set()
+    leveled = True
+    order: list[int] = []
+    heap = [] if indeg[root] else [root]
+    while heap:
+        nid = heapq.heappop(heap)
+        order.append(nid)
+        nd = nodes[nid]
+        if nd.kind == "leaf":
+            leaf_depths.add(depth[nid])
+        d = depth[nid] + 1
+        for ch in nd.children:
+            if depth[ch] != d:
+                leveled = leveled and depth[ch] < 0
+                depth[ch] = max(depth[ch], d)
+            indeg[ch] -= 1
+            if not indeg[ch]:
+                heapq.heappush(heap, ch)
+    complete = len(order) + len(unreachable) == n
+    cycle = () if complete and not unreachable else _find_cycle(graph)
+    aux = [v for leaf in graph.leaves for v in leaf.aux_vars]
+    scopes = None
     decomposable = smooth = False
     decomp_witness = smooth_witness = None
-    covers = False
     missing: tuple[int, ...] = ()
-    if acyclic:
-        scopes = compute_scopes(graph)
-        decomposable, decomp_witness = True, None
-        for nid, nd in enumerate(graph.nodes):
-            if nd.kind != "and":
-                continue
-            taken: dict[int, int] = {}
-            for ch in nd.children:
-                for v in scopes.var(ch):
-                    if v in taken and taken[v] != ch:
-                        decomposable = False
-                        decomp_witness = decomp_witness or (nid, v)
-                    taken.setdefault(v, ch)
-        smooth, smooth_witness = True, None
-        for nid, nd in enumerate(graph.nodes):
-            if nd.kind != "or":
-                continue
-            for ch in nd.children:
-                gap = scopes.var(nid) - scopes.var(ch)
-                if gap:
-                    smooth = False
-                    smooth_witness = smooth_witness or (nid, ch, frozenset(gap))
-        missing = tuple(sorted(set(graph.input_vars) - scopes.var(graph.root)))
-        covers = not missing
-    return ValidationReport(
-        acyclic=acyclic,
+    if not cycle:
+        var_sets: list[frozenset[int]] = [frozenset()] * n
+        for nid in reversed(order):
+            nd = nodes[nid]
+            if nd.kind == "leaf":
+                var_sets[nid] = frozenset(graph.leaves[nd.leaf - 1].input_vars)
+            else:
+                acc: set[int] = set()
+                for ch in nd.children:
+                    acc |= var_sets[ch]
+                var_sets[nid] = frozenset(acc)
+        holders: list[list[int]] = [[] for _ in graph.input_vars]
+        for nid, vs in enumerate(var_sets):
+            for v in vs:
+                holders[v - 1].append(nid)
+        ranges: list[list[int]] = [[] for _ in graph.input_vars]
+        for leaf in graph.leaves:
+            for v in frozenset(leaf.input_vars):
+                ranges[v - 1].append(leaf.index)
+        scopes = VarScopeMap(
+            tuple(var_sets), tuple(map(frozenset, holders)), tuple(map(tuple, ranges))
+        )
+        decomposable = smooth = True
+        for nid, nd in enumerate(nodes):
+            if nd.kind == "and":
+                taken: dict[int, int] = {}
+                for ch in nd.children:
+                    for v in var_sets[ch]:
+                        if v in taken and taken[v] != ch:
+                            decomposable = False
+                            decomp_witness = decomp_witness or (nid, v)
+                        taken.setdefault(v, ch)
+            elif nd.kind == "or" and len(nd.children) > 1:  # one child: var(v) = var(child)
+                for ch in nd.children:
+                    gap = var_sets[nid] - var_sets[ch]
+                    if gap:
+                        smooth = False
+                        smooth_witness = smooth_witness or (nid, ch, frozenset(gap))
+        missing = tuple(sorted(set(graph.input_vars) - var_sets[root]))
+    report = ValidationReport(
+        acyclic=not cycle,
         rooted=not unreachable,
         decomposable=decomposable,
         smooth=smooth,
-        aux_disjoint=aux_disjoint,
-        covers_inputs=covers,
+        aux_disjoint=len(aux) == len(set(aux)),
+        covers_inputs=not cycle and not missing,
         cycle=cycle,
         unreachable=unreachable,
         decomp_witness=decomp_witness,
         smooth_witness=smooth_witness,
         missing_inputs=missing,
     )
+    if not complete:
+        return GraphAnalysis(graph, report, None, None, False, scopes)
+    return GraphAnalysis(graph, report, tuple(order), tuple(depth),
+                         leveled and len(leaf_depths) <= 1, scopes)
+
+
+def analysis_of(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> GraphAnalysis:
+    """The caller's analysis of this graph version, or a fresh one."""
+    if analysis is not None and analysis.graph is not graph:
+        raise InputError("the analysis belongs to another graph version")
+    return analysis or analyze(graph)
+
+
+def topo_order(graph: BdmcGraph) -> list[int]:
+    """Deterministic topological order (parents first) of reachable nodes."""
+    return list(analyze(graph).topo_order())
+
+
+def compute_scopes(graph: BdmcGraph) -> VarScopeMap:
+    """var(v) for every node, H_i per input variable, range per input variable."""
+    return analyze(graph).var_scopes()
+
+
+def validate(graph: BdmcGraph) -> ValidationReport:
+    """Structural report: acyclicity, reachability, decomposability, smoothness,
+    aux disjointness, and var(root) covering the declared inputs."""
+    return analyze(graph).report
 
 
 def require_valid(graph: BdmcGraph, need_decomposable: bool = True) -> ValidationReport:
-    report = validate(graph)
-    if not report.acyclic:
-        raise StructureError(f"cycle detected through nodes {list(report.cycle)}")
-    if not report.covers_inputs:
-        raise StructureError(
-            f"input variables {list(report.missing_inputs)} appear in no leaf (var(root) != x)"
-        )
-    if not report.aux_disjoint:
-        raise StructureError("leaf auxiliary variable sets are not pairwise disjoint")
-    if need_decomposable and not report.decomposable:
-        raise StructureError(
-            f"graph is not decomposable; witness (node, var) = {report.decomp_witness}"
-        )
-    return report
+    return analyze(graph).require_valid(need_decomposable).report
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +598,8 @@ class Evaluator:
     """Bottom-up circuit evaluation with memoized leaf satisfiability."""
 
     def __init__(self, graph: BdmcGraph):
-        require_valid(graph)
         self.graph = graph
-        self.order = topo_order(graph)
+        self.order = analyze(graph).require_valid().topo_order()
         self._leaf_cache: list[dict[int, bool]] = [dict() for _ in graph.leaves]
 
     def leaf_sat(self, leaf: LeafEncoding, mask: int) -> bool:

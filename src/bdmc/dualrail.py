@@ -70,10 +70,6 @@ class MetaVarSpace:
     def next_id(self) -> int:
         return self.first_id + len(self._meta) + len(self._bot)
 
-    def all_vars(self) -> tuple[int, ...]:
-        """z: the union of all leaves' meta-variables."""
-        return tuple(range(self.first_id, self.next_id))
-
 
 def dual_rail(phi: CnfFormula, space: MetaVarSpace, i: int) -> CnfFormula:
     """DR(phi) over the meta-variables of leaf i.

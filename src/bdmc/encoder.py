@@ -19,6 +19,7 @@ negation of its dual-rail contradiction marker throughout.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -26,12 +27,10 @@ from .core import (
     BdmcGraph,
     CLASS_SATISFIES,
     Clause,
-    VarScopeMap,
-    compute_scopes,
+    GraphAnalysis,
+    analysis_of,
+    analyze,
     make_clause,
-    require_valid,
-    topo_order,
-    validate,
 )
 from .dualrail import MetaVarSpace, dual_rail, extended_dual_rail
 from .errors import InputError, PreconditionError
@@ -62,19 +61,25 @@ class VarMap:
 
     Inputs take ids 1..n, then meta-variables leaf by leaf (variable
     ascending, positive before negative, bot last), then inner nodes in
-    topological order, then cardinality auxiliaries.
+    topological order, then cardinality auxiliaries.  An aux variable is
+    named by its source name, suffixed with @leaf where leaves share it.
     """
 
-    def __init__(self, graph: BdmcGraph):
+    def __init__(self, graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None):
         self.graph = graph
         n = graph.num_inputs
         self.space = MetaVarSpace.for_leaves(graph.leaves, n + 1)
         self.entries: list[dict] = []
         for v in range(1, n + 1):
             self.entries.append({"id": v, "role": "input", "name": graph.input_names[v - 1]})
+        names = dict(enumerate(graph.input_names, start=1))
+        uses = Counter(name for leaf in graph.leaves for name in leaf.aux_names)
+        for leaf in graph.leaves:
+            for v, name in zip(leaf.aux_vars, leaf.aux_names):
+                names.setdefault(v, name if uses[name] <= 1 else f"{name}@{leaf.index}")
         for leaf in graph.leaves:
             for v in sorted(set(leaf.input_vars) | set(leaf.aux_vars)):
-                base = graph.var_name(v)
+                base = names.get(v, f"v{v}")
                 for lit, txt in ((v, base), (-v, "-" + base)):
                     self.entries.append({
                         "id": self.space.meta(leaf.index, lit),
@@ -92,7 +97,7 @@ class VarMap:
             })
         self.node_vars: dict[int, int] = {}
         nxt = self.space.next_id
-        for nid in topo_order(graph):
+        for nid in analysis_of(graph, analysis).topo_order():
             if graph.nodes[nid].kind != "leaf":
                 self.node_vars[nid] = nxt
                 self.entries.append({"id": nxt, "role": "node", "name": f"n{nid}", "node": nid})
@@ -126,8 +131,8 @@ class VarMap:
         return self.num_vars
 
 
-def build_varmap(graph: BdmcGraph) -> VarMap:
-    return VarMap(graph)
+def build_varmap(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> VarMap:
+    return VarMap(graph, analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +234,7 @@ def leaf_clauses(
     graph: BdmcGraph,
     varmap: VarMap,
     which: str,
-    scopes: Optional[VarScopeMap] = None,
+    analysis: Optional[GraphAnalysis] = None,
     lean: bool = False,
 ) -> list[Clause]:
     """Groups E1 (dual-rail encodings), E2 (input consistency), E3 (smooth
@@ -248,10 +253,10 @@ def leaf_clauses(
                 out.append(make_clause([v, space.meta(leaf.index, -v)]))
         return out
     if which == "E3":
-        if not validate(graph).smooth:
+        a = analysis_of(graph, analysis)
+        if not a.report.smooth:
             raise PreconditionError("E3 clauses require a smooth graph")
-        if scopes is None:
-            scopes = compute_scopes(graph)
+        scopes = a.scopes
         for v in graph.input_vars:
             rng = scopes.range_of(v)
             out.append(make_clause([-space.meta(i, v) for i in rng] + [v]))
@@ -304,12 +309,13 @@ def compile_graph(
 
     Transformations are never applied silently: a target needing smoothness
     or separator covers fails on a graph lacking them unless the matching
-    auto flag is set.
+    auto flag is set.  Each graph version (given, smoothed, leveled) is analysed once.
     """
     target = normalize_target(target)
     if lean_cc and target != "cc":
         raise InputError("--lean-cc only applies to the cc target")
-    report = require_valid(graph)
+    analysis = analyze(graph).require_valid()
+    report = analysis.report
     needed = _TARGET_LEAF_CLASS[target]
     for leaf in graph.leaves:
         if needed not in CLASS_SATISFIES[leaf.claimed_class]:
@@ -332,19 +338,20 @@ def compile_graph(
                 f" not smooth (witness or-node/child/missing: {report.smooth_witness});"
                 " pass auto_smooth or run smooth() first"
             )
-        graph = smooth(graph)
+        graph = smooth(graph, analysis)
+        analysis = analyze(graph)
     cover = None
     if needs_cover:
-        if not is_strictly_leveled(graph):
+        if not is_strictly_leveled(graph, analysis):
             if not auto_level:
                 raise PreconditionError(
                     f"target {target} assumes {_TARGET_ASSUMPTION[target]}, but the graph"
                     " is not strictly leveled; pass auto_level or run level() first"
                 )
-            graph = level(graph)
-        cover = separator_cover(graph)
-    scopes = compute_scopes(graph)
-    varmap = build_varmap(graph)
+            graph = level(graph, analysis)
+            analysis = analyze(graph)
+        cover = separator_cover(graph, analysis)
+    varmap = build_varmap(graph, analysis)
     circuit = circuit_clauses(graph, varmap)
     groups: dict[str, list[Clause]] = {}
     want = _TARGET_GROUPS[target]
@@ -361,7 +368,7 @@ def compile_graph(
     groups["E1"] = leaf_clauses(graph, varmap, "E1", lean=lean_cc)
     groups["E2"] = leaf_clauses(graph, varmap, "E2")
     if "E3" in want:
-        groups["E3"] = leaf_clauses(graph, varmap, "E3", scopes=scopes)
+        groups["E3"] = leaf_clauses(graph, varmap, "E3", analysis)
     groups["ROOT"] = [make_clause([varmap.node_literal(graph.root)])]
     output = EncodingOutput(
         target=target,

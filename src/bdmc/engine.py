@@ -153,9 +153,6 @@ class PropEngine:
                 return False
         return True
 
-    def value(self, var: int) -> int:
-        return self.val[var]
-
 
 def unit_propagate(
     clauses: Sequence[Sequence[int]],

@@ -34,6 +34,8 @@ from .errors import ParseError
 if TYPE_CHECKING:
     from .encoder import EncodingOutput
 
+_VARMAP_JSON = json.JSONEncoder(separators=(", ", ": "))
+
 KEYWORDS = {"bdmc", "inputs", "aux", "clauses", "root", "leaf", "class", "A", "O", "L"}
 
 
@@ -246,7 +248,7 @@ def emit_dimacs(output: "EncodingOutput") -> tuple[str, str]:
     for clause in clauses:
         rows.append(" ".join(str(l) for l in clause) + " 0")
     cnf_text = "\n".join(rows) + "\n"
-    map_rows = [json.dumps(entry, separators=(", ", ": ")) for entry in output.varmap.entries]
+    map_rows = [_VARMAP_JSON.encode(entry) for entry in output.varmap.entries]
     return cnf_text, "\n".join(map_rows) + "\n"
 
 
@@ -255,26 +257,29 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
     nvars = None
     declared = None
     clauses: list[tuple[int, ...]] = []
-    for lno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"bad problem line {line!r}", line=lno)
-            nvars, declared = int(parts[2]), int(parts[3])
-            continue
-        if nvars is None:
-            raise ParseError("clause before 'p cnf' header", line=lno)
-        lits = [int(t) for t in line.split()]
-        if not lits or lits[-1] != 0:
-            raise ParseError("clause line must end with 0", line=lno)
-        body = lits[:-1]
-        for l in body:
-            if l == 0 or abs(l) > nvars:
-                raise ParseError(f"literal {l} out of range", line=lno)
-        clauses.append(tuple(body))
+    try:
+        for lno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            if line.startswith("p"):
+                parts = line.split()
+                if len(parts) != 4 or parts[1] != "cnf":
+                    raise ParseError(f"bad problem line {line!r}", line=lno)
+                nvars, declared = int(parts[2]), int(parts[3])
+                continue
+            if nvars is None:
+                raise ParseError("clause before 'p cnf' header", line=lno)
+            lits = [int(t) for t in line.split()]
+            if not lits or lits[-1] != 0:
+                raise ParseError("clause line must end with 0", line=lno)
+            body = lits[:-1]
+            for l in body:
+                if l == 0 or abs(l) > nvars:
+                    raise ParseError(f"literal {l} out of range", line=lno)
+            clauses.append(tuple(body))
+    except ValueError as exc:
+        raise ParseError(f"expected an integer: {exc}", line=lno) from None
     if nvars is None:
         raise ParseError("missing 'p cnf' header")
     if declared != len(clauses):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import core
-from .core import BdmcGraph, CLASS_CC, CLASS_DC, CLASS_PC, CLASS_URC, LeafEncoding, build_graph, leaf_spec, validate
+from .core import BdmcGraph, CLASS_CC, CLASS_DC, CLASS_PC, CLASS_URC, GraphAnalysis, LeafEncoding, analyze, build_graph, leaf_spec
 from .engine import (
     PropEngine,
     UpResult,
@@ -542,10 +542,10 @@ def gen_random(
         graph = _random_graph(rng, n, max_depth, leaf_class)
         if graph is None:
             continue
-        report = validate(graph)
-        if not report.is_valid_bdmc:
+        analysis = analyze(graph)
+        if not analysis.report.is_valid_bdmc:
             continue
-        if _post_transform_vars(graph) > max_encoding_vars:
+        if _post_transform_vars(graph, analysis) > max_encoding_vars:
             continue
         return graph
     raise BdmcError(
@@ -554,10 +554,10 @@ def gen_random(
     )
 
 
-def _post_transform_vars(graph: BdmcGraph) -> int:
+def _post_transform_vars(graph: BdmcGraph, analysis: GraphAnalysis) -> int:
     from .transform import level, smooth
 
-    g2 = level(smooth(graph))
+    g2 = level(smooth(graph, analysis))
     m = sum(leaf.num_vars for leaf in g2.leaves)
     return g2.num_inputs + 2 * m + g2.num_nodes
 

@@ -4,6 +4,10 @@ Smoothing pads or-branches with fresh constant-true leaves so every or-child
 covers its parent's variable scope.  Leveling inserts pass-through one-child
 or-nodes until every root-to-leaf path has the same length, which makes the
 depth layers of each D_i separators and yields a separator cover.
+
+Every operation reads validity, scopes and depths from one core.GraphAnalysis:
+the caller's analysis of the same graph version if given, else its own.  A
+rewrite returns a new graph version, which its caller analyses afresh.
 """
 
 from __future__ import annotations
@@ -14,25 +18,24 @@ from typing import Optional
 from .core import (
     BdmcGraph,
     CLASS_TRUE,
+    GraphAnalysis,
     LeafEncoding,
     Node,
-    VarScopeMap,
+    analysis_of,
+    analyze,
     assemble_graph,
-    compute_scopes,
-    require_valid,
 )
 from .errors import PreconditionError
 
 
-def smooth(graph: BdmcGraph) -> BdmcGraph:
+def smooth(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> BdmcGraph:
     """Make every or-node smooth; returns the input unchanged if it already is.
 
     An or-child u missing M = var(v) - var(u) is replaced by and(u, t) where t
     is a fresh constant-true leaf over M.  The represented function, validity
     and decomposability are preserved.
     """
-    require_valid(graph)
-    scopes = compute_scopes(graph)
+    scopes = analysis_of(graph, analysis).require_valid().scopes
     nodes = list(graph.nodes)
     leaves = list(graph.leaves)
     changed = False
@@ -65,25 +68,17 @@ def smooth(graph: BdmcGraph) -> BdmcGraph:
 
 def node_depths(graph: BdmcGraph) -> list[int]:
     """Longest-path-from-root depth per reachable node (-1 if unreachable)."""
-    from .core import topo_order
-
-    depth = [-1] * graph.num_nodes
-    depth[graph.root] = 0
-    for nid in topo_order(graph):
-        for ch in graph.nodes[nid].children:
-            depth[ch] = max(depth[ch], depth[nid] + 1)
-    return depth
+    return list(analyze(graph).node_depths())
 
 
-def level(graph: BdmcGraph) -> BdmcGraph:
+def level(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> BdmcGraph:
     """Stretch every edge with pass-through one-child or-nodes until all
     root-to-leaf paths have the same length; fixpoint on already-leveled input.
 
     The function, smoothness and decomposability are preserved; each inserted
     node later contributes one N1 and one N3 clause.
     """
-    require_valid(graph)
-    depth = node_depths(graph)
+    depth = analysis_of(graph, analysis).require_valid().depths
     leaf_ids = [nid for nid, nd in enumerate(graph.nodes) if nd.kind == "leaf" and depth[nid] >= 0]
     target = [d for d in depth]
     full = max((depth[nid] for nid in leaf_ids), default=0)
@@ -113,24 +108,16 @@ def level(graph: BdmcGraph) -> BdmcGraph:
     return assemble_graph(nodes, graph.root, list(graph.leaves), graph.input_names)
 
 
-def strict_depths(graph: BdmcGraph) -> Optional[list[int]]:
+def strict_depths(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> Optional[list[int]]:
     """Depths if the graph is strictly leveled (every edge spans one level,
     all leaves at the same level), else None."""
-    depth = node_depths(graph)
-    leaf_depths = {depth[nid] for nid, nd in enumerate(graph.nodes) if nd.kind == "leaf" and depth[nid] >= 0}
-    if len(leaf_depths) > 1:
-        return None
-    for nid, nd in enumerate(graph.nodes):
-        if depth[nid] < 0:
-            continue
-        for ch in nd.children:
-            if depth[ch] != depth[nid] + 1:
-                return None
-    return depth
+    a = analysis_of(graph, analysis)
+    depth = a.node_depths()
+    return list(depth) if a.leveled else None
 
 
-def is_strictly_leveled(graph: BdmcGraph) -> bool:
-    return strict_depths(graph) is not None
+def is_strictly_leveled(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> bool:
+    return strict_depths(graph, analysis) is not None
 
 
 def _witness_paths(graph: BdmcGraph) -> tuple[list[int], list[int]]:
@@ -174,34 +161,30 @@ class SeparatorCover:
         return sum(len(s) for s in self.merged)
 
 
-def separator_cover(graph: BdmcGraph, scopes: Optional[VarScopeMap] = None) -> SeparatorCover:
+def separator_cover(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> SeparatorCover:
     """Depth-layer separators of a strictly leveled graph.
 
     S_{i,d} = nodes of H_i at depth d, for d = 1..L; empty layers and the
     d = 0 layer {root} are dropped; duplicates across variables are merged.
+    The layers come from one sweep over (node, depth, var(node)).
     """
-    require_valid(graph)
-    depth = strict_depths(graph)
-    if depth is None:
+    a = analysis_of(graph, analysis).require_valid()
+    if not a.leveled:
         short, long_ = _witness_paths(graph)
         raise PreconditionError(
             "graph is not strictly leveled: root-to-leaf paths "
             f"{short} and {long_} have different lengths; run level() first"
         )
-    if scopes is None:
-        scopes = compute_scopes(graph)
-    full = max((d for d in depth if d >= 0), default=0)
-    per_var = []
-    merged: dict[frozenset[int], None] = {}
-    for v in graph.input_vars:
-        seps = []
-        for d in range(1, full + 1):
-            layer = frozenset(nid for nid in scopes.h(v) if depth[nid] == d)
-            if layer:
-                seps.append(layer)
-                merged.setdefault(layer)
-        per_var.append(tuple(seps))
-    return SeparatorCover(tuple(per_var), tuple(merged))
+    layers: dict[tuple[int, int], list[int]] = {}
+    for nid, (d, vs) in enumerate(zip(a.depths, a.scopes.var_sets)):
+        if d > 0:
+            for v in vs:
+                layers.setdefault((v, d), []).append(nid)
+    per_var: list[list[frozenset[int]]] = [[] for _ in graph.input_vars]
+    for v, d in sorted(layers):
+        per_var[v - 1].append(frozenset(layers[v, d]))
+    merged = dict.fromkeys(sep for seps in per_var for sep in seps)
+    return SeparatorCover(tuple(map(tuple, per_var)), tuple(merged))
 
 
 @dataclass(frozen=True)
@@ -218,8 +201,7 @@ class CoverCheck:
 def check_separator_cover(graph: BdmcGraph, cover: SeparatorCover) -> CoverCheck:
     """Exactly-one-hit check by min/max hit-count DP over each D_i, plus the
     coverage condition union(S_i) in {H_i, H_i - root}."""
-    require_valid(graph, need_decomposable=False)
-    scopes = compute_scopes(graph)
+    scopes = analyze(graph).require_valid(need_decomposable=False).scopes
     for v in graph.input_vars:
         h = scopes.h(v)
         seps = cover.per_var[v - 1] if v - 1 < len(cover.per_var) else ()

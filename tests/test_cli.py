@@ -109,6 +109,25 @@ def test_verify_budget_exit(g1_file, monkeypatch):
     assert main(["verify", "--target", "pc", str(g1_file)]) == 4
 
 
+@pytest.mark.parametrize("cnf_text", ["p cnf x 1\n1 0\n", "p cnf 2 1\n1 abc 0\n"])
+def test_verify_non_integer_dimacs_exit(tmp_path, g1_file, capsys, cnf_text):
+    bad = tmp_path / "bad.cnf"
+    bad.write_text(cnf_text)
+    assert main(["verify", "--target", "cc", "--cnf", str(bad), str(g1_file)]) == 1
+    err = capsys.readouterr().err
+    assert "parse error: expected an integer" in err and "(line " in err
+
+
+def test_verify_non_integer_mode_exit(g1_file, capsys):
+    from bdmc.cli import _parse_mode
+    from bdmc.errors import InputError
+
+    with pytest.raises(InputError):
+        _parse_mode("sample:abc:0")
+    assert main(["verify", "--target", "pc", "--mode", "sample:abc:0", str(g1_file)]) == 1
+    assert "input error: sampled mode is sample:<count>:<seed>" in capsys.readouterr().err
+
+
 def test_eval(g1_file, capsys):
     assert main(["eval", str(g1_file), "--assign", "x1=1,x2=0"]) == 0
     assert capsys.readouterr().out.strip() == "1"

@@ -99,18 +99,9 @@ def _parse_mode(text: str):
     raise InputError(f"unknown mode {text!r}; use 'exhaustive' or 'sample:N:SEED'")
 
 
-_DEFAULT_CHECK = {
-    "cc": ("inputs", "urc"),
-    "dc": ("inputs", "pc"),
-    "urc": ("all", "urc"),
-    "urc-seq": ("all", "urc"),
-    "pc": ("all", "pc"),
-}
-
-
 def cmd_verify(args) -> int:
     graph = _read_graph(args.input)
-    target = encoder.normalize_target(args.target)
+    spec = encoder.target_spec(args.target)
     if args.cnf:
         nvars, clauses = formats.parse_dimacs(Path(args.cnf).read_text(encoding="utf-8"))
         num_inputs = graph.num_inputs
@@ -122,12 +113,10 @@ def cmd_verify(args) -> int:
         num_inputs = output.num_inputs
         graph = output.graph
         source = "compiled"
-    scope_kind, style = _DEFAULT_CHECK[target]
-    if args.scope:
-        scope_kind = args.scope
+    scope_kind, style = args.scope or spec.scope, spec.style
     scope = list(range(1, num_inputs + 1)) if scope_kind == "inputs" else list(range(1, nvars + 1))
     mode, samples, seed = _parse_mode(args.mode)
-    verdict = {"target": target, "source": source, "style": style, "scope": scope_kind}
+    verdict = {"target": spec.name, "source": source, "style": style, "scope": scope_kind}
     enc_check = propcheck.check_encoding(
         clauses, nvars, list(range(1, num_inputs + 1)), graph, bound=args.input_bound
     )

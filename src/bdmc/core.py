@@ -182,9 +182,6 @@ class BdmcGraph:
     def input_vars(self) -> range:
         return range(1, self.num_inputs + 1)
 
-    def leaf_node(self, index: int) -> int:
-        return self.node_of_leaf[index - 1]
-
     def leaf_of_node(self, node_id: int) -> LeafEncoding:
         return self.leaves[self.nodes[node_id].leaf - 1]
 

@@ -15,8 +15,6 @@ from typing import Sequence
 from .core import Clause, CnfFormula, LeafEncoding, make_clause
 from .errors import InputError, PreconditionError
 
-BOT = 0  # pseudo-literal for the contradiction marker
-
 
 @dataclass(frozen=True)
 class MetaVarSpace:

@@ -12,9 +12,13 @@ Clause groups:
     E3   (AND_i [[l]]^i) -> l for every input literal
     ROOT the unit clause asserting the root
 
-Targets: cc = N1,N2,E1,E2,ROOT; dc adds N3,E3; urc = cc + N3,N5; urc-seq is
-urc with sequential at-most-one; pc = dc + N6.  A leaf node's variable is the
-negation of its dual-rail contradiction marker throughout.
+TARGET_TABLE holds one Target record per target: its groups (cc =
+N1,N2,E1,E2,ROOT; dc adds N3,E3; urc = cc + N3,N5; urc-seq is urc with
+sequential at-most-one; pc = dc + N6), the leaf class and graph shape it
+assumes, and the scope and style of its strength claim.  compile_graph and
+size_report read every per-target fact from that record, and so does the CLI.
+A leaf node's variable is the negation of its dual-rail contradiction marker
+throughout.
 """
 
 from __future__ import annotations
@@ -36,24 +40,54 @@ from .dualrail import MetaVarSpace, dual_rail, extended_dual_rail
 from .errors import InputError, PreconditionError
 from .transform import SeparatorCover, is_strictly_leveled, level, separator_cover, smooth
 
-TARGETS = ("cc", "dc", "urc", "urc-seq", "pc")
 GROUP_ORDER = ("N1", "N2", "N3", "N5", "N6", "E1", "E2", "E3", "ROOT")
 
-_TARGET_GROUPS = {
-    "cc": ("N1", "N2", "E1", "E2", "ROOT"),
-    "dc": ("N1", "N2", "N3", "E1", "E2", "E3", "ROOT"),
-    "urc": ("N1", "N2", "N3", "N5", "E1", "E2", "ROOT"),
-    "urc-seq": ("N1", "N2", "N3", "N5", "E1", "E2", "ROOT"),
-    "pc": ("N1", "N2", "N3", "N6", "E1", "E2", "E3", "ROOT"),
-}
-_TARGET_LEAF_CLASS = {"cc": "cc", "dc": "dc", "urc": "urc", "urc-seq": "urc", "pc": "pc"}
-_TARGET_ASSUMPTION = {
-    "cc": "a CC-BDMC",
-    "dc": "a smooth DC-BDMC",
-    "urc": "a smooth URC-BDMC covered by separators",
-    "urc-seq": "a smooth URC-BDMC covered by separators",
-    "pc": "a smooth PC-BDMC covered by separators",
-}
+
+@dataclass(frozen=True)
+class Target:
+    """One compile target: the clause groups it emits (in GROUP_ORDER), the
+    leaf class and graph shape it assumes, and the unit-propagation strength
+    it claims: URC or PC style over the input variables or all variables.
+    A sequential target emits N5 as Sinz ladders with auxiliaries."""
+
+    name: str
+    groups: tuple[str, ...]
+    leaf_class: str
+    assumption: str
+    scope: str  # 'inputs' | 'all'
+    style: str  # 'urc' | 'pc'
+    sequential: bool = False
+
+    @property
+    def needs_cover(self) -> bool:
+        return "N5" in self.groups or "N6" in self.groups
+
+    @property
+    def needs_smooth(self) -> bool:
+        # E3 is the smooth converse; separator covers are taken on smooth graphs
+        return "E3" in self.groups or self.needs_cover
+
+
+_URC_GROUPS = ("N1", "N2", "N3", "N5", "E1", "E2", "ROOT")
+_COVERED_URC = "a smooth URC-BDMC covered by separators"
+TARGET_TABLE: dict[str, Target] = {t.name: t for t in (
+    Target("cc", ("N1", "N2", "E1", "E2", "ROOT"), "cc", "a CC-BDMC", "inputs", "urc"),
+    Target("dc", ("N1", "N2", "N3", "E1", "E2", "E3", "ROOT"), "dc", "a smooth DC-BDMC",
+           "inputs", "pc"),
+    Target("urc", _URC_GROUPS, "urc", _COVERED_URC, "all", "urc"),
+    Target("urc-seq", _URC_GROUPS, "urc", _COVERED_URC, "all", "urc", sequential=True),
+    Target("pc", ("N1", "N2", "N3", "N6", "E1", "E2", "E3", "ROOT"), "pc",
+           "a smooth PC-BDMC covered by separators", "all", "pc"),
+)}
+TARGETS = tuple(TARGET_TABLE)
+
+
+def target_spec(target: str) -> Target:
+    """The table record of a target name (case-insensitive, '_' for '-')."""
+    spec = TARGET_TABLE.get(target.lower().replace("_", "-"))
+    if spec is None:
+        raise InputError(f"unknown target {target!r}; expected one of {', '.join(TARGETS)}")
+    return spec
 
 
 class VarMap:
@@ -97,13 +131,9 @@ class VarMap:
             })
         self.node_vars: dict[int, int] = {}
         nxt = self.space.next_id
-        for nid in analysis_of(graph, analysis).topo_order():
+        topo = analysis_of(graph, analysis).topo_order()
+        for nid in dict.fromkeys([*topo, *range(graph.num_nodes)]):  # unreachable ones last
             if graph.nodes[nid].kind != "leaf":
-                self.node_vars[nid] = nxt
-                self.entries.append({"id": nxt, "role": "node", "name": f"n{nid}", "node": nid})
-                nxt += 1
-        for nid, nd in enumerate(graph.nodes):  # unreachable inner nodes, if any
-            if nd.kind != "leaf" and nid not in self.node_vars:
                 self.node_vars[nid] = nxt
                 self.entries.append({"id": nxt, "role": "node", "name": f"n{nid}", "node": nid})
                 nxt += 1
@@ -291,13 +321,6 @@ class EncodingOutput:
         return self.graph.num_inputs
 
 
-def normalize_target(target: str) -> str:
-    t = target.lower().replace("_", "-")
-    if t not in TARGETS:
-        raise InputError(f"unknown target {target!r}; expected one of {', '.join(TARGETS)}")
-    return t
-
-
 def compile_graph(
     graph: BdmcGraph,
     target: str,
@@ -311,17 +334,17 @@ def compile_graph(
     or separator covers fails on a graph lacking them unless the matching
     auto flag is set.  Each graph version (given, smoothed, leveled) is analysed once.
     """
-    target = normalize_target(target)
+    spec = target_spec(target)
+    target = spec.name
     if lean_cc and target != "cc":
         raise InputError("--lean-cc only applies to the cc target")
     analysis = analyze(graph).require_valid()
     report = analysis.report
-    needed = _TARGET_LEAF_CLASS[target]
     for leaf in graph.leaves:
-        if needed not in CLASS_SATISFIES[leaf.claimed_class]:
+        if spec.leaf_class not in CLASS_SATISFIES[leaf.claimed_class]:
             raise PreconditionError(
-                f"target {target} assumes {_TARGET_ASSUMPTION[target]}: leaf {leaf.index}"
-                f" claims class {leaf.claimed_class}, which does not cover {needed};"
+                f"target {target} assumes {spec.assumption}: leaf {leaf.index}"
+                f" claims class {leaf.claimed_class}, which does not cover {spec.leaf_class};"
                 " certify or relabel the leaf first"
             )
         if leaf.is_constant_false:
@@ -329,23 +352,21 @@ def compile_graph(
                 f"leaf {leaf.index} contains the empty clause; the dual-rail groups"
                 " are only defined for satisfiable-shaped leaf formulas"
             )
-    needs_smooth = target in ("dc", "urc", "urc-seq", "pc")
-    needs_cover = target in ("urc", "urc-seq", "pc")
-    if needs_smooth and not report.smooth:
+    if spec.needs_smooth and not report.smooth:
         if not auto_smooth:
             raise PreconditionError(
-                f"target {target} assumes {_TARGET_ASSUMPTION[target]}, but the graph is"
+                f"target {target} assumes {spec.assumption}, but the graph is"
                 f" not smooth (witness or-node/child/missing: {report.smooth_witness});"
                 " pass auto_smooth or run smooth() first"
             )
         graph = smooth(graph, analysis)
         analysis = analyze(graph)
     cover = None
-    if needs_cover:
+    if spec.needs_cover:
         if not is_strictly_leveled(graph, analysis):
             if not auto_level:
                 raise PreconditionError(
-                    f"target {target} assumes {_TARGET_ASSUMPTION[target]}, but the graph"
+                    f"target {target} assumes {spec.assumption}, but the graph"
                     " is not strictly leveled; pass auto_level or run level() first"
                 )
             graph = level(graph, analysis)
@@ -354,22 +375,17 @@ def compile_graph(
     varmap = build_varmap(graph, analysis)
     circuit = circuit_clauses(graph, varmap)
     groups: dict[str, list[Clause]] = {}
-    want = _TARGET_GROUPS[target]
-    for tag in ("N1", "N2", "N3"):
-        if tag in want:
+    for tag in spec.groups:
+        if tag in circuit:
             groups[tag] = circuit[tag]
-    if "N5" in want:
-        if target == "urc-seq":
-            groups["N5"] = seq_separator_clauses(cover, varmap)
+        elif tag == "N5" and spec.sequential:
+            groups[tag] = seq_separator_clauses(cover, varmap)
+        elif tag in ("N5", "N6"):
+            groups[tag] = separator_clauses(cover, varmap, tag)
+        elif tag == "ROOT":
+            groups[tag] = [make_clause([varmap.node_literal(graph.root)])]
         else:
-            groups["N5"] = separator_clauses(cover, varmap, "N5")
-    if "N6" in want:
-        groups["N6"] = separator_clauses(cover, varmap, "N6")
-    groups["E1"] = leaf_clauses(graph, varmap, "E1", lean=lean_cc)
-    groups["E2"] = leaf_clauses(graph, varmap, "E2")
-    if "E3" in want:
-        groups["E3"] = leaf_clauses(graph, varmap, "E3", analysis)
-    groups["ROOT"] = [make_clause([varmap.node_literal(graph.root)])]
+            groups[tag] = leaf_clauses(graph, varmap, tag, analysis, lean=lean_cc)
     output = EncodingOutput(
         target=target,
         groups=groups,
@@ -444,6 +460,7 @@ def size_report(output: EncodingOutput) -> SizeStats:
     N3 <= s, N5 <= s^2 (<= 3t for the sequential variant), N6 <= s^2+ns,
     variables <= n+2m+s (+t extra auxiliaries for urc-seq).
     """
+    spec = target_spec(output.target)
     graph = output.graph
     n = graph.num_inputs
     s = graph.num_nodes
@@ -464,18 +481,18 @@ def size_report(output: EncodingOutput) -> SizeStats:
     if "N3" in counts:
         bounds.append(Bound("N3 <= s", counts["N3"], s))
     if "N5" in counts:
-        if output.target == "urc-seq":
+        if spec.sequential:
             bounds.append(Bound("N5 <= 3t (sequential)", counts["N5"], 3 * (t or 0)))
         else:
             bounds.append(Bound("N5 <= s^2", counts["N5"], s * s))
     if "N6" in counts:
         bounds.append(Bound("N6 <= s^2+ns", counts["N6"], s * s + n * s))
-    if output.target == "urc-seq":
+    if spec.sequential:
         bounds.append(Bound("vars <= n+2m+s+t", output.num_vars, n + 2 * m + s + (t or 0)))
         bounds.append(Bound("clauses <= e+s+r+8m+3t", total, e + s + r + 8 * m + 3 * (t or 0)))
     else:
         bounds.append(Bound("vars <= n+2m+s", output.num_vars, n + 2 * m + s))
-        if output.target in ("urc", "pc"):
+        if spec.needs_cover:
             bounds.append(Bound("clauses <= e+s+r+8m+s^2+ns", total,
                                 e + s + r + 8 * m + s * s + n * s))
         else:

@@ -215,11 +215,16 @@ def brute_sat(
             f"formula has {nvars} variables, exceeding the SAT oracle budget of {var_budget};"
             " raise var_budget to proceed"
         )
-    seeds = check_partial_assignment(alpha, nvars)
-    eng = PropEngine(clauses, nvars)
-    if not eng.assert_lits(seeds):
-        return None
-    return _search(eng, 1)
+    return model_under(PropEngine(clauses, nvars), check_partial_assignment(alpha, nvars))
+
+
+def model_under(eng: PropEngine, assumps: Iterable[int] = ()) -> Optional[tuple[int, ...]]:
+    """A model extending the engine's trail and assumps, or None; the engine
+    is left as it was."""
+    mark = eng.mark()
+    model = _search(eng, 1) if eng.assert_lits(assumps) else None
+    eng.backtrack(mark)
+    return model
 
 
 def _search(eng: PropEngine, from_var: int) -> Optional[tuple[int, ...]]:
@@ -264,7 +269,7 @@ def all_scope_models(
                 mask |= 1 << idx
             idx += 1
         if idx == k:
-            if _extendable(eng):
+            if model_under(eng) is not None:
                 masks.append(mask)
             return
         v = scope[idx]
@@ -277,9 +282,3 @@ def all_scope_models(
     rec(0, 0)
     return sorted(masks)
 
-
-def _extendable(eng: PropEngine) -> bool:
-    mark = eng.mark()
-    ok = _search(eng, 1) is not None
-    eng.backtrack(mark)
-    return ok

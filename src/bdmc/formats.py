@@ -253,10 +253,16 @@ def emit_dimacs(output: "EncodingOutput") -> tuple[str, str]:
 
 
 def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
-    """Read a DIMACS CNF file: (num_vars, clauses).  Header counts are checked."""
+    """Read a DIMACS CNF file: (num_vars, clauses).
+
+    After the 'p cnf' header the literals form one stream in which 0 ends a
+    clause, so a clause may span lines and a line may hold several clauses.
+    Header counts are checked.
+    """
     nvars = None
     declared = None
     clauses: list[tuple[int, ...]] = []
+    lits: list[int] = []
     try:
         for lno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -266,22 +272,26 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
                 parts = line.split()
                 if len(parts) != 4 or parts[1] != "cnf":
                     raise ParseError(f"bad problem line {line!r}", line=lno)
+                if nvars is not None:
+                    raise ParseError("'p cnf' header must come once, before the clauses", line=lno)
                 nvars, declared = int(parts[2]), int(parts[3])
                 continue
             if nvars is None:
                 raise ParseError("clause before 'p cnf' header", line=lno)
-            lits = [int(t) for t in line.split()]
-            if not lits or lits[-1] != 0:
-                raise ParseError("clause line must end with 0", line=lno)
-            body = lits[:-1]
-            for l in body:
-                if l == 0 or abs(l) > nvars:
-                    raise ParseError(f"literal {l} out of range", line=lno)
-            clauses.append(tuple(body))
+            for lit in map(int, line.split()):
+                if lit == 0:
+                    clauses.append(tuple(lits))
+                    lits = []
+                elif -nvars <= lit <= nvars:
+                    lits.append(lit)
+                else:
+                    raise ParseError(f"literal {lit} out of range", line=lno)
     except ValueError as exc:
         raise ParseError(f"expected an integer: {exc}", line=lno) from None
     if nvars is None:
         raise ParseError("missing 'p cnf' header")
+    if lits:
+        raise ParseError("last clause is not ended by 0")
     if declared != len(clauses):
         raise ParseError(f"header declares {declared} clauses, found {len(clauses)}")
     return nvars, clauses

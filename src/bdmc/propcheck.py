@@ -11,19 +11,20 @@ Strength checking follows the two definitions:
 Both are decided through the equivalent satisfiability formulation: after
 propagating alpha without conflict, the formula must be satisfiable (URC), and
 for every scope literal l whose negation was not derived, phi & alpha & l must
-be satisfiable (PC).  Exhaustive mode walks all 3^|V| partial assignments with
+be satisfiable (PC).  Both modes answer these queries from one _Projection: the
+formula's models projected onto V, kept as per-literal bitsets, with one PC
+pending-literal loop.  Exhaustive mode walks all 3^|V| partial assignments with
 an incremental propagation trail, pruning every extension of a conflicting
-assignment, and answers the satisfiability queries against the precomputed
-projection of the model set onto V, kept as per-literal bitsets.  Sampled mode
-draws assignments from a seeded stream and answers the queries from a growing
-model cache backed by the DPLL oracle.
+assignment, against the complete projection, so a literal no model sets is a
+failure.  Sampled mode draws assignments from a seeded stream and grows the
+projection on demand: a literal no known model sets goes to the DPLL oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import core
 from .core import BdmcGraph, CLASS_CC, CLASS_DC, CLASS_PC, CLASS_URC, GraphAnalysis, LeafEncoding, analyze, build_graph, leaf_spec
@@ -33,14 +34,15 @@ from .engine import (
     all_scope_models,
     brute_sat,
     check_partial_assignment,
+    model_under,
     unit_closure,
     unit_propagate,
-    _search,
 )
 from .errors import BdmcError, BudgetExceededError, InputError
 
 DEFAULT_EXHAUSTIVE_BUDGET = 3 ** 14
 DEFAULT_SAMPLES = 100_000
+STYLES = ("urc", "pc")
 
 __all__ = [
     "unit_propagate", "unit_closure", "brute_sat", "UpResult",
@@ -92,9 +94,7 @@ def check_encoding(
     eng = PropEngine(clauses, nvars)
     for mask in range(1 << k):
         alpha = tuple(v if mask >> i & 1 else -v for i, v in enumerate(input_vars))
-        mark = eng.mark()
-        got = eng.assert_lits(alpha) and _search(eng, 1) is not None
-        eng.backtrack(mark)
+        got = model_under(eng, alpha) is not None
         want = ev(mask)
         if got != want:
             return EncodingCheck(False, witness=alpha, expected=want, got=got)
@@ -117,6 +117,10 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class StrengthVerdict:
+    """A strength verdict.  alphas_checked counts the assignments up to and
+    including the first failure.  In sampled mode every job grows its own
+    model cache, so sat_calls depends on jobs; every other field does not."""
+
     style: str  # 'urc' | 'pc'
     scope: tuple[int, ...]
     mode: str  # 'exhaustive' | 'sampled'
@@ -162,7 +166,7 @@ def check_strength(
     budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
     jobs: int = 1,
 ) -> StrengthVerdict:
-    if style not in ("urc", "pc"):
+    if style not in STYLES:
         raise InputError("style must be 'urc' or 'pc'")
     scope = list(dict.fromkeys(scope))
     for v in scope:
@@ -181,78 +185,99 @@ def check_strength(
     return _sampled_check(clauses, nvars, scope, style, samples, seed, jobs)
 
 
-def _lit_of(scope, slot: int) -> int:
-    return scope[slot >> 1] if slot % 2 == 0 else -scope[slot >> 1]
+class _Projection:
+    """Models of the formula projected onto the scope, kept as bitsets.
 
-
-class _ScopeBits:
-    """Slot bookkeeping: slot 2i is +scope[i], slot 2i+1 is -scope[i]."""
+    Slot 2i stands for +scope[i] and slot 2i+1 for -scope[i]; a set of scope
+    literals is an int over slots.  Model j is bit j: blit[slot] holds the
+    models that set the slot's literal, model_lits[j] the slots model j sets.
+    """
 
     def __init__(self, scope):
-        self.scope = list(scope)
-        k = len(scope)
-        self.k = k
-        self.all_lits = (1 << (2 * k)) - 1
-        self.even = self.all_lits // 3 if k else 0  # bits 0,2,4,...
+        self.scope = scope
         self.pos_of = {v: i for i, v in enumerate(scope)}
+        self.all_lits = (1 << (2 * len(scope))) - 1
+        self.even = self.all_lits // 3  # bits 0,2,4,...
+        self.blit = [0] * (2 * len(scope))
+        self.model_lits: list[int] = []
 
-    def swap(self, mask: int) -> int:
-        return ((mask & self.even) << 1) | ((mask & (self.even << 1)) >> 1)
+    def add(self, positive: Iterable[bool]) -> int:
+        """Add a model given by the sign of each scope variable; its index."""
+        j = len(self.model_lits)
+        lm = 0
+        for idx, pos in enumerate(positive):
+            slot = 2 * idx + (0 if pos else 1)
+            self.blit[slot] |= 1 << j
+            lm |= 1 << slot
+        self.model_lits.append(lm)
+        return j
 
     def slot(self, lit: int) -> int:
         return 2 * self.pos_of[abs(lit)] + (0 if lit > 0 else 1)
 
+    def lit(self, slot: int) -> int:
+        v = self.scope[slot >> 1]
+        return -v if slot & 1 else v
 
-def _exhaustive_check(clauses, nvars, scope, style) -> StrengthVerdict:
-    bits = _ScopeBits(scope)
-    k = bits.k
-    masks = all_scope_models(clauses, nvars, scope)
-    blit = [0] * (2 * k)
-    model_lits = []
-    for j, mask in enumerate(masks):
-        mbit = 1 << j
-        lm = 0
-        for idx in range(k):
-            slot = 2 * idx + (0 if mask >> idx & 1 else 1)
-            blit[slot] |= mbit
-            lm |= 1 << slot
-        model_lits.append(lm)
-    full_b = (1 << len(masks)) - 1
-    eng = PropEngine(clauses, nvars)
-    stats = {"alphas": 0}
-    decisions: list[int] = []
-
-    def scope_bits_added(mark: int) -> int:
-        added = 0
-        for lit in eng.trail[mark:]:
-            idx = bits.pos_of.get(abs(lit))
+    def trail_slots(self, trail: Sequence[int], start: int = 0) -> int:
+        """The scope literals on trail[start:]."""
+        pos_of = self.pos_of
+        out = 0
+        for lit in trail[start:]:
+            idx = pos_of.get(abs(lit))
             if idx is not None:
-                added |= 1 << (2 * idx + (0 if lit > 0 else 1))
-        return added
+                out |= 1 << (2 * idx + (0 if lit > 0 else 1))
+        return out
 
-    def condition(b_alpha: int, fmask: int) -> Optional[Optional[int]]:
-        """None if the condition holds; otherwise the failing slot (or -1 for
-        the URC bot condition)."""
-        stats["alphas"] += 1
+    def consistent(self, alpha: Sequence[int]) -> int:
+        """The models that agree with every literal of alpha."""
+        acc = (1 << len(self.model_lits)) - 1
+        for lit in alpha:
+            acc &= self.blit[self.slot(lit)]
+        return acc
+
+    def violation(self, alpha: Sequence[int], style: str, avail: int, forced: int,
+                  extend: Optional[Callable[[Optional[int]], Optional[int]]] = None,
+                  ) -> Optional[Counterexample]:
+        """Check the style's condition at alpha, which UP closes without
+        conflict to the scope slots in forced; avail holds the known models
+        consistent with alpha.  URC needs one such model; PC needs, for every
+        slot whose complement is not forced, one that sets it.  A need no
+        model in avail meets goes to extend(slot) (slot None for URC), which
+        returns the index of a new model meeting it, or None; without extend,
+        or on None, the need is the counterexample.  None means the
+        condition holds."""
         if style == "urc":
-            return -1 if b_alpha == 0 else None
-        pend = bits.all_lits & ~bits.swap(fmask)
+            if avail or (extend is not None and extend(None) is not None):
+                return None
+            return Counterexample(tuple(alpha), None)
+        swapped = ((forced & self.even) << 1) | ((forced & (self.even << 1)) >> 1)
+        pend = self.all_lits & ~swapped
         while pend:
             slot = (pend & -pend).bit_length() - 1
-            t = b_alpha & blit[slot]
-            if t == 0:
-                return slot
+            t = avail & self.blit[slot]
+            if not t:
+                j = extend(slot) if extend is not None else None
+                if j is None:
+                    return Counterexample(tuple(alpha), -self.lit(slot))
+                avail |= 1 << j
+                t = 1 << j
             j = (t & -t).bit_length() - 1
-            pend &= ~model_lits[j]
+            pend &= ~self.model_lits[j]
         return None
 
-    failure: list[Counterexample] = []
 
-    def fail(slot: Optional[int]) -> None:
-        lit = None if slot == -1 else -_lit_of(scope, slot)
-        failure.append(Counterexample(tuple(decisions), lit))
+def _exhaustive_check(clauses, nvars, scope, style) -> StrengthVerdict:
+    proj = _Projection(scope)
+    k = len(scope)
+    for mask in all_scope_models(clauses, nvars, scope):
+        proj.add(mask >> idx & 1 for idx in range(k))
+    eng = PropEngine(clauses, nvars)
+    alphas = 0
+    decisions: list[int] = []
 
-    def rec(start: int, b_alpha: int, fmask: int) -> bool:
+    def rec(start: int, b_alpha: int, forced: int) -> Optional[Counterexample]:
+        nonlocal alphas
         for idx in range(start, k):
             v = scope[idx]
             if eng.val[v] != 0:
@@ -264,176 +289,92 @@ def _exhaustive_check(clauses, nvars, scope, style) -> StrengthVerdict:
                 if not eng.assert_lits((lit,)):
                     eng.backtrack(mark)
                     continue  # alpha+lit refutes by UP; so does every extension
-                added = scope_bits_added(mark)
-                b2 = b_alpha & blit[bits.slot(lit)]
+                f2 = forced | proj.trail_slots(eng.trail, mark)
+                b2 = b_alpha & proj.blit[proj.slot(lit)]
                 decisions.append(lit)
-                bad = condition(b2, fmask | added)
-                if bad is not None:
-                    fail(bad)
-                    return False
-                if not rec(idx + 1, b2, fmask | added):
-                    return False
+                alphas += 1
+                cex = proj.violation(decisions, style, b2, f2) or rec(idx + 1, b2, f2)
+                if cex is not None:
+                    return cex
                 decisions.pop()
                 eng.backtrack(mark)
-        return True
+        return None
 
+    cex = None
     if eng.assert_lits(()):
-        fmask0 = scope_bits_added(0)
-        bad = condition(full_b, fmask0)
-        if bad is not None:
-            fail(bad)
-        else:
-            rec(0, full_b, fmask0)
+        forced = proj.trail_slots(eng.trail)
+        b_all = (1 << len(proj.model_lits)) - 1
+        alphas += 1
+        cex = proj.violation((), style, b_all, forced) or rec(0, b_all, forced)
     # else: the formula itself UP-refutes; every condition holds vacuously
-    if failure:
-        return StrengthVerdict(style, tuple(scope), "exhaustive", False, failure[0],
-                               alphas_checked=stats["alphas"])
-    return StrengthVerdict(style, tuple(scope), "exhaustive", True,
-                           alphas_checked=stats["alphas"])
+    return StrengthVerdict(style, tuple(scope), "exhaustive", cex is None, cex,
+                           alphas_checked=alphas)
 
 
 def _mix(seed: int, j: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + (j + 1) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
 
 
-class _ModelCache:
-    """Found models projected onto the scope, indexed per scope literal."""
-
-    def __init__(self, bits: _ScopeBits):
-        self.bits = bits
-        self.blit = [0] * (2 * bits.k)
-        self.model_lits: list[int] = []
-
-    def add(self, model: Sequence[int]) -> int:
-        j = len(self.model_lits)
-        lm = 0
-        for idx, v in enumerate(self.bits.scope):
-            slot = 2 * idx + (0 if model[v - 1] > 0 else 1)
-            self.blit[slot] |= 1 << j
-            lm |= 1 << slot
-        self.model_lits.append(lm)
-        return j
-
-    def consistent(self, alpha_slots: Sequence[int]) -> int:
-        if not self.model_lits:
-            return 0
-        acc = (1 << len(self.model_lits)) - 1
-        for slot in alpha_slots:
-            acc &= self.blit[slot]
-            if not acc:
-                return 0
-        return acc
-
-
 def _sampled_check(clauses, nvars, scope, style, samples, seed, jobs) -> StrengthVerdict:
+    """Split [0, samples) into one chunk per job; the first failing sample
+    over all chunks decides, so the verdict does not depend on jobs."""
+    chunk = max(1, -(-samples // max(jobs, 1)))
+    tasks = [(clauses, nvars, scope, style, seed, lo, min(lo + chunk, samples))
+             for lo in range(0, samples, chunk)]
     if jobs > 1:
-        return _sampled_parallel(clauses, nvars, scope, style, samples, seed, jobs)
-    res = _sampled_range(clauses, nvars, scope, style, seed, 0, samples)
-    return _sampled_verdict(scope, style, samples, seed, res)
+        import multiprocessing as mp
 
-
-def _sampled_verdict(scope, style, samples, seed, res) -> StrengthVerdict:
-    fail_at, cex, alphas, sat_calls = res
+        with mp.Pool(processes=jobs) as pool:
+            results = pool.starmap(_sampled_range, tasks)
+    else:
+        results = [_sampled_range(*task) for task in tasks]
+    fail_at, cex = min(((r[0], r[1]) for r in results if r[0] is not None),
+                       default=(None, None))
     return StrengthVerdict(
         style, tuple(scope), "sampled",
         passed=fail_at is None,
         counterexample=cex,
         samples=samples,
         seed=seed,
-        alphas_checked=alphas,
-        sat_calls=sat_calls,
+        alphas_checked=samples if fail_at is None else fail_at + 1,
+        sat_calls=sum(r[2] for r in results),
     )
 
 
 def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
-    """Check samples [start, stop); sample j is derived from (seed, j) alone,
-    so any partition of the index range yields the same verdict."""
-    bits = _ScopeBits(scope)
-    k = bits.k
+    """Check samples [start, stop) up to the first failure: (fail_at,
+    counterexample, sat_calls), fail_at None on a pass.  Sample j is derived
+    from (seed, j) alone, so any partition of the index range yields the
+    same first failure."""
+    proj = _Projection(scope)
+    k = len(scope)
     eng = PropEngine(clauses, nvars)
-    cache = _ModelCache(bits)
     sat_calls = 0
-    alphas = 0
-    base_fmask = 0  # scope literals forced by the formula's own units
-    for lit in eng.trail:
-        idx = bits.pos_of.get(abs(lit))
-        if idx is not None:
-            base_fmask |= 1 << (2 * idx + (0 if lit > 0 else 1))
+    base = proj.trail_slots(eng.trail)  # scope literals forced by the formula's own units
 
-    def oracle_model(assumps):
+    def new_model(alpha, slot: Optional[int]) -> Optional[int]:
+        """Ask the oracle for a model of alpha (and of the slot's literal)."""
         nonlocal sat_calls
         sat_calls += 1
-        mark = eng.mark()
-        ok = eng.assert_lits(assumps)
-        model = _search(eng, 1) if ok else None
-        eng.backtrack(mark)
-        return model
+        model = model_under(eng, alpha if slot is None else alpha + (proj.lit(slot),))
+        return None if model is None else proj.add(model[v - 1] > 0 for v in scope)
 
     for j in range(start, stop):
         rng = random.Random(_mix(seed, j))
         size = rng.randint(0, k)
         chosen = sorted(rng.sample(range(k), size))
         alpha = tuple(scope[i] if rng.random() < 0.5 else -scope[i] for i in chosen)
-        alphas += 1
         mark = eng.mark()
         if not eng.assert_lits(alpha):
             eng.backtrack(mark)
             continue
-        fmask = base_fmask
-        for lit in eng.trail[mark:]:
-            idx = bits.pos_of.get(abs(lit))
-            if idx is not None:
-                fmask |= 1 << (2 * idx + (0 if lit > 0 else 1))
-        alpha_slots = [bits.slot(l) for l in alpha]
-        avail = cache.consistent(alpha_slots)
+        forced = base | proj.trail_slots(eng.trail, mark)
         eng.backtrack(mark)
-        if style == "urc":
-            if not avail:
-                model = oracle_model(alpha)
-                if model is None:
-                    return j, Counterexample(alpha, None), alphas, sat_calls
-                cache.add(model)
-            continue
-        pend = bits.all_lits & ~bits.swap(fmask)
-        while pend:
-            slot = (pend & -pend).bit_length() - 1
-            t = avail & cache.blit[slot]
-            if t:
-                jm = (t & -t).bit_length() - 1
-                pend &= ~cache.model_lits[jm]
-                continue
-            lit = _lit_of(scope, slot)
-            model = oracle_model(alpha + (lit,))
-            if model is None:
-                return j, Counterexample(alpha, -lit), alphas, sat_calls
-            jm = cache.add(model)
-            avail |= 1 << jm
-            pend &= ~cache.model_lits[jm]
-    return None, None, alphas, sat_calls
-
-
-def _sampled_worker(args):
-    clauses, nvars, scope, style, seed, start, stop = args
-    return _sampled_range(clauses, nvars, scope, style, seed, start, stop)
-
-
-def _sampled_parallel(clauses, nvars, scope, style, samples, seed, jobs) -> StrengthVerdict:
-    import multiprocessing as mp
-
-    chunk = (samples + jobs - 1) // jobs
-    tasks = [
-        (clauses, nvars, scope, style, seed, lo, min(lo + chunk, samples))
-        for lo in range(0, samples, chunk)
-    ]
-    with mp.Pool(processes=jobs) as pool:
-        results = pool.map(_sampled_worker, tasks)
-    alphas = sum(r[2] for r in results)
-    sat_calls = sum(r[3] for r in results)
-    failures = [(r[0], r[1]) for r in results if r[0] is not None]
-    if failures:
-        fail_at, cex = min(failures)
-        return _sampled_verdict(scope, style, samples, seed, (fail_at, cex, alphas, sat_calls))
-    return _sampled_verdict(scope, style, samples, seed, (None, None, alphas, sat_calls))
+        avail = proj.consistent(alpha)
+        cex = proj.violation(alpha, style, avail, forced, lambda slot: new_model(alpha, slot))
+        if cex is not None:
+            return j, cex, sat_calls
+    return None, None, sat_calls
 
 
 def confirm_strength_counterexample(
@@ -506,11 +447,7 @@ def certify_formula(
             continue
         if _exhaustive_check(mapped, nvars, scope, style).passed:
             got.add(name)
-    best = "none"
-    for name in (CLASS_CC, CLASS_DC, CLASS_URC, CLASS_PC):
-        if name in got and _RANK[name] > _RANK[best]:
-            best = name
-    return LeafCertificate(frozenset(got), best)
+    return LeafCertificate(frozenset(got), max(got, key=_RANK.__getitem__, default="none"))
 
 
 def certify_leaf(leaf: LeafEncoding, budget: int = DEFAULT_EXHAUSTIVE_BUDGET) -> LeafCertificate:

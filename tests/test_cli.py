@@ -104,6 +104,14 @@ def test_verify_sampled_deterministic(g1_file, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_verify_scope_override(g1_file, capsys):
+    assert main(["verify", "--target", "urc", "--scope", "inputs", "--auto-smooth",
+                 "--auto-level", str(g1_file)]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["scope"] == "inputs" and verdict["style"] == "urc"
+    assert verdict["strength"]["scope_size"] == 2
+
+
 def test_verify_budget_exit(g1_file, monkeypatch):
     monkeypatch.setenv("BDMC_BUDGET", "9")
     assert main(["verify", "--target", "pc", str(g1_file)]) == 4

@@ -8,6 +8,9 @@ from bdmc.encoder import (
     AMO_CANONICAL,
     AMO_SEQUENTIAL,
     EO_CANONICAL,
+    GROUP_ORDER,
+    TARGET_TABLE,
+    TARGETS,
     build_varmap,
     cardinality,
     circuit_clauses,
@@ -18,7 +21,7 @@ from bdmc.engine import brute_sat
 from bdmc.errors import InputError, PreconditionError
 from bdmc.transform import separator_cover
 
-from conftest import g1
+from conftest import TARGET_CHECK, g1
 
 
 def test_varmap_numbering_g1():
@@ -135,6 +138,16 @@ def test_compile_group_composition():
     for target, tags in want.items():
         out = compile_graph(g, target)
         assert set(out.groups) == tags, target
+
+
+def test_target_table_matches_spec():
+    # conftest.TARGET_CHECK is the independent statement of each target's claim
+    assert TARGETS == ("cc", "dc", "urc", "urc-seq", "pc")
+    assert {t.name: (t.scope, t.style) for t in TARGET_TABLE.values()} == TARGET_CHECK
+    for name, spec in TARGET_TABLE.items():
+        assert spec.name == name
+        assert list(spec.groups) == [tag for tag in GROUP_ORDER if tag in spec.groups]
+    assert [t.name for t in TARGET_TABLE.values() if t.sequential] == ["urc-seq"]
 
 
 def test_compile_counts_g1():

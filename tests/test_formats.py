@@ -167,6 +167,20 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 2 2\n1 0\n")
     with pytest.raises(ParseError):
         parse_dimacs("1 0\n")
+    with pytest.raises(ParseError, match="not ended by 0"):
+        parse_dimacs("p cnf 2 2\n1 0 2\n")
+    with pytest.raises(ParseError, match="once, before the clauses"):
+        parse_dimacs("p cnf 2 1\n1 0\np cnf 2 1\n")
+    with pytest.raises(ParseError, match="out of range"):
+        parse_dimacs("p cnf 2 1\n1\n-3 0\n")
+    with pytest.raises(ParseError, match=r"expected an integer.*\(line 3\)"):
+        parse_dimacs("p cnf 2 1\n1\n2 x 0\n")
+
+
+def test_parse_dimacs_clause_stream():
+    # clauses may span lines and share a line; comments may sit in between
+    text = "c head\np cnf 3 4\n1 -2\n3 0 -1 0\nc mid\n2\n  -3\n0 0\n"
+    assert parse_dimacs(text) == (3, [(1, -2, 3), (-1,), (2, -3), ()])
 
 
 def test_serialize_is_deterministic(corpus):

@@ -151,6 +151,19 @@ def test_sampled_deterministic_and_parallel_equal():
     assert a.passed and b.passed and c.passed
     assert a.to_dict() == b.to_dict()
     assert a.passed == c.passed and a.samples == c.samples
+    # a failing check: every chunk may run past the first failure, yet the
+    # verdict JSON is the same for any jobs except the per-process sat_calls
+    out = compile_graph(g1(), "cc")
+    cls, nv = out.all_clauses(), out.num_vars
+    scope = list(range(1, nv + 1))
+    one, two = (check_strength(cls, nv, scope, "pc", mode="sampled", samples=3000, seed=9,
+                               jobs=jobs).to_dict() for jobs in (1, 2))
+    assert not one["passed"] and one["alphas_checked"] == 10
+    one.pop("sat_calls")
+    two.pop("sat_calls")
+    assert one == two
+    empty = check_strength(cls, nv, scope, "pc", mode="sampled", samples=0, jobs=2)
+    assert empty.passed and empty.alphas_checked == 0
 
 
 def test_certify_leaf_examples():

@@ -1,0 +1,53 @@
+"""Property tests: text round trips and parser robustness under mutation."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from bdmc import BdmcError, compile_graph, emit_dimacs, gen_random  # noqa: E402
+from bdmc.errors import ParseError  # noqa: E402
+from bdmc.formats import parse_bdmc, parse_dimacs, serialize_bdmc  # noqa: E402
+
+from conftest import g1  # noqa: E402
+
+BASE_DIMACS = emit_dimacs(compile_graph(g1(), "pc"))[0]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 5000), n=st.integers(2, 6), depth=st.integers(1, 3),
+       leaf_class=st.sampled_from(["pc", "urc"]))
+def test_bdmc_text_round_trip(seed, n, depth, leaf_class):
+    try:
+        graph = gen_random(n=n, max_depth=depth, leaf_class=leaf_class, seed=seed)
+    except BdmcError:
+        assume(False)
+    text = serialize_bdmc(graph)
+    assert serialize_bdmc(parse_bdmc(text)) == text
+
+
+EDITS = st.lists(
+    st.tuples(st.integers(0, len(BASE_DIMACS)), st.sampled_from("sid"),
+              st.sampled_from(list("0123456789 -\npcx\t"))),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(edits=EDITS)
+def test_mutated_dimacs_raises_only_parse_error(edits):
+    chars = list(BASE_DIMACS)
+    for pos, op, ch in edits:
+        pos = min(pos, len(chars) - 1)
+        if op == "s":
+            chars[pos] = ch
+        elif op == "i":
+            chars.insert(pos, ch)
+        elif len(chars) > 1:
+            del chars[pos]
+    try:
+        nvars, clauses = parse_dimacs("".join(chars))
+    except ParseError:
+        return
+    assert all(0 < abs(lit) <= nvars for clause in clauses for lit in clause)
+

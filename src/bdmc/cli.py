@@ -105,6 +105,9 @@ def cmd_verify(args) -> int:
     if args.cnf:
         nvars, clauses = formats.parse_dimacs(Path(args.cnf).read_text(encoding="utf-8"))
         num_inputs = graph.num_inputs
+        if nvars < num_inputs:
+            raise InputError(f"{args.cnf} declares {nvars} variables, but the sentence"
+                             f" has {num_inputs} inputs")
         source = args.cnf
     else:
         output = _compile_from_args(args, graph)

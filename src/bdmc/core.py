@@ -6,9 +6,11 @@ module owns the graph representation, structural validation (acyclicity,
 decomposability, smoothness), input-variable scopes, and brute-force semantic
 evaluation used as the oracle by every checker.
 
-All structure comes from one pass, analyze(): callers thread its GraphAnalysis
-(topological order, depths, scopes, validation report) through every step on
-one graph version; validate, compute_scopes and topo_order are views of it.
+All structure comes from one pass, analyze(), whose GraphAnalysis
+(topological order, depths, scopes, validation report) is memoised as
+BdmcGraph.analysis: a graph version is immutable and every rewrite returns a
+new one, so each version is analysed at most once.  validate, compute_scopes
+and topo_order are views of it.
 
 Variable ids ("source space"): inputs are 1..n, auxiliaries of the leaves get
 ids above n, assigned leaf by leaf.  Literals are signed ints.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import engine
@@ -184,6 +187,11 @@ class BdmcGraph:
 
     def leaf_of_node(self, node_id: int) -> LeafEncoding:
         return self.leaves[self.nodes[node_id].leaf - 1]
+
+    @cached_property
+    def analysis(self) -> "GraphAnalysis":
+        """The structure of this graph version, analysed on first use."""
+        return analyze(self)
 
 
 def assemble_graph(
@@ -366,15 +374,18 @@ def _find_cycle(graph: BdmcGraph) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class VarScopeMap:
+    """var(v) per node (a one-child node shares its child's set object) and
+    the range (leaf indices) per input variable."""
+
     var_sets: tuple[frozenset[int], ...]
-    holders: tuple[frozenset[int], ...]
     ranges: tuple[tuple[int, ...], ...]
 
     def var(self, node_id: int) -> frozenset[int]:
         return self.var_sets[node_id]
 
     def h(self, input_var: int) -> frozenset[int]:
-        return self.holders[input_var - 1]
+        """H_i: the nodes whose scope holds the input variable."""
+        return frozenset(nid for nid, vs in enumerate(self.var_sets) if input_var in vs)
 
     def range_of(self, lit: int) -> tuple[int, ...]:
         return self.ranges[abs(lit) - 1]
@@ -387,12 +398,10 @@ class GraphAnalysis:
     ``order`` is the deterministic topological order (parents first) of the
     reachable nodes and ``depths`` the longest-path depth of every node (-1
     if unreachable); both are None when a reachable cycle leaves them
-    undefined.  ``scopes`` is None on any cycle.  Operations on the same
-    graph take the caller's analysis instead of walking the graph again; it
-    is passed explicitly and never cached beyond the call that made it.
+    undefined.  ``scopes`` is None on any cycle.  Read it as
+    ``graph.analysis``, which computes it once per graph version.
     """
 
-    graph: BdmcGraph
     report: ValidationReport
     order: Optional[tuple[int, ...]]
     depths: Optional[tuple[int, ...]]
@@ -435,8 +444,8 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
 
     A reachability sweep from the root counts in-degrees; one heap-ordered
     Kahn sweep then gives the topological order, the longest-path depths and
-    strict leveling.  Var-sets come from one bottom-up sweep; holders, ranges
-    and the validation report from single sweeps over nodes and leaves.
+    strict leveling.  Var-sets come from one bottom-up sweep; ranges and the
+    validation report from single sweeps over nodes and leaves.
     Acyclicity covers all nodes: _find_cycle runs only to name a cycle, or
     to rule one out among unreachable nodes.
     """
@@ -485,22 +494,18 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
             nd = nodes[nid]
             if nd.kind == "leaf":
                 var_sets[nid] = frozenset(graph.leaves[nd.leaf - 1].input_vars)
+            elif len(nd.children) == 1:
+                var_sets[nid] = var_sets[nd.children[0]]
             else:
                 acc: set[int] = set()
                 for ch in nd.children:
                     acc |= var_sets[ch]
                 var_sets[nid] = frozenset(acc)
-        holders: list[list[int]] = [[] for _ in graph.input_vars]
-        for nid, vs in enumerate(var_sets):
-            for v in vs:
-                holders[v - 1].append(nid)
         ranges: list[list[int]] = [[] for _ in graph.input_vars]
         for leaf in graph.leaves:
             for v in frozenset(leaf.input_vars):
                 ranges[v - 1].append(leaf.index)
-        scopes = VarScopeMap(
-            tuple(var_sets), tuple(map(frozenset, holders)), tuple(map(tuple, ranges))
-        )
+        scopes = VarScopeMap(tuple(var_sets), tuple(map(tuple, ranges)))
         decomposable = smooth = True
         for nid, nd in enumerate(nodes):
             if nd.kind == "and":
@@ -532,36 +537,29 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
         missing_inputs=missing,
     )
     if not complete:
-        return GraphAnalysis(graph, report, None, None, False, scopes)
-    return GraphAnalysis(graph, report, tuple(order), tuple(depth),
+        return GraphAnalysis(report, None, None, False, scopes)
+    return GraphAnalysis(report, tuple(order), tuple(depth),
                          leveled and len(leaf_depths) <= 1, scopes)
-
-
-def analysis_of(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> GraphAnalysis:
-    """The caller's analysis of this graph version, or a fresh one."""
-    if analysis is not None and analysis.graph is not graph:
-        raise InputError("the analysis belongs to another graph version")
-    return analysis or analyze(graph)
 
 
 def topo_order(graph: BdmcGraph) -> list[int]:
     """Deterministic topological order (parents first) of reachable nodes."""
-    return list(analyze(graph).topo_order())
+    return list(graph.analysis.topo_order())
 
 
 def compute_scopes(graph: BdmcGraph) -> VarScopeMap:
     """var(v) for every node, H_i per input variable, range per input variable."""
-    return analyze(graph).var_scopes()
+    return graph.analysis.var_scopes()
 
 
 def validate(graph: BdmcGraph) -> ValidationReport:
     """Structural report: acyclicity, reachability, decomposability, smoothness,
     aux disjointness, and var(root) covering the declared inputs."""
-    return analyze(graph).report
+    return graph.analysis.report
 
 
 def require_valid(graph: BdmcGraph, need_decomposable: bool = True) -> ValidationReport:
-    return analyze(graph).require_valid(need_decomposable).report
+    return graph.analysis.require_valid(need_decomposable).report
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +594,7 @@ class Evaluator:
 
     def __init__(self, graph: BdmcGraph):
         self.graph = graph
-        self.order = analyze(graph).require_valid().topo_order()
+        self.order = graph.analysis.require_valid().topo_order()
         self._leaf_cache: list[dict[int, bool]] = [dict() for _ in graph.leaves]
 
     def leaf_sat(self, leaf: LeafEncoding, mask: int) -> bool:

@@ -27,15 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import (
-    BdmcGraph,
-    CLASS_SATISFIES,
-    Clause,
-    GraphAnalysis,
-    analysis_of,
-    analyze,
-    make_clause,
-)
+from .core import BdmcGraph, CLASS_SATISFIES, Clause, make_clause
 from .dualrail import MetaVarSpace, dual_rail, extended_dual_rail
 from .errors import InputError, PreconditionError
 from .transform import SeparatorCover, is_strictly_leveled, level, separator_cover, smooth
@@ -99,7 +91,7 @@ class VarMap:
     named by its source name, suffixed with @leaf where leaves share it.
     """
 
-    def __init__(self, graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None):
+    def __init__(self, graph: BdmcGraph):
         self.graph = graph
         n = graph.num_inputs
         self.space = MetaVarSpace.for_leaves(graph.leaves, n + 1)
@@ -131,7 +123,7 @@ class VarMap:
             })
         self.node_vars: dict[int, int] = {}
         nxt = self.space.next_id
-        topo = analysis_of(graph, analysis).topo_order()
+        topo = graph.analysis.topo_order()
         for nid in dict.fromkeys([*topo, *range(graph.num_nodes)]):  # unreachable ones last
             if graph.nodes[nid].kind != "leaf":
                 self.node_vars[nid] = nxt
@@ -161,8 +153,8 @@ class VarMap:
         return self.num_vars
 
 
-def build_varmap(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> VarMap:
-    return VarMap(graph, analysis)
+def build_varmap(graph: BdmcGraph) -> VarMap:
+    return VarMap(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +256,6 @@ def leaf_clauses(
     graph: BdmcGraph,
     varmap: VarMap,
     which: str,
-    analysis: Optional[GraphAnalysis] = None,
     lean: bool = False,
 ) -> list[Clause]:
     """Groups E1 (dual-rail encodings), E2 (input consistency), E3 (smooth
@@ -283,10 +274,9 @@ def leaf_clauses(
                 out.append(make_clause([v, space.meta(leaf.index, -v)]))
         return out
     if which == "E3":
-        a = analysis_of(graph, analysis)
-        if not a.report.smooth:
+        if not graph.analysis.report.smooth:
             raise PreconditionError("E3 clauses require a smooth graph")
-        scopes = a.scopes
+        scopes = graph.analysis.scopes
         for v in graph.input_vars:
             rng = scopes.range_of(v)
             out.append(make_clause([-space.meta(i, v) for i in rng] + [v]))
@@ -332,14 +322,14 @@ def compile_graph(
 
     Transformations are never applied silently: a target needing smoothness
     or separator covers fails on a graph lacking them unless the matching
-    auto flag is set.  Each graph version (given, smoothed, leveled) is analysed once.
+    auto flag is set.  Each graph version (given, smoothed, leveled) is
+    analysed at most once, through its memoised graph.analysis.
     """
     spec = target_spec(target)
     target = spec.name
     if lean_cc and target != "cc":
         raise InputError("--lean-cc only applies to the cc target")
-    analysis = analyze(graph).require_valid()
-    report = analysis.report
+    report = graph.analysis.require_valid().report
     for leaf in graph.leaves:
         if spec.leaf_class not in CLASS_SATISFIES[leaf.claimed_class]:
             raise PreconditionError(
@@ -359,20 +349,18 @@ def compile_graph(
                 f" not smooth (witness or-node/child/missing: {report.smooth_witness});"
                 " pass auto_smooth or run smooth() first"
             )
-        graph = smooth(graph, analysis)
-        analysis = analyze(graph)
+        graph = smooth(graph)
     cover = None
     if spec.needs_cover:
-        if not is_strictly_leveled(graph, analysis):
+        if not is_strictly_leveled(graph):
             if not auto_level:
                 raise PreconditionError(
                     f"target {target} assumes {spec.assumption}, but the graph"
                     " is not strictly leveled; pass auto_level or run level() first"
                 )
-            graph = level(graph, analysis)
-            analysis = analyze(graph)
-        cover = separator_cover(graph, analysis)
-    varmap = build_varmap(graph, analysis)
+            graph = level(graph)
+        cover = separator_cover(graph)
+    varmap = build_varmap(graph)
     circuit = circuit_clauses(graph, varmap)
     groups: dict[str, list[Clause]] = {}
     for tag in spec.groups:
@@ -385,7 +373,7 @@ def compile_graph(
         elif tag == "ROOT":
             groups[tag] = [make_clause([varmap.node_literal(graph.root)])]
         else:
-            groups[tag] = leaf_clauses(graph, varmap, tag, analysis, lean=lean_cc)
+            groups[tag] = leaf_clauses(graph, varmap, tag, lean=lean_cc)
     output = EncodingOutput(
         target=target,
         groups=groups,

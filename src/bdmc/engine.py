@@ -222,27 +222,35 @@ def model_under(eng: PropEngine, assumps: Iterable[int] = ()) -> Optional[tuple[
     """A model extending the engine's trail and assumps, or None; the engine
     is left as it was."""
     mark = eng.mark()
-    model = _search(eng, 1) if eng.assert_lits(assumps) else None
+    model = _search(eng) if eng.assert_lits(assumps) else None
     eng.backtrack(mark)
     return model
 
 
-def _search(eng: PropEngine, from_var: int) -> Optional[tuple[int, ...]]:
+def _search(eng: PropEngine) -> Optional[tuple[int, ...]]:
+    """Depth-first search deciding the lowest unassigned variable, positive
+    first.  The decisions live on an explicit stack of (literal, mark before
+    it), so the depth is not bounded by the recursion limit."""
     val = eng.val
-    v = from_var
     nvars = eng.nvars
-    while v <= nvars and val[v] != 0:
-        v += 1
-    if v > nvars:
-        return tuple(u if val[u] > 0 else -u for u in range(1, nvars + 1))
-    for lit in (v, -v):
-        mark = eng.mark()
-        if eng.assert_lits((lit,)):
-            model = _search(eng, v + 1)
-            if model is not None:
-                return model
-        eng.backtrack(mark)
-    return None
+    stack: list[tuple[int, int]] = []
+    v = 1
+    while True:
+        while v <= nvars and val[v] != 0:
+            v += 1
+        if v > nvars:
+            return tuple(u if val[u] > 0 else -u for u in range(1, nvars + 1))
+        lit, mark = v, eng.mark()
+        while not eng.assert_lits((lit,)):
+            eng.backtrack(mark)
+            while lit < 0:  # both branches failed: undo the decision above
+                if not stack:
+                    return None
+                lit, mark = stack.pop()
+                eng.backtrack(mark)
+            lit = -lit
+        stack.append((lit, mark))
+        v = abs(lit) + 1
 
 
 def all_scope_models(

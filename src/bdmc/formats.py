@@ -275,6 +275,8 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
                 if nvars is not None:
                     raise ParseError("'p cnf' header must come once, before the clauses", line=lno)
                 nvars, declared = int(parts[2]), int(parts[3])
+                if nvars < 0 or declared < 0:
+                    raise ParseError(f"negative count in problem line {line!r}", line=lno)
                 continue
             if nvars is None:
                 raise ParseError("clause before 'p cnf' header", line=lno)

@@ -27,15 +27,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import core
-from .core import BdmcGraph, CLASS_CC, CLASS_DC, CLASS_PC, CLASS_URC, GraphAnalysis, LeafEncoding, analyze, build_graph, leaf_spec
+from .core import BdmcGraph, CLASS_CC, CLASS_DC, CLASS_PC, CLASS_URC, LeafEncoding, build_graph, leaf_spec
 from .engine import (
     PropEngine,
-    UpResult,
     all_scope_models,
     brute_sat,
     check_partial_assignment,
     model_under,
-    unit_closure,
     unit_propagate,
 )
 from .errors import BdmcError, BudgetExceededError, InputError
@@ -45,7 +43,6 @@ DEFAULT_SAMPLES = 100_000
 STYLES = ("urc", "pc")
 
 __all__ = [
-    "unit_propagate", "unit_closure", "brute_sat", "UpResult",
     "EncodingCheck", "check_encoding",
     "StrengthVerdict", "Counterexample", "check_strength",
     "confirm_strength_counterexample", "exhaustive_feasible",
@@ -316,15 +313,16 @@ def _mix(seed: int, j: int) -> int:
 
 
 def _sampled_check(clauses, nvars, scope, style, samples, seed, jobs) -> StrengthVerdict:
-    """Split [0, samples) into one chunk per job; the first failing sample
-    over all chunks decides, so the verdict does not depend on jobs."""
+    """Split [0, samples) into at most one chunk per job, one worker each;
+    the first failing sample over all chunks decides, so the verdict does
+    not depend on jobs."""
     chunk = max(1, -(-samples // max(jobs, 1)))
     tasks = [(clauses, nvars, scope, style, seed, lo, min(lo + chunk, samples))
              for lo in range(0, samples, chunk)]
-    if jobs > 1:
+    if len(tasks) > 1:
         import multiprocessing as mp
 
-        with mp.Pool(processes=jobs) as pool:
+        with mp.Pool(processes=len(tasks)) as pool:
             results = pool.starmap(_sampled_range, tasks)
     else:
         results = [_sampled_range(*task) for task in tasks]
@@ -479,10 +477,9 @@ def gen_random(
         graph = _random_graph(rng, n, max_depth, leaf_class)
         if graph is None:
             continue
-        analysis = analyze(graph)
-        if not analysis.report.is_valid_bdmc:
+        if not graph.analysis.report.is_valid_bdmc:
             continue
-        if _post_transform_vars(graph, analysis) > max_encoding_vars:
+        if _post_transform_vars(graph) > max_encoding_vars:
             continue
         return graph
     raise BdmcError(
@@ -491,10 +488,10 @@ def gen_random(
     )
 
 
-def _post_transform_vars(graph: BdmcGraph, analysis: GraphAnalysis) -> int:
+def _post_transform_vars(graph: BdmcGraph) -> int:
     from .transform import level, smooth
 
-    g2 = level(smooth(graph, analysis))
+    g2 = level(smooth(graph))
     m = sum(leaf.num_vars for leaf in g2.leaves)
     return g2.num_inputs + 2 * m + g2.num_nodes
 

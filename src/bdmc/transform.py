@@ -5,9 +5,9 @@ covers its parent's variable scope.  Leveling inserts pass-through one-child
 or-nodes until every root-to-leaf path has the same length, which makes the
 depth layers of each D_i separators and yields a separator cover.
 
-Every operation reads validity, scopes and depths from one core.GraphAnalysis:
-the caller's analysis of the same graph version if given, else its own.  A
-rewrite returns a new graph version, which its caller analyses afresh.
+Every operation reads validity, scopes and depths from graph.analysis, the
+memoised core.GraphAnalysis of its graph version.  A rewrite returns a new
+graph version, whose analysis runs when something first reads it.
 """
 
 from __future__ import annotations
@@ -15,27 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    BdmcGraph,
-    CLASS_TRUE,
-    GraphAnalysis,
-    LeafEncoding,
-    Node,
-    analysis_of,
-    analyze,
-    assemble_graph,
-)
+from .core import BdmcGraph, CLASS_TRUE, LeafEncoding, Node, assemble_graph
 from .errors import PreconditionError
 
 
-def smooth(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> BdmcGraph:
+def smooth(graph: BdmcGraph) -> BdmcGraph:
     """Make every or-node smooth; returns the input unchanged if it already is.
 
     An or-child u missing M = var(v) - var(u) is replaced by and(u, t) where t
     is a fresh constant-true leaf over M.  The represented function, validity
     and decomposability are preserved.
     """
-    scopes = analysis_of(graph, analysis).require_valid().scopes
+    scopes = graph.analysis.require_valid().scopes
     nodes = list(graph.nodes)
     leaves = list(graph.leaves)
     changed = False
@@ -66,19 +57,14 @@ def smooth(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> BdmcGr
     return assemble_graph(nodes, graph.root, leaves, graph.input_names)
 
 
-def node_depths(graph: BdmcGraph) -> list[int]:
-    """Longest-path-from-root depth per reachable node (-1 if unreachable)."""
-    return list(analyze(graph).node_depths())
-
-
-def level(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> BdmcGraph:
+def level(graph: BdmcGraph) -> BdmcGraph:
     """Stretch every edge with pass-through one-child or-nodes until all
     root-to-leaf paths have the same length; fixpoint on already-leveled input.
 
     The function, smoothness and decomposability are preserved; each inserted
     node later contributes one N1 and one N3 clause.
     """
-    depth = analysis_of(graph, analysis).require_valid().depths
+    depth = graph.analysis.require_valid().depths
     leaf_ids = [nid for nid, nd in enumerate(graph.nodes) if nd.kind == "leaf" and depth[nid] >= 0]
     target = [d for d in depth]
     full = max((depth[nid] for nid in leaf_ids), default=0)
@@ -108,39 +94,31 @@ def level(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> BdmcGra
     return assemble_graph(nodes, graph.root, list(graph.leaves), graph.input_names)
 
 
-def strict_depths(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> Optional[list[int]]:
-    """Depths if the graph is strictly leveled (every edge spans one level,
-    all leaves at the same level), else None."""
-    a = analysis_of(graph, analysis)
-    depth = a.node_depths()
-    return list(depth) if a.leveled else None
-
-
-def is_strictly_leveled(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> bool:
-    return strict_depths(graph, analysis) is not None
+def is_strictly_leveled(graph: BdmcGraph) -> bool:
+    """Every edge spans one level and all leaves share one; raises
+    StructureError on a reachable cycle."""
+    graph.analysis.topo_order()
+    return graph.analysis.leveled
 
 
 def _witness_paths(graph: BdmcGraph) -> tuple[list[int], list[int]]:
     """A shortest and a longest root-to-leaf path, as node id lists."""
-    def heights(agg):
-        memo: dict[int, int] = {}
+    nodes = graph.nodes
+    lo = [0] * graph.num_nodes
+    hi = [0] * graph.num_nodes
+    for nid in reversed(graph.analysis.order):  # children before parents
+        kids = nodes[nid].children
+        if kids:
+            lo[nid] = 1 + min(lo[c] for c in kids)
+            hi[nid] = 1 + max(hi[c] for c in kids)
 
-        def rec(nid):
-            if nid not in memo:
-                nd = graph.nodes[nid]
-                memo[nid] = 0 if nd.kind == "leaf" else 1 + agg(rec(c) for c in nd.children)
-            return memo[nid]
-
-        rec(graph.root)
-        return memo
-
-    def walk(memo, sign):
+    def walk(heights, sign):
         path = [graph.root]
-        while graph.nodes[path[-1]].kind != "leaf":
-            path.append(min(graph.nodes[path[-1]].children, key=lambda c: sign * memo[c]))
+        while nodes[path[-1]].kind != "leaf":
+            path.append(min(nodes[path[-1]].children, key=lambda c: sign * heights[c]))
         return path
 
-    return walk(heights(min), 1), walk(heights(max), -1)
+    return walk(lo, 1), walk(hi, -1)
 
 
 @dataclass(frozen=True)
@@ -161,14 +139,14 @@ class SeparatorCover:
         return sum(len(s) for s in self.merged)
 
 
-def separator_cover(graph: BdmcGraph, analysis: Optional[GraphAnalysis] = None) -> SeparatorCover:
+def separator_cover(graph: BdmcGraph) -> SeparatorCover:
     """Depth-layer separators of a strictly leveled graph.
 
     S_{i,d} = nodes of H_i at depth d, for d = 1..L; empty layers and the
     d = 0 layer {root} are dropped; duplicates across variables are merged.
     The layers come from one sweep over (node, depth, var(node)).
     """
-    a = analysis_of(graph, analysis).require_valid()
+    a = graph.analysis.require_valid()
     if not a.leveled:
         short, long_ = _witness_paths(graph)
         raise PreconditionError(
@@ -201,7 +179,7 @@ class CoverCheck:
 def check_separator_cover(graph: BdmcGraph, cover: SeparatorCover) -> CoverCheck:
     """Exactly-one-hit check by min/max hit-count DP over each D_i, plus the
     coverage condition union(S_i) in {H_i, H_i - root}."""
-    scopes = analyze(graph).require_valid(need_decomposable=False).scopes
+    scopes = graph.analysis.require_valid(need_decomposable=False).scopes
     for v in graph.input_vars:
         h = scopes.h(v)
         seps = cover.per_var[v - 1] if v - 1 < len(cover.per_var) else ()

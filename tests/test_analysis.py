@@ -1,5 +1,5 @@
 """The fused structural pass: analyze() against reference walks, and one
-analysis per graph version inside compile_graph."""
+analysis per graph version, memoised as graph.analysis."""
 
 import heapq
 import sys
@@ -10,8 +10,6 @@ from bdmc import compile_graph
 from bdmc import core
 from bdmc.core import (
     ValidationReport,
-    VarScopeMap,
-    analysis_of,
     analyze,
     build_graph,
     compute_scopes,
@@ -19,8 +17,10 @@ from bdmc.core import (
     topo_order,
     validate,
 )
-from bdmc.errors import InputError, StructureError
-from bdmc.transform import level, node_depths, separator_cover, smooth, strict_depths
+from bdmc.encoder import TARGETS
+from bdmc.errors import StructureError
+from bdmc.formats import parse_bdmc, serialize_bdmc
+from bdmc.transform import is_strictly_leveled, level, separator_cover, smooth
 
 from conftest import parity_dnnf
 
@@ -101,7 +101,13 @@ def ref_scopes(g):
                     for v in g.input_vars)
     ranges = tuple(tuple(lf.index for lf in g.leaves if v in lf.input_vars)
                    for v in g.input_vars)
-    return VarScopeMap(tuple(var_sets), holders, ranges)
+    return tuple(var_sets), holders, ranges
+
+
+def scope_facts(g):
+    """compute_scopes(g) as ref_scopes returns it, H_v included."""
+    sc = compute_scopes(g)
+    return sc.var_sets, tuple(sc.h(v) for v in g.input_vars), sc.ranges
 
 
 def ref_validate(g):
@@ -113,23 +119,23 @@ def ref_validate(g):
                   unreachable=unreachable)
     if cycle:
         return ValidationReport(**fields)
-    sc = ref_scopes(g)
+    var_sets = ref_scopes(g)[0]
     decomp = smooth_w = None
     for nid, nd in enumerate(g.nodes):
         if nd.kind == "and":
             taken = {}
             for ch in nd.children:
-                for v in sc.var(ch):
+                for v in var_sets[ch]:
                     if v in taken and taken[v] != ch:
                         decomp = decomp or (nid, v)
                     taken.setdefault(v, ch)
     for nid, nd in enumerate(g.nodes):
         if nd.kind == "or":
             for ch in nd.children:
-                gap = sc.var(nid) - sc.var(ch)
+                gap = var_sets[nid] - var_sets[ch]
                 if gap:
                     smooth_w = smooth_w or (nid, ch, frozenset(gap))
-    missing = tuple(sorted(set(g.input_vars) - sc.var(g.root)))
+    missing = tuple(sorted(set(g.input_vars) - var_sets[g.root]))
     fields.update(decomposable=decomp is None, smooth=smooth_w is None,
                   covers_inputs=not missing, decomp_witness=decomp,
                   smooth_witness=smooth_w, missing_inputs=missing)
@@ -158,13 +164,21 @@ def ref_strict_depths(g):
 
 
 def ref_separator_layers(g):
-    depth, sc = ref_strict_depths(g), ref_scopes(g)
+    depth, holders = ref_strict_depths(g), ref_scopes(g)[1]
     full = max(d for d in depth if d >= 0)
     return tuple(
-        tuple(layer for layer in (frozenset(nid for nid in sc.h(v) if depth[nid] == d)
+        tuple(layer for layer in (frozenset(nid for nid in holders[v - 1] if depth[nid] == d)
                                   for d in range(1, full + 1)) if layer)
         for v in g.input_vars
     )
+
+
+def node_depths(g):
+    return list(g.analysis.node_depths())
+
+
+def strict_depths(g):
+    return node_depths(g) if is_strictly_leveled(g) else None
 
 
 def outcome(fn, g):
@@ -208,14 +222,14 @@ def assert_agrees(g):
     a = analyze(g)
     assert a.report == ref_validate(g) == validate(g)
     assert outcome(topo_order, g) == outcome(ref_topo_order, g)
-    assert outcome(compute_scopes, g) == outcome(ref_scopes, g)
+    assert outcome(scope_facts, g) == outcome(ref_scopes, g)
     assert outcome(node_depths, g) == outcome(ref_depths, g)
     assert outcome(strict_depths, g) == outcome(ref_strict_depths, g)
     if a.order is not None:
         assert list(a.order) == ref_topo_order(g) and list(a.depths) == ref_depths(g)
         assert a.leveled == (ref_strict_depths(g) is not None)
     if a.leveled and a.report.is_valid_bdmc:
-        assert separator_cover(g, a).per_var == ref_separator_layers(g)
+        assert separator_cover(g).per_var == ref_separator_layers(g)
 
 
 @pytest.mark.parametrize("name", sorted(ODD_GRAPHS))
@@ -242,15 +256,8 @@ def test_analyze_agrees_on_corpus(corpus):
         assert_agrees(level(gs))
 
 
-def test_analysis_must_match_its_graph():
-    g, other = ODD_GRAPHS["unreachable"], ODD_GRAPHS["missing_input"]
-    assert analysis_of(g, analyze(g)).graph is g
-    with pytest.raises(InputError):
-        analysis_of(g, analyze(other))
-
-
 # ---------------------------------------------------------------------------
-# compile_graph analyses each graph version exactly once
+# each graph version is analysed exactly once
 
 
 @pytest.fixture()
@@ -277,8 +284,16 @@ def test_compile_analyses_each_version_once(analyses):
 
 
 def test_compile_analyses_smoothed_and_leveled_versions_once(corpus, analyses):
-    g = next(g for g in corpus if not validate(g).smooth)
+    # a fresh copy: the session's corpus graphs already hold their analysis
+    g = parse_bdmc(serialize_bdmc(next(g for g in corpus if not validate(g).smooth)))
     analyses.clear()
     out = compile_graph(g, "urc", auto_smooth=True, auto_level=True)
     assert len(analyses) == 3 and len({id(x) for x in analyses}) == 3
     assert analyses[0] is g and analyses[-1] is out.graph
+
+
+def test_one_graph_to_every_target_is_analysed_once(analyses):
+    g = parity_dnnf(8)
+    for target in TARGETS:
+        compile_graph(g, target, auto_level=True)
+    assert sum(x is g for x in analyses) == 1

@@ -126,6 +126,17 @@ def test_verify_non_integer_dimacs_exit(tmp_path, g1_file, capsys, cnf_text):
     assert "parse error: expected an integer" in err and "(line " in err
 
 
+@pytest.mark.parametrize("cnf_text, message", [
+    ("p cnf 1 1\n1 0\n", "input error: "),
+    ("p cnf -1 0\n", "parse error: negative count"),
+])
+def test_verify_dimacs_with_too_few_variables_exit(tmp_path, g1_file, capsys, cnf_text, message):
+    bad = tmp_path / "bad.cnf"
+    bad.write_text(cnf_text)
+    assert main(["verify", "--target", "pc", "--cnf", str(bad), str(g1_file)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_verify_non_integer_mode_exit(g1_file, capsys):
     from bdmc.cli import _parse_mode
     from bdmc.errors import InputError

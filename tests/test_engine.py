@@ -125,6 +125,13 @@ def test_brute_sat_agrees_with_enumeration():
         assert (brute_sat(cls, nv) is not None) == sat
 
 
+def test_brute_sat_deeper_than_recursion_limit():
+    # one decision per variable; x_{n-1} = 1 conflicts and flips at depth n-1
+    n = 3000
+    clauses = [(-(n - 1), n), (-(n - 1), -n)]
+    assert brute_sat(clauses, n, var_budget=None) == tuple(range(1, n - 1)) + (1 - n, n)
+
+
 def test_engine_push_pop_state_consistency():
     # asserting then backtracking must restore counters exactly, including on
     # conflicting asserts (the regression that corrupted DFS checking)

@@ -166,6 +166,34 @@ def test_sampled_deterministic_and_parallel_equal():
     assert empty.passed and empty.alphas_checked == 0
 
 
+def test_sampled_pool_has_one_worker_per_chunk(monkeypatch):
+    import multiprocessing
+
+    started = []
+
+    class InlinePool:  # records the worker count, runs the chunks in process
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    out = compile_graph(g1(), "pc")
+    cls, nv = out.all_clauses(), out.num_vars
+    scope = list(range(1, nv + 1))
+    verdict = check_strength(cls, nv, scope, "pc", mode="sampled", samples=10, jobs=64)
+    assert verdict.passed and started == [10]
+    check_strength(cls, nv, scope, "pc", mode="sampled", samples=1, jobs=64)
+    assert started == [10]  # a single chunk runs in process
+
+
 def test_certify_leaf_examples():
     # a single clause is its own prime CNF: pc
     cert = certify_formula([[1, 2]], [1, 2])

@@ -1,11 +1,17 @@
 """Property tests: text round trips and parser robustness under mutation."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from bdmc import BdmcError, compile_graph, emit_dimacs, gen_random  # noqa: E402
+from bdmc.cli import main  # noqa: E402
 from bdmc.errors import ParseError  # noqa: E402
 from bdmc.formats import parse_bdmc, parse_dimacs, serialize_bdmc  # noqa: E402
 
@@ -33,9 +39,7 @@ EDITS = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(edits=EDITS)
-def test_mutated_dimacs_raises_only_parse_error(edits):
+def mutate(edits):
     chars = list(BASE_DIMACS)
     for pos, op, ch in edits:
         pos = min(pos, len(chars) - 1)
@@ -45,9 +49,30 @@ def test_mutated_dimacs_raises_only_parse_error(edits):
             chars.insert(pos, ch)
         elif len(chars) > 1:
             del chars[pos]
+    return "".join(chars)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(edits=EDITS)
+def test_mutated_dimacs_raises_only_parse_error(edits):
     try:
-        nvars, clauses = parse_dimacs("".join(chars))
+        nvars, clauses = parse_dimacs(mutate(edits))
     except ParseError:
         return
     assert all(0 < abs(lit) <= nvars for clause in clauses for lit in clause)
 
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(edits=EDITS)
+def test_verify_mutated_dimacs_exits_with_a_documented_code(edits):
+    # 0 pass, 1 parse/input error, 3 verify failure, 4 budget: a header
+    # declaring more variables (p cnf 113 38) puts the all-variable pc check
+    # over the exhaustive budget
+    with tempfile.TemporaryDirectory() as tmp:
+        sentence, cnf = Path(tmp, "g1.bdmc"), Path(tmp, "g1.cnf")
+        sentence.write_text(serialize_bdmc(g1()))
+        cnf.write_text(mutate(edits))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", "--target", "pc", "--cnf", str(cnf), str(sentence)])
+    assert code in (0, 1, 3, 4)

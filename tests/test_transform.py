@@ -10,7 +10,6 @@ from bdmc.transform import (
     check_separator_cover,
     is_strictly_leveled,
     level,
-    node_depths,
     separator_cover,
     smooth,
 )
@@ -77,7 +76,7 @@ def test_level_inserts_single_passthrough():
 def test_level_edges_span_one_level():
     for seed in (3, 7, 21):
         g = level(smooth(gen_random(n=5, max_depth=3, leaf_class="pc", seed=seed)))
-        depth = node_depths(g)
+        depth = g.analysis.node_depths()
         for nid, nd in enumerate(g.nodes):
             for ch in nd.children:
                 assert depth[ch] == depth[nid] + 1
@@ -125,6 +124,21 @@ def test_separator_cover_requires_leveling():
         n=2,
     )
     with pytest.raises(PreconditionError, match="paths"):
+        separator_cover(g)
+
+
+def test_separator_cover_rejects_deep_unleveled_chain():
+    # or(1500 one-child or-nodes over L1, L2): deeper than the recursion limit
+    depth = 1500
+    g = build_graph(
+        nodes=[("or", [1, depth + 2])] + [("or", [i + 1]) for i in range(1, depth + 1)]
+              + [("leaf", 1), ("leaf", 2)],
+        leaves=[leaf_spec(inputs=[1], clauses=[[1]], cls="pc"),
+                leaf_spec(inputs=[1], clauses=[[-1]], cls="pc")],
+        n=1,
+    )
+    with pytest.raises(PreconditionError,
+                       match=rf"paths \[0, {depth + 2}\] and \[0, 1, 2, .*, {depth + 1}\]"):
         separator_cover(g)
 
 

@@ -50,9 +50,15 @@ def _echo_config(args: argparse.Namespace) -> None:
     print("config " + json.dumps(cfg, sort_keys=True, default=str), file=sys.stderr)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _read_graph(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    return formats.parse_bdmc(text)
+    return formats.parse_bdmc(_read_text(path))
 
 
 def _write(path: str, text: str) -> None:
@@ -103,7 +109,7 @@ def cmd_verify(args) -> int:
     graph = _read_graph(args.input)
     spec = encoder.target_spec(args.target)
     if args.cnf:
-        nvars, clauses = formats.parse_dimacs(Path(args.cnf).read_text(encoding="utf-8"))
+        nvars, clauses = formats.parse_dimacs(_read_text(args.cnf))
         num_inputs = graph.num_inputs
         if nvars < num_inputs:
             raise InputError(f"{args.cnf} declares {nvars} variables, but the sentence"
@@ -120,34 +126,38 @@ def cmd_verify(args) -> int:
     scope = list(range(1, num_inputs + 1)) if scope_kind == "inputs" else list(range(1, nvars + 1))
     mode, samples, seed = _parse_mode(args.mode)
     verdict = {"target": spec.name, "source": source, "style": style, "scope": scope_kind}
-    enc_check = propcheck.check_encoding(
-        clauses, nvars, list(range(1, num_inputs + 1)), graph, bound=args.input_bound
-    )
-    verdict["encoding"] = enc_check.to_dict()
-    strength = propcheck.check_strength(
-        clauses, nvars, scope, style,
-        mode=mode,
-        samples=samples or propcheck.DEFAULT_SAMPLES,
-        seed=seed or 0,
-        budget=_budget(),
-        jobs=args.jobs,
-    )
-    verdict["strength"] = strength.to_dict()
-    passed = enc_check.ok and strength.passed
-    verdict["passed"] = passed
+    checks = {
+        "encoding": lambda: propcheck.check_encoding(
+            clauses, nvars, list(range(1, num_inputs + 1)), graph, bound=args.input_bound
+        ),
+        "strength": lambda: propcheck.check_strength(
+            clauses, nvars, scope, style, mode=mode, samples=samples or propcheck.DEFAULT_SAMPLES,
+            seed=seed or 0, budget=_budget(), jobs=args.jobs,
+        ),
+    }
+    # first the check whose budget gate runs before any work: 3^|scope| when
+    # exhaustive, else the input bound (check_encoding then builds an engine)
+    order = ("strength", "encoding") if mode == "exhaustive" else ("encoding", "strength")
+    results = {key: checks[key]() for key in order}
+    verdict.update((key, result.to_dict()) for key, result in results.items())
+    verdict["passed"] = passed = all(results.values())
     print(json.dumps(verdict, indent=2, sort_keys=True))
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
 def cmd_stats(args) -> int:
-    path = Path(args.input)
-    if path.suffix == ".bdmc":
+    if Path(args.input).suffix == ".bdmc":
         if not args.target:
             raise InputError("stats on a .bdmc file needs --target")
         output = _compile_from_args(args, _read_graph(args.input))
         data = output.stats.to_dict()
     else:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(_read_text(args.input))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{args.input} is not JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ParseError(f"{args.input} holds no JSON object")
     print(json.dumps(data, indent=2, sort_keys=True))
     return EXIT_OK if data.get("ok") else EXIT_VERIFY_FAIL
 

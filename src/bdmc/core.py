@@ -59,7 +59,7 @@ def make_clause(lits: Iterable[int]) -> Clause:
     for lit in seen:
         if -lit in seen:
             raise InputError(f"tautological clause: contains both {lit} and {-lit}")
-    return tuple(sorted(seen, key=lambda l: (abs(l), l < 0)))
+    return tuple(sorted(seen, key=abs))  # no variable occurs twice here
 
 
 @dataclass(frozen=True)

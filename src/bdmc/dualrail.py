@@ -9,6 +9,7 @@ totality clauses [[x]] v [[-x]].
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,51 +23,42 @@ class MetaVarSpace:
 
     Variables are handed out per leaf: for each leaf's variables in ascending
     order, the positive meta before the negative one, with the bot marker
-    last.  Leaves own pairwise disjoint blocks.
+    last.  Leaves own pairwise disjoint blocks, each kept as its first id and
+    the leaf's variables, so every lookup is arithmetic.
     """
 
-    first_id: int
-    leaf_index: tuple[int, ...]
-    _meta: dict
-    _bot: dict
+    next_id: int
+    _blocks: dict  # leaf index -> (first id, the leaf's variables ascending)
 
     @staticmethod
     def for_leaves(leaves: Sequence[LeafEncoding], first_id: int) -> "MetaVarSpace":
-        meta: dict[tuple[int, int], int] = {}
-        bot: dict[int, int] = {}
+        blocks: dict[int, tuple[int, tuple[int, ...]]] = {}
         nxt = first_id
         for leaf in leaves:
-            for v in sorted(set(leaf.input_vars) | set(leaf.aux_vars)):
-                meta[(leaf.index, v)] = nxt
-                meta[(leaf.index, -v)] = nxt + 1
-                nxt += 2
-            bot[leaf.index] = nxt
-            nxt += 1
-        return MetaVarSpace(first_id, tuple(lf.index for lf in leaves), meta, bot)
+            vs = tuple(sorted(set(leaf.input_vars) | set(leaf.aux_vars)))
+            blocks[leaf.index] = (nxt, vs)
+            nxt += 2 * len(vs) + 1
+        return MetaVarSpace(nxt, blocks)
 
     def meta(self, i: int, lit: int) -> int:
         """Solver variable for [[lit]]^i."""
-        try:
-            return self._meta[(i, lit)]
-        except KeyError:
-            raise InputError(f"no meta-variable for literal {lit} in leaf {i}") from None
+        first, vs = self._blocks.get(i, (0, ()))
+        j = bisect_left(vs, abs(lit))
+        if j == len(vs) or vs[j] != abs(lit):
+            raise InputError(f"no meta-variable for literal {lit} in leaf {i}")
+        return first + 2 * j + (lit < 0)
 
     def bot(self, i: int) -> int:
         """Solver variable for [[bot]]^i."""
-        return self._bot[i]
+        first, vs = self._blocks[i]
+        return first + 2 * len(vs)
 
     def vars_of(self, i: int) -> tuple[int, ...]:
         """z_i: all meta-variables of leaf i, bot included, ascending."""
-        out = [var for (j, _lit), var in self._meta.items() if j == i]
-        out.append(self._bot[i])
-        return tuple(sorted(out))
+        return tuple(range(self._blocks[i][0], self.bot(i) + 1))
 
     def source_vars_of(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted({abs(lit) for (j, lit) in self._meta if j == i}))
-
-    @property
-    def next_id(self) -> int:
-        return self.first_id + len(self._meta) + len(self._bot)
+        return self._blocks[i][1]
 
 
 def dual_rail(phi: CnfFormula, space: MetaVarSpace, i: int) -> CnfFormula:

@@ -104,7 +104,7 @@ class VarMap:
             for v, name in zip(leaf.aux_vars, leaf.aux_names):
                 names.setdefault(v, name if uses[name] <= 1 else f"{name}@{leaf.index}")
         for leaf in graph.leaves:
-            for v in sorted(set(leaf.input_vars) | set(leaf.aux_vars)):
+            for v in self.space.source_vars_of(leaf.index):
                 base = names.get(v, f"v{v}")
                 for lit, txt in ((v, base), (-v, "-" + base)):
                     self.entries.append({

@@ -8,12 +8,16 @@ The engine keeps one counter pair per clause (number of false literals, number
 of true literals) and an occurrence list per literal, so asserting a literal
 touches only the clauses that mention it and every assertion is undoable
 through the trail.
+
+One search over that engine, yielding once per assignment of a prefix of its
+variable order that extends to a model, serves model_under, brute_sat and
+all_scope_models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError
 
@@ -222,35 +226,51 @@ def model_under(eng: PropEngine, assumps: Iterable[int] = ()) -> Optional[tuple[
     """A model extending the engine's trail and assumps, or None; the engine
     is left as it was."""
     mark = eng.mark()
-    model = _search(eng) if eng.assert_lits(assumps) else None
+    model = None
+    if eng.assert_lits(assumps):
+        for _ in _models(eng, range(1, eng.nvars + 1), 0):
+            model = tuple(u if eng.val[u] > 0 else -u for u in range(1, eng.nvars + 1))
+            break
     eng.backtrack(mark)
     return model
 
 
-def _search(eng: PropEngine) -> Optional[tuple[int, ...]]:
-    """Depth-first search deciding the lowest unassigned variable, positive
-    first.  The decisions live on an explicit stack of (literal, mark before
-    it), so the depth is not bounded by the recursion limit."""
+def _models(eng: PropEngine, order: Sequence[int], k: int) -> Iterator[None]:
+    """Depth-first search deciding the first unassigned variable of order
+    (which holds every variable), positive first.  Yields while the engine
+    holds a model, once per assignment of order[:k], and resumes at the last
+    decision among order[:k].  The decisions live on an explicit stack of
+    (literal, mark before it, position in order), so the depth is not
+    bounded by the recursion limit."""
     val = eng.val
-    nvars = eng.nvars
-    stack: list[tuple[int, int]] = []
-    v = 1
+    n = len(order)
+    stack: list[tuple[int, int, int]] = []
+    pos = 0
     while True:
-        while v <= nvars and val[v] != 0:
-            v += 1
-        if v > nvars:
-            return tuple(u if val[u] > 0 else -u for u in range(1, nvars + 1))
-        lit, mark = v, eng.mark()
-        while not eng.assert_lits((lit,)):
+        while pos < n and val[order[pos]] != 0:
+            pos += 1
+        if pos == n:
+            yield
+            while stack and stack[-1][2] >= k:
+                stack.pop()
+            if not stack:
+                return
+            lit, mark, pos = stack.pop()
+            ok = False  # this branch is done: take the next one
+        else:
+            lit, mark = order[pos], eng.mark()
+            ok = eng.assert_lits((lit,))
+        while not ok:
             eng.backtrack(mark)
-            while lit < 0:  # both branches failed: undo the decision above
+            while lit < 0:  # both branches done: undo the decision above
                 if not stack:
-                    return None
-                lit, mark = stack.pop()
+                    return
+                lit, mark, pos = stack.pop()
                 eng.backtrack(mark)
             lit = -lit
-        stack.append((lit, mark))
-        v = abs(lit) + 1
+            ok = eng.assert_lits((lit,))
+        stack.append((lit, mark, pos))
+        pos += 1
 
 
 def all_scope_models(
@@ -260,33 +280,14 @@ def all_scope_models(
 ) -> list[int]:
     """Projections onto ``scope`` of the models of the formula, as bitmasks.
 
-    Bit i of a mask is the value of scope[i].  Enumerated by DFS over scope
-    variables with unit propagation, checking extendability of each complete
-    scope assignment, so each projection appears exactly once.
+    Bit i of a mask is the value of scope[i].  One search decides the scope
+    variables before all others and yields once per scope assignment that
+    extends to a model, so each projection appears exactly once.
     """
-    scope = list(scope)
     eng = PropEngine(clauses, nvars)
     if not eng.assert_lits(()):
-        return []
-    masks: list[int] = []
-    k = len(scope)
-
-    def rec(idx: int, mask: int) -> None:
-        while idx < k and eng.val[scope[idx]] != 0:
-            if eng.val[scope[idx]] > 0:
-                mask |= 1 << idx
-            idx += 1
-        if idx == k:
-            if model_under(eng) is not None:
-                masks.append(mask)
-            return
-        v = scope[idx]
-        for lit, bit in ((v, 1 << idx), (-v, 0)):
-            m = eng.mark()
-            if eng.assert_lits((lit,)):
-                rec(idx + 1, mask | bit)
-            eng.backtrack(m)
-
-    rec(0, 0)
-    return sorted(masks)
-
+        return []  # a base conflict can leave a partial assignment behind
+    val = eng.val
+    order = list(dict.fromkeys([*scope, *range(1, nvars + 1)]))
+    return sorted(sum(1 << i for i, v in enumerate(scope) if val[v] > 0)
+                  for _ in _models(eng, order, len(set(scope))))

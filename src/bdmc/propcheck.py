@@ -80,22 +80,22 @@ def check_encoding(
     oracle: BdmcGraph,
     bound: int = 20,
 ) -> EncodingCheck:
-    """Compare, for every full input assignment, the circuit's value with the
-    satisfiability of the CNF under that assignment."""
+    """Compare the CNF's models projected onto input_vars with the circuit's
+    models.  Both are sets of input bitmasks, bit i giving the value of
+    input_vars[i] in the CNF and of input i+1 in the circuit; the witness is
+    the least mask on which they differ."""
     k = len(input_vars)
     if k != oracle.num_inputs:
         raise InputError("input_vars must match the oracle's input count")
     if k > bound:
         raise BudgetExceededError(f"check_encoding covers 2^{k} assignments; bound is {bound}")
-    ev = core.Evaluator(oracle)
-    eng = PropEngine(clauses, nvars)
-    for mask in range(1 << k):
-        alpha = tuple(v if mask >> i & 1 else -v for i, v in enumerate(input_vars))
-        got = model_under(eng, alpha) is not None
-        want = ev(mask)
-        if got != want:
-            return EncodingCheck(False, witness=alpha, expected=want, got=got)
-    return EncodingCheck(True)
+    want = core.enumerate_models(oracle, bound)
+    got = set(all_scope_models(clauses, nvars, input_vars))
+    if got == want:
+        return EncodingCheck(True)
+    mask = min(got ^ want)
+    alpha = tuple(v if mask >> i & 1 else -v for i, v in enumerate(input_vars))
+    return EncodingCheck(False, witness=alpha, expected=mask in want, got=mask in got)
 
 
 # ---------------------------------------------------------------------------

@@ -179,14 +179,17 @@ class CoverCheck:
 def check_separator_cover(graph: BdmcGraph, cover: SeparatorCover) -> CoverCheck:
     """Exactly-one-hit check by min/max hit-count DP over each D_i, plus the
     coverage condition union(S_i) in {H_i, H_i - root}."""
-    scopes = graph.analysis.require_valid(need_decomposable=False).scopes
+    a = graph.analysis.require_valid(need_decomposable=False)
     for v in graph.input_vars:
-        h = scopes.h(v)
+        h = a.scopes.h(v)
+        # D_i children before parents, each node with its children in D_i
+        sub = {nid: [ch for ch in graph.nodes[nid].children if ch in h]
+               for nid in reversed(a.order) if nid in h}
         seps = cover.per_var[v - 1] if v - 1 < len(cover.per_var) else ()
         for sep in seps:
             if not sep <= h:
                 return CoverCheck(False, bad_separator=sep, uncovered=(v, min(sep - h)))
-            verdict = _check_one_separator(graph, h, sep)
+            verdict = _check_one_separator(graph.root, sub, sep)
             if verdict is not None:
                 return verdict
         covered = frozenset().union(*seps) if seps else frozenset()
@@ -196,35 +199,20 @@ def check_separator_cover(graph: BdmcGraph, cover: SeparatorCover) -> CoverCheck
     return CoverCheck(True)
 
 
-def _check_one_separator(graph, h, sep) -> Optional[CoverCheck]:
-    # lo/hi hits on any path from node to a sink of D_i, counting the node itself
+def _check_one_separator(root, sub, sep) -> Optional[CoverCheck]:
+    # lo/hi hits on any path from node to a sink of D_i, counting the node
+    # itself; one sweep, so the depth is not bounded by the recursion limit
     lo: dict[int, int] = {}
     hi: dict[int, int] = {}
-
-    def rec(nid: int) -> None:
-        if nid in lo:
-            return
+    for nid, kids in sub.items():
         own = 1 if nid in sep else 0
-        kids = [ch for ch in graph.nodes[nid].children if ch in h]
-        if not kids:
-            lo[nid] = hi[nid] = own
-            return
-        for ch in kids:
-            rec(ch)
-        lo[nid] = own + min(lo[ch] for ch in kids)
-        hi[nid] = own + max(hi[ch] for ch in kids)
-
-    rec(graph.root)
-    if lo[graph.root] == 1 and hi[graph.root] == 1:
+        lo[nid] = own + min((lo[ch] for ch in kids), default=0)
+        hi[nid] = own + max((hi[ch] for ch in kids), default=0)
+    if lo[root] == 1 and hi[root] == 1:
         return None
     # reconstruct a violating path greedily
-    want_low = lo[graph.root] != 1
-    path = [graph.root]
-    while True:
-        nid = path[-1]
-        kids = [ch for ch in graph.nodes[nid].children if ch in h]
-        if not kids:
-            break
-        pick = min(kids, key=(lambda c: lo[c]) if want_low else (lambda c: -hi[c]))
-        path.append(pick)
+    want_low = lo[root] != 1
+    path = [root]
+    while kids := sub[path[-1]]:
+        path.append(min(kids, key=(lambda c: lo[c]) if want_low else (lambda c: -hi[c])))
     return CoverCheck(False, bad_path=tuple(path), bad_separator=sep)

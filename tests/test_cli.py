@@ -147,6 +147,44 @@ def test_verify_non_integer_mode_exit(g1_file, capsys):
     assert "input error: sampled mode is sample:<count>:<seed>" in capsys.readouterr().err
 
 
+NOT_UTF8 = b"\xff\xfe" + G1_TEXT.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv, bad_name, bad_bytes", [
+    (["compile", "--target", "pc", "{bad}"], "g.bdmc", NOT_UTF8),
+    (["eval", "{bad}", "--assign", "x1=1"], "g.bdmc", NOT_UTF8),
+    (["verify", "--target", "pc", "{bad}"], "g.bdmc", NOT_UTF8),
+    (["verify", "--target", "pc", "--cnf", "{bad}", "{g1}"], "g.cnf", b"\xff\xfep cnf 1 0\n"),
+    (["stats", "{bad}"], "s.json", b"\xff\xfe{}"),
+    (["stats", "{bad}"], "s.json", b"{\"ok\": tru"),
+    (["stats", "{bad}"], "s.json", b"[1,2]"),
+], ids=["compile", "eval", "verify", "verify-cnf", "stats-not-utf8", "stats-not-json",
+        "stats-not-object"])
+def test_unreadable_input_exits_1(tmp_path, g1_file, capsys, argv, bad_name, bad_bytes):
+    bad = tmp_path / bad_name
+    bad.write_bytes(bad_bytes)
+    assert main([a.format(bad=bad, g1=g1_file) for a in argv]) == 1
+    assert "parse error: " in capsys.readouterr().err
+
+
+def test_verify_exhaustive_budget_gate_precedes_encoding_check(tmp_path, g1_file, monkeypatch):
+    # a header declaring 200000 variables is over the 3^|scope| budget: exit 4
+    # without building an engine for the correctness sweep
+    from bdmc import propcheck
+
+    cnf = tmp_path / "g1.cnf"
+    main(["compile", "--target", "pc", str(g1_file), "-o", str(cnf)])
+    lines = cnf.read_text().splitlines()
+    assert lines[0] == "p cnf 13 38"
+    cnf.write_text("\n".join(["p cnf 200000 38"] + lines[1:]) + "\n")
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("check_encoding ran before the strength budget gate")
+
+    monkeypatch.setattr(propcheck, "check_encoding", not_called)
+    assert main(["verify", "--target", "pc", "--cnf", str(cnf), str(g1_file)]) == 4
+
+
 def test_eval(g1_file, capsys):
     assert main(["eval", str(g1_file), "--assign", "x1=1,x2=0"]) == 0
     assert capsys.readouterr().out.strip() == "1"

@@ -172,3 +172,10 @@ def test_all_scope_models_full_and_projected():
     assert all_scope_models(cls, 2, [1]) == [0, 1]
     # unsat formula has no projections
     assert all_scope_models([(1,), (-1,)], 1, [1]) == []
+
+
+def test_all_scope_models_deeper_than_recursion_limit():
+    # (x_i | y_i)(x_i | -y_i) forces every x_i; the scope is the 1500 x's
+    n = 1500
+    clauses = [c for i in range(1, n + 1) for c in ((i, n + i), (i, -(n + i)))]
+    assert all_scope_models(clauses, 2 * n, range(1, n + 1)) == [(1 << n) - 1]

@@ -32,15 +32,22 @@ def test_bdmc_text_round_trip(seed, n, depth, leaf_class):
     assert serialize_bdmc(parse_bdmc(text)) == text
 
 
-EDITS = st.lists(
-    st.tuples(st.integers(0, len(BASE_DIMACS)), st.sampled_from("sid"),
-              st.sampled_from(list("0123456789 -\npcx\t"))),
-    min_size=1, max_size=6,
-)
+BASE_SENTENCE = serialize_bdmc(g1())
 
 
-def mutate(edits):
-    chars = list(BASE_DIMACS)
+def edit_lists(base, alphabet):
+    """Lists of (position, substitute/insert/delete, character) edits of base."""
+    return st.lists(
+        st.tuples(st.integers(0, len(base)), st.sampled_from("sid"), st.sampled_from(list(alphabet))),
+        min_size=1, max_size=6,
+    )
+
+
+EDITS = edit_lists(BASE_DIMACS, "0123456789 -\npcx\t")
+
+
+def mutate(edits, base=BASE_DIMACS):
+    chars = list(base)
     for pos, op, ch in edits:
         pos = min(pos, len(chars) - 1)
         if op == "s":
@@ -76,3 +83,17 @@ def test_verify_mutated_dimacs_exits_with_a_documented_code(edits):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["verify", "--target", "pc", "--cnf", str(cnf), str(sentence)])
     assert code in (0, 1, 3, 4)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(edits=edit_lists(BASE_SENTENCE, "0123 -\nxyLOAr#"),
+       target=st.sampled_from(["cc", "dc", "urc", "urc-seq", "pc"]), auto=st.booleans())
+def test_compile_mutated_sentence_exits_with_a_documented_code(edits, target, auto):
+    # 0 written, 1 parse/input error, 2 unmet precondition, 3 size bound violation
+    with tempfile.TemporaryDirectory() as tmp:
+        sentence = Path(tmp, "g1.bdmc")
+        sentence.write_text(mutate(edits, BASE_SENTENCE))
+        argv = ["compile", "--target", target, str(sentence), "-o", str(Path(tmp, "g1.cnf"))]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + (["--auto-smooth", "--auto-level"] if auto else []))
+    assert code in (0, 1, 2, 3)

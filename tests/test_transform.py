@@ -142,6 +142,19 @@ def test_separator_cover_rejects_deep_unleveled_chain():
         separator_cover(g)
 
 
+def test_check_separator_cover_deep_leveled_chain():
+    # a strictly leveled chain of 1500 one-child or-nodes: deeper than the recursion limit
+    depth = 1500
+    g = build_graph(
+        nodes=[("or", [i + 1]) for i in range(depth)] + [("leaf", 1)],
+        leaves=[leaf_spec(inputs=[1], clauses=[[1]], cls="pc")],
+        n=1,
+    )
+    cov = separator_cover(g)
+    assert len(cov.merged) == depth
+    assert check_separator_cover(g, cov).ok
+
+
 def test_cover_roundtrip_random():
     for seed in range(20):
         g = level(smooth(gen_random(n=5, max_depth=3, leaf_class="pc", seed=300 + seed)))

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import encoder, formats, propcheck, transform
-from .core import evaluate
+from .core import CLASS_STRENGTH, evaluate
 from .errors import (
     BdmcError,
     BudgetExceededError,
@@ -122,7 +122,8 @@ def cmd_verify(args) -> int:
         num_inputs = output.num_inputs
         graph = output.graph
         source = "compiled"
-    scope_kind, style = args.scope or spec.scope, spec.style
+    scope_kind, style = CLASS_STRENGTH[spec.leaf_class]
+    scope_kind = args.scope or scope_kind
     scope = list(range(1, num_inputs + 1)) if scope_kind == "inputs" else list(range(1, nvars + 1))
     mode, samples, seed = _parse_mode(args.mode)
     verdict = {"target": spec.name, "source": source, "style": style, "scope": scope_kind}
@@ -177,6 +178,8 @@ def cmd_eval(args) -> int:
             raise InputError(f"unknown input variable {name!r}")
         if val not in ("0", "1"):
             raise InputError(f"value for {name} must be 0 or 1")
+        if name_to_id[name] in assignment:
+            raise InputError(f"input variable {name!r} is assigned twice")
         assignment[name_to_id[name]] = val == "1"
     print(1 if evaluate(graph, assignment) else 0)
     return EXIT_OK
@@ -221,11 +224,13 @@ def cmd_gen(args) -> int:
 
 def cmd_certify_leaf(args) -> int:
     graph = _read_graph(args.input)
+    if args.leaf is not None and not 1 <= args.leaf <= len(graph.leaves):
+        raise InputError(f"--leaf {args.leaf} is not a leaf index 1..{len(graph.leaves)}")
     budget = _budget()
     rows = []
     upgraded = []
     for leaf in graph.leaves:
-        if args.leaf and leaf.index != args.leaf:
+        if args.leaf is not None and leaf.index != args.leaf:
             upgraded.append(leaf)
             continue
         cert = propcheck.certify_leaf(leaf, budget=budget)

@@ -36,16 +36,24 @@ CLASS_LITERAL = "literal"
 CLASS_TRUE = "true"
 LEAF_CLASSES = (CLASS_CC, CLASS_DC, CLASS_URC, CLASS_PC, CLASS_LITERAL, CLASS_TRUE)
 
-# which target-class requirements a claimed class satisfies (cc<dc, cc<urc,
-# dc<pc, urc<pc; literal and true are trivially pc)
-CLASS_SATISFIES = {
-    CLASS_CC: frozenset({CLASS_CC}),
-    CLASS_DC: frozenset({CLASS_CC, CLASS_DC}),
-    CLASS_URC: frozenset({CLASS_CC, CLASS_URC}),
-    CLASS_PC: frozenset({CLASS_CC, CLASS_DC, CLASS_URC, CLASS_PC}),
-    CLASS_LITERAL: frozenset({CLASS_CC, CLASS_DC, CLASS_URC, CLASS_PC}),
-    CLASS_TRUE: frozenset({CLASS_CC, CLASS_DC, CLASS_URC, CLASS_PC}),
+# each base class's unit-propagation strength, strongest first: the URC or PC
+# condition over the leaf's input variables (cc, dc) or all its variables
+CLASS_STRENGTH = {
+    CLASS_PC: ("all", "pc"),
+    CLASS_URC: ("all", "urc"),
+    CLASS_DC: ("inputs", "pc"),
+    CLASS_CC: ("inputs", "urc"),
 }
+
+# which target-class requirements a claimed class satisfies: those whose scope
+# and style it covers (all covers inputs, pc covers urc); literal and true are
+# trivially pc
+CLASS_SATISFIES = {
+    name: frozenset(other for other, (scope2, style2) in CLASS_STRENGTH.items()
+                    if scope2 in (scope, "inputs") and style2 in (style, "urc"))
+    for name, (scope, style) in CLASS_STRENGTH.items()
+}
+CLASS_SATISFIES[CLASS_LITERAL] = CLASS_SATISFIES[CLASS_TRUE] = CLASS_SATISFIES[CLASS_PC]
 
 
 def make_clause(lits: Iterable[int]) -> Clause:
@@ -610,11 +618,9 @@ class Evaluator:
         local_vars = sorted(set(leaf.input_vars) | set(leaf.aux_vars))
         remap = {v: i + 1 for i, v in enumerate(local_vars)}
         clauses = [[(1 if l > 0 else -1) * remap[abs(l)] for l in c] for c in leaf.clauses]
-        model = engine.brute_sat(
-            clauses, len(local_vars), [(1 if l > 0 else -1) * remap[abs(l)] for l in alpha],
-            var_budget=None,
-        )
-        result = model is not None
+        result = engine.brute_sat(
+            clauses, len(local_vars), [(1 if l > 0 else -1) * remap[abs(l)] for l in alpha]
+        ) is not None
         cache[sub] = result
         return result
 

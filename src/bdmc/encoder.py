@@ -14,9 +14,10 @@ Clause groups:
 
 TARGET_TABLE holds one Target record per target: its groups (cc =
 N1,N2,E1,E2,ROOT; dc adds N3,E3; urc = cc + N3,N5; urc-seq is urc with
-sequential at-most-one; pc = dc + N6), the leaf class and graph shape it
-assumes, and the scope and style of its strength claim.  compile_graph and
-size_report read every per-target fact from that record, and so does the CLI.
+sequential at-most-one; pc = dc + N6) and the leaf class and graph shape it
+assumes.  A target claims the strength of its leaf class, core.CLASS_STRENGTH.
+compile_graph and size_report read every per-target fact from that record,
+and so does the CLI.
 A leaf node's variable is the negation of its dual-rail contradiction marker
 throughout.
 """
@@ -37,17 +38,15 @@ GROUP_ORDER = ("N1", "N2", "N3", "N5", "N6", "E1", "E2", "E3", "ROOT")
 
 @dataclass(frozen=True)
 class Target:
-    """One compile target: the clause groups it emits (in GROUP_ORDER), the
-    leaf class and graph shape it assumes, and the unit-propagation strength
-    it claims: URC or PC style over the input variables or all variables.
-    A sequential target emits N5 as Sinz ladders with auxiliaries."""
+    """One compile target: the clause groups it emits (in GROUP_ORDER) and
+    the leaf class and graph shape it assumes.  It claims the unit-propagation
+    strength of that leaf class, core.CLASS_STRENGTH[leaf_class].  A
+    sequential target emits N5 as Sinz ladders with auxiliaries."""
 
     name: str
     groups: tuple[str, ...]
     leaf_class: str
     assumption: str
-    scope: str  # 'inputs' | 'all'
-    style: str  # 'urc' | 'pc'
     sequential: bool = False
 
     @property
@@ -63,13 +62,12 @@ class Target:
 _URC_GROUPS = ("N1", "N2", "N3", "N5", "E1", "E2", "ROOT")
 _COVERED_URC = "a smooth URC-BDMC covered by separators"
 TARGET_TABLE: dict[str, Target] = {t.name: t for t in (
-    Target("cc", ("N1", "N2", "E1", "E2", "ROOT"), "cc", "a CC-BDMC", "inputs", "urc"),
-    Target("dc", ("N1", "N2", "N3", "E1", "E2", "E3", "ROOT"), "dc", "a smooth DC-BDMC",
-           "inputs", "pc"),
-    Target("urc", _URC_GROUPS, "urc", _COVERED_URC, "all", "urc"),
-    Target("urc-seq", _URC_GROUPS, "urc", _COVERED_URC, "all", "urc", sequential=True),
+    Target("cc", ("N1", "N2", "E1", "E2", "ROOT"), "cc", "a CC-BDMC"),
+    Target("dc", ("N1", "N2", "N3", "E1", "E2", "E3", "ROOT"), "dc", "a smooth DC-BDMC"),
+    Target("urc", _URC_GROUPS, "urc", _COVERED_URC),
+    Target("urc-seq", _URC_GROUPS, "urc", _COVERED_URC, sequential=True),
     Target("pc", ("N1", "N2", "N3", "N6", "E1", "E2", "E3", "ROOT"), "pc",
-           "a smooth PC-BDMC covered by separators", "all", "pc"),
+           "a smooth PC-BDMC covered by separators"),
 )}
 TARGETS = tuple(TARGET_TABLE)
 

@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BudgetExceededError, InputError
-
-DEFAULT_SAT_VAR_BUDGET = 24
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -206,19 +204,12 @@ def brute_sat(
     clauses: Sequence[Sequence[int]],
     nvars: int,
     alpha: Iterable[int] = (),
-    var_budget: Optional[int] = DEFAULT_SAT_VAR_BUDGET,
 ) -> Optional[tuple[int, ...]]:
     """Backtracking SAT with unit propagation.  Returns a full model or None.
 
     The model is a tuple of nvars signed literals (position v-1 holds v or -v).
     Deterministic: branches on the lowest unassigned variable, positive first.
-    ``var_budget`` guards accidental huge instances; pass None to lift it.
     """
-    if var_budget is not None and nvars > var_budget:
-        raise BudgetExceededError(
-            f"formula has {nvars} variables, exceeding the SAT oracle budget of {var_budget};"
-            " raise var_budget to proceed"
-        )
     return model_under(PropEngine(clauses, nvars), check_partial_assignment(alpha, nvars))
 
 

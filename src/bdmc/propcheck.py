@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import core
-from .core import BdmcGraph, CLASS_CC, CLASS_DC, CLASS_PC, CLASS_URC, LeafEncoding, build_graph, leaf_spec
+from .core import (CLASS_PC, CLASS_SATISFIES, CLASS_STRENGTH, CLASS_URC, BdmcGraph, LeafEncoding,
+                   build_graph, leaf_spec)
 from .engine import (
     PropEngine,
     all_scope_models,
@@ -179,6 +180,8 @@ def check_strength(
         return _exhaustive_check(clauses, nvars, scope, style)
     if mode != "sampled":
         raise InputError("mode must be 'exhaustive' or 'sampled'")
+    if samples < 0:
+        raise InputError(f"sample count must be non-negative, got {samples}")
     return _sampled_check(clauses, nvars, scope, style, samples, seed, jobs)
 
 
@@ -389,17 +392,14 @@ def confirm_strength_counterexample(
     if up.conflict:
         return False
     if literal is None:
-        return brute_sat(clauses, nvars, alpha, var_budget=None) is None
+        return brute_sat(clauses, nvars, alpha) is None
     if literal in up.literals:
         return False
-    return brute_sat(clauses, nvars, tuple(alpha) + (-literal,), var_budget=None) is None
+    return brute_sat(clauses, nvars, tuple(alpha) + (-literal,)) is None
 
 
 # ---------------------------------------------------------------------------
 # leaf certification
-
-
-_RANK = {"none": 0, CLASS_CC: 1, CLASS_DC: 2, CLASS_URC: 3, CLASS_PC: 4}
 
 
 @dataclass(frozen=True)
@@ -417,35 +417,33 @@ def certify_formula(
     aux_vars: Sequence[int] = (),
     budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
 ) -> LeafCertificate:
-    """Certify the four propagation classes of a CNF encoding by exhaustion.
+    """Certify the propagation classes of a CNF encoding by exhaustion.
 
-    cc / dc are URC / PC restricted to the input variables; urc / pc range
-    over all variables.  All four are checked independently.
+    core.CLASS_STRENGTH's classes are tried strongest first: one implied by
+    a class already certified is skipped, and each (scope, style) pair is
+    walked once, so without aux variables the two scopes share their walks.
+    best is the first class held in table order, or 'none'.
     """
     local = {v: i + 1 for i, v in enumerate(list(input_vars) + list(aux_vars))}
     nvars = len(local)
     mapped = [tuple((1 if l > 0 else -1) * local[abs(l)] for l in c) for c in clauses]
-    in_scope = [local[v] for v in input_vars]
-    all_scope = list(range(1, nvars + 1))
-    worst = max(len(all_scope), len(in_scope))
+    scopes = {"inputs": [local[v] for v in input_vars], "all": list(range(1, nvars + 1))}
+    worst = max(map(len, scopes.values()))
     if not exhaustive_feasible(worst, budget):
         raise BudgetExceededError(
             f"leaf certification needs 3^{worst} propagation calls, over budget {budget}"
         )
-    got = set()
-    checks = [
-        (CLASS_CC, in_scope, "urc"),
-        (CLASS_DC, in_scope, "pc"),
-        (CLASS_URC, all_scope, "urc"),
-        (CLASS_PC, all_scope, "pc"),
-    ]
-    for name, scope, style in checks:
-        if not scope:
-            got.add(name)  # constant over no variables: vacuously complete
+    got: set[str] = set()
+    walked = set()  # a walked pair failed, or certified every class it can
+    for name, (scope_kind, style) in CLASS_STRENGTH.items():
+        scope = scopes[scope_kind]
+        if name in got or (tuple(scope), style) in walked:
             continue
-        if _exhaustive_check(mapped, nvars, scope, style).passed:
-            got.add(name)
-    return LeafCertificate(frozenset(got), max(got, key=_RANK.__getitem__, default="none"))
+        walked.add((tuple(scope), style))
+        # a constant over no variables is vacuously complete
+        if not scope or _exhaustive_check(mapped, nvars, scope, style).passed:
+            got |= CLASS_SATISFIES[name]
+    return LeafCertificate(frozenset(got), next((c for c in CLASS_STRENGTH if c in got), "none"))
 
 
 def certify_leaf(leaf: LeafEncoding, budget: int = DEFAULT_EXHAUSTIVE_BUDGET) -> LeafCertificate:
@@ -472,6 +470,8 @@ def gen_random(
     """
     if leaf_class not in (CLASS_PC, CLASS_URC):
         raise InputError("leaf_class must be 'pc' or 'urc'")
+    if n < 1:
+        raise InputError(f"a sentence needs at least one input, got n={n}")
     rng = random.Random(seed)
     for _ in range(400):
         graph = _random_graph(rng, n, max_depth, leaf_class)

@@ -192,6 +192,21 @@ def test_eval(g1_file, capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "{g1}", "--assign", "x1=1,x2=1,x1=0"], "input variable 'x1' is assigned twice"),
+    (["certify-leaf", "{g1}", "--leaf", "9"], "--leaf 9 is not a leaf index 1..2"),
+    (["certify-leaf", "{g1}", "--leaf", "0"], "--leaf 0 is not a leaf index 1..2"),
+    (["gen", "--n", "0"], "a sentence needs at least one input, got n=0"),
+    (["verify", "--target", "pc", "{g1}", "--mode", "sample:-5:0"],
+     "sample count must be non-negative, got -5"),
+], ids=["eval-duplicate-input", "certify-leaf-past-last", "certify-leaf-zero", "gen-no-inputs",
+        "verify-negative-samples"])
+def test_bad_cli_input_exits_1(g1_file, capsys, argv, message):
+    assert main([a.format(g1=g1_file) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"input error: {message}" in captured.err
+
+
 def test_smooth_and_level_commands(tmp_path, capsys):
     path = tmp_path / "ns.bdmc"
     path.write_text(NONSMOOTH_TEXT)

@@ -3,6 +3,8 @@
 import pytest
 
 from bdmc.core import (
+    CLASS_SATISFIES,
+    CLASS_STRENGTH,
     CnfFormula,
     build_graph,
     compute_scopes,
@@ -28,6 +30,19 @@ def test_make_clause_canonical():
         make_clause([1, -1])
     with pytest.raises(InputError):
         make_clause([0])
+
+
+def test_class_satisfies_derived_from_strength_table():
+    # the literal table CLASS_SATISFIES held before it was derived
+    assert CLASS_SATISFIES == {
+        "cc": {"cc"},
+        "dc": {"cc", "dc"},
+        "urc": {"cc", "urc"},
+        "pc": {"cc", "dc", "urc", "pc"},
+        "literal": {"cc", "dc", "urc", "pc"},
+        "true": {"cc", "dc", "urc", "pc"},
+    }
+    assert list(CLASS_STRENGTH) == ["pc", "urc", "dc", "cc"]  # strongest first
 
 
 def test_cnf_formula_counts():

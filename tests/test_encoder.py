@@ -3,7 +3,7 @@
 import pytest
 
 from bdmc import compile_graph
-from bdmc.core import build_graph, leaf_spec, make_clause
+from bdmc.core import CLASS_STRENGTH, build_graph, leaf_spec, make_clause
 from bdmc.encoder import (
     AMO_CANONICAL,
     AMO_SEQUENTIAL,
@@ -77,7 +77,7 @@ def test_cardinality_sequential_projection(k):
     got = set()
     for mask in range(1 << k):
         alpha = [v if mask >> (v - 1) & 1 else -v for v in lits]
-        if brute_sat(clauses, nv, alpha, var_budget=None) is not None:
+        if brute_sat(clauses, nv, alpha) is not None:
             got.add(mask)
     assert got == {m for m in range(1 << k) if bin(m).count("1") <= 1}
 
@@ -143,7 +143,7 @@ def test_compile_group_composition():
 def test_target_table_matches_spec():
     # conftest.TARGET_CHECK is the independent statement of each target's claim
     assert TARGETS == ("cc", "dc", "urc", "urc-seq", "pc")
-    assert {t.name: (t.scope, t.style) for t in TARGET_TABLE.values()} == TARGET_CHECK
+    assert {t.name: CLASS_STRENGTH[t.leaf_class] for t in TARGET_TABLE.values()} == TARGET_CHECK
     for name, spec in TARGET_TABLE.items():
         assert spec.name == name
         assert list(spec.groups) == [tag for tag in GROUP_ORDER if tag in spec.groups]

@@ -11,7 +11,7 @@ from bdmc.engine import (
     unit_closure,
     unit_propagate,
 )
-from bdmc.errors import BudgetExceededError, InputError
+from bdmc.errors import InputError
 
 
 def test_up_single_step():
@@ -103,12 +103,6 @@ def test_brute_sat_model_and_unsat():
     assert brute_sat([(1,), (-1,)], 1) is None
 
 
-def test_brute_sat_respects_budget():
-    with pytest.raises(BudgetExceededError):
-        brute_sat([(1,)], 30)
-    assert brute_sat([(1,)], 30, var_budget=None) is not None
-
-
 def test_brute_sat_agrees_with_enumeration():
     rng = random.Random(17)
     for _ in range(200):
@@ -129,7 +123,7 @@ def test_brute_sat_deeper_than_recursion_limit():
     # one decision per variable; x_{n-1} = 1 conflicts and flips at depth n-1
     n = 3000
     clauses = [(-(n - 1), n), (-(n - 1), -n)]
-    assert brute_sat(clauses, n, var_budget=None) == tuple(range(1, n - 1)) + (1 - n, n)
+    assert brute_sat(clauses, n) == tuple(range(1, n - 1)) + (1 - n, n)
 
 
 def test_engine_push_pop_state_consistency():

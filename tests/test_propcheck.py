@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bdmc import compile_graph
+from bdmc import compile_graph, propcheck
 from bdmc.engine import brute_sat, unit_propagate
 from bdmc.errors import BudgetExceededError, InputError, PreconditionError
 from bdmc.propcheck import (
@@ -31,14 +31,14 @@ def naive_strength(clauses, nvars, scope, style):
         if up.conflict:
             continue
         if style == "urc":
-            if brute_sat(clauses, nvars, alpha, var_budget=None) is None:
+            if brute_sat(clauses, nvars, alpha) is None:
                 return False
         else:
             for v in scope:
                 for lit in (v, -v):
                     if -lit in up.literals:
                         continue
-                    if brute_sat(clauses, nvars, alpha + [lit], var_budget=None) is None:
+                    if brute_sat(clauses, nvars, alpha + [lit]) is None:
                         return False
     return True
 
@@ -96,6 +96,10 @@ def test_check_strength_validates_args():
         check_strength([(1,)], 1, [1], "bogus")
     with pytest.raises(InputError):
         check_strength([(1,)], 1, [1], "urc", mode="bogus")
+    with pytest.raises(InputError, match="non-negative"):
+        check_strength([(1,)], 1, [1], "urc", mode="sampled", samples=-5)
+    zero = check_strength([(1,)], 1, [1], "urc", mode="sampled", samples=0)
+    assert zero.passed and zero.alphas_checked == 0
 
 
 def test_exhaustive_matches_naive_reference():
@@ -209,6 +213,70 @@ def test_certify_leaf_examples():
     assert cert.best == "urc"
 
 
+def reference_certificate(clauses, n_in, n_aux):
+    """The four classes checked independently, each by its own exhaustive
+    check_strength call over inputs 1..n_in or all variables; best by rank."""
+    inputs, every = list(range(1, n_in + 1)), list(range(1, n_in + n_aux + 1))
+    table = {"cc": (inputs, "urc"), "dc": (inputs, "pc"), "urc": (every, "urc"), "pc": (every, "pc")}
+    classes = {name for name, (scope, style) in table.items()
+               if not scope or check_strength(clauses, n_in + n_aux, scope, style).passed}
+    return classes, max(classes, key=["cc", "dc", "urc", "pc"].index, default="none")
+
+
+def random_leaf_formula(rng, kind):
+    n_in = 0 if kind == "no-inputs" else rng.randint(1, 3)
+    n_aux = 0 if kind == "no-aux" else rng.randint(1 if kind in ("aux", "no-inputs") else 0, 2)
+    nv = n_in + n_aux
+    clauses = [
+        tuple(x if rng.random() < 0.5 else -x
+              for x in rng.sample(range(1, nv + 1), min(nv, rng.randint(2, 3))))
+        for _ in range(rng.randint(1, 8))
+    ]
+    if kind == "empty-clause":
+        clauses.insert(rng.randint(0, len(clauses)), ())
+    elif kind == "contradictory-units":
+        v = rng.randint(1, nv)
+        clauses += [(v,), (-v,)]
+    return clauses, n_in, n_aux
+
+
+def test_certify_formula_matches_independent_checks():
+    rng = random.Random(0)
+    kinds = ("aux", "no-aux", "no-inputs", "empty-clause", "contradictory-units")
+    bests = set()
+    for i in range(350):
+        kind = kinds[i % len(kinds)]
+        clauses, n_in, n_aux = random_leaf_formula(rng, kind)
+        cert = certify_formula(clauses, list(range(1, n_in + 1)),
+                               list(range(n_in + 1, n_in + n_aux + 1)))
+        classes, best = reference_certificate(clauses, n_in, n_aux)
+        assert (cert.classes, cert.best) == (classes, best), (kind, clauses, n_in, n_aux)
+        bests.add(best)
+    assert bests == {"none", "cc", "dc", "urc", "pc"}
+
+
+def test_certify_formula_walks_down_the_lattice(monkeypatch):
+    calls = []
+    walk = propcheck._exhaustive_check
+
+    def counting(clauses, nvars, scope, style):
+        calls.append((len(scope), style))
+        return walk(clauses, nvars, scope, style)
+
+    monkeypatch.setattr(propcheck, "_exhaustive_check", counting)
+    # pc without aux: one walk certifies all four classes
+    assert certify_formula([[1, 2]], [1, 2]).best == "pc"
+    assert calls == [(2, "pc")]
+    # pc over all fails, urc over all holds, pc over the inputs holds; cc is implied
+    calls.clear()
+    assert certify_formula([[2, 1], [2, -1]], [1], [2]).classes == {"cc", "dc", "urc"}
+    assert calls == [(2, "pc"), (2, "urc"), (1, "pc")]
+    # without aux a failed walk also decides the inputs class of its style
+    calls.clear()
+    assert certify_formula(NON_URC, [1, 2]).best == "none"
+    assert calls == [(2, "pc"), (2, "urc")]
+
+
 def test_certify_leaf_wrapper():
     g = g1()
     assert certify_leaf(g.leaves[0]).best == "pc"
@@ -263,10 +331,10 @@ def test_brute_sat_on_extended_dual_rail_bot_case():
     xdr = extended_dual_rail(leaf.formula(), sp, 1)
     nv = sp.next_id - 1
     alpha = [sp.meta(1, -1), sp.meta(1, -2)]
-    model = brute_sat(xdr.clauses, nv, alpha, var_budget=None)
+    model = brute_sat(xdr.clauses, nv, alpha)
     assert model is not None
     assert model[sp.bot(1) - 1] == sp.bot(1)  # [[bot]] is set
-    assert brute_sat(xdr.clauses, nv, [v for v in range(1, nv + 1)], var_budget=None) is not None
+    assert brute_sat(xdr.clauses, nv, [v for v in range(1, nv + 1)]) is not None
 
 
 def test_check_encoding_constant_false_function():

@@ -97,3 +97,30 @@ def test_compile_mutated_sentence_exits_with_a_documented_code(edits, target, au
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv + (["--auto-smooth", "--auto-level"] if auto else []))
     assert code in (0, 1, 2, 3)
+
+
+def run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(-2, 5), depth=st.integers(-1, 3), count=st.integers(-1, 2),
+       max_vars=st.integers(-1, 60), leaf_class=st.sampled_from(["pc", "urc"]),
+       seed=st.integers(0, 50))
+def test_gen_numeric_flags_exit_with_a_documented_code(n, depth, count, max_vars, leaf_class, seed):
+    # 0 generated, 1 input error (n < 1) or no graph within the size budget, 4 budget
+    argv = ["gen", "--n", str(n), "--depth", str(depth), "--count", str(count),
+            "--max-vars", str(max_vars), "--leaf-class", leaf_class, "--seed", str(seed)]
+    assert run_quietly(argv) in (0, 1, 4)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(parts=st.lists(st.sampled_from(["x1", "x2", "=", ",", "0", "1", "2", "x1=1,", "x2=0,"]),
+                      max_size=12))
+def test_eval_assign_text_exits_with_a_documented_code(parts):
+    # 0 evaluated, 1 malformed, unknown, repeated or missing input
+    with tempfile.TemporaryDirectory() as tmp:
+        sentence = Path(tmp, "g1.bdmc")
+        sentence.write_text(BASE_SENTENCE)
+        assert run_quietly(["eval", str(sentence), "--assign", "".join(parts)]) in (0, 1, 4)

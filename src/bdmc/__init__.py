@@ -3,7 +3,6 @@ with selectable propagation strength, and certify the result by brute force."""
 
 from .core import (
     BdmcGraph,
-    CnfFormula,
     LeafEncoding,
     Node,
     ValidationReport,
@@ -14,7 +13,6 @@ from .core import (
     evaluate,
     leaf_spec,
     make_clause,
-    minimal_subtrees,
     validate,
 )
 from .dualrail import MetaVarSpace, dual_rail, extended_dual_rail
@@ -28,7 +26,7 @@ from .encoder import (
     separator_clauses,
     size_report,
 )
-from .engine import UpResult, brute_sat, unit_closure, unit_propagate
+from .engine import UpResult, brute_sat, unit_propagate
 from .errors import (
     BdmcError,
     BudgetExceededError,
@@ -49,7 +47,6 @@ from .propcheck import (
 )
 from .transform import (
     SeparatorCover,
-    check_separator_cover,
     is_strictly_leveled,
     level,
     separator_cover,

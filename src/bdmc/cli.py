@@ -132,8 +132,8 @@ def cmd_verify(args) -> int:
             clauses, nvars, list(range(1, num_inputs + 1)), graph, bound=args.input_bound
         ),
         "strength": lambda: propcheck.check_strength(
-            clauses, nvars, scope, style, mode=mode, samples=samples or propcheck.DEFAULT_SAMPLES,
-            seed=seed or 0, budget=_budget(), jobs=args.jobs,
+            clauses, nvars, scope, style, mode=mode, samples=samples, seed=seed,
+            budget=_budget(), jobs=args.jobs,
         ),
     }
     # first the check whose budget gate runs before any work: 3^|scope| when
@@ -282,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scope", choices=["inputs", "all"],
                     help="override the scope implied by the target")
     sp.add_argument("--mode", default="exhaustive", help="exhaustive | sample:N:SEED")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers for sampled mode")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="sampled mode: chunks of the samples, at most one worker per CPU")
     sp.add_argument("--input-bound", type=int, default=20,
                     help="max input variables for the correctness sweep")
     add_auto(sp)

@@ -71,35 +71,6 @@ def make_clause(lits: Iterable[int]) -> Clause:
 
 
 @dataclass(frozen=True)
-class CnfFormula:
-    """A set of clauses with a declared variable universe."""
-
-    clauses: tuple[Clause, ...]
-    variables: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.clauses)
-
-    @property
-    def length(self) -> int:
-        """Total number of literal occurrences."""
-        return sum(len(c) for c in self.clauses)
-
-    @staticmethod
-    def build(clauses: Iterable[Iterable[int]], variables: Optional[Iterable[int]] = None) -> "CnfFormula":
-        cs = tuple(dict.fromkeys(make_clause(c) for c in clauses))
-        if variables is None:
-            vs = frozenset(abs(l) for c in cs for l in c)
-        else:
-            vs = frozenset(variables)
-            for c in cs:
-                for l in c:
-                    if abs(l) not in vs:
-                        raise InputError(f"clause literal {l} outside the declared variables")
-        return CnfFormula(cs, vs)
-
-
-@dataclass(frozen=True)
 class LeafEncoding:
     """One leaf: a CNF formula over declared inputs x_i and private aux y_i."""
 
@@ -137,9 +108,6 @@ class LeafEncoding:
     def is_constant(self) -> bool:
         return self.is_constant_true or self.is_constant_false
 
-    def formula(self) -> CnfFormula:
-        return CnfFormula(self.clauses, frozenset(self.input_vars) | frozenset(self.aux_vars))
-
     @property
     def num_vars(self) -> int:
         """|x_i u y_i|, the leaf's contribution to the size parameter m."""
@@ -156,6 +124,16 @@ def infer_claimed_class(input_vars, aux_vars, clauses) -> str:
     if len(clauses) == 1 and len(clauses[0]) == 1 and not aux_vars:
         return CLASS_LITERAL
     return CLASS_CC
+
+
+def make_leaf(index, input_vars, aux_vars, clauses, claimed=None, aux_names=()) -> LeafEncoding:
+    """The one leaf constructor of build_graph and parse_bdmc: the clauses
+    are made canonical (make_clause, then duplicates dropped) before the
+    claimed class, when not given, is inferred from them."""
+    clauses = tuple(dict.fromkeys(make_clause(c) for c in clauses))
+    claimed = claimed or infer_claimed_class(input_vars, aux_vars, clauses)
+    return LeafEncoding(index, tuple(input_vars), tuple(aux_vars), clauses, claimed,
+                        tuple(aux_names))
 
 
 @dataclass(frozen=True)
@@ -192,9 +170,6 @@ class BdmcGraph:
     @property
     def input_vars(self) -> range:
         return range(1, self.num_inputs + 1)
-
-    def leaf_of_node(self, node_id: int) -> LeafEncoding:
-        return self.leaves[self.nodes[node_id].leaf - 1]
 
     @cached_property
     def analysis(self) -> "GraphAnalysis":
@@ -313,15 +288,10 @@ def build_graph(nodes, leaves, n=None, input_names=None, root=0) -> BdmcGraph:
         local = {j + 1: v for j, v in enumerate(ins)}
         local.update({len(ins) + j + 1: v for j, v in enumerate(aux_ids)})
         try:
-            cls = []
-            for c in spec["clauses"]:
-                cls.append(make_clause((1 if l > 0 else -1) * local[abs(l)] for l in c))
+            cls = [[(1 if l > 0 else -1) * local[abs(l)] for l in c] for c in spec["clauses"]]
         except KeyError as exc:
             raise InputError(f"leaf {idx}: clause literal {exc} not declared") from None
-        claimed = spec["cls"] or infer_claimed_class(ins, aux_ids, cls)
-        leaf_objs.append(
-            LeafEncoding(idx, ins, aux_ids, tuple(dict.fromkeys(cls)), claimed, names)
-        )
+        leaf_objs.append(make_leaf(idx, ins, aux_ids, cls, spec["cls"], names))
     return assemble_graph(node_objs, root, leaf_objs, input_names)
 
 
@@ -420,10 +390,6 @@ class GraphAnalysis:
         if self.order is None:
             raise StructureError("cycle detected; topological order undefined")
         return self.order
-
-    def node_depths(self) -> tuple[int, ...]:
-        self.topo_order()  # raises where a reachable cycle leaves depths undefined
-        return self.depths
 
     def var_scopes(self) -> VarScopeMap:
         if self.scopes is None:
@@ -566,10 +532,6 @@ def validate(graph: BdmcGraph) -> ValidationReport:
     return graph.analysis.report
 
 
-def require_valid(graph: BdmcGraph, need_decomposable: bool = True) -> ValidationReport:
-    return graph.analysis.require_valid(need_decomposable).report
-
-
 # ---------------------------------------------------------------------------
 # semantics
 
@@ -656,56 +618,3 @@ def enumerate_models(graph: BdmcGraph, bound: int = DEFAULT_ENUM_BOUND) -> froze
         )
     ev = Evaluator(graph)
     return frozenset(mask for mask in range(1 << n) if ev(mask))
-
-
-DEFAULT_SUBTREE_CAP = 100_000
-
-
-def minimal_subtrees(graph: BdmcGraph, cap: int = DEFAULT_SUBTREE_CAP) -> list[frozenset[int]]:
-    """All minimal satisfying subtrees, each as a frozenset of node ids.
-
-    A subtree takes every child of an and-node and exactly one child of an
-    or-node, rooted at the graph root.  Node sets determine subtrees uniquely
-    here because decomposability forbids two and-branches from sharing any
-    node with a nonempty variable scope.
-    """
-    require_valid(graph)
-    memo: dict[int, list[frozenset[int]]] = {}
-
-    def rec(nid: int) -> list[frozenset[int]]:
-        got = memo.get(nid)
-        if got is not None:
-            return got
-        nd = graph.nodes[nid]
-        if nd.kind == "leaf":
-            out = [frozenset((nid,))]
-        elif nd.kind == "or":
-            out = [sub | {nid} for ch in nd.children for sub in rec(ch)]
-        else:
-            out = [frozenset((nid,))]
-            for ch in nd.children:
-                out = [acc | sub for acc in out for sub in rec(ch)]
-                if len(out) > cap:
-                    raise BudgetExceededError(f"more than {cap} minimal subtrees")
-        if len(out) > cap:
-            raise BudgetExceededError(f"more than {cap} minimal subtrees")
-        memo[nid] = out
-        return out
-
-    return rec(graph.root)
-
-
-def evaluate_by_subtrees(graph: BdmcGraph, assignment: Assignment) -> bool:
-    """Disjunction-over-minimal-subtrees semantics; oracle for evaluate()."""
-    mask = _input_mask(graph, assignment)
-    ev = Evaluator(graph)
-    for tree in minimal_subtrees(graph):
-        ok = True
-        for nid in tree:
-            nd = graph.nodes[nid]
-            if nd.kind == "leaf" and not ev.leaf_sat(graph.leaves[nd.leaf - 1], mask):
-                ok = False
-                break
-        if ok:
-            return True
-    return False

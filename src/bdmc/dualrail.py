@@ -1,10 +1,11 @@
-"""Dual-rail (DR) and extended dual-rail (DR+) encodings of leaf formulas.
+"""Dual-rail (DR) and extended dual-rail (DR+) encodings of leaves.
 
-DR rewrites a CNF over meta-variables so that unit propagation in the original
-formula is simulated by Horn propagation over variables standing for "literal
-l was derived" plus one variable standing for "contradiction derived".  DR+
-adds clauses making the contradiction variable propagate every literal, and
-totality clauses [[x]] v [[-x]].
+DR rewrites a leaf's clauses over meta-variables so that unit propagation in
+the leaf's formula is simulated by Horn propagation over variables standing
+for "literal l was derived" plus one variable standing for "contradiction
+derived".  DR+ adds clauses making the contradiction variable propagate every
+literal, and totality clauses [[x]] v [[-x]].  Both read the leaf's clauses,
+take its variables from the MetaVarSpace, and return a tuple of clauses.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Clause, CnfFormula, LeafEncoding, make_clause
+from .core import Clause, LeafEncoding, make_clause
 from .errors import InputError, PreconditionError
 
 
@@ -53,61 +54,48 @@ class MetaVarSpace:
         first, vs = self._blocks[i]
         return first + 2 * len(vs)
 
-    def vars_of(self, i: int) -> tuple[int, ...]:
-        """z_i: all meta-variables of leaf i, bot included, ascending."""
-        return tuple(range(self._blocks[i][0], self.bot(i) + 1))
-
     def source_vars_of(self, i: int) -> tuple[int, ...]:
         return self._blocks[i][1]
 
 
-def dual_rail(phi: CnfFormula, space: MetaVarSpace, i: int) -> CnfFormula:
-    """DR(phi) over the meta-variables of leaf i.
+def dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tuple[Clause, ...]:
+    """DR of the leaf's clauses over its meta-variables.
 
     A formula containing the empty clause collapses to the unit [[bot]].
     Otherwise every clause C and every l in C contribute the definite Horn
     clause (AND_{e in C-l} [[-e]]) -> [[l]], and every variable contributes
     [[x]] & [[-x]] -> [[bot]].  Unit clauses of phi become unit meta clauses.
+    A literal outside the leaf's block raises InputError in space.meta.
     """
-    leaf_vars = set(space.source_vars_of(i))
-    alien = set(phi.variables) - leaf_vars
-    if alien:
-        raise InputError(
-            f"dual rail for leaf {i}: formula mentions variables {sorted(alien)}"
-            " outside the leaf's inputs and aux"
-        )
+    i = leaf.index
     bot = space.bot(i)
-    if any(len(c) == 0 for c in phi.clauses):
-        return CnfFormula((make_clause([bot]),), frozenset(space.vars_of(i)))
+    if leaf.is_constant_false:
+        return ((bot,),)
     out: list[Clause] = []
-    for clause in phi.clauses:
+    for clause in leaf.clauses:
         for l in clause:
             body = [-space.meta(i, -e) for e in clause if e != l]
             out.append(make_clause(body + [space.meta(i, l)]))
-    for v in sorted(phi.variables):
+    for v in space.source_vars_of(i):
         out.append(make_clause([-space.meta(i, v), -space.meta(i, -v), bot]))
-    return CnfFormula(tuple(out), frozenset(space.vars_of(i)))
+    return tuple(out)
 
 
-def extended_dual_rail(phi: CnfFormula, space: MetaVarSpace, i: int) -> CnfFormula:
-    """DR+(phi): DR plus [[bot]] -> [[l]] for every literal and the totality
+def extended_dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tuple[Clause, ...]:
+    """DR+: DR plus [[bot]] -> [[l]] for every literal and the totality
     clauses [[x]] v [[-x]].  Clause count is exactly ||phi|| + 4|vars|."""
-    if any(len(c) == 0 for c in phi.clauses):
+    i = leaf.index
+    if leaf.is_constant_false:
         raise PreconditionError(
             f"leaf {i}: extended dual rail is undefined on formulas containing the"
             " empty clause; simplify the leaf to a constant-false leaf first"
         )
-    base = dual_rail(phi, space, i)
+    out = list(dual_rail(leaf, space))
     bot = space.bot(i)
-    out = list(base.clauses)
-    for v in sorted(phi.variables):
+    leaf_vars = space.source_vars_of(i)
+    for v in leaf_vars:
         out.append(make_clause([-bot, space.meta(i, v)]))
         out.append(make_clause([-bot, space.meta(i, -v)]))
-    for v in sorted(phi.variables):
+    for v in leaf_vars:
         out.append(make_clause([space.meta(i, v), space.meta(i, -v)]))
-    return CnfFormula(tuple(out), base.variables)
-
-
-def meta_assignment(space: MetaVarSpace, i: int, alpha) -> list[int]:
-    """[[alpha]]^i: the positive meta literals for a set of source literals."""
-    return [space.meta(i, l) for l in alpha]
+    return tuple(out)

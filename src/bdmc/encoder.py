@@ -263,7 +263,7 @@ def leaf_clauses(
     if which == "E1":
         build = dual_rail if lean else extended_dual_rail
         for leaf in graph.leaves:
-            out.extend(build(leaf.formula(), space, leaf.index).clauses)
+            out.extend(build(leaf, space))
         return out
     if which == "E2":
         for leaf in graph.leaves:

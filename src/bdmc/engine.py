@@ -172,34 +172,6 @@ def unit_propagate(
     return UpResult(False, frozenset(eng.trail), tuple(trace) if trace is not None else None)
 
 
-def unit_closure(clauses: Sequence[Sequence[int]], alpha: Iterable[int] = ()) -> tuple[frozenset[int], bool]:
-    """Exact unit-resolution closure: all derivable unit clauses, plus a bot flag.
-
-    Unlike the assignment-based engine this keeps deriving after complementary
-    units appear, matching the clause-derivation reading of phi |-1 l.  Meant
-    for small formulas (quadratic loop).
-    """
-    units = set(alpha)
-    clauses = [tuple(dict.fromkeys(c)) for c in clauses]
-    bot = any(not c for c in clauses)
-    changed = True
-    while changed:
-        changed = False
-        for clause in clauses:
-            # {l} is derivable from C iff every other literal's negation is;
-            # the empty clause is derivable iff all of them are
-            if not bot and all(-e in units for e in clause):
-                bot = True
-                changed = True
-            for l in clause:
-                if l not in units and all(-e in units for e in clause if e != l):
-                    units.add(l)
-                    changed = True
-    if any(-l in units for l in units):
-        bot = True
-    return frozenset(units), bot
-
-
 def brute_sat(
     clauses: Sequence[Sequence[int]],
     nvars: int,

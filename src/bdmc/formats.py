@@ -21,14 +21,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from .core import (
-    BdmcGraph,
-    LeafEncoding,
-    Node,
-    assemble_graph,
-    infer_claimed_class,
-    make_clause,
-)
+from .core import BdmcGraph, LeafEncoding, Node, assemble_graph, make_leaf
 from .errors import ParseError
 
 if TYPE_CHECKING:
@@ -197,12 +190,9 @@ def parse_bdmc(text: str) -> BdmcGraph:
                 else:
                     raise ParseError(f"unknown variable {name!r} in clause", line=clno, column=col)
                 lits.append(-var if neg else var)
-            clauses.append(make_clause(lits))
+            clauses.append(lits)
         in_ids = tuple(sorted(input_id[name] for name in in_names))
-        clauses = tuple(dict.fromkeys(clauses))
-        if claimed is None:
-            claimed = infer_claimed_class(in_ids, aux_ids, clauses)
-        leaves.append(LeafEncoding(index, in_ids, aux_ids, clauses, claimed, tuple(aux_names)))
+        leaves.append(make_leaf(index, in_ids, aux_ids, clauses, claimed, aux_names))
     if not lines.done:
         lno, toks = lines.next("")
         raise ParseError(f"unexpected trailing content {' '.join(toks)!r}", line=lno)

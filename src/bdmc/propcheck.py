@@ -22,6 +22,7 @@ projection on demand: a literal no known model sets goes to the DPLL oracle.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -316,16 +317,17 @@ def _mix(seed: int, j: int) -> int:
 
 
 def _sampled_check(clauses, nvars, scope, style, samples, seed, jobs) -> StrengthVerdict:
-    """Split [0, samples) into at most one chunk per job, one worker each;
-    the first failing sample over all chunks decides, so the verdict does
-    not depend on jobs."""
+    """Split [0, samples) into at most one chunk per job, run on at most one
+    worker per chunk and per CPU; the first failing sample over all chunks
+    decides, so the verdict does not depend on jobs or on the CPU count."""
     chunk = max(1, -(-samples // max(jobs, 1)))
     tasks = [(clauses, nvars, scope, style, seed, lo, min(lo + chunk, samples))
              for lo in range(0, samples, chunk)]
-    if len(tasks) > 1:
+    workers = min(len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing as mp
 
-        with mp.Pool(processes=len(tasks)) as pool:
+        with mp.Pool(processes=workers) as pool:
             results = pool.starmap(_sampled_range, tasks)
     else:
         results = [_sampled_range(*task) for task in tasks]

@@ -3,7 +3,8 @@
 Smoothing pads or-branches with fresh constant-true leaves so every or-child
 covers its parent's variable scope.  Leveling inserts pass-through one-child
 or-nodes until every root-to-leaf path has the same length, which makes the
-depth layers of each D_i separators and yields a separator cover.
+depth layers of each D_i separators and yields a separator cover; the tests
+check covers against the exactly-one-hit definition (tests/oracles.py).
 
 Every operation reads validity, scopes and depths from graph.analysis, the
 memoised core.GraphAnalysis of its graph version.  A rewrite returns a new
@@ -13,8 +14,6 @@ graph version, whose analysis runs when something first reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from .core import BdmcGraph, CLASS_TRUE, LeafEncoding, Node, assemble_graph
 from .errors import PreconditionError
 
@@ -164,55 +163,3 @@ def separator_cover(graph: BdmcGraph) -> SeparatorCover:
     merged = dict.fromkeys(sep for seps in per_var for sep in seps)
     return SeparatorCover(tuple(map(tuple, per_var)), tuple(merged))
 
-
-@dataclass(frozen=True)
-class CoverCheck:
-    ok: bool
-    bad_path: Optional[tuple[int, ...]] = None    # path hitting some S != once
-    bad_separator: Optional[frozenset[int]] = None
-    uncovered: Optional[tuple[int, int]] = None   # (input var, node id) not covered
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_separator_cover(graph: BdmcGraph, cover: SeparatorCover) -> CoverCheck:
-    """Exactly-one-hit check by min/max hit-count DP over each D_i, plus the
-    coverage condition union(S_i) in {H_i, H_i - root}."""
-    a = graph.analysis.require_valid(need_decomposable=False)
-    for v in graph.input_vars:
-        h = a.scopes.h(v)
-        # D_i children before parents, each node with its children in D_i
-        sub = {nid: [ch for ch in graph.nodes[nid].children if ch in h]
-               for nid in reversed(a.order) if nid in h}
-        seps = cover.per_var[v - 1] if v - 1 < len(cover.per_var) else ()
-        for sep in seps:
-            if not sep <= h:
-                return CoverCheck(False, bad_separator=sep, uncovered=(v, min(sep - h)))
-            verdict = _check_one_separator(graph.root, sub, sep)
-            if verdict is not None:
-                return verdict
-        covered = frozenset().union(*seps) if seps else frozenset()
-        missing = h - covered - {graph.root}
-        if missing:
-            return CoverCheck(False, uncovered=(v, min(missing)))
-    return CoverCheck(True)
-
-
-def _check_one_separator(root, sub, sep) -> Optional[CoverCheck]:
-    # lo/hi hits on any path from node to a sink of D_i, counting the node
-    # itself; one sweep, so the depth is not bounded by the recursion limit
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    for nid, kids in sub.items():
-        own = 1 if nid in sep else 0
-        lo[nid] = own + min((lo[ch] for ch in kids), default=0)
-        hi[nid] = own + max((hi[ch] for ch in kids), default=0)
-    if lo[root] == 1 and hi[root] == 1:
-        return None
-    # reconstruct a violating path greedily
-    want_low = lo[root] != 1
-    path = [root]
-    while kids := sub[path[-1]]:
-        path.append(min(kids, key=(lambda c: lo[c]) if want_low else (lambda c: -hi[c])))
-    return CoverCheck(False, bad_path=tuple(path), bad_separator=sep)

@@ -21,9 +21,10 @@ from bdmc.propcheck import (
     check_strength,
     exhaustive_feasible,
 )
-from bdmc.transform import SeparatorCover, check_separator_cover, level, separator_cover, smooth
+from bdmc.transform import SeparatorCover, level, separator_cover, smooth
 
 from conftest import CORPUS_SIZE, JOBS, SAMPLES_PER_TARGET, TARGET_CHECK, TARGETS, g1, parity_dnnf
+from oracles import check_separator_cover, unit_closure
 
 
 def report(criterion, ok, detail):
@@ -76,8 +77,7 @@ def test_criterion_2_propagation_strength(compiled_corpus):
 
 def test_criterion_3_dual_rail_equivalence():
     """Unit propagation in phi and in DR(phi) derive the same literals."""
-    from bdmc.dualrail import dual_rail, meta_assignment
-    from bdmc.engine import unit_closure
+    from bdmc.dualrail import dual_rail
 
     rng = random.Random(20240)
     pairs = 0
@@ -90,11 +90,11 @@ def test_criterion_3_dual_rail_equivalence():
         })
         leaf = LeafEncoding(1, tuple(range(1, nv + 1)), (), tuple(cls), "cc")
         sp = MetaVarSpace.for_leaves([leaf], 1)
-        dr = dual_rail(leaf.formula(), sp, 1)
+        dr = dual_rail(leaf, sp)
         alpha = [v if rng.random() < 0.5 else -v
                  for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
         lhs_units, lhs_bot = unit_closure(cls, alpha)
-        rhs_units, _ = unit_closure(dr.clauses, meta_assignment(sp, 1, alpha))
+        rhs_units, _ = unit_closure(dr, [sp.meta(1, l) for l in alpha])
         for v in range(1, nv + 1):
             for lit in (v, -v):
                 assert (lit in lhs_units) == (sp.meta(1, lit) in rhs_units), (cls, alpha, lit)
@@ -128,9 +128,9 @@ def test_criterion_4_extended_dual_rail_strength():
         for cls, nv in _random_leaf_formulas(rng, want, 50):
             leaf = LeafEncoding(1, tuple(range(1, nv + 1)), (), tuple(cls), "cc")
             sp = MetaVarSpace.for_leaves([leaf], 1)
-            xdr = extended_dual_rail(leaf.formula(), sp, 1)
+            xdr = extended_dual_rail(leaf, sp)
             mv = sp.next_id - 1
-            v = check_strength(xdr.clauses, mv, list(range(1, mv + 1)), style)
+            v = check_strength(xdr, mv, list(range(1, mv + 1)), style)
             assert v.passed, (want, cls, v.counterexample)
     report(4, True, "DR+ kept URC on 50 certified-URC and PC on 50 certified-PC formulas")
 

@@ -174,7 +174,8 @@ def ref_separator_layers(g):
 
 
 def node_depths(g):
-    return list(g.analysis.node_depths())
+    g.analysis.topo_order()  # raises where a reachable cycle leaves depths undefined
+    return list(g.analysis.depths)
 
 
 def strict_depths(g):

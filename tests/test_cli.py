@@ -104,6 +104,12 @@ def test_verify_sampled_deterministic(g1_file, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_verify_zero_samples_checks_none(g1_file, capsys):
+    assert main(["verify", "--target", "cc", str(g1_file), "--mode", "sample:0:0"]) == 0
+    strength = json.loads(capsys.readouterr().out)["strength"]
+    assert strength["samples"] == 0 and strength["alphas_checked"] == 0
+
+
 def test_verify_scope_override(g1_file, capsys):
     assert main(["verify", "--target", "urc", "--scope", "inputs", "--auto-smooth",
                  "--auto-level", str(g1_file)]) == 0

@@ -5,22 +5,20 @@ import pytest
 from bdmc.core import (
     CLASS_SATISFIES,
     CLASS_STRENGTH,
-    CnfFormula,
     build_graph,
     compute_scopes,
     enumerate_models,
     evaluate,
-    evaluate_by_subtrees,
     infer_claimed_class,
     leaf_spec,
     make_clause,
-    minimal_subtrees,
     validate,
 )
 from bdmc.errors import BudgetExceededError, InputError, StructureError
 from bdmc.propcheck import gen_random
 
 from conftest import g1
+from oracles import evaluate_by_subtrees, minimal_subtrees
 
 
 def test_make_clause_canonical():
@@ -43,13 +41,6 @@ def test_class_satisfies_derived_from_strength_table():
         "true": {"cc", "dc", "urc", "pc"},
     }
     assert list(CLASS_STRENGTH) == ["pc", "urc", "dc", "cc"]  # strongest first
-
-
-def test_cnf_formula_counts():
-    phi = CnfFormula.build([[1, 2], [-1]], variables=[1, 2, 3])
-    assert len(phi) == 2
-    assert phi.length == 3
-    assert phi.variables == frozenset({1, 2, 3})
 
 
 def test_validate_single_leaf_all_flags():
@@ -201,7 +192,7 @@ def test_subtree_scopes_disjoint_and_partition_when_smooth():
         g = smooth(gen_random(n=5, max_depth=3, leaf_class="pc", seed=seed))
         sc = compute_scopes(g)
         for tree in minimal_subtrees(g):
-            cells = [frozenset(g.leaf_of_node(nid).input_vars)
+            cells = [frozenset(g.leaves[g.nodes[nid].leaf - 1].input_vars)
                      for nid in tree if g.nodes[nid].kind == "leaf"]
             union = set()
             for cell in cells:
@@ -225,3 +216,18 @@ def test_infer_claimed_class():
     assert infer_claimed_class((1,), (), ((),)) == "pc"
     assert infer_claimed_class((1,), (), ((1,),)) == "literal"
     assert infer_claimed_class((1, 2), (), ((1, 2),)) == "cc"
+
+
+@pytest.mark.parametrize("clauses, text, claimed", [
+    ([[1], [1]], "x1 0\nx1 0\n", "literal"),
+    ([[2, 1, 2], [1, 2]], "x2 x1 x2 0\nx1 x2 0\n", "cc"),
+])
+def test_build_graph_and_parser_make_equal_leaves(clauses, text, claimed):
+    # both paths canonicalise the clauses before they infer the claimed class
+    from bdmc.formats import parse_bdmc
+
+    built = build_graph(nodes=[("leaf", 1)], leaves=[leaf_spec(inputs=[1, 2], clauses=clauses)], n=2)
+    parsed = parse_bdmc("bdmc 1 0 1 2\ninputs x1 x2\nL 1\nroot 0\n"
+                        f"leaf 1 inputs x1 x2 aux clauses {len(clauses)}\n" + text)
+    assert built.leaves == parsed.leaves
+    assert built.leaves[0].claimed_class == claimed

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from bdmc.core import LeafEncoding, make_clause
-from bdmc.dualrail import MetaVarSpace, dual_rail, extended_dual_rail, meta_assignment
-from bdmc.engine import unit_closure
+from bdmc.dualrail import MetaVarSpace, dual_rail, extended_dual_rail
 from bdmc.errors import InputError, PreconditionError
+
+from oracles import unit_closure
 
 
 def space_for(clauses, inputs, aux=()):
@@ -16,25 +17,30 @@ def space_for(clauses, inputs, aux=()):
     return leaf, MetaVarSpace.for_leaves([leaf], first_id=1)
 
 
+def vars_of(sp, i):
+    """z_i: all meta-variables of leaf i, bot included."""
+    return {sp.meta(i, l) for v in sp.source_vars_of(i) for l in (v, -v)} | {sp.bot(i)}
+
+
 def test_meta_ids_ordering():
     leaf, sp = space_for([[1, 2]], [1, 2])
     # var ascending, positive before negative, bot last
     assert (sp.meta(1, 1), sp.meta(1, -1), sp.meta(1, 2), sp.meta(1, -2), sp.bot(1)) == (1, 2, 3, 4, 5)
-    assert sp.vars_of(1) == (1, 2, 3, 4, 5)
+    assert vars_of(sp, 1) == {1, 2, 3, 4, 5}
 
 
 def test_meta_disjoint_across_leaves():
     l1 = LeafEncoding(1, (1,), (), ((1,),), "cc")
     l2 = LeafEncoding(2, (1,), (), ((-1,),), "cc")
     sp = MetaVarSpace.for_leaves([l1, l2], first_id=1)
-    assert set(sp.vars_of(1)).isdisjoint(sp.vars_of(2))
+    assert vars_of(sp, 1).isdisjoint(vars_of(sp, 2))
 
 
 def test_dual_rail_expansion_exact():
     # phi = {x v y}: two implication clauses plus one bot rule per variable
     leaf, sp = space_for([[1, 2]], [1, 2])
-    dr = dual_rail(leaf.formula(), sp, 1)
-    assert set(dr.clauses) == {
+    dr = dual_rail(leaf, sp)
+    assert set(dr) == {
         make_clause([-sp.meta(1, -2), sp.meta(1, 1)]),   # [[-y]] -> [[x]]
         make_clause([-sp.meta(1, -1), sp.meta(1, 2)]),   # [[-x]] -> [[y]]
         make_clause([-sp.meta(1, 1), -sp.meta(1, -1), sp.bot(1)]),
@@ -44,35 +50,34 @@ def test_dual_rail_expansion_exact():
 
 def test_dual_rail_empty_formula_only_bot_rules():
     leaf, sp = space_for([], [1, 2])
-    dr = dual_rail(leaf.formula(), sp, 1)
+    dr = dual_rail(leaf, sp)
     assert len(dr) == 2
-    assert all(len(c) == 3 for c in dr.clauses)
+    assert all(len(c) == 3 for c in dr)
 
 
 def test_dual_rail_empty_clause_collapses_to_bot_unit():
     leaf, sp = space_for([[]], [1])
-    dr = dual_rail(leaf.formula(), sp, 1)
-    assert dr.clauses == ((sp.bot(1),),)
+    dr = dual_rail(leaf, sp)
+    assert dr == ((sp.bot(1),),)
 
 
 def test_dual_rail_unit_clause_gives_unit_meta():
     leaf, sp = space_for([[1]], [1])
-    dr = dual_rail(leaf.formula(), sp, 1)
-    assert (sp.meta(1, 1),) in dr.clauses
+    dr = dual_rail(leaf, sp)
+    assert (sp.meta(1, 1),) in dr
 
 
 def test_dual_rail_alien_variable_rejected():
     leaf, sp = space_for([[1]], [1])
-    from bdmc.core import CnfFormula
-    bad = CnfFormula.build([[2]], variables=[2])
+    bad = LeafEncoding(1, (1, 2), (), ((2,),), "cc")  # variable 2 has no meta in sp
     with pytest.raises(InputError):
-        dual_rail(bad, sp, 1)
+        dual_rail(bad, sp)
 
 
 def test_extended_dual_rail_expansion():
     leaf, sp = space_for([[1, 2]], [1, 2])
-    dr = set(dual_rail(leaf.formula(), sp, 1).clauses)
-    xdr = set(extended_dual_rail(leaf.formula(), sp, 1).clauses)
+    dr = set(dual_rail(leaf, sp))
+    xdr = set(extended_dual_rail(leaf, sp))
     extra = {
         make_clause([-sp.bot(1), sp.meta(1, 1)]),
         make_clause([-sp.bot(1), sp.meta(1, -1)]),
@@ -94,26 +99,26 @@ def test_extended_dual_rail_counts():
                            for v in rng.sample(range(1, nv + 1), rng.randint(1, nv)))
                for _ in range(m)}
         leaf, sp = space_for(sorted(cls), range(1, nv + 1))
-        xdr = extended_dual_rail(leaf.formula(), sp, 1)
-        assert len(xdr) == leaf.formula().length + 4 * nv
+        xdr = extended_dual_rail(leaf, sp)
+        assert len(xdr) == sum(map(len, leaf.clauses)) + 4 * nv
 
 
 def test_extended_dual_rail_single_unit():
     leaf, sp = space_for([[1]], [1])
-    assert len(extended_dual_rail(leaf.formula(), sp, 1)) == 5
+    assert len(extended_dual_rail(leaf, sp)) == 5
 
 
 def test_extended_dual_rail_rejects_empty_clause():
     leaf, sp = space_for([[]], [1])
     with pytest.raises(PreconditionError, match="constant-false"):
-        extended_dual_rail(leaf.formula(), sp, 1)
+        extended_dual_rail(leaf, sp)
 
 
 def test_shapes_are_horn_like_and_meta_only():
     leaf, sp = space_for([[1, -2], [2]], [1, 2], aux=())
-    xdr = extended_dual_rail(leaf.formula(), sp, 1)
-    meta_vars = set(sp.vars_of(1))
-    for clause in xdr.clauses:
+    xdr = extended_dual_rail(leaf, sp)
+    meta_vars = vars_of(sp, 1)
+    for clause in xdr:
         assert {abs(l) for l in clause} <= meta_vars
         positives = [l for l in clause if l > 0]
         # definite Horn or the positive binary totality clause
@@ -131,11 +136,11 @@ def test_propagation_equivalence_random():
             for _ in range(rng.randint(0, 6))
         })
         leaf, sp = space_for(cls, range(1, nv + 1))
-        dr = dual_rail(leaf.formula(), sp, 1)
+        dr = dual_rail(leaf, sp)
         alpha = [v if rng.random() < 0.5 else -v
                  for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
         lhs_units, lhs_bot = unit_closure(cls, alpha)
-        rhs_units, _ = unit_closure(dr.clauses, meta_assignment(sp, 1, alpha))
+        rhs_units, _ = unit_closure(dr, [sp.meta(1, l) for l in alpha])
         for v in range(1, nv + 1):
             for lit in (v, -v):
                 assert (lit in lhs_units) == (sp.meta(1, lit) in rhs_units)

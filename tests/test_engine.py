@@ -8,10 +8,11 @@ from bdmc.engine import (
     PropEngine,
     all_scope_models,
     brute_sat,
-    unit_closure,
     unit_propagate,
 )
 from bdmc.errors import InputError
+
+from oracles import unit_closure
 
 
 def test_up_single_step():

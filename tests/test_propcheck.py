@@ -172,6 +172,7 @@ def test_sampled_deterministic_and_parallel_equal():
 
 def test_sampled_pool_has_one_worker_per_chunk(monkeypatch):
     import multiprocessing
+    import os
 
     started = []
 
@@ -189,6 +190,7 @@ def test_sampled_pool_has_one_worker_per_chunk(monkeypatch):
             return [fn(*task) for task in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     out = compile_graph(g1(), "pc")
     cls, nv = out.all_clauses(), out.num_vars
     scope = list(range(1, nv + 1))
@@ -196,6 +198,15 @@ def test_sampled_pool_has_one_worker_per_chunk(monkeypatch):
     assert verdict.passed and started == [10]
     check_strength(cls, nv, scope, "pc", mode="sampled", samples=1, jobs=64)
     assert started == [10]  # a single chunk runs in process
+    # fewer CPUs than chunks: one worker per CPU, the same verdict
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert check_strength(cls, nv, scope, "pc", mode="sampled", samples=10, jobs=64) == verdict
+    assert started == [10, 3]
+    # one CPU (or an unknown count): every chunk runs in process
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert check_strength(cls, nv, scope, "pc", mode="sampled", samples=10, jobs=64) == verdict
+    assert started == [10, 3]
 
 
 def test_certify_leaf_examples():
@@ -328,13 +339,13 @@ def test_brute_sat_on_extended_dual_rail_bot_case():
     from bdmc.dualrail import MetaVarSpace, extended_dual_rail
     leaf = LeafEncoding(1, (1, 2), (), ((1, 2),), "pc")
     sp = MetaVarSpace.for_leaves([leaf], 1)
-    xdr = extended_dual_rail(leaf.formula(), sp, 1)
+    xdr = extended_dual_rail(leaf, sp)
     nv = sp.next_id - 1
     alpha = [sp.meta(1, -1), sp.meta(1, -2)]
-    model = brute_sat(xdr.clauses, nv, alpha)
+    model = brute_sat(xdr, nv, alpha)
     assert model is not None
     assert model[sp.bot(1) - 1] == sp.bot(1)  # [[bot]] is set
-    assert brute_sat(xdr.clauses, nv, [v for v in range(1, nv + 1)]) is not None
+    assert brute_sat(xdr, nv, [v for v in range(1, nv + 1)]) is not None
 
 
 def test_check_encoding_constant_false_function():

@@ -11,6 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from bdmc import BdmcError, compile_graph, emit_dimacs, gen_random  # noqa: E402
+from bdmc.core import build_graph, leaf_spec  # noqa: E402
 from bdmc.cli import main  # noqa: E402
 from bdmc.errors import ParseError  # noqa: E402
 from bdmc.formats import parse_bdmc, parse_dimacs, serialize_bdmc  # noqa: E402
@@ -124,3 +125,58 @@ def test_eval_assign_text_exits_with_a_documented_code(parts):
         sentence = Path(tmp, "g1.bdmc")
         sentence.write_text(BASE_SENTENCE)
         assert run_quietly(["eval", str(sentence), "--assign", "".join(parts)]) in (0, 1, 4)
+
+
+
+# or(L1 over x1, and(L2 over x1, L3 over x2)): neither smooth nor leveled
+UNBALANCED_SENTENCE = serialize_bdmc(build_graph(
+    nodes=[("or", [1, 2]), ("leaf", 1), ("and", [3, 4]), ("leaf", 2), ("leaf", 3)],
+    leaves=[leaf_spec(inputs=[1], clauses=[[1]], cls="pc"), leaf_spec(inputs=[1], clauses=[[-1]]),
+            leaf_spec(inputs=[2], clauses=[[-1]])],
+    n=2,
+))
+
+
+def mutate_tokens(edits, base):
+    """Apply (line, position, op, token) edits to the space-separated tokens
+    of base: substitute, insert or delete a token, or repeat the line."""
+    rows = [line.split(" ") for line in base.splitlines()]
+    for line, pos, op, tok in edits:
+        row = rows[line % len(rows)]
+        pos %= len(row) + 1
+        if op == "s" and pos < len(row):
+            row[pos] = tok
+        elif op == "i":
+            row.insert(pos, tok)
+        elif op == "d" and pos < len(row):
+            del row[pos]
+        elif op == "l":
+            rows.insert(line % len(rows), list(row))
+    return "\n".join(" ".join(row) for row in rows) + "\n"
+
+
+SENTENCE_COMMANDS = [
+    ["stats", "{f}", "--target", "cc"],
+    ["stats", "{f}", "--target", "pc", "--auto-smooth", "--auto-level"],
+    ["smooth", "{f}"],
+    ["level", "{f}"],
+    ["level", "{f}", "--with-smooth"],
+    ["certify-leaf", "{f}"],
+    ["certify-leaf", "{f}", "--leaf", "2"],
+]
+TOKENS = sorted({tok for text in (BASE_SENTENCE, UNBALANCED_SENTENCE) for tok in text.split()}
+                | {"-x1", "-x2", "y1", "-y1", "3", "dc", "urc"})
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(base=st.sampled_from([BASE_SENTENCE, UNBALANCED_SENTENCE]),
+       edits=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 10), st.sampled_from("sidl"),
+                                st.sampled_from(TOKENS)), min_size=1, max_size=3),
+       argv=st.sampled_from(SENTENCE_COMMANDS))
+def test_sentence_commands_on_mutated_text_exit_with_a_documented_code(base, edits, argv):
+    # 0 done, 1 parse/input error, 2 unmet precondition, 3 size bound
+    # violation (stats), 4 budget
+    with tempfile.TemporaryDirectory() as tmp:
+        sentence = Path(tmp, "g.bdmc")
+        sentence.write_text(mutate_tokens(edits, base))
+        assert run_quietly([a.format(f=sentence) for a in argv]) in (0, 1, 2, 3, 4)

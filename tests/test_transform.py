@@ -7,7 +7,6 @@ from bdmc.errors import PreconditionError
 from bdmc.propcheck import gen_random
 from bdmc.transform import (
     SeparatorCover,
-    check_separator_cover,
     is_strictly_leveled,
     level,
     separator_cover,
@@ -15,6 +14,7 @@ from bdmc.transform import (
 )
 
 from conftest import g1
+from oracles import check_separator_cover
 
 
 def or_of_unbalanced():
@@ -40,7 +40,7 @@ def test_smooth_pads_with_true_leaf():
     # the thin branch became and(L1, true-leaf over {x2})
     wrap = gs.nodes[gs.nodes[0].children[0]]
     assert wrap.kind == "and"
-    pad = gs.leaf_of_node(wrap.children[1])
+    pad = gs.leaves[gs.nodes[wrap.children[1]].leaf - 1]
     assert pad.is_constant_true
     assert pad.input_vars == (2,)
     assert pad.claimed_class == "true"
@@ -76,7 +76,7 @@ def test_level_inserts_single_passthrough():
 def test_level_edges_span_one_level():
     for seed in (3, 7, 21):
         g = level(smooth(gen_random(n=5, max_depth=3, leaf_class="pc", seed=seed)))
-        depth = g.analysis.node_depths()
+        depth = g.analysis.depths
         for nid, nd in enumerate(g.nodes):
             for ch in nd.children:
                 assert depth[ch] == depth[nid] + 1

@@ -47,7 +47,7 @@ from .propcheck import (
 )
 from .transform import (
     SeparatorCover,
-    is_strictly_leveled,
+    is_layered,
     level,
     separator_cover,
     smooth,

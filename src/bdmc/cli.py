@@ -306,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output")
     sp.set_defaults(func=cmd_smooth)
 
-    sp = sub.add_parser("level", help="write the strictly leveled sentence")
+    sp = sub.add_parser("level", help="write the layered sentence: one pass-through"
+                                       " or-node on each edge that skips a layer")
     sp.add_argument("input")
     sp.add_argument("-o", "--output")
     sp.add_argument("--with-smooth", action="store_true", help="smooth first")
@@ -319,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--leaf-class", default="pc", choices=["pc", "urc"])
     sp.add_argument("--count", type=int, default=1)
     sp.add_argument("--max-vars", type=int, default=40,
-                    help="bound on n+2m+s after smoothing and leveling")
+                    help="bound on n+2m+s after smoothing and stretching every"
+                         " edge to span one layer")
     sp.add_argument("-o", "--output-dir")
     sp.set_defaults(func=cmd_gen)
 

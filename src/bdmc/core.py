@@ -7,7 +7,7 @@ decomposability, smoothness), input-variable scopes, and brute-force semantic
 evaluation used as the oracle by every checker.
 
 All structure comes from one pass, analyze(), whose GraphAnalysis
-(topological order, depths, scopes, validation report) is memoised as
+(topological order, layer spans, scopes, validation report) is memoised as
 BdmcGraph.analysis: a graph version is immutable and every rewrite returns a
 new one, so each version is analysed at most once.  validate, compute_scopes
 and topo_order are views of it.
@@ -374,16 +374,22 @@ class GraphAnalysis:
     """The structure of one graph version, computed once by analyze().
 
     ``order`` is the deterministic topological order (parents first) of the
-    reachable nodes and ``depths`` the longest-path depth of every node (-1
-    if unreachable); both are None when a reachable cycle leaves them
-    undefined.  ``scopes`` is None on any cycle.  Read it as
-    ``graph.analysis``, which computes it once per graph version.
+    reachable nodes.  Node u occupies the depth layers ``starts[u]`` to
+    ``ends[u]``: it starts at its longest-path depth, every leaf at the
+    deepest leaf depth L; a one-child node ends one layer above its child's
+    start, any other node where it starts (-1 and -1 if unreachable).
+    ``layered`` holds when every child of every multi-child node starts one
+    layer below it; then the layers of every root-to-leaf path tile 0..L.
+    Order and spans are None when a reachable cycle leaves them undefined;
+    ``scopes`` is None on any cycle.  Read it as ``graph.analysis``, which
+    computes it once per graph version.
     """
 
     report: ValidationReport
     order: Optional[tuple[int, ...]]
-    depths: Optional[tuple[int, ...]]
-    leveled: bool  # every edge spans one level and all leaves share one
+    starts: Optional[tuple[int, ...]]
+    ends: Optional[tuple[int, ...]]
+    layered: bool
     scopes: Optional[VarScopeMap]
 
     def topo_order(self) -> tuple[int, ...]:
@@ -417,9 +423,10 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
     """Every structural fact of a graph version from one pass.
 
     A reachability sweep from the root counts in-degrees; one heap-ordered
-    Kahn sweep then gives the topological order, the longest-path depths and
-    strict leveling.  Var-sets come from one bottom-up sweep; ranges and the
-    validation report from single sweeps over nodes and leaves.
+    Kahn sweep then gives the topological order and the longest-path depths,
+    and one sweep over that order the layer spans.  Var-sets come from one
+    bottom-up sweep; ranges and the validation report from single sweeps
+    over nodes and leaves.
     Acyclicity covers all nodes: _find_cycle runs only to name a cycle, or
     to rule one out among unreachable nodes.
     """
@@ -435,27 +442,33 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
                 reached[ch] = True
                 todo.append(ch)
     unreachable = tuple(nid for nid in range(n) if not reached[nid])
-    depth = [-1] * n
-    depth[root] = 0
-    leaf_depths: set[int] = set()
-    leveled = True
+    start = [-1] * n
+    start[root] = 0
     order: list[int] = []
     heap = [] if indeg[root] else [root]
     while heap:
         nid = heapq.heappop(heap)
         order.append(nid)
-        nd = nodes[nid]
-        if nd.kind == "leaf":
-            leaf_depths.add(depth[nid])
-        d = depth[nid] + 1
-        for ch in nd.children:
-            if depth[ch] != d:
-                leveled = leveled and depth[ch] < 0
-                depth[ch] = max(depth[ch], d)
+        d = start[nid] + 1
+        for ch in nodes[nid].children:
+            if start[ch] < d:
+                start[ch] = d
             indeg[ch] -= 1
             if not indeg[ch]:
                 heapq.heappush(heap, ch)
     complete = len(order) + len(unreachable) == n
+    leaf_ids = [nid for nid in order if nodes[nid].kind == "leaf"]
+    full = max((start[nid] for nid in leaf_ids), default=0)
+    for nid in leaf_ids:
+        start[nid] = full
+    end = list(start)
+    layered = True
+    for nid in order:
+        kids = nodes[nid].children
+        if len(kids) == 1:
+            end[nid] = start[kids[0]] - 1
+        elif any(start[ch] != start[nid] + 1 for ch in kids):
+            layered = False
     cycle = () if complete and not unreachable else _find_cycle(graph)
     aux = [v for leaf in graph.leaves for v in leaf.aux_vars]
     scopes = None
@@ -511,9 +524,8 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
         missing_inputs=missing,
     )
     if not complete:
-        return GraphAnalysis(report, None, None, False, scopes)
-    return GraphAnalysis(report, tuple(order), tuple(depth),
-                         leveled and len(leaf_depths) <= 1, scopes)
+        return GraphAnalysis(report, None, None, None, False, scopes)
+    return GraphAnalysis(report, tuple(order), tuple(start), tuple(end), layered, scopes)
 
 
 def topo_order(graph: BdmcGraph) -> list[int]:

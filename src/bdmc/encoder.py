@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from .core import BdmcGraph, CLASS_SATISFIES, Clause, make_clause
 from .dualrail import MetaVarSpace, dual_rail, extended_dual_rail
 from .errors import InputError, PreconditionError
-from .transform import SeparatorCover, is_strictly_leveled, level, separator_cover, smooth
+from .transform import SeparatorCover, is_layered, level, separator_cover, smooth
 
 GROUP_ORDER = ("N1", "N2", "N3", "N5", "N6", "E1", "E2", "E3", "ROOT")
 
@@ -159,8 +159,17 @@ def build_varmap(graph: BdmcGraph) -> VarMap:
 # clause-group builders
 
 
+def _pair(a: int, b: int) -> Clause:
+    """The canonical clause of two literals over distinct variables, built
+    without make_clause's checks where the caller guarantees them."""
+    return (a, b) if abs(a) < abs(b) else (b, a)
+
+
 def circuit_clauses(graph: BdmcGraph, varmap: VarMap) -> dict[str, list[Clause]]:
-    """Groups N1 (or), N2 (and) and N3 (parents) over node literals."""
+    """Groups N1 (or), N2 (and) and N3 (parents) over node literals.
+
+    Every node has its own variable, so the N2 binaries are built canonical
+    directly; the wider N1 and N3 clauses go through make_clause."""
     n1: list[Clause] = []
     n2: list[Clause] = []
     n3: list[Clause] = []
@@ -170,7 +179,7 @@ def circuit_clauses(graph: BdmcGraph, varmap: VarMap) -> dict[str, list[Clause]]
             n1.append(make_clause([-lit(nid)] + [lit(ch) for ch in nd.children]))
         elif nd.kind == "and":
             for ch in nd.children:
-                n2.append(make_clause([-lit(nid), lit(ch)]))
+                n2.append(_pair(-lit(nid), lit(ch)))
     for nid in range(graph.num_nodes):
         if nid == graph.root or not graph.parents[nid]:
             continue
@@ -186,6 +195,8 @@ AMO_SEQUENTIAL = "AMO_SEQUENTIAL"
 def cardinality(kind: str, lits: Sequence[int], first_aux: Optional[int] = None):
     """Cardinality constraint over the given literals.
 
+    The literals must be over distinct variables (and the auxiliaries
+    clear of them), which makes every clause canonical as built.
     Returns (clauses, aux_vars).  AMO_CANONICAL emits all prime implicates
     (the pairwise negative binaries); EO_CANONICAL adds the at-least-one
     clause; AMO_SEQUENTIAL is the Sinz ladder with len(lits)-1 fresh
@@ -194,28 +205,31 @@ def cardinality(kind: str, lits: Sequence[int], first_aux: Optional[int] = None)
     lits = list(lits)
     if not lits:
         raise InputError("cardinality constraint over an empty list")
+    k = len(lits)
+    used = {abs(lit) for lit in lits}
+    if len(used) != k or 0 in used:
+        raise InputError("cardinality constraint over repeated variables or literal 0")
     if kind in (AMO_CANONICAL, EO_CANONICAL):
-        out = []
-        for i in range(len(lits)):
-            for j in range(i + 1, len(lits)):
-                out.append(make_clause([-lits[i], -lits[j]]))
+        neg = [-lit for lit in lits]
+        out = [_pair(neg[i], neg[j]) for i in range(k) for j in range(i + 1, k)]
         if kind == EO_CANONICAL:
-            out.append(make_clause(lits))
+            out.append(tuple(sorted(lits, key=abs)))
         return out, []
     if kind != AMO_SEQUENTIAL:
         raise InputError(f"unknown cardinality kind {kind!r}")
-    k = len(lits)
     if k == 1:
         return [], []
     if first_aux is None:
         raise InputError("sequential encoding needs a first_aux variable id")
     aux = list(range(first_aux, first_aux + k - 1))
-    out = [make_clause([-lits[0], aux[0]])]
+    if used.intersection(aux) or first_aux < 1:
+        raise InputError("sequential auxiliaries overlap the constrained variables")
+    out = [_pair(-lits[0], aux[0])]
     for i in range(1, k - 1):
-        out.append(make_clause([-lits[i], aux[i]]))
-        out.append(make_clause([-aux[i - 1], aux[i]]))
-        out.append(make_clause([-lits[i], -aux[i - 1]]))
-    out.append(make_clause([-lits[k - 1], -aux[k - 2]]))
+        out.append(_pair(-lits[i], aux[i]))
+        out.append((-aux[i - 1], aux[i]))
+        out.append(_pair(-lits[i], -aux[i - 1]))
+    out.append(_pair(-lits[k - 1], -aux[k - 2]))
     return out, aux
 
 
@@ -350,11 +364,11 @@ def compile_graph(
         graph = smooth(graph)
     cover = None
     if spec.needs_cover:
-        if not is_strictly_leveled(graph):
+        if not is_layered(graph):
             if not auto_level:
                 raise PreconditionError(
                     f"target {target} assumes {spec.assumption}, but the graph"
-                    " is not strictly leveled; pass auto_level or run level() first"
+                    " is not leveled into layers; pass auto_level or run level() first"
                 )
             graph = level(graph)
         cover = separator_cover(graph)

@@ -168,16 +168,16 @@ def check_strength(
     if style not in STYLES:
         raise InputError("style must be 'urc' or 'pc'")
     scope = list(dict.fromkeys(scope))
+    if mode == "exhaustive" and not exhaustive_feasible(len(scope), budget):
+        raise BudgetExceededError(
+            f"exhaustive mode needs 3^{len(scope)} propagation calls, over the budget"
+            f" of {budget}; use sampled mode (e.g. sample:100000:0) or raise BDMC_BUDGET"
+        )
     for v in scope:
         if not (1 <= v <= nvars):
             raise InputError(f"scope variable {v} outside 1..{nvars}")
     clauses = [tuple(c) for c in clauses]
     if mode == "exhaustive":
-        if not exhaustive_feasible(len(scope), budget):
-            raise BudgetExceededError(
-                f"exhaustive mode needs 3^{len(scope)} propagation calls, over the budget"
-                f" of {budget}; use sampled mode (e.g. sample:100000:0) or raise BDMC_BUDGET"
-            )
         return _exhaustive_check(clauses, nvars, scope, style)
     if mode != "sampled":
         raise InputError("mode must be 'exhaustive' or 'sampled'")
@@ -491,11 +491,17 @@ def gen_random(
 
 
 def _post_transform_vars(graph: BdmcGraph) -> int:
-    from .transform import level, smooth
+    """n + 2m + s of the smoothed graph stretched to equal path lengths: every
+    reachable edge padded with one node per layer it skips.  This is the
+    size the generator has always bounded; leveling builds less."""
+    from .transform import smooth
 
-    g2 = level(smooth(graph))
+    g2 = smooth(graph)
+    starts = g2.analysis.starts
+    padding = sum(max(starts[ch] - starts[nid] - 1, 0)
+                  for nid in g2.analysis.order for ch in g2.nodes[nid].children)
     m = sum(leaf.num_vars for leaf in g2.leaves)
-    return g2.num_inputs + 2 * m + g2.num_nodes
+    return g2.num_inputs + 2 * m + g2.num_nodes + padding
 
 
 def _random_graph(rng, n, max_depth, leaf_class) -> Optional[BdmcGraph]:

@@ -1,12 +1,15 @@
 """Structure-preserving rewrites: smoothing, leveling, separator covers.
 
 Smoothing pads or-branches with fresh constant-true leaves so every or-child
-covers its parent's variable scope.  Leveling inserts pass-through one-child
-or-nodes until every root-to-leaf path has the same length, which makes the
-depth layers of each D_i separators and yields a separator cover; the tests
-check covers against the exactly-one-hit definition (tests/oracles.py).
+covers its parent's variable scope.  Leveling makes a graph layered
+(core.GraphAnalysis): one pass-through one-child or-node on each edge that
+leaves a multi-child node and skips a depth layer.  A one-child node spans
+every layer from its own start down to its child's, so the layers of each
+root-to-leaf path tile 0..L, which makes the depth layers of each D_i
+separators and yields a separator cover; the tests check covers against the
+exactly-one-hit definition (tests/oracles.py).
 
-Every operation reads validity, scopes and depths from graph.analysis, the
+Every operation reads validity, scopes and layer spans from graph.analysis, the
 memoised core.GraphAnalysis of its graph version.  A rewrite returns a new
 graph version, whose analysis runs when something first reads it.
 """
@@ -57,67 +60,59 @@ def smooth(graph: BdmcGraph) -> BdmcGraph:
 
 
 def level(graph: BdmcGraph) -> BdmcGraph:
-    """Stretch every edge with pass-through one-child or-nodes until all
-    root-to-leaf paths have the same length; fixpoint on already-leveled input.
+    """Make the graph layered: put one pass-through one-child or-node on
+    every edge that leaves a multi-child node and skips a layer; fixpoint on
+    layered input.
 
-    The function, smoothness and decomposability are preserved; each inserted
-    node later contributes one N1 and one N3 clause.
+    Every node keeps its start layer (see core.GraphAnalysis), and the
+    inserted node spans the layers its edge skips.  An edge out of a
+    one-child node needs no insertion: that node already spans down to its
+    child.  The function, smoothness and decomposability are preserved;
+    each inserted node later contributes one N1 and one N3 clause.
     """
-    depth = graph.analysis.require_valid().depths
-    leaf_ids = [nid for nid, nd in enumerate(graph.nodes) if nd.kind == "leaf" and depth[nid] >= 0]
-    target = [d for d in depth]
-    full = max((depth[nid] for nid in leaf_ids), default=0)
-    for nid in leaf_ids:
-        target[nid] = full
+    starts = graph.analysis.require_valid().starts
     nodes = list(graph.nodes)
-    changed = False
     for nid, nd in enumerate(graph.nodes):
-        if nd.kind == "leaf" or depth[nid] < 0:
+        if len(nd.children) < 2 or starts[nid] < 0:
             continue
         new_children = []
         for ch in nd.children:
-            gap = target[ch] - target[nid]
-            if gap <= 1:
-                new_children.append(ch)
-                continue
-            changed = True
-            below = ch
-            for _ in range(gap - 1):
-                nodes.append(Node("or", children=(below,)))
-                below = len(nodes) - 1
-            new_children.append(below)
-        if tuple(new_children) != nd.children:
-            nodes[nid] = Node(nd.kind, children=tuple(new_children))
-    if not changed:
+            if starts[ch] - starts[nid] > 1:
+                nodes.append(Node("or", children=(ch,)))
+                ch = len(nodes) - 1
+            new_children.append(ch)
+        nodes[nid] = Node(nd.kind, children=tuple(new_children))
+    if len(nodes) == graph.num_nodes:
         return graph
     return assemble_graph(nodes, graph.root, list(graph.leaves), graph.input_names)
 
 
-def is_strictly_leveled(graph: BdmcGraph) -> bool:
-    """Every edge spans one level and all leaves share one; raises
-    StructureError on a reachable cycle."""
+def is_layered(graph: BdmcGraph) -> bool:
+    """Every child of every multi-child node starts one layer below it;
+    raises StructureError on a reachable cycle."""
     graph.analysis.topo_order()
-    return graph.analysis.leveled
+    return graph.analysis.layered
 
 
-def _witness_paths(graph: BdmcGraph) -> tuple[list[int], list[int]]:
-    """A shortest and a longest root-to-leaf path, as node id lists."""
-    nodes = graph.nodes
-    lo = [0] * graph.num_nodes
-    hi = [0] * graph.num_nodes
-    for nid in reversed(graph.analysis.order):  # children before parents
-        kids = nodes[nid].children
-        if kids:
-            lo[nid] = 1 + min(lo[c] for c in kids)
-            hi[nid] = 1 + max(hi[c] for c in kids)
+def _layer_witness(graph: BdmcGraph) -> str:
+    """The first edge out of a multi-child node that skips a layer, with a
+    longest root path to each of its ends (to the deepest leaf, for a leaf)."""
+    nodes, starts = graph.nodes, graph.analysis.starts
 
-    def walk(heights, sign):
-        path = [graph.root]
-        while nodes[path[-1]].kind != "leaf":
-            path.append(min(nodes[path[-1]].children, key=lambda c: sign * heights[c]))
-        return path
+    def root_path(nid):
+        path = [nid]
+        while path[-1] != graph.root:
+            path.append(max(graph.parents[path[-1]], key=starts.__getitem__))
+        return path[::-1]
 
-    return walk(lo, 1), walk(hi, -1)
+    u, c = next((nid, ch) for nid in graph.analysis.order if len(nodes[nid].children) > 1
+                for ch in nodes[nid].children if starts[ch] != starts[nid] + 1)
+    deep = c if nodes[c].kind != "leaf" else max(
+        (x for x in graph.analysis.order if nodes[x].kind == "leaf"),
+        key=lambda x: max(starts[p] for p in graph.parents[x]))
+    return (f"the edge {u} -> {c} out of a multi-child node spans"
+            f" {starts[c] - starts[u]} layers, not one (paths {root_path(u) + [c]}"
+            f" and {root_path(deep)})")
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,8 @@ class SeparatorCover:
 
     Every S is a set of node ids hitting each root-to-leaf path of D_i exactly
     once; the union of a variable's separators is H_i minus the root (the
-    {root} separator exists but is dropped, the encodings never need it).
+    layer-0 separator {root} exists but is dropped, the encodings never need
+    it), or all of H_i where a one-child root spans further layers.
     """
 
     per_var: tuple[tuple[frozenset[int], ...], ...]
@@ -139,27 +135,45 @@ class SeparatorCover:
 
 
 def separator_cover(graph: BdmcGraph) -> SeparatorCover:
-    """Depth-layer separators of a strictly leveled graph.
+    """Layer separators of a layered graph.
 
-    S_{i,d} = nodes of H_i at depth d, for d = 1..L; empty layers and the
-    d = 0 layer {root} are dropped; duplicates across variables are merged.
-    The layers come from one sweep over (node, depth, var(node)).
+    S_{i,d} = nodes of H_i whose layer span [start, end] holds d, for
+    d = 1..L; empty layers and the d = 0 layer are dropped; duplicates
+    across layers and variables are merged.  H_i and the nodes spanning
+    each layer are node bitmasks, so S_{i,d} is one AND, and each distinct
+    mask becomes one frozenset shared by every layer equal to it.
     """
     a = graph.analysis.require_valid()
-    if not a.leveled:
-        short, long_ = _witness_paths(graph)
+    if not a.layered:
         raise PreconditionError(
-            "graph is not strictly leveled: root-to-leaf paths "
-            f"{short} and {long_} have different lengths; run level() first"
-        )
-    layers: dict[tuple[int, int], list[int]] = {}
-    for nid, (d, vs) in enumerate(zip(a.depths, a.scopes.var_sets)):
-        if d > 0:
-            for v in vs:
-                layers.setdefault((v, d), []).append(nid)
-    per_var: list[list[frozenset[int]]] = [[] for _ in graph.input_vars]
-    for v, d in sorted(layers):
-        per_var[v - 1].append(frozenset(layers[v, d]))
+            f"graph is not layered: {_layer_witness(graph)}; run level() first")
+    holders = [0] * (graph.num_inputs + 1)
+    spanning = [0] * (max(a.ends) + 1)
+    for nid, vs in enumerate(a.scopes.var_sets):
+        bit = 1 << nid
+        for v in vs:
+            holders[v] |= bit
+        for d in range(max(a.starts[nid], 1), a.ends[nid] + 1):
+            spanning[d] |= bit
+    sets: dict[int, frozenset[int]] = {}
+    per_var = []
+    for v in graph.input_vars:
+        layers = []
+        for span in spanning[1:]:
+            mask = holders[v] & span
+            if mask:
+                if mask not in sets:
+                    sets[mask] = frozenset(_bit_positions(mask))
+                layers.append(sets[mask])
+        per_var.append(tuple(layers))
     merged = dict.fromkeys(sep for seps in per_var for sep in seps)
-    return SeparatorCover(tuple(map(tuple, per_var)), tuple(merged))
+    return SeparatorCover(tuple(per_var), tuple(merged))
 
+
+def _bit_positions(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out

@@ -20,7 +20,7 @@ from bdmc.core import (
 from bdmc.encoder import TARGETS
 from bdmc.errors import StructureError
 from bdmc.formats import parse_bdmc, serialize_bdmc
-from bdmc.transform import is_strictly_leveled, level, separator_cover, smooth
+from bdmc.transform import level, separator_cover, smooth
 
 from conftest import parity_dnnf
 
@@ -151,35 +151,42 @@ def ref_depths(g):
     return depth
 
 
-def ref_strict_depths(g):
-    depth = ref_depths(g)
-    leaf_depths = {depth[nid] for nid, nd in enumerate(g.nodes)
-                   if nd.kind == "leaf" and depth[nid] >= 0}
-    if len(leaf_depths) > 1:
-        return None
-    for nid, nd in enumerate(g.nodes):
-        if depth[nid] >= 0 and any(depth[ch] != depth[nid] + 1 for ch in nd.children):
-            return None
-    return depth
+def ref_spans(g):
+    """(starts, ends, layered): leaves start at the deepest leaf depth, a
+    one-child node ends one layer above its child, a multi-child node's
+    children must start one layer below it."""
+    starts = ref_depths(g)
+    reach = ref_reachable(g)
+    leaves = [nid for nid in reach if g.nodes[nid].kind == "leaf"]
+    full = max(starts[nid] for nid in leaves)
+    for nid in leaves:
+        starts[nid] = full
+    ends = list(starts)
+    layered = True
+    for nid in reach:
+        kids = g.nodes[nid].children
+        if len(kids) == 1:
+            ends[nid] = starts[kids[0]] - 1
+        for ch in kids if len(kids) > 1 else ():
+            layered = layered and starts[ch] == starts[nid] + 1
+    return starts, ends, layered
 
 
 def ref_separator_layers(g):
-    depth, holders = ref_strict_depths(g), ref_scopes(g)[1]
-    full = max(d for d in depth if d >= 0)
+    starts, ends, _ = ref_spans(g)
+    holders = ref_scopes(g)[1]
     return tuple(
-        tuple(layer for layer in (frozenset(nid for nid in holders[v - 1] if depth[nid] == d)
-                                  for d in range(1, full + 1)) if layer)
+        tuple(layer for layer in (frozenset(nid for nid in holders[v - 1]
+                                            if starts[nid] <= d <= ends[nid])
+                                  for d in range(1, max(ends) + 1)) if layer)
         for v in g.input_vars
     )
 
 
-def node_depths(g):
-    g.analysis.topo_order()  # raises where a reachable cycle leaves depths undefined
-    return list(g.analysis.depths)
-
-
-def strict_depths(g):
-    return node_depths(g) if is_strictly_leveled(g) else None
+def node_spans(g):
+    a = g.analysis
+    a.topo_order()  # raises where a reachable cycle leaves the spans undefined
+    return list(a.starts), list(a.ends), a.layered
 
 
 def outcome(fn, g):
@@ -224,12 +231,10 @@ def assert_agrees(g):
     assert a.report == ref_validate(g) == validate(g)
     assert outcome(topo_order, g) == outcome(ref_topo_order, g)
     assert outcome(scope_facts, g) == outcome(ref_scopes, g)
-    assert outcome(node_depths, g) == outcome(ref_depths, g)
-    assert outcome(strict_depths, g) == outcome(ref_strict_depths, g)
+    assert outcome(node_spans, g) == outcome(ref_spans, g)
     if a.order is not None:
-        assert list(a.order) == ref_topo_order(g) and list(a.depths) == ref_depths(g)
-        assert a.leveled == (ref_strict_depths(g) is not None)
-    if a.leveled and a.report.is_valid_bdmc:
+        assert list(a.order) == ref_topo_order(g)
+    if a.layered and a.report.is_valid_bdmc:
         assert separator_cover(g).per_var == ref_separator_layers(g)
 
 
@@ -244,7 +249,7 @@ def test_analyze_witnesses_on_odd_graphs():
     rep = analyze(ODD_GRAPHS["unreachable"]).report
     assert rep.unreachable == (2, 3) and rep.acyclic and not rep.rooted
     assert analyze(ODD_GRAPHS["not_decomposable"]).report.decomp_witness == (0, 1)
-    assert not analyze(ODD_GRAPHS["skip_edge"]).leveled
+    assert not analyze(ODD_GRAPHS["skip_edge"]).layered
     assert analyze(ODD_GRAPHS["not_smooth_not_leveled"]).report.smooth_witness == (
         0, 1, frozenset({2}))
 

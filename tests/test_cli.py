@@ -223,8 +223,8 @@ def test_smooth_and_level_commands(tmp_path, capsys):
     assert validate(parse_bdmc(out.read_text())).smooth
     leveled = tmp_path / "l.bdmc"
     assert main(["level", str(out), "-o", str(leveled)]) == 0
-    from bdmc.transform import is_strictly_leveled
-    assert is_strictly_leveled(parse_bdmc(leveled.read_text()))
+    from bdmc.transform import is_layered
+    assert is_layered(parse_bdmc(leveled.read_text()))
 
 
 def test_stats_command(tmp_path, g1_file, capsys):

@@ -65,6 +65,15 @@ def test_cardinality_canonical():
     assert cl == [(7,)]
     with pytest.raises(InputError):
         cardinality(AMO_CANONICAL, [])
+    # clauses are built canonical without make_clause: mixed signs sort by
+    # variable, and a repeated variable or an overlapping auxiliary is refused
+    cl, _ = cardinality(EO_CANONICAL, [-3, 1, -2])
+    assert cl == [(-1, 3), (2, 3), (-1, 2), (1, -2, -3)]
+    for lits in ([1, 1], [2, -2], [0, 1]):
+        with pytest.raises(InputError):
+            cardinality(AMO_CANONICAL, lits)
+    with pytest.raises(InputError):
+        cardinality(AMO_SEQUENTIAL, [1, 2, 3], first_aux=3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

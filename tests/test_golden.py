@@ -12,17 +12,22 @@ import json
 
 import pytest
 
-from bdmc import compile_graph, emit_dimacs
+from bdmc import compile_graph, emit_dimacs, serialize_bdmc
 
 from conftest import CORPUS_SIZE, TARGETS, parity_dnnf
 
 GOLDEN = {
     "cc": "cded193800f9be9015fba84836cfc6e0a6093d9edcf86ecdf2ca9d060c73cf8f",
     "dc": "b09291927c2f7eb37fdd99c19a73d3699837bd2670008ca7e41766883a912756",
-    "urc": "3a5a1c48232daf98d9cdc651397e2a9618bba32861ad4bd60c833362c8e3da71",
-    "urc-seq": "55b7e6058d32b0bf7bb416670014f40c5de4ba0df1329060fed5b695b32052bf",
-    "pc": "00fb918144981a93dc08093395433108c231cbb7bade473aa96726d738ce4247",
+    "urc": "0504e257b77ccefc8288226e0b518663a6d7f08fcdf4e7d6d383d9d880e234f0",
+    "urc-seq": "6a066ff210517303b5d770787ae62442f690915b24e238308537ef02278c09fb",
+    "pc": "3a57c81646e3e88807f0f08787a01ec807cb144877d896b2b814eb425e6141f5",
 }
+
+
+# sha256 of the acceptance corpus, every graph serialized in order: the
+# generator's size filter decides which graphs it contains
+CORPUS_DIGEST = "a2b19e16759085b44df7ba3d1063ac21f7ff8c96832cd7e8362c5361c8565b5f"
 
 
 def output_digest(graphs, target: str) -> str:
@@ -41,3 +46,10 @@ def test_golden_bytes(corpus, target):
     if CORPUS_SIZE != 100:
         pytest.skip("golden hashes are pinned for the default corpus size")
     assert output_digest(list(corpus) + [parity_dnnf(20)], target) == GOLDEN[target]
+
+
+def test_corpus_is_fixed(corpus):
+    if CORPUS_SIZE != 100:
+        pytest.skip("the corpus hash is pinned for the default corpus size")
+    text = "".join(serialize_bdmc(g) for g in corpus)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CORPUS_DIGEST

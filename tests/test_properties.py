@@ -1,4 +1,5 @@
-"""Property tests: text round trips and parser robustness under mutation."""
+"""Property tests: text round trips, parser robustness under mutation, and
+leveling on random or-DAGs."""
 
 import contextlib
 import io
@@ -11,12 +12,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from bdmc import BdmcError, compile_graph, emit_dimacs, gen_random  # noqa: E402
-from bdmc.core import build_graph, leaf_spec  # noqa: E402
+from bdmc.core import build_graph, enumerate_models, leaf_spec  # noqa: E402
 from bdmc.cli import main  # noqa: E402
 from bdmc.errors import ParseError  # noqa: E402
 from bdmc.formats import parse_bdmc, parse_dimacs, serialize_bdmc  # noqa: E402
+from bdmc.transform import is_layered, level, separator_cover  # noqa: E402
 
 from conftest import g1  # noqa: E402
+from oracles import check_separator_cover  # noqa: E402
+from test_level_reference import assert_substitution_matches  # noqa: E402
 
 BASE_DIMACS = emit_dimacs(compile_graph(g1(), "pc"))[0]
 
@@ -180,3 +184,37 @@ def test_sentence_commands_on_mutated_text_exit_with_a_documented_code(base, edi
         sentence = Path(tmp, "g.bdmc")
         sentence.write_text(mutate_tokens(edits, base))
         assert run_quietly([a.format(f=sentence) for a in argv]) in (0, 1, 2, 3, 4)
+
+
+@st.composite
+def or_dags(draw):
+    """A rooted DAG of or-nodes over literal leaves of x1: any shape of
+    one-child nodes and edges that skip layers, always smooth and
+    decomposable."""
+    inner, leaves = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    total = inner + leaves
+    kids = [{draw(st.integers(i + 1, total - 1))} for i in range(inner)]
+    for j in range(1, total):  # every node below some earlier inner node
+        kids[draw(st.integers(0, min(j, inner) - 1))].add(j)
+    for i in range(inner):
+        kids[i].update(draw(st.lists(st.integers(i + 1, total - 1), max_size=2)))
+    return build_graph(
+        nodes=[("or", sorted(k)) for k in kids] + [("leaf", j + 1) for j in range(leaves)],
+        leaves=[leaf_spec(inputs=[1], clauses=[[draw(st.sampled_from([1, -1]))]], cls="pc")
+                for _ in range(leaves)],
+        n=1,
+    )
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(g=or_dags())
+def test_level_on_random_or_dags(g):
+    a = g.analysis
+    long_edges = sum(a.starts[ch] > a.starts[nid] + 1 for nid in a.order
+                     if len(g.nodes[nid].children) > 1 for ch in g.nodes[nid].children)
+    gl = level(g)
+    assert is_layered(gl) and level(gl) is gl
+    assert gl.num_nodes == g.num_nodes + long_edges
+    assert enumerate_models(gl) == enumerate_models(g)
+    assert check_separator_cover(gl, separator_cover(gl)).ok
+    assert_substitution_matches(g)

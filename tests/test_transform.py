@@ -7,7 +7,7 @@ from bdmc.errors import PreconditionError
 from bdmc.propcheck import gen_random
 from bdmc.transform import (
     SeparatorCover,
-    is_strictly_leveled,
+    is_layered,
     level,
     separator_cover,
     smooth,
@@ -62,9 +62,9 @@ def test_level_inserts_single_passthrough():
                 leaf_spec(inputs=[2], clauses=[[-1]], cls="pc")],
         n=2,
     )
-    assert not is_strictly_leveled(g)
+    assert not is_layered(g)
     gl = level(g)
-    assert is_strictly_leveled(gl)
+    assert is_layered(gl)
     assert gl.num_nodes == g.num_nodes + 1
     inserted = gl.nodes[gl.nodes[0].children[0]]
     assert inserted.kind == "or" and len(inserted.children) == 1
@@ -74,12 +74,24 @@ def test_level_inserts_single_passthrough():
 
 
 def test_level_edges_span_one_level():
+    # every edge spans one layer: a multi-child node's children start right
+    # below it, and a one-child node spans down to its child; each edge of a
+    # multi-child node that skipped layers got exactly one pass-through node
     for seed in (3, 7, 21):
-        g = level(smooth(gen_random(n=5, max_depth=3, leaf_class="pc", seed=seed)))
-        depth = g.analysis.depths
-        for nid, nd in enumerate(g.nodes):
-            for ch in nd.children:
-                assert depth[ch] == depth[nid] + 1
+        gs = smooth(gen_random(n=5, max_depth=3, leaf_class="pc", seed=seed))
+        long_edges = sum(gs.analysis.starts[ch] > gs.analysis.starts[nid] + 1
+                         for nid in gs.analysis.order if len(gs.nodes[nid].children) > 1
+                         for ch in gs.nodes[nid].children)
+        g = level(gs)
+        assert g.num_nodes == gs.num_nodes + long_edges
+        a = g.analysis
+        assert a.starts[:gs.num_nodes] == gs.analysis.starts
+        for nid in a.order:
+            for ch in g.nodes[nid].children:
+                assert a.starts[ch] == a.ends[nid] + 1
+        for nid in range(gs.num_nodes, g.num_nodes):
+            assert g.nodes[nid].kind == "or" and len(g.nodes[nid].children) == 1
+            assert len(g.nodes[g.parents[nid][0]].children) > 1
 
 
 def test_transforms_preserve_models():
@@ -123,7 +135,8 @@ def test_separator_cover_requires_leveling():
                 leaf_spec(inputs=[2], clauses=[[-1]], cls="pc")],
         n=2,
     )
-    with pytest.raises(PreconditionError, match="paths"):
+    with pytest.raises(PreconditionError,
+                       match=r"not layered: the edge 0 -> 1 .* spans 2 layers.*paths \[0, 1\] and \[0, 2, 3\]"):
         separator_cover(g)
 
 
@@ -160,13 +173,16 @@ def test_cover_roundtrip_random():
         g = level(smooth(gen_random(n=5, max_depth=3, leaf_class="pc", seed=300 + seed)))
         cov = separator_cover(g)
         assert check_separator_cover(g, cov).ok
-        # per-variable union covers H_i minus the root
+        # per-variable union covers H_i minus the root; a node sits in one
+        # layer for each layer d >= 1 of its span
+        a = g.analysis
         sc = compute_scopes(g)
         for v in g.input_vars:
             seps = cov.per_var[v - 1]
             union = frozenset().union(*seps) if seps else frozenset()
             assert union == sc.h(v) - {g.root}
-            assert sum(len(s) for s in seps) == len(sc.h(v)) - 1
+            assert sum(len(s) for s in seps) == sum(
+                a.ends[nid] - max(a.starts[nid], 1) + 1 for nid in sc.h(v))
 
 
 def test_cover_mutation_detected():

@@ -4,10 +4,10 @@ Literals are nonzero ints in the DIMACS convention: variable v is the positive
 literal v, its negation is -v.  Clauses are sequences of literals; a formula is
 a sequence of clauses plus a variable count (variables are 1..nvars).
 
-The engine keeps one counter pair per clause (number of false literals, number
-of true literals) and an occurrence list per literal, so asserting a literal
-touches only the clauses that mention it and every assertion is undoable
-through the trail.
+The engine keeps each clause's distinct literals, one counter per clause (the
+number of its literals not yet false) and an occurrence list per literal, so
+asserting a literal touches only the clauses where it makes a literal false,
+and every assertion is undoable through the trail.
 
 One search over that engine, yielding once per assignment of a prefix of its
 variable order that extends to a model, serves model_under, brute_sat and
@@ -57,13 +57,17 @@ def check_partial_assignment(lits: Iterable[int], nvars: Optional[int] = None) -
 
 
 class PropEngine:
-    """Counter-based unit propagation with an undo trail."""
+    """Counter-based unit propagation with an undo trail.
+
+    ``left[ci]`` counts the literals of clause ci (repeats dropped) that are
+    not false: 0 is a conflict, and at 1 the clause is either satisfied or a
+    unit on its one unassigned literal.
+    """
 
     def __init__(self, clauses: Sequence[Sequence[int]], nvars: int,
                  trace: Optional[list[tuple[int, int]]] = None):
         self.nvars = nvars
-        self.clauses = [tuple(c) for c in clauses]
-        self.sizes = [len(c) for c in self.clauses]
+        self.clauses = [tuple(dict.fromkeys(c)) for c in clauses]
         # occ[2v] lists clauses containing v, occ[2v+1] those containing -v
         occ: list[list[int]] = [[] for _ in range(2 * nvars + 2)]
         for ci, clause in enumerate(self.clauses):
@@ -73,11 +77,10 @@ class PropEngine:
                     raise InputError(f"literal {lit} outside variable universe 1..{nvars}")
                 occ[2 * v if lit > 0 else 2 * v + 1].append(ci)
         self.occ = occ
-        self.nfalse = [0] * len(self.clauses)
-        self.ntrue = [0] * len(self.clauses)
+        self.left = [len(c) for c in self.clauses]
         self.val = [0] * (nvars + 1)  # 0 unassigned, 1 true, -1 false
         self.trail: list[int] = []
-        self.base_conflict = any(s == 0 for s in self.sizes)
+        self.base_conflict = 0 in self.left
         # propagate the formula's own unit clauses once; this base trail sits
         # below every caller mark and is never backtracked
         if not self.base_conflict:
@@ -89,21 +92,13 @@ class PropEngine:
         return len(self.trail)
 
     def backtrack(self, mark: int) -> None:
-        val, ntrue, nfalse, occ = self.val, self.ntrue, self.nfalse, self.occ
-        while len(self.trail) > mark:
-            lit = self.trail.pop()
+        val, left, occ, trail = self.val, self.left, self.occ, self.trail
+        while len(trail) > mark:
+            lit = trail.pop()
             v = abs(lit)
             val[v] = 0
-            if lit > 0:
-                for ci in occ[2 * v]:
-                    ntrue[ci] -= 1
-                for ci in occ[2 * v + 1]:
-                    nfalse[ci] -= 1
-            else:
-                for ci in occ[2 * v + 1]:
-                    ntrue[ci] -= 1
-                for ci in occ[2 * v]:
-                    nfalse[ci] -= 1
+            for ci in occ[2 * v + 1 if lit > 0 else 2 * v]:
+                left[ci] += 1
 
     def assert_lits(self, lits: Iterable[int], trace: Optional[list[tuple[int, int]]] = None) -> bool:
         """Assert literals and propagate to fixpoint.  False means conflict.
@@ -113,8 +108,8 @@ class PropEngine:
         """
         if self.base_conflict:
             return False
-        val, ntrue, nfalse, occ = self.val, self.ntrue, self.nfalse, self.occ
-        clauses, sizes, trail = self.clauses, self.sizes, self.trail
+        val, left, occ = self.val, self.left, self.occ
+        clauses, trail = self.clauses, self.trail
         queue: list[int] = list(lits)
         reasons = [-1] * len(queue) if trace is not None else None
         qi = 0
@@ -133,24 +128,23 @@ class PropEngine:
             trail.append(lit)
             if trace is not None:
                 trace.append((lit, reason))
-            for ci in occ[2 * v if s > 0 else 2 * v + 1]:
-                ntrue[ci] += 1
             conflict = False
-            # counter updates must complete even on conflict so that
-            # backtrack() stays the exact inverse of this loop
+            # only the clauses where lit makes a literal false change; the
+            # decrements must complete even on conflict so that backtrack()
+            # stays the exact inverse of this loop.  At one literal left the
+            # scan finds the unit, or nothing in a satisfied clause.
             for ci in occ[2 * v + 1 if s > 0 else 2 * v]:
-                nfalse[ci] += 1
-                if not conflict and ntrue[ci] == 0:
-                    left = sizes[ci] - nfalse[ci]
-                    if left == 1:
-                        for other in clauses[ci]:
-                            if val[abs(other)] == 0:
-                                queue.append(other)
-                                if reasons is not None:
-                                    reasons.append(ci)
-                                break
-                    elif left == 0:
-                        conflict = True
+                n = left[ci] - 1
+                left[ci] = n
+                if n == 0:
+                    conflict = True
+                elif n == 1 and not conflict:
+                    for other in clauses[ci]:
+                        if val[abs(other)] == 0:
+                            queue.append(other)
+                            if reasons is not None:
+                                reasons.append(ci)
+                            break
             if conflict:
                 return False
         return True

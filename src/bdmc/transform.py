@@ -117,7 +117,8 @@ def _layer_witness(graph: BdmcGraph) -> str:
 
 @dataclass(frozen=True)
 class SeparatorCover:
-    """Per input variable, separators of D_i; plus the merged deduplicated family.
+    """Per input variable, its distinct separators of D_i in layer order; plus
+    the merged deduplicated family.
 
     Every S is a set of node ids hitting each root-to-leaf path of D_i exactly
     once; the union of a variable's separators is H_i minus the root (the
@@ -138,10 +139,12 @@ def separator_cover(graph: BdmcGraph) -> SeparatorCover:
     """Layer separators of a layered graph.
 
     S_{i,d} = nodes of H_i whose layer span [start, end] holds d, for
-    d = 1..L; empty layers and the d = 0 layer are dropped; duplicates
-    across layers and variables are merged.  H_i and the nodes spanning
-    each layer are node bitmasks, so S_{i,d} is one AND, and each distinct
-    mask becomes one frozenset shared by every layer equal to it.
+    d = 1..L; empty layers and the d = 0 layer are dropped.  A variable
+    lists each distinct separator once, at its first layer (the layers a
+    long pass-through spans alone repeat one), and duplicates across
+    variables are merged.  H_i and the nodes spanning each layer are node
+    bitmasks, so S_{i,d} is one AND, and each distinct mask becomes one
+    frozenset shared by every variable that has it.
     """
     a = graph.analysis.require_valid()
     if not a.layered:
@@ -158,14 +161,14 @@ def separator_cover(graph: BdmcGraph) -> SeparatorCover:
     sets: dict[int, frozenset[int]] = {}
     per_var = []
     for v in graph.input_vars:
-        layers = []
+        layers: dict[int, frozenset[int]] = {}
         for span in spanning[1:]:
             mask = holders[v] & span
-            if mask:
+            if mask and mask not in layers:
                 if mask not in sets:
                     sets[mask] = frozenset(_bit_positions(mask))
-                layers.append(sets[mask])
-        per_var.append(tuple(layers))
+                layers[mask] = sets[mask]
+        per_var.append(tuple(layers.values()))
     merged = dict.fromkeys(sep for seps in per_var for sep in seps)
     return SeparatorCover(tuple(per_var), tuple(merged))
 

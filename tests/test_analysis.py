@@ -176,9 +176,9 @@ def ref_separator_layers(g):
     starts, ends, _ = ref_spans(g)
     holders = ref_scopes(g)[1]
     return tuple(
-        tuple(layer for layer in (frozenset(nid for nid in holders[v - 1]
-                                            if starts[nid] <= d <= ends[nid])
-                                  for d in range(1, max(ends) + 1)) if layer)
+        tuple(dict.fromkeys(layer for layer in (
+            frozenset(nid for nid in holders[v - 1] if starts[nid] <= d <= ends[nid])
+            for d in range(1, max(ends) + 1)) if layer))
         for v in g.input_vars
     )
 

@@ -123,6 +123,29 @@ def test_verify_budget_exit(g1_file, monkeypatch):
     assert main(["verify", "--target", "pc", str(g1_file)]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["compile", "--target", "pc", "G1", "-o", "OUT"],
+    ["verify", "--target", "cc", "G1"],
+    ["gen", "--count", "1", "-o", "OUT"],
+])
+def test_malformed_budget_exits_1(tmp_path, g1_file, capsys, monkeypatch, argv):
+    # the config echo reads BDMC_BUDGET before any command runs
+    monkeypatch.setenv("BDMC_BUDGET", "abc")
+    argv = [{"G1": str(g1_file), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    assert main(argv) == 1
+    assert "BDMC_BUDGET must be an integer" in capsys.readouterr().err
+
+
+def test_verify_clause_with_repeated_literal(tmp_path, g1_file, capsys):
+    # 2 2 1 is the clause x1 | x2: under -x1 it is the unit x2
+    for name, text in (("dup", "p cnf 2 1\n2 2 1 0\n"), ("plain", "p cnf 2 1\n2 1 0\n")):
+        cnf = tmp_path / f"{name}.cnf"
+        cnf.write_text(text)
+        assert main(["verify", "--target", "pc", "--cnf", str(cnf), str(g1_file)]) == 0, name
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["passed"] and "counterexample" not in verdict["strength"]
+
+
 @pytest.mark.parametrize("cnf_text", ["p cnf x 1\n1 0\n", "p cnf 2 1\n1 abc 0\n"])
 def test_verify_non_integer_dimacs_exit(tmp_path, g1_file, capsys, cnf_text):
     bad = tmp_path / "bad.cnf"

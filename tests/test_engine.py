@@ -160,6 +160,54 @@ def test_engine_push_pop_state_consistency():
                 eng.backtrack(mark)
 
 
+def test_up_clause_with_repeated_literal():
+    # each copy of a repeated literal is the same literal
+    assert unit_propagate([(2, 2, 1)], 2, [-1]).literals == frozenset({-1, 2})
+    assert unit_propagate([(1, 1)], 1).literals == frozenset({1})
+    assert unit_propagate([(1, 1), (-1, -1)], 1).conflict
+
+
+def test_left_counts_distinct_non_false_literals():
+    # clauses repeat literals and hold complementary pairs; the walk takes
+    # conflicting asserts and backtracks, and after every step left[ci] is
+    # the number of ci's distinct literals that are not false
+    rng = random.Random(11)
+    for _ in range(150):
+        nv = rng.randint(1, 6)
+        cls = [tuple(rng.choice([1, -1]) * rng.randint(1, nv)
+                     for _ in range(rng.randint(1, 5)))
+               for _ in range(rng.randint(0, 10))]
+        alpha = [v if rng.random() < 0.5 else -v
+                 for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
+        units, bot = unit_closure(cls, alpha)
+        up = unit_propagate(cls, nv, alpha)
+        assert up.conflict == bot
+        if not up.conflict:
+            assert up.literals == units
+
+        eng = PropEngine(cls, nv)
+        stack = []
+
+        def recount():
+            return [sum(1 for l in set(c) if eng.val[abs(l)] != (1 if l < 0 else -1))
+                    for c in cls]
+
+        assert eng.left == recount()
+        if eng.base_conflict:
+            continue
+        for _step in range(25):
+            if stack and rng.random() < 0.35:
+                eng.backtrack(stack.pop())
+            else:
+                mark = eng.mark()
+                if eng.assert_lits((rng.choice([1, -1]) * rng.randint(1, nv),)):
+                    stack.append(mark)
+                else:
+                    assert eng.left == recount()  # mid-conflict state
+                    eng.backtrack(mark)
+            assert eng.left == recount()
+
+
 def test_all_scope_models_full_and_projected():
     cls = [(1, 2), (-1, -2)]  # xor
     assert all_scope_models(cls, 2, [1, 2]) == [1, 2]

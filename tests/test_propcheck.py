@@ -82,6 +82,16 @@ def test_check_strength_examples():
     assert v.passed
 
 
+@pytest.mark.parametrize("clauses, nvars", [([(2, 2, 1)], 2), ([(1, 1)], 1)])
+def test_check_strength_clause_with_repeated_literal(clauses, nvars):
+    # a repeated literal is one literal: (2 2 1) is the pc clause x1 | x2,
+    # and (1 1) is the unit x1
+    for mode in ("exhaustive", "sampled"):
+        v = check_strength(clauses, nvars, list(range(1, nvars + 1)), "pc",
+                           mode=mode, samples=50)
+        assert v.passed, (mode, v.counterexample)
+
+
 def test_check_strength_budget_gate():
     out = compile_graph(g1(), "pc", auto_smooth=True, auto_level=True)
     with pytest.raises(BudgetExceededError, match="sample"):

@@ -173,16 +173,18 @@ def test_cover_roundtrip_random():
         g = level(smooth(gen_random(n=5, max_depth=3, leaf_class="pc", seed=300 + seed)))
         cov = separator_cover(g)
         assert check_separator_cover(g, cov).ok
-        # per-variable union covers H_i minus the root; a node sits in one
-        # layer for each layer d >= 1 of its span
+        # per-variable union covers H_i minus the root; the separators are
+        # the distinct non-empty layers d = 1..L of H_i, in layer order
         a = g.analysis
         sc = compute_scopes(g)
         for v in g.input_vars:
             seps = cov.per_var[v - 1]
             union = frozenset().union(*seps) if seps else frozenset()
             assert union == sc.h(v) - {g.root}
-            assert sum(len(s) for s in seps) == sum(
-                a.ends[nid] - max(a.starts[nid], 1) + 1 for nid in sc.h(v))
+            layers = [frozenset(u for u in sc.h(v) if a.starts[u] <= d <= a.ends[u])
+                      for d in range(1, max(a.ends) + 1)]
+            assert seps == tuple(dict.fromkeys(s for s in layers if s))
+            assert len(set(seps)) == len(seps)
 
 
 def test_cover_mutation_detected():

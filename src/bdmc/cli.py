@@ -141,6 +141,10 @@ def cmd_verify(args) -> int:
     order = ("strength", "encoding") if mode == "exhaustive" else ("encoding", "strength")
     results = {key: checks[key]() for key in order}
     verdict.update((key, result.to_dict()) for key, result in results.items())
+    cex = results["strength"].counterexample
+    if cex is not None:  # replayed against the definitions, apart from the checker
+        verdict["strength"]["confirmed"] = propcheck.confirm_strength_counterexample(
+            clauses, nvars, cex.alpha, cex.literal, style)
     verdict["passed"] = passed = all(results.values())
     print(json.dumps(verdict, indent=2, sort_keys=True))
     return EXIT_OK if passed else EXIT_VERIFY_FAIL

@@ -16,8 +16,10 @@ formula's models projected onto V, kept as per-literal bitsets, with one PC
 pending-literal loop.  Exhaustive mode walks all 3^|V| partial assignments with
 an incremental propagation trail, pruning every extension of a conflicting
 assignment, against the complete projection, so a literal no model sets is a
-failure.  Sampled mode draws assignments from a seeded stream and grows the
-projection on demand: a literal no known model sets goes to the DPLL oracle.
+failure.  Sampled mode draws sample j from its own splitmix64 stream, keyed
+by (seed, j), asserting each literal as it is drawn and stopping at the first
+UP conflict, and grows the projection on demand: a literal no known model
+sets goes to the DPLL oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import core
 from .core import (CLASS_PC, CLASS_SATISFIES, CLASS_STRENGTH, CLASS_URC, BdmcGraph, LeafEncoding,
@@ -117,7 +119,8 @@ class Counterexample:
 @dataclass(frozen=True)
 class StrengthVerdict:
     """A strength verdict.  alphas_checked counts the assignments up to and
-    including the first failure.  In sampled mode every job grows its own
+    including the first failure, and in sampled mode vacuous counts those
+    among them that UP refutes.  In sampled mode every job grows its own
     model cache, so sat_calls depends on jobs; every other field does not."""
 
     style: str  # 'urc' | 'pc'
@@ -129,6 +132,7 @@ class StrengthVerdict:
     seed: Optional[int] = None
     alphas_checked: int = 0
     sat_calls: int = 0
+    vacuous: int = 0
 
     def __bool__(self) -> bool:
         return self.passed
@@ -145,6 +149,7 @@ class StrengthVerdict:
         if self.mode == "sampled":
             out["samples"] = self.samples
             out["seed"] = self.seed
+            out["vacuous"] = self.vacuous
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample.to_dict()
         return out
@@ -312,14 +317,37 @@ def _exhaustive_check(clauses, nvars, scope, style) -> StrengthVerdict:
                            alphas_checked=alphas)
 
 
+_MASK64 = (1 << 64) - 1
+
+
 def _mix(seed: int, j: int) -> int:
-    return (seed * 0x9E3779B97F4A7C15 + (j + 1) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    return (seed * 0x9E3779B97F4A7C15 + (j + 1) * 0xBF58476D1CE4E5B9) & _MASK64
+
+
+def _splitmix64(state: int) -> Iterator[int]:
+    """The splitmix64 generator from state: uniform 64-bit words."""
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
+def _below(words: Iterator[int], n: int) -> int:
+    """A uniform int in [0, n): the first word under the largest multiple
+    of n that fits in 64 bits, reduced mod n."""
+    limit = (1 << 64) - (1 << 64) % n
+    w = next(words)
+    while w >= limit:
+        w = next(words)
+    return w % n
 
 
 def _sampled_check(clauses, nvars, scope, style, samples, seed, jobs) -> StrengthVerdict:
     """Split [0, samples) into at most one chunk per job, run on at most one
     worker per chunk and per CPU; the first failing sample over all chunks
-    decides, so the verdict does not depend on jobs or on the CPU count."""
+    decides, and chunks that start after it are dropped, so the verdict does
+    not depend on jobs or on the CPU count."""
     chunk = max(1, -(-samples // max(jobs, 1)))
     tasks = [(clauses, nvars, scope, style, seed, lo, min(lo + chunk, samples))
              for lo in range(0, samples, chunk)]
@@ -341,18 +369,33 @@ def _sampled_check(clauses, nvars, scope, style, samples, seed, jobs) -> Strengt
         seed=seed,
         alphas_checked=samples if fail_at is None else fail_at + 1,
         sat_calls=sum(r[2] for r in results),
+        vacuous=sum(r[3] for task, r in zip(tasks, results)
+                    if fail_at is None or task[5] <= fail_at),
     )
 
 
 def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
     """Check samples [start, stop) up to the first failure: (fail_at,
-    counterexample, sat_calls), fail_at None on a pass.  Sample j is derived
-    from (seed, j) alone, so any partition of the index range yields the
-    same first failure."""
+    counterexample, sat_calls, vacuous), fail_at None on a pass and vacuous
+    the samples UP refutes, counted up to the failure.
+
+    Sample j reads one splitmix64 stream seeded with _mix(seed, j) and
+    nothing else, so any partition of the index range yields the same first
+    failure.  It draws a size uniformly from 0..k, then that many distinct
+    scope positions by a sparse partial Fisher-Yates shuffle (a dict of the
+    moved positions), each with a fair sign: a uniform subset with
+    independent signs.  Each literal is asserted as it is drawn; an implied
+    one is skipped and a refuted one is a conflict without an engine call.
+    UP is monotone, so a conflicting prefix makes the whole alpha conflict,
+    and the sample, which passes vacuously, stops there.  A surviving alpha
+    is checked in scope order."""
     proj = _Projection(scope)
     k = len(scope)
     eng = PropEngine(clauses, nvars)
-    sat_calls = 0
+    if eng.base_conflict:  # the formula UP-refutes itself: every sample is vacuous
+        return None, None, 0, stop - start
+    val = eng.val
+    sat_calls = vacuous = 0
     base = proj.trail_slots(eng.trail)  # scope literals forced by the formula's own units
 
     def new_model(alpha, slot: Optional[int]) -> Optional[int]:
@@ -362,22 +405,42 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
         model = model_under(eng, alpha if slot is None else alpha + (proj.lit(slot),))
         return None if model is None else proj.add(model[v - 1] > 0 for v in scope)
 
+    def draw(j: int) -> Optional[tuple[int, ...]]:
+        """Draw and assert sample j: its alpha in scope order, or None on a
+        conflict, which leaves the engine to be backtracked."""
+        words = _splitmix64(_mix(seed, j))
+        moved: dict[int, int] = {}
+        picked: dict[int, int] = {}  # scope position -> literal
+        for i in range(_below(words, k + 1)):
+            r = _below(words, 2 * (k - i))  # a position in [i, k) and a sign
+            p = i + (r >> 1)
+            idx = moved.get(p, p)
+            moved[p] = moved.get(i, i)
+            v = scope[idx]
+            lit = -v if r & 1 else v
+            picked[idx] = lit
+            cur = val[v]
+            if cur == 0:
+                if not eng.assert_lits((lit,)):
+                    return None
+            elif (cur > 0) != (lit > 0):
+                return None
+        return tuple(picked[idx] for idx in sorted(picked))
+
     for j in range(start, stop):
-        rng = random.Random(_mix(seed, j))
-        size = rng.randint(0, k)
-        chosen = sorted(rng.sample(range(k), size))
-        alpha = tuple(scope[i] if rng.random() < 0.5 else -scope[i] for i in chosen)
         mark = eng.mark()
-        if not eng.assert_lits(alpha):
+        alpha = draw(j)
+        if alpha is None:
             eng.backtrack(mark)
+            vacuous += 1
             continue
         forced = base | proj.trail_slots(eng.trail, mark)
         eng.backtrack(mark)
         avail = proj.consistent(alpha)
         cex = proj.violation(alpha, style, avail, forced, lambda slot: new_model(alpha, slot))
         if cex is not None:
-            return j, cex, sat_calls
-    return None, None, sat_calls
+            return j, cex, sat_calls, vacuous
+    return None, None, sat_calls, vacuous
 
 
 def confirm_strength_counterexample(

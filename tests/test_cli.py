@@ -104,6 +104,23 @@ def test_verify_sampled_deterministic(g1_file, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_verify_sampled_failure_is_confirmed(tmp_path, g1_file, capsys):
+    # g1's cc encoding is a correct encoding but not pc on all variables
+    cnf = tmp_path / "g1.cnf"
+    assert main(["compile", "--target", "cc", str(g1_file), "-o", str(cnf)]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--target", "pc", "--cnf", str(cnf), str(g1_file)]
+    for mode in ("sample:3000:9", "exhaustive"):
+        assert main(argv + ["--mode", mode]) == 3
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["encoding"]["ok"] and not verdict["strength"]["passed"]
+        assert verdict["strength"]["confirmed"] is True
+        assert "counterexample" in verdict["strength"]
+    # a passing verdict carries no confirmed key
+    assert main(["verify", "--target", "pc", str(g1_file), "--mode", "sample:300:9"]) == 0
+    assert "confirmed" not in json.loads(capsys.readouterr().out)["strength"]
+
+
 def test_verify_zero_samples_checks_none(g1_file, capsys):
     assert main(["verify", "--target", "cc", str(g1_file), "--mode", "sample:0:0"]) == 0
     strength = json.loads(capsys.readouterr().out)["strength"]

@@ -172,12 +172,114 @@ def test_sampled_deterministic_and_parallel_equal():
     scope = list(range(1, nv + 1))
     one, two = (check_strength(cls, nv, scope, "pc", mode="sampled", samples=3000, seed=9,
                                jobs=jobs).to_dict() for jobs in (1, 2))
-    assert not one["passed"] and one["alphas_checked"] == 10
+    # sample 32 of seed 9's splitmix64 streams is the first to fail
+    assert not one["passed"] and one["alphas_checked"] == 33
+    cex = one["counterexample"]
+    literal = None if cex["literal"] == "bot" else cex["literal"]
+    assert confirm_strength_counterexample(cls, nv, cex["alpha"], literal, "pc")
     one.pop("sat_calls")
     two.pop("sat_calls")
     assert one == two
     empty = check_strength(cls, nv, scope, "pc", mode="sampled", samples=0, jobs=2)
     assert empty.passed and empty.alphas_checked == 0
+
+
+def full_draw(scope, seed, j):
+    """Sample j drawn in full from its stream by a dense Fisher-Yates
+    shuffle, with no early stop; in scope order."""
+    words = propcheck._splitmix64(propcheck._mix(seed, j))
+    k = len(scope)
+    pos = list(range(k))
+    picked = {}
+    for i in range(propcheck._below(words, k + 1)):
+        r = propcheck._below(words, 2 * (k - i))
+        p = i + (r >> 1)
+        pos[i], pos[p] = pos[p], pos[i]
+        picked[pos[i]] = -scope[pos[i]] if r & 1 else scope[pos[i]]
+    return tuple(picked[i] for i in sorted(picked))
+
+
+def reference_sampled(clauses, nvars, scope, style, seed, samples):
+    """(alphas_checked, counterexample, vacuous) of full draws, each judged
+    by unit_propagate and brute_sat straight from the definitions; the PC
+    literals in slot order (+v before -v, scope order)."""
+    vacuous = 0
+    for j in range(samples):
+        alpha = full_draw(scope, seed, j)
+        up = unit_propagate(clauses, nvars, alpha)
+        if up.conflict:
+            vacuous += 1
+            continue
+        if style == "urc":
+            if brute_sat(clauses, nvars, alpha) is None:
+                return j + 1, (alpha, None), vacuous
+            continue
+        for lit in (lit for v in scope for lit in (v, -v)):
+            if -lit not in up.literals and brute_sat(clauses, nvars, alpha + (lit,)) is None:
+                return j + 1, (alpha, -lit), vacuous
+    return samples, None, vacuous
+
+
+def test_sampled_early_stop_matches_full_draws():
+    # asserting literal by literal and stopping at the first conflict gives
+    # the verdict, counterexample and vacuous count of the whole alpha
+    rng = random.Random(23)
+    outcomes = set()
+    for i in range(150):
+        nv = rng.randint(1, 5)
+        cls = [
+            tuple(x if rng.random() < 0.5 else -x
+                  for x in rng.sample(range(1, nv + 1), rng.randint(1, min(3, nv))))
+            for _ in range(rng.randint(2, 8))
+        ]
+        scope = rng.sample(range(1, nv + 1), rng.randint(0, nv))
+        style = rng.choice(["urc", "pc"])
+        got = check_strength(cls, nv, scope, style, mode="sampled", samples=200, seed=i)
+        cex = got.counterexample
+        want = reference_sampled(cls, nv, scope, style, i, 200)
+        assert (got.alphas_checked, cex and (cex.alpha, cex.literal), got.vacuous) == want, \
+            (cls, scope, style)
+        outcomes.add((got.passed, got.vacuous > 0))
+    assert outcomes >= {(True, True), (True, False), (False, True)}
+
+
+def test_sampled_draw_law(monkeypatch):
+    # a uniform size in 0..k, then a uniform subset of that size with fair
+    # signs: over k = 3 each alpha of size s has chance 1/4 / (C(3, s) 2^s)
+    from collections import Counter
+    from math import comb
+
+    seen = Counter()
+    violation = propcheck._Projection.violation
+
+    def record(self, alpha, *args):
+        seen[alpha] += 1
+        return violation(self, alpha, *args)
+
+    monkeypatch.setattr(propcheck._Projection, "violation", record)
+    n = 16000
+    assert check_strength([], 3, [1, 2, 3], "urc", mode="sampled", samples=n, seed=3).passed
+    assert sum(seen.values()) == n and len(seen) == 27
+    for alpha, count in seen.items():
+        p = 0.25 / (comb(3, len(alpha)) * 2 ** len(alpha))
+        assert abs(count - n * p) <= 5 * (n * p * (1 - p)) ** 0.5, (alpha, count)
+        assert list(alpha) == sorted(alpha, key=abs)
+
+
+def test_sampled_vacuous_counter():
+    out = compile_graph(g1(), "cc")
+    cls, nv = out.all_clauses(), out.num_vars
+    scope = list(range(1, nv + 1))
+    for style, samples in (("pc", 3000), ("urc", 400)):  # fails, passes
+        one, two = (check_strength(cls, nv, scope, style, mode="sampled", samples=samples,
+                                   seed=9, jobs=jobs) for jobs in (1, 2))
+        assert one.vacuous == two.vacuous
+        assert 0 < one.vacuous < one.alphas_checked
+        assert one.to_dict()["vacuous"] == one.vacuous
+    assert "vacuous" not in check_strength(cls, nv, [1, 2], "urc").to_dict()
+    # a formula UP refutes by itself: every sample is vacuous
+    both = check_strength([(1,), (-1,)], 1, [1], "pc", mode="sampled", samples=50, jobs=2)
+    assert both.passed and both.vacuous == 50
 
 
 def test_sampled_pool_has_one_worker_per_chunk(monkeypatch):

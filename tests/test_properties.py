@@ -1,5 +1,5 @@
-"""Property tests: text round trips, parser robustness under mutation, and
-leveling on random or-DAGs."""
+"""Property tests: text round trips, parser robustness under mutation,
+leveling on random or-DAGs, and the sampled checker's per-sample streams."""
 
 import contextlib
 import io
@@ -11,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from bdmc import BdmcError, compile_graph, emit_dimacs, gen_random  # noqa: E402
+from bdmc import BdmcError, compile_graph, emit_dimacs, gen_random, propcheck  # noqa: E402
 from bdmc.core import build_graph, enumerate_models, leaf_spec  # noqa: E402
 from bdmc.cli import main  # noqa: E402
 from bdmc.errors import ParseError  # noqa: E402
@@ -220,3 +220,48 @@ def test_level_on_random_or_dags(g):
     assert enumerate_models(gl) == enumerate_models(g)
     assert check_separator_cover(gl, separator_cover(gl)).ok
     assert_substitution_matches(g)
+
+
+G1_CC = compile_graph(g1(), "cc")
+SAMPLED_CASES = {
+    # g1's cc encoding holds the units 9, 10 and 13 and is not pc on all
+    # variables; an empty scope draws only the empty alpha
+    "base-units": (G1_CC.all_clauses(), G1_CC.num_vars, list(range(1, G1_CC.num_vars + 1)), "pc"),
+    "empty-scope-fails": ([(1, 2), (-1, 2), (1, -2), (-1, -2)], 2, [], "urc"),
+    "empty-scope-passes": (G1_CC.all_clauses(), G1_CC.num_vars, [], "pc"),
+}
+SAMPLED_N = 64
+
+
+def run_range(case, seed, lo, hi):
+    clauses, nvars, scope, style = SAMPLED_CASES[case]
+    return propcheck._sampled_range(clauses, nvars, scope, style, seed, lo, hi)
+
+
+def first_failure(results):
+    """The (fail_at, counterexample, vacuous) of consecutive ranges run in order."""
+    vacuous = 0
+    for fail_at, cex, _, vac in results:
+        vacuous += vac
+        if fail_at is not None:
+            return fail_at, cex, vacuous
+    return None, None, vacuous
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=st.sampled_from(sorted(SAMPLED_CASES)), seed=st.integers(0, 30),
+       cuts=st.lists(st.integers(0, SAMPLED_N), max_size=6), j=st.integers(0, SAMPLED_N - 1))
+def test_sampled_stream_is_partition_free(case, seed, cuts, j):
+    # sample j reads its own (seed, j) stream: chunking [0, N) anywhere gives
+    # the one-range first failure, counterexample and vacuous count
+    whole = run_range(case, seed, 0, SAMPLED_N)
+    bounds = sorted({0, SAMPLED_N, *cuts})
+    chunks = [run_range(case, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    assert first_failure(chunks) == first_failure([whole])
+    # j alone has the outcome j has when a longer range reaches it
+    lo = max(b for b in bounds if b <= j)
+    before, alone = run_range(case, seed, lo, j), run_range(case, seed, j, j + 1)
+    if before[0] is None:  # the range [lo, j+1) reaches j
+        upto = run_range(case, seed, lo, j + 1)
+        assert alone[:2] == upto[:2]
+        assert alone[3] == upto[3] - before[3]

@@ -4,8 +4,9 @@ Subcommands: compile, verify, stats, eval, smooth, level, gen, certify-leaf.
 Exit codes: 0 success, 1 parse/input error, 2 unmet compile precondition,
 3 verification failure, 4 budget exceeded.  The resolved configuration is
 echoed to stderr; outputs are byte-deterministic for fixed inputs and flags.
-The BDMC_BUDGET environment variable overrides the exhaustive-check budget
-(number of propagation calls, default 3^14).
+The BDMC_BUDGET environment variable (default 3^14) caps the assignments of
+every exhaustive sweep: 3^k partial assignments for a strength check over k
+variables, 2^n input assignments for the correctness check over n inputs.
 """
 
 from __future__ import annotations
@@ -129,15 +130,14 @@ def cmd_verify(args) -> int:
     verdict = {"target": spec.name, "source": source, "style": style, "scope": scope_kind}
     checks = {
         "encoding": lambda: propcheck.check_encoding(
-            clauses, nvars, list(range(1, num_inputs + 1)), graph, bound=args.input_bound
-        ),
+            clauses, nvars, list(range(1, num_inputs + 1)), graph, budget=_budget()),
         "strength": lambda: propcheck.check_strength(
             clauses, nvars, scope, style, mode=mode, samples=samples, seed=seed,
             budget=_budget(), jobs=args.jobs,
         ),
     }
-    # first the check whose budget gate runs before any work: 3^|scope| when
-    # exhaustive, else the input bound (check_encoding then builds an engine)
+    # first the check whose budget gate can refuse before any work: 3^|scope|
+    # when exhaustive, else check_encoding's 2^n
     order = ("strength", "encoding") if mode == "exhaustive" else ("encoding", "strength")
     results = {key: checks[key]() for key in order}
     verdict.update((key, result.to_dict()) for key, result in results.items())
@@ -288,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", default="exhaustive", help="exhaustive | sample:N:SEED")
     sp.add_argument("--jobs", type=int, default=1,
                     help="sampled mode: chunks of the samples, at most one worker per CPU")
-    sp.add_argument("--input-bound", type=int, default=20,
-                    help="max input variables for the correctness sweep")
     add_auto(sp)
     sp.set_defaults(func=cmd_verify)
 

@@ -55,6 +55,9 @@ CLASS_SATISFIES = {
 }
 CLASS_SATISFIES[CLASS_LITERAL] = CLASS_SATISFIES[CLASS_TRUE] = CLASS_SATISFIES[CLASS_PC]
 
+# assignments any exhaustive sweep may visit: 3^k for strength, 2^n for correctness
+DEFAULT_EXHAUSTIVE_BUDGET = 3 ** 14
+
 
 def make_clause(lits: Iterable[int]) -> Clause:
     """Canonical clause: deduplicated, sorted by variable then polarity.
@@ -572,11 +575,21 @@ def _input_mask(graph: BdmcGraph, assignment: Assignment) -> int:
 
 
 class Evaluator:
-    """Bottom-up circuit evaluation with memoized leaf satisfiability."""
+    """Bottom-up circuit evaluation.  Each leaf gets one PropEngine, built
+    once over its own variables (inputs first, then aux, numbered from 1);
+    leaf_sat memoises "phi_i is satisfiable" per input sub-assignment and
+    answers a miss with one model_under on that engine."""
 
     def __init__(self, graph: BdmcGraph):
         self.graph = graph
         self.order = graph.analysis.require_valid().topo_order()
+        self._engines: list[engine.PropEngine] = []
+        for leaf in graph.leaves:
+            local: dict[int, int] = {}  # input j is variable j+1 (a repeat stays unused)
+            for i, v in enumerate((*leaf.input_vars, *leaf.aux_vars), 1):
+                local.setdefault(v, i)
+            clauses = [[local[l] if l > 0 else -local[-l] for l in c] for c in leaf.clauses]
+            self._engines.append(engine.PropEngine(clauses, leaf.num_vars))
         self._leaf_cache: list[dict[int, bool]] = [dict() for _ in graph.leaves]
 
     def leaf_sat(self, leaf: LeafEncoding, mask: int) -> bool:
@@ -586,17 +599,10 @@ class Evaluator:
             if mask >> (v - 1) & 1:
                 sub |= 1 << j
         hit = cache.get(sub)
-        if hit is not None:
-            return hit
-        alpha = [v if sub >> j & 1 else -v for j, v in enumerate(leaf.input_vars)]
-        local_vars = sorted(set(leaf.input_vars) | set(leaf.aux_vars))
-        remap = {v: i + 1 for i, v in enumerate(local_vars)}
-        clauses = [[(1 if l > 0 else -1) * remap[abs(l)] for l in c] for c in leaf.clauses]
-        result = engine.brute_sat(
-            clauses, len(local_vars), [(1 if l > 0 else -1) * remap[abs(l)] for l in alpha]
-        ) is not None
-        cache[sub] = result
-        return result
+        if hit is None:
+            alpha = [j if sub >> (j - 1) & 1 else -j for j in range(1, len(leaf.input_vars) + 1)]
+            hit = cache[sub] = engine.model_under(self._engines[leaf.index - 1], alpha) is not None
+        return hit
 
     def __call__(self, mask: int) -> bool:
         graph = self.graph
@@ -618,15 +624,14 @@ def evaluate(graph: BdmcGraph, assignment: Assignment) -> bool:
     return Evaluator(graph)(_input_mask(graph, assignment))
 
 
-DEFAULT_ENUM_BOUND = 20
-
-
-def enumerate_models(graph: BdmcGraph, bound: int = DEFAULT_ENUM_BOUND) -> frozenset[int]:
-    """All satisfying full assignments as bitmasks (bit v-1 = value of input v)."""
+def enumerate_models(graph: BdmcGraph, budget: int = DEFAULT_EXHAUSTIVE_BUDGET) -> frozenset[int]:
+    """All satisfying full assignments as bitmasks (bit v-1 = value of input v),
+    from one Evaluator over all 2^n input assignments; over the budget it
+    raises BudgetExceededError before any work."""
     n = graph.num_inputs
-    if n > bound:
+    if (1 << n) > budget:
         raise BudgetExceededError(
-            f"enumerate_models needs bound >= {n} for this graph (got {bound})"
+            f"enumerate_models walks 2^{n} input assignments, over the budget of {budget}"
         )
     ev = Evaluator(graph)
     return frozenset(mask for mask in range(1 << n) if ev(mask))

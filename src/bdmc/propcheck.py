@@ -30,19 +30,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import core
-from .core import (CLASS_PC, CLASS_SATISFIES, CLASS_STRENGTH, CLASS_URC, BdmcGraph, LeafEncoding,
-                   build_graph, leaf_spec)
-from .engine import (
-    PropEngine,
-    all_scope_models,
-    brute_sat,
-    check_partial_assignment,
-    model_under,
-    unit_propagate,
-)
+from .core import (CLASS_PC, CLASS_SATISFIES, CLASS_STRENGTH, CLASS_URC, DEFAULT_EXHAUSTIVE_BUDGET,
+                   BdmcGraph, LeafEncoding, build_graph, leaf_spec)
+from .engine import (PropEngine, all_scope_models, brute_sat, check_partial_assignment, model_under,
+                     unit_propagate)
 from .errors import BdmcError, BudgetExceededError, InputError
 
-DEFAULT_EXHAUSTIVE_BUDGET = 3 ** 14
 DEFAULT_SAMPLES = 100_000
 STYLES = ("urc", "pc")
 
@@ -82,18 +75,17 @@ def check_encoding(
     nvars: int,
     input_vars: Sequence[int],
     oracle: BdmcGraph,
-    bound: int = 20,
+    budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
 ) -> EncodingCheck:
     """Compare the CNF's models projected onto input_vars with the circuit's
     models.  Both are sets of input bitmasks, bit i giving the value of
     input_vars[i] in the CNF and of input i+1 in the circuit; the witness is
-    the least mask on which they differ."""
-    k = len(input_vars)
-    if k != oracle.num_inputs:
+    the least mask on which they differ.  The circuit's side is
+    core.enumerate_models, which raises BudgetExceededError before any work
+    when its 2^k assignments exceed the budget."""
+    if len(input_vars) != oracle.num_inputs:
         raise InputError("input_vars must match the oracle's input count")
-    if k > bound:
-        raise BudgetExceededError(f"check_encoding covers 2^{k} assignments; bound is {bound}")
-    want = core.enumerate_models(oracle, bound)
+    want = core.enumerate_models(oracle, budget)
     got = set(all_scope_models(clauses, nvars, input_vars))
     if got == want:
         return EncodingCheck(True)
@@ -156,6 +148,7 @@ class StrengthVerdict:
 
 
 def exhaustive_feasible(scope_size: int, budget: int = DEFAULT_EXHAUSTIVE_BUDGET) -> bool:
+    """Whether the 3^scope_size partial assignments of an exhaustive walk fit the budget."""
     return 3 ** scope_size <= budget
 
 
@@ -170,6 +163,9 @@ def check_strength(
     budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
     jobs: int = 1,
 ) -> StrengthVerdict:
+    """The style's condition (URC or PC) of the CNF on scope.  Exhaustive mode
+    walks the 3^|scope| partial assignments, refusing before any work above
+    the budget; sampled mode draws samples of them, the same for any jobs."""
     if style not in STYLES:
         raise InputError("style must be 'urc' or 'pc'")
     scope = list(dict.fromkeys(scope))
@@ -512,6 +508,7 @@ def certify_formula(
 
 
 def certify_leaf(leaf: LeafEncoding, budget: int = DEFAULT_EXHAUSTIVE_BUDGET) -> LeafCertificate:
+    """certify_formula on a leaf's clauses, inputs and aux variables."""
     return certify_formula(leaf.clauses, leaf.input_vars, leaf.aux_vars, budget=budget)
 
 

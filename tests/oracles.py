@@ -2,7 +2,8 @@
 
 Each is an independent specification, kept apart from the code it checks:
 minimal satisfying subtrees and the subtree semantics (against
-core.evaluate), the exactly-one-hit separator-cover checker (against
+core.evaluate, deciding each leaf by trying every assignment of its aux
+variables, with no engine), the exactly-one-hit separator-cover checker (against
 transform.separator_cover) and the clause-derivation unit closure (against
 the propagation engine and dual rail).
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from bdmc.core import Assignment, BdmcGraph, Evaluator, _input_mask
+from bdmc.core import Assignment, BdmcGraph, LeafEncoding, _input_mask
 from bdmc.errors import BudgetExceededError
 from bdmc.transform import SeparatorCover
 
@@ -56,15 +57,25 @@ def minimal_subtrees(graph: BdmcGraph, cap: int = DEFAULT_SUBTREE_CAP) -> list[f
     return rec(graph.root)
 
 
+def leaf_sat_by_aux(leaf: LeafEncoding, mask: int) -> bool:
+    """Whether some assignment of the leaf's aux variables, together with the
+    inputs of mask (bit v-1 = value of input v), satisfies every clause."""
+    value = {v: bool(mask >> (v - 1) & 1) for v in leaf.input_vars}
+    for bits in range(1 << len(leaf.aux_vars)):
+        value.update((y, bool(bits >> j & 1)) for j, y in enumerate(leaf.aux_vars))
+        if all(any(value[abs(lit)] == (lit > 0) for lit in c) for c in leaf.clauses):
+            return True
+    return False
+
+
 def evaluate_by_subtrees(graph: BdmcGraph, assignment: Assignment) -> bool:
     """Disjunction-over-minimal-subtrees semantics; oracle for evaluate()."""
     mask = _input_mask(graph, assignment)
-    ev = Evaluator(graph)
     for tree in minimal_subtrees(graph):
         ok = True
         for nid in tree:
             nd = graph.nodes[nid]
-            if nd.kind == "leaf" and not ev.leaf_sat(graph.leaves[nd.leaf - 1], mask):
+            if nd.kind == "leaf" and not leaf_sat_by_aux(graph.leaves[nd.leaf - 1], mask):
                 ok = False
                 break
         if ok:

@@ -10,6 +10,8 @@ so >= 1e5 per graph across the three all-vars targets), BDMC_JOBS.
 
 import random
 
+import pytest
+
 from bdmc import compile_graph
 from bdmc.core import build_graph, enumerate_models, leaf_spec, make_clause
 from bdmc.dualrail import MetaVarSpace, extended_dual_rail
@@ -48,6 +50,7 @@ def test_criterion_1_correctness(compiled_corpus):
            f"({len(compiled_corpus)} graphs x {len(TARGETS)} targets)")
 
 
+@pytest.mark.slow
 def test_criterion_2_propagation_strength(compiled_corpus):
     """Per-target strength claims: exhaustive where feasible, sampled
     (>=1e5 assignments per graph) beyond."""

@@ -140,6 +140,16 @@ def test_verify_budget_exit(g1_file, monkeypatch):
     assert main(["verify", "--target", "pc", str(g1_file)]) == 4
 
 
+@pytest.mark.parametrize("budget, code", [("7", 4), ("8", 0)])
+def test_budget_bounds_correctness_sweep(tmp_path, monkeypatch, budget, code):
+    # sampled strength has no budget gate; the correctness sweep walks 2^3 = 8
+    path = tmp_path / "or3.bdmc"
+    path.write_text("bdmc 1 0 1 3\ninputs x1 x2 x3\nL 1\nroot 0\n"
+                    "leaf 1 inputs x1 x2 x3 aux clauses 1 class pc\nx1 x2 x3 0\n")
+    monkeypatch.setenv("BDMC_BUDGET", budget)
+    assert main(["verify", "--target", "cc", "--mode", "sample:10:0", str(path)]) == code
+
+
 @pytest.mark.parametrize("argv", [
     ["compile", "--target", "pc", "G1", "-o", "OUT"],
     ["verify", "--target", "cc", "G1"],

@@ -177,7 +177,29 @@ def test_enumerate_models_single_literal():
 def test_enumerate_models_bound():
     g = g1()
     with pytest.raises(BudgetExceededError):
-        enumerate_models(g, bound=1)
+        enumerate_models(g, budget=1)
+
+
+def test_enumerate_models_builds_one_engine_per_leaf(corpus, monkeypatch):
+    from bdmc import engine
+
+    g = next(g for g in corpus if len(g.leaves) >= 3)
+    counts = {"builds": 0, "brute_sat": 0}
+    real_engine, real_brute_sat = engine.PropEngine, engine.brute_sat
+
+    class CountingEngine(real_engine):
+        def __init__(self, *args, **kwargs):
+            counts["builds"] += 1
+            super().__init__(*args, **kwargs)
+
+    def counting_brute_sat(*args, **kwargs):
+        counts["brute_sat"] += 1
+        return real_brute_sat(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "PropEngine", CountingEngine)
+    monkeypatch.setattr(engine, "brute_sat", counting_brute_sat)
+    assert enumerate_models(g)
+    assert counts == {"builds": len(g.leaves), "brute_sat": 0}
 
 
 def test_minimal_subtrees_g1():
@@ -202,8 +224,10 @@ def test_subtree_scopes_disjoint_and_partition_when_smooth():
 
 
 def test_evaluate_agrees_with_subtree_semantics():
-    for seed in range(8):
-        g = gen_random(n=4, max_depth=3, leaf_class="pc", seed=30 + seed)
+    # the urc seeds give leaves with aux variables
+    runs = [("pc", seed) for seed in range(30, 38)] + [("urc", seed) for seed in range(4)]
+    for leaf_class, seed in runs:
+        g = gen_random(n=4, max_depth=3, leaf_class=leaf_class, seed=seed)
         if g.num_nodes > 12:
             continue
         for mask in range(1 << g.num_inputs):

@@ -63,7 +63,7 @@ def test_check_encoding_detects_dropped_root():
 def test_check_encoding_bound():
     out = compile_graph(g1(), "cc")
     with pytest.raises(BudgetExceededError):
-        check_encoding(out.all_clauses(), out.num_vars, [1, 2], out.graph, bound=1)
+        check_encoding(out.all_clauses(), out.num_vars, [1, 2], out.graph, budget=1)
 
 
 def test_check_strength_examples():

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property, reduce
+from operator import and_, or_
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import engine
 from .errors import BudgetExceededError, InputError, StructureError
@@ -87,6 +88,8 @@ class LeafEncoding:
     def __post_init__(self):
         if self.claimed_class not in LEAF_CLASSES:
             raise InputError(f"unknown leaf class {self.claimed_class!r}")
+        if len(set(self.input_vars)) != len(self.input_vars):
+            raise InputError(f"leaf {self.index} lists an input variable twice")
         allowed = set(self.input_vars) | set(self.aux_vars)
         for c in self.clauses:
             for l in c:
@@ -574,22 +577,22 @@ def _input_mask(graph: BdmcGraph, assignment: Assignment) -> int:
     return mask
 
 
+def _local_clauses(leaf: LeafEncoding) -> list[list[int]]:
+    """The leaf's clauses over its variables numbered from 1, inputs first."""
+    local = {v: i for i, v in enumerate((*leaf.input_vars, *leaf.aux_vars), 1)}
+    return [[local[l] if l > 0 else -local[-l] for l in c] for c in leaf.clauses]
+
+
 class Evaluator:
     """Bottom-up circuit evaluation.  Each leaf gets one PropEngine, built
-    once over its own variables (inputs first, then aux, numbered from 1);
-    leaf_sat memoises "phi_i is satisfiable" per input sub-assignment and
-    answers a miss with one model_under on that engine."""
+    once over its own variables (_local_clauses); leaf_sat memoises "phi_i
+    is satisfiable" per input sub-assignment and answers a miss with one
+    model_under on that engine."""
 
     def __init__(self, graph: BdmcGraph):
         self.graph = graph
         self.order = graph.analysis.require_valid().topo_order()
-        self._engines: list[engine.PropEngine] = []
-        for leaf in graph.leaves:
-            local: dict[int, int] = {}  # input j is variable j+1 (a repeat stays unused)
-            for i, v in enumerate((*leaf.input_vars, *leaf.aux_vars), 1):
-                local.setdefault(v, i)
-            clauses = [[local[l] if l > 0 else -local[-l] for l in c] for c in leaf.clauses]
-            self._engines.append(engine.PropEngine(clauses, leaf.num_vars))
+        self._engines = [engine.PropEngine(_local_clauses(lf), lf.num_vars) for lf in graph.leaves]
         self._leaf_cache: list[dict[int, bool]] = [dict() for _ in graph.leaves]
 
     def leaf_sat(self, leaf: LeafEncoding, mask: int) -> bool:
@@ -605,17 +608,20 @@ class Evaluator:
         return hit
 
     def __call__(self, mask: int) -> bool:
-        graph = self.graph
-        vals: dict[int, bool] = {}
-        for nid in reversed(self.order):
-            nd = graph.nodes[nid]
-            if nd.kind == "leaf":
-                vals[nid] = self.leaf_sat(graph.leaves[nd.leaf - 1], mask)
-            elif nd.kind == "and":
-                vals[nid] = all(vals[ch] for ch in nd.children)
-            else:
-                vals[nid] = any(vals[ch] for ch in nd.children)
-        return vals[graph.root]
+        return _fold(self.graph, self.order, lambda leaf: self.leaf_sat(leaf, mask))
+
+
+def _fold(graph: BdmcGraph, order: Sequence[int], leaf_value) -> int:
+    """The root's value bottom-up: leaf_value(leaf) at each leaf, & of the
+    children at and-nodes and | at or-nodes (bools, or bitsets of masks)."""
+    vals = {}
+    for nid in reversed(order):
+        nd = graph.nodes[nid]
+        if nd.kind == "leaf":
+            vals[nid] = leaf_value(graph.leaves[nd.leaf - 1])
+        else:
+            vals[nid] = reduce(and_ if nd.kind == "and" else or_, [vals[ch] for ch in nd.children])
+    return vals[graph.root]
 
 
 def evaluate(graph: BdmcGraph, assignment: Assignment) -> bool:
@@ -624,14 +630,49 @@ def evaluate(graph: BdmcGraph, assignment: Assignment) -> bool:
     return Evaluator(graph)(_input_mask(graph, assignment))
 
 
+CHUNK_BITS = 12  # enumerate_models evaluates the circuit on 2^CHUNK_BITS masks at once
+
+
 def enumerate_models(graph: BdmcGraph, budget: int = DEFAULT_EXHAUSTIVE_BUDGET) -> frozenset[int]:
-    """All satisfying full assignments as bitmasks (bit v-1 = value of input v),
-    from one Evaluator over all 2^n input assignments; over the budget it
-    raises BudgetExceededError before any work."""
+    """All satisfying full assignments as bitmasks (bit v-1 = value of input v);
+    over the budget it raises BudgetExceededError before any work.
+
+    Inputs 1..w (w = min(n, CHUNK_BITS)) vary within a chunk, the others
+    pick it; a node's value on a chunk is a 2^w-bit int, bit t for mask
+    chunk << w | t.  A leaf's int comes from a table keyed by its inputs'
+    chunk bits, built from one all_scope_models over its inputs."""
     n = graph.num_inputs
     if (1 << n) > budget:
         raise BudgetExceededError(
             f"enumerate_models walks 2^{n} input assignments, over the budget of {budget}"
         )
-    ev = Evaluator(graph)
-    return frozenset(mask for mask in range(1 << n) if ev(mask))
+    order = graph.analysis.require_valid().topo_order()
+    w = min(n, CHUNK_BITS)
+    full = (1 << (1 << w)) - 1
+    low = [full // ((1 << (1 << b)) + 1) << (1 << b) for b in range(w)]  # the t with bit b set
+    tables, highs = [], []  # per leaf: its table, and the chunk bits of its inputs
+    for leaf in graph.leaves:
+        table: dict[int, int] = {}
+        for sub in engine.all_scope_models(_local_clauses(leaf), leaf.num_vars,
+                                           range(1, len(leaf.input_vars) + 1)):
+            positions, key = full, 0
+            for j, v in enumerate(leaf.input_vars):
+                if v <= w:
+                    positions &= low[v - 1] if sub >> j & 1 else full ^ low[v - 1]
+                else:
+                    key |= (sub >> j & 1) << (v - 1 - w)
+            table[key] = table.get(key, 0) | positions
+        tables.append(table)
+        highs.append(sum(1 << (v - 1 - w) for v in leaf.input_vars if v > w))
+
+    def models() -> Iterator[int]:
+        for chunk in range(1 << (n - w)):
+            root = _fold(graph, order, lambda leaf: tables[leaf.index - 1].get(
+                chunk & highs[leaf.index - 1], 0))
+            bits = format(root, "b")[::-1]  # bits[t] is bit t: linear in 2^w
+            t = bits.find("1")
+            while t >= 0:
+                yield chunk << w | t
+                t = bits.find("1", t + 1)
+
+    return frozenset(models())

@@ -4,10 +4,9 @@ Literals are nonzero ints in the DIMACS convention: variable v is the positive
 literal v, its negation is -v.  Clauses are sequences of literals; a formula is
 a sequence of clauses plus a variable count (variables are 1..nvars).
 
-The engine keeps each clause's distinct literals, one counter per clause (the
-number of its literals not yet false) and an occurrence list per literal, so
-asserting a literal touches only the clauses where it makes a literal false,
-and every assertion is undoable through the trail.
+PropEngine keeps two-literal clauses as implication lists and counts the
+non-false literals of longer ones; its trail is both the propagation queue
+and the undo log.
 
 One search over that engine, yielding once per assignment of a prefix of its
 variable order that extends to a model, serves model_under, brute_sat and
@@ -57,29 +56,37 @@ def check_partial_assignment(lits: Iterable[int], nvars: Optional[int] = None) -
 
 
 class PropEngine:
-    """Counter-based unit propagation with an undo trail.
-
-    ``left[ci]`` counts the literals of clause ci (repeats dropped) that are
-    not false: 0 is a conflict, and at 1 the clause is either satisfied or a
-    unit on its one unassigned literal.
-    """
+    """Unit propagation over lists indexed by literal, of length 2*nvars+1
+    with -v wrapping to the top half: val[lit] is 1, -1 or 0, and val[-v] ==
+    -val[v].  A clause (a, b) is the implications imp[-a] -> b and imp[-b] ->
+    a.  A longer clause ci sits on occ[lit] for each of its literals, and
+    left[ci] counts those no processed trail entry made false: 0 is a
+    conflict, and at 1 the clause is satisfied, a unit, or a conflict that a
+    pending entry will find."""
 
     def __init__(self, clauses: Sequence[Sequence[int]], nvars: int,
                  trace: Optional[list[tuple[int, int]]] = None):
         self.nvars = nvars
         self.clauses = [tuple(dict.fromkeys(c)) for c in clauses]
-        # occ[2v] lists clauses containing v, occ[2v+1] those containing -v
-        occ: list[list[int]] = [[] for _ in range(2 * nvars + 2)]
+        size = 2 * nvars + 1
+        imp: list[list[int]] = [[] for _ in range(size)]
+        occ: list[list[int]] = [[] for _ in range(size)]
         for ci, clause in enumerate(self.clauses):
             for lit in clause:
-                v = abs(lit)
-                if v < 1 or v > nvars:
+                if not 1 <= abs(lit) <= nvars:
                     raise InputError(f"literal {lit} outside variable universe 1..{nvars}")
-                occ[2 * v if lit > 0 else 2 * v + 1].append(ci)
-        self.occ = occ
-        self.left = [len(c) for c in self.clauses]
-        self.val = [0] * (nvars + 1)  # 0 unassigned, 1 true, -1 false
+            if len(clause) == 2:
+                a, b = clause
+                imp[-a].append(b)
+                imp[-b].append(a)
+            elif len(clause) > 2:
+                for lit in clause:
+                    occ[lit].append(ci)
+        self.left = [len(c) for c in self.clauses]  # kept for clauses of 3+ literals
+        self.val = [0] * size
         self.trail: list[int] = []
+        # assert_lits and backtrack unpack their state in one load
+        self._state = (self.val, self.left, imp, occ, self.clauses, self.trail)
         self.base_conflict = 0 in self.left
         # propagate the formula's own unit clauses once; this base trail sits
         # below every caller mark and is never backtracked
@@ -92,61 +99,71 @@ class PropEngine:
         return len(self.trail)
 
     def backtrack(self, mark: int) -> None:
-        val, left, occ, trail = self.val, self.left, self.occ, self.trail
+        val, left, _, occ, _, trail = self._state
         while len(trail) > mark:
             lit = trail.pop()
-            v = abs(lit)
-            val[v] = 0
-            for ci in occ[2 * v + 1 if lit > 0 else 2 * v]:
+            val[lit] = val[-lit] = 0
+            for ci in occ[-lit]:
                 left[ci] += 1
+
+    def _conflict(self, start: int) -> bool:
+        """Unassign the unprocessed trail entries from start on; False."""
+        val, trail = self.val, self.trail
+        for lit in trail[start:]:
+            val[lit] = val[-lit] = 0
+        del trail[start:]
+        return False
 
     def assert_lits(self, lits: Iterable[int], trace: Optional[list[tuple[int, int]]] = None) -> bool:
         """Assert literals and propagate to fixpoint.  False means conflict.
 
-        On conflict the trail holds everything assigned so far; the caller is
-        responsible for backtracking to its mark.
-        """
+        A literal is assigned when implied; trail[head:] is the queue still to
+        process, unassigned again on conflict, so the caller backtracks to its
+        mark either way."""
         if self.base_conflict:
             return False
-        val, left, occ = self.val, self.left, self.occ
-        clauses, trail = self.clauses, self.trail
-        queue: list[int] = list(lits)
-        reasons = [-1] * len(queue) if trace is not None else None
-        qi = 0
-        while qi < len(queue):
-            lit = queue[qi]
-            reason = reasons[qi] if reasons is not None else -1
-            qi += 1
-            v = abs(lit)
-            s = 1 if lit > 0 else -1
-            cur = val[v]
-            if cur == s:
-                continue
-            if cur == -s:
-                return False
-            val[v] = s
-            trail.append(lit)
-            if trace is not None:
-                trace.append((lit, reason))
+        val, left, imp, occ, clauses, trail = self._state
+        head = len(trail)
+        for lit in lits:
+            cur = val[lit]
+            if cur == 0:
+                val[lit], val[-lit] = 1, -1
+                trail.append(lit)
+                if trace is not None:
+                    trace.append((lit, -1))
+            elif cur < 0:
+                return self._conflict(head)
+        while head < len(trail):
+            lit = trail[head]
+            for other in imp[lit]:
+                cur = val[other]
+                if cur == 0:
+                    val[other], val[-other] = 1, -1
+                    trail.append(other)
+                    if trace is not None:  # the reason: the clause (-lit, other)
+                        trace.append((other, next(ci for ci, c in enumerate(clauses)
+                                                  if len(c) == 2 and {-lit, other} == set(c))))
+                elif cur < 0:
+                    return self._conflict(head)  # lit itself is not processed yet
+            head += 1
             conflict = False
-            # only the clauses where lit makes a literal false change; the
-            # decrements must complete even on conflict so that backtrack()
-            # stays the exact inverse of this loop.  At one literal left the
-            # scan finds the unit, or nothing in a satisfied clause.
-            for ci in occ[2 * v + 1 if s > 0 else 2 * v]:
+            # the decrements must complete even on conflict, so that lit is
+            # processed and backtrack() stays the exact inverse
+            for ci in occ[-lit]:
                 n = left[ci] - 1
                 left[ci] = n
                 if n == 0:
                     conflict = True
                 elif n == 1 and not conflict:
                     for other in clauses[ci]:
-                        if val[abs(other)] == 0:
-                            queue.append(other)
-                            if reasons is not None:
-                                reasons.append(ci)
+                        if val[other] == 0:
+                            val[other], val[-other] = 1, -1
+                            trail.append(other)
+                            if trace is not None:
+                                trace.append((other, ci))
                             break
             if conflict:
-                return False
+                return self._conflict(head)
         return True
 
 

@@ -191,13 +191,17 @@ class _Projection:
     """Models of the formula projected onto the scope, kept as bitsets.
 
     Slot 2i stands for +scope[i] and slot 2i+1 for -scope[i]; a set of scope
-    literals is an int over slots.  Model j is bit j: blit[slot] holds the
-    models that set the slot's literal, model_lits[j] the slots model j sets.
+    literals is an int over slots, and bit[lit] (indexed by literal like the
+    engine's val) is the slot bit of a scope literal, 0 off the scope.  Model
+    j is bit j: blit[slot] holds the models that set the slot's literal,
+    model_lits[j] the slots model j sets.
     """
 
-    def __init__(self, scope):
+    def __init__(self, scope, nvars: int):
         self.scope = scope
-        self.pos_of = {v: i for i, v in enumerate(scope)}
+        self.bit = [0] * (2 * nvars + 1)
+        for i, v in enumerate(scope):
+            self.bit[v], self.bit[-v] = 1 << 2 * i, 2 << 2 * i
         self.all_lits = (1 << (2 * len(scope))) - 1
         self.even = self.all_lits // 3  # bits 0,2,4,...
         self.blit = [0] * (2 * len(scope))
@@ -214,28 +218,23 @@ class _Projection:
         self.model_lits.append(lm)
         return j
 
-    def slot(self, lit: int) -> int:
-        return 2 * self.pos_of[abs(lit)] + (0 if lit > 0 else 1)
-
     def lit(self, slot: int) -> int:
         v = self.scope[slot >> 1]
         return -v if slot & 1 else v
 
     def trail_slots(self, trail: Sequence[int], start: int = 0) -> int:
         """The scope literals on trail[start:]."""
-        pos_of = self.pos_of
+        bit = self.bit
         out = 0
         for lit in trail[start:]:
-            idx = pos_of.get(abs(lit))
-            if idx is not None:
-                out |= 1 << (2 * idx + (0 if lit > 0 else 1))
+            out |= bit[lit]
         return out
 
     def consistent(self, alpha: Sequence[int]) -> int:
         """The models that agree with every literal of alpha."""
         acc = (1 << len(self.model_lits)) - 1
         for lit in alpha:
-            acc &= self.blit[self.slot(lit)]
+            acc &= self.blit[self.bit[lit].bit_length() - 1]
         return acc
 
     def violation(self, alpha: Sequence[int], style: str, avail: int, forced: int,
@@ -270,11 +269,12 @@ class _Projection:
 
 
 def _exhaustive_check(clauses, nvars, scope, style) -> StrengthVerdict:
-    proj = _Projection(scope)
+    proj = _Projection(scope, nvars)
     k = len(scope)
     for mask in all_scope_models(clauses, nvars, scope):
         proj.add(mask >> idx & 1 for idx in range(k))
     eng = PropEngine(clauses, nvars)
+    val, trail, blit = eng.val, eng.trail, proj.blit
     alphas = 0
     decisions: list[int] = []
 
@@ -282,17 +282,17 @@ def _exhaustive_check(clauses, nvars, scope, style) -> StrengthVerdict:
         nonlocal alphas
         for idx in range(start, k):
             v = scope[idx]
-            if eng.val[v] != 0:
+            if val[v] != 0:
                 # agreeing branch repeats this subtree's checks verbatim and
                 # the opposite branch conflicts immediately: skip both
                 continue
-            for lit in (v, -v):
-                mark = eng.mark()
+            for lit, slot in ((v, 2 * idx), (-v, 2 * idx + 1)):
+                mark = len(trail)
                 if not eng.assert_lits((lit,)):
                     eng.backtrack(mark)
                     continue  # alpha+lit refutes by UP; so does every extension
-                f2 = forced | proj.trail_slots(eng.trail, mark)
-                b2 = b_alpha & proj.blit[proj.slot(lit)]
+                f2 = forced | proj.trail_slots(trail, mark)
+                b2 = b_alpha & blit[slot]
                 decisions.append(lit)
                 alphas += 1
                 cex = proj.violation(decisions, style, b2, f2) or rec(idx + 1, b2, f2)
@@ -385,7 +385,7 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
     UP is monotone, so a conflicting prefix makes the whole alpha conflict,
     and the sample, which passes vacuously, stops there.  A surviving alpha
     is checked in scope order."""
-    proj = _Projection(scope)
+    proj = _Projection(scope, nvars)
     k = len(scope)
     eng = PropEngine(clauses, nvars)
     if eng.base_conflict:  # the formula UP-refutes itself: every sample is vacuous
@@ -415,11 +415,11 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
             v = scope[idx]
             lit = -v if r & 1 else v
             picked[idx] = lit
-            cur = val[v]
+            cur = val[lit]
             if cur == 0:
                 if not eng.assert_lits((lit,)):
                     return None
-            elif (cur > 0) != (lit > 0):
+            elif cur < 0:
                 return None
         return tuple(picked[idx] for idx in sorted(picked))
 

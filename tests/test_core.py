@@ -202,6 +202,52 @@ def test_enumerate_models_builds_one_engine_per_leaf(corpus, monkeypatch):
     assert counts == {"builds": len(g.leaves), "brute_sat": 0}
 
 
+def _models_by_subtrees(g):
+    return frozenset(mask for mask in range(1 << g.num_inputs)
+                     if evaluate_by_subtrees(g, [v if mask >> (v - 1) & 1 else -v
+                                                 for v in g.input_vars]))
+
+
+def test_enumerate_models_agrees_with_subtree_semantics(corpus):
+    # the urc seeds give leaves with aux variables
+    graphs = list(corpus) + [gen_random(n=4, max_depth=3, leaf_class="urc", seed=seed)
+                             for seed in range(4)]
+    for g in graphs:
+        assert enumerate_models(g) == _models_by_subtrees(g)
+
+
+@pytest.mark.parametrize("k", [13, 16])
+def test_enumerate_models_parity_over_several_chunks(k):
+    # 2^13 and 2^16 masks span 2 and 16 chunks of 2^CHUNK_BITS
+    from bdmc.core import CHUNK_BITS
+
+    from conftest import parity_dnnf
+
+    assert k > CHUNK_BITS
+    want = frozenset(m for m in range(1 << k) if bin(m).count("1") % 2 == 1)
+    assert enumerate_models(parity_dnnf(k)) == want
+
+
+def test_enumerate_models_budget_gate_before_any_work(monkeypatch):
+    from bdmc import engine
+
+    from conftest import parity_dnnf
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine was built over the budget")
+
+    monkeypatch.setattr(engine, "PropEngine", no_engine)
+    with pytest.raises(BudgetExceededError):
+        enumerate_models(parity_dnnf(15), budget=(1 << 15) - 1)
+
+
+def test_leaf_rejects_repeated_input_variable():
+    # the parser refuses the same sentence with the same message
+    with pytest.raises(InputError, match="lists an input variable twice"):
+        build_graph(nodes=[("leaf", 1)],
+                    leaves=[leaf_spec(inputs=[1, 1, 2], clauses=[[1, 3]])], n=2)
+
+
 def test_minimal_subtrees_g1():
     g = g1()
     trees = minimal_subtrees(g)

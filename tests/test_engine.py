@@ -167,45 +167,116 @@ def test_up_clause_with_repeated_literal():
     assert unit_propagate([(1, 1), (-1, -1)], 1).conflict
 
 
+def _messy_formula(rng):
+    """A random formula mixing units, binary and longer clauses, with
+    repeated literals, v -v tautologies and now and then the empty clause."""
+    nv = rng.randint(1, 6)
+    cls = []
+    for _ in range(rng.randint(0, 10)):
+        size = rng.choice((1, 2, 2, 3, 4, 5))
+        clause = [rng.choice([1, -1]) * rng.randint(1, nv) for _ in range(size)]
+        if rng.random() < 0.1:
+            v = rng.randint(1, nv)
+            clause += [v, -v]
+        cls.append(tuple(clause))
+    if rng.random() < 0.05:
+        cls.insert(rng.randrange(len(cls) + 1), ())
+    return nv, cls
+
+
+def _random_walk(rng, eng, nv, check, steps=25):
+    """Assert random literals and backtrack at random, calling check(live,
+    ok) after every step: live lists the decisions in force, ok is False
+    right after a conflicting assert, before its backtrack."""
+    stack = []  # (mark, decision)
+    for _step in range(steps):
+        if stack and rng.random() < 0.35:
+            eng.backtrack(stack.pop()[0])
+            check([d for _, d in stack], True)
+            continue
+        lit = rng.choice([1, -1]) * rng.randint(1, nv)
+        mark = eng.mark()
+        ok = eng.assert_lits((lit,))
+        check([d for _, d in stack] + [lit], ok)
+        if ok:
+            stack.append((mark, lit))
+        else:
+            eng.backtrack(mark)
+            check([d for _, d in stack], True)
+
+
 def test_left_counts_distinct_non_false_literals():
-    # clauses repeat literals and hold complementary pairs; the walk takes
-    # conflicting asserts and backtracks, and after every step left[ci] is
-    # the number of ci's distinct literals that are not false
+    # after every step of a walk with conflicting asserts and backtracks,
+    # including the mid-conflict state, left[ci] is the number of distinct
+    # non-false literals of each clause of three or more, and val[-v]
+    # mirrors val[v]
     rng = random.Random(11)
-    for _ in range(150):
-        nv = rng.randint(1, 6)
-        cls = [tuple(rng.choice([1, -1]) * rng.randint(1, nv)
-                     for _ in range(rng.randint(1, 5)))
-               for _ in range(rng.randint(0, 10))]
+    for _ in range(200):
+        nv, cls = _messy_formula(rng)
+        eng = PropEngine(cls, nv)
+
+        def check(live, ok):
+            assert eng.val[0] == 0
+            assert all(eng.val[-v] == -eng.val[v] for v in range(1, nv + 1))
+            for ci, c in enumerate(cls):
+                lits = set(c)
+                if len(lits) >= 3:
+                    assert eng.left[ci] == sum(1 for l in lits if eng.val[l] >= 0)
+
+        check([], True)
+        if not eng.base_conflict:
+            _random_walk(rng, eng, nv, check)
+
+
+def test_walk_matches_unit_closure():
+    # after every assert and every backtrack the assigned literals are the
+    # unit closure of the live decisions, or both report a conflict
+    rng = random.Random(12)
+    walks = conflicts = 0
+    for _ in range(300):
+        nv, cls = _messy_formula(rng)
+        eng = PropEngine(cls, nv)
+
+        def check(live, ok):
+            nonlocal conflicts
+            units, bot = unit_closure(cls, live)
+            assert (not ok) == bot, (cls, live)
+            if ok:
+                assigned = {l for v in range(1, nv + 1) for l in (v, -v) if eng.val[l] > 0}
+                assert assigned == set(eng.trail) == units, (cls, live)
+            else:
+                conflicts += 1
+
+        if eng.base_conflict:
+            assert unit_closure(cls)[1]
+            continue
+        check([], True)
+        _random_walk(rng, eng, nv, check)
+        walks += 1
+    assert walks > 200 and conflicts > 100
+
+
+def test_trace_reasons_precede_their_literals():
+    # every traced literal's reason clause has all its other literals false
+    # earlier in the trace; seeds and the formula's units carry -1
+    rng = random.Random(13)
+    traced = 0
+    for _ in range(600):
+        nv, cls = _messy_formula(rng)
         alpha = [v if rng.random() < 0.5 else -v
                  for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
-        units, bot = unit_closure(cls, alpha)
-        up = unit_propagate(cls, nv, alpha)
-        assert up.conflict == bot
-        if not up.conflict:
-            assert up.literals == units
-
-        eng = PropEngine(cls, nv)
-        stack = []
-
-        def recount():
-            return [sum(1 for l in set(c) if eng.val[abs(l)] != (1 if l < 0 else -1))
-                    for c in cls]
-
-        assert eng.left == recount()
-        if eng.base_conflict:
-            continue
-        for _step in range(25):
-            if stack and rng.random() < 0.35:
-                eng.backtrack(stack.pop())
+        res = unit_propagate(cls, nv, alpha, record_trace=True)
+        seen = set()
+        for lit, ci in res.trace:
+            if ci == -1:
+                assert lit in alpha or any(set(c) == {lit} for c in cls)
             else:
-                mark = eng.mark()
-                if eng.assert_lits((rng.choice([1, -1]) * rng.randint(1, nv),)):
-                    stack.append(mark)
-                else:
-                    assert eng.left == recount()  # mid-conflict state
-                    eng.backtrack(mark)
-            assert eng.left == recount()
+                clause = set(cls[ci])
+                assert lit in clause
+                assert all(-o in seen for o in clause - {lit}), (cls, res.trace)
+                traced += 1
+            seen.add(lit)
+    assert traced > 100
 
 
 def test_all_scope_models_full_and_projected():

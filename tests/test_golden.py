@@ -1,10 +1,12 @@
-"""Golden bytes: the DIMACS, varmap and stats output of every target.
+"""Golden bytes and verdicts: the DIMACS, varmap and stats output of every
+target, and the checkers' verdicts on it.
 
-Each hash is a sha256 over the emitted bytes of one target, for every graph
-of the acceptance corpus followed by parity_dnnf(20), compiled with
+Each byte hash is a sha256 over the emitted bytes of one target, for every
+graph of the acceptance corpus followed by parity_dnnf(20), compiled with
 auto_smooth and auto_level.  A refactor of the compiler must leave them
 unchanged; a deliberate change of the output format must update them and
-say so.
+say so.  The verdict hash pins check_encoding and check_strength in the same
+way for refactors of the checkers and the engine.
 """
 
 import hashlib
@@ -13,8 +15,9 @@ import json
 import pytest
 
 from bdmc import compile_graph, emit_dimacs, serialize_bdmc
+from bdmc.propcheck import check_encoding, check_strength, exhaustive_feasible
 
-from conftest import CORPUS_SIZE, TARGETS, parity_dnnf
+from conftest import CORPUS_SIZE, TARGET_CHECK, TARGETS, parity_dnnf
 
 GOLDEN = {
     "cc": "cded193800f9be9015fba84836cfc6e0a6093d9edcf86ecdf2ca9d060c73cf8f",
@@ -53,3 +56,41 @@ def test_corpus_is_fixed(corpus):
         pytest.skip("the corpus hash is pinned for the default corpus size")
     text = "".join(serialize_bdmc(g) for g in corpus)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CORPUS_DIGEST
+
+
+# sha256 over json.dumps(..., sort_keys=True) of the check_encoding and
+# check_strength verdicts (to_dict) of every target on the corpus, then on
+# parity_dnnf(8): each target's scope and style, exhaustive where feasible,
+# otherwise 500 samples at seed 1000 + graph index; parity_dnnf(8) exhaustive
+# over its inputs.  A speedup of the checkers must leave it unchanged.
+VERDICTS_DIGEST = "b41cc39f5ec7634dfd557ee15ad9c8b1cd926fa376f1b52867b4b4f6a04519c5"
+
+
+def verdict_dicts(compiled_corpus):
+    parity = {t: compile_graph(parity_dnnf(8), t, auto_smooth=True, auto_level=True)
+              for t in TARGETS}
+    out = []
+    for gi, outputs in enumerate([*compiled_corpus, parity]):
+        for target in TARGETS:
+            comp = outputs[target]
+            clauses = comp.all_clauses()
+            inputs = list(range(1, comp.num_inputs + 1))
+            out.append(check_encoding(clauses, comp.num_vars, inputs, comp.graph).to_dict())
+            scope_kind, style = TARGET_CHECK[target]
+            scope = list(range(1, comp.num_vars + 1))
+            if scope_kind == "inputs" or outputs is parity:
+                scope = inputs
+            if exhaustive_feasible(len(scope)):
+                v = check_strength(clauses, comp.num_vars, scope, style)
+            else:
+                v = check_strength(clauses, comp.num_vars, scope, style, mode="sampled",
+                                   samples=500, seed=1000 + gi)
+            out.append(v.to_dict())
+    return out
+
+
+def test_golden_verdicts(compiled_corpus):
+    if CORPUS_SIZE != 100:
+        pytest.skip("the verdict hash is pinned for the default corpus size")
+    blob = json.dumps(verdict_dicts(compiled_corpus), sort_keys=True)
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == VERDICTS_DIGEST

@@ -156,7 +156,6 @@ class BdmcGraph:
     num_inputs: int
     leaves: tuple[LeafEncoding, ...]
     input_names: tuple[str, ...]
-    node_of_leaf: tuple[int, ...] = field(repr=False)
     parents: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
@@ -243,7 +242,6 @@ def assemble_graph(
         num_inputs=n,
         leaves=leaves,
         input_names=tuple(input_names),
-        node_of_leaf=tuple(node_of_leaf),
         parents=tuple(tuple(p) for p in parents),
     )
 
@@ -583,34 +581,6 @@ def _local_clauses(leaf: LeafEncoding) -> list[list[int]]:
     return [[local[l] if l > 0 else -local[-l] for l in c] for c in leaf.clauses]
 
 
-class Evaluator:
-    """Bottom-up circuit evaluation.  Each leaf gets one PropEngine, built
-    once over its own variables (_local_clauses); leaf_sat memoises "phi_i
-    is satisfiable" per input sub-assignment and answers a miss with one
-    model_under on that engine."""
-
-    def __init__(self, graph: BdmcGraph):
-        self.graph = graph
-        self.order = graph.analysis.require_valid().topo_order()
-        self._engines = [engine.PropEngine(_local_clauses(lf), lf.num_vars) for lf in graph.leaves]
-        self._leaf_cache: list[dict[int, bool]] = [dict() for _ in graph.leaves]
-
-    def leaf_sat(self, leaf: LeafEncoding, mask: int) -> bool:
-        cache = self._leaf_cache[leaf.index - 1]
-        sub = 0
-        for j, v in enumerate(leaf.input_vars):
-            if mask >> (v - 1) & 1:
-                sub |= 1 << j
-        hit = cache.get(sub)
-        if hit is None:
-            alpha = [j if sub >> (j - 1) & 1 else -j for j in range(1, len(leaf.input_vars) + 1)]
-            hit = cache[sub] = engine.model_under(self._engines[leaf.index - 1], alpha) is not None
-        return hit
-
-    def __call__(self, mask: int) -> bool:
-        return _fold(self.graph, self.order, lambda leaf: self.leaf_sat(leaf, mask))
-
-
 def _fold(graph: BdmcGraph, order: Sequence[int], leaf_value) -> int:
     """The root's value bottom-up: leaf_value(leaf) at each leaf, & of the
     children at and-nodes and | at or-nodes (bools, or bitsets of masks)."""
@@ -627,7 +597,11 @@ def _fold(graph: BdmcGraph, order: Sequence[int], leaf_value) -> int:
 def evaluate(graph: BdmcGraph, assignment: Assignment) -> bool:
     """f(a): each leaf contributes "phi_i is satisfiable under a", combined
     through the monotone circuit."""
-    return Evaluator(graph)(_input_mask(graph, assignment))
+    order = graph.analysis.require_valid().topo_order()
+    mask = _input_mask(graph, assignment)
+    return _fold(graph, order, lambda leaf: engine.brute_sat(
+        _local_clauses(leaf), leaf.num_vars,
+        [j if mask >> (v - 1) & 1 else -j for j, v in enumerate(leaf.input_vars, 1)]) is not None)
 
 
 CHUNK_BITS = 12  # enumerate_models evaluates the circuit on 2^CHUNK_BITS masks at once

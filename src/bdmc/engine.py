@@ -9,8 +9,8 @@ non-false literals of longer ones; its trail is both the propagation queue
 and the undo log.
 
 One search over that engine, yielding once per assignment of a prefix of its
-variable order that extends to a model, serves model_under, brute_sat and
-all_scope_models.
+variable order that extends to a model, serves model_under, brute_sat,
+all_scope_models and the exhaustive strength walk's projection.
 """
 
 from __future__ import annotations
@@ -262,6 +262,12 @@ def all_scope_models(
     if not eng.assert_lits(()):
         return []  # a base conflict can leave a partial assignment behind
     val = eng.val
-    order = list(dict.fromkeys([*scope, *range(1, nvars + 1)]))
     return sorted(sum(1 << i for i, v in enumerate(scope) if val[v] > 0)
-                  for _ in _models(eng, order, len(set(scope))))
+                  for _ in scope_search(eng, scope))
+
+
+def scope_search(eng: PropEngine, scope: Sequence[int]) -> Iterator[None]:
+    """_models deciding the scope variables first: yields once per scope
+    assignment that extends to a model, with a model on the engine; it may
+    return with the last one still asserted."""
+    return _models(eng, list(dict.fromkeys([*scope, *range(1, eng.nvars + 1)])), len(set(scope)))

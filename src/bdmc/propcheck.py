@@ -13,13 +13,14 @@ propagating alpha without conflict, the formula must be satisfiable (URC), and
 for every scope literal l whose negation was not derived, phi & alpha & l must
 be satisfiable (PC).  Both modes answer these queries from one _Projection: the
 formula's models projected onto V, kept as per-literal bitsets, with one PC
-pending-literal loop.  Exhaustive mode walks all 3^|V| partial assignments with
-an incremental propagation trail, pruning every extension of a conflicting
-assignment, against the complete projection, so a literal no model sets is a
-failure.  Sampled mode draws sample j from its own splitmix64 stream, keyed
-by (seed, j), asserting each literal as it is drawn and stopping at the first
-UP conflict, and grows the projection on demand: a literal no known model
-sets goes to the DPLL oracle.
+pending-literal loop.  Exhaustive mode reads the complete projection off its
+one engine, then walks all 3^|V| partial assignments on that engine's trail
+in one loop over an explicit frame stack, pruning every extension of a
+conflicting assignment; a literal no model sets is a failure.  Sampled mode
+draws sample j from its own splitmix64 stream, keyed by (seed, j), asserting
+each literal as it is drawn and stopping at the first UP conflict, and grows
+the projection on demand: a literal no known model sets goes to the DPLL
+oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import core
 from .core import (CLASS_PC, CLASS_SATISFIES, CLASS_STRENGTH, CLASS_URC, DEFAULT_EXHAUSTIVE_BUDGET,
                    BdmcGraph, LeafEncoding, build_graph, leaf_spec)
 from .engine import (PropEngine, all_scope_models, brute_sat, check_partial_assignment, model_under,
-                     unit_propagate)
+                     scope_search, unit_propagate)
 from .errors import BdmcError, BudgetExceededError, InputError
 
 DEFAULT_SAMPLES = 100_000
@@ -269,46 +270,58 @@ class _Projection:
 
 
 def _exhaustive_check(clauses, nvars, scope, style) -> StrengthVerdict:
+    """Walk every UP-consistent partial assignment over the scope, depth
+    first, on one engine: scope_search first reads the complete projection
+    off it, then the walk starts from its base trail.
+
+    A frame is (next slot, models consistent so far, forced slots, mark of
+    the decision that opened it), in _Projection's slot numbering: slot 2i
+    asserts +scope[i] and slot 2i+1 asserts -scope[i], so alphas are visited
+    in increasing (variable, sign) order, each extending its parent's
+    decisions.  An assigned variable skips both its slots: the agreeing
+    branch repeats the frame's checks and the other conflicts.  A UP
+    conflict moves to the next slot, pruning every extension; an alpha that
+    passes opens a frame at the next variable's first slot."""
     proj = _Projection(scope, nvars)
-    k = len(scope)
-    for mask in all_scope_models(clauses, nvars, scope):
-        proj.add(mask >> idx & 1 for idx in range(k))
     eng = PropEngine(clauses, nvars)
-    val, trail, blit = eng.val, eng.trail, proj.blit
     alphas = 0
-    decisions: list[int] = []
-
-    def rec(start: int, b_alpha: int, forced: int) -> Optional[Counterexample]:
-        nonlocal alphas
-        for idx in range(start, k):
-            v = scope[idx]
-            if val[v] != 0:
-                # agreeing branch repeats this subtree's checks verbatim and
-                # the opposite branch conflicts immediately: skip both
-                continue
-            for lit, slot in ((v, 2 * idx), (-v, 2 * idx + 1)):
-                mark = len(trail)
-                if not eng.assert_lits((lit,)):
-                    eng.backtrack(mark)
-                    continue  # alpha+lit refutes by UP; so does every extension
-                f2 = forced | proj.trail_slots(trail, mark)
-                b2 = b_alpha & blit[slot]
-                decisions.append(lit)
-                alphas += 1
-                cex = proj.violation(decisions, style, b2, f2) or rec(idx + 1, b2, f2)
-                if cex is not None:
-                    return cex
-                decisions.pop()
-                eng.backtrack(mark)
-        return None
-
     cex = None
-    if eng.assert_lits(()):
-        forced = proj.trail_slots(eng.trail)
-        b_all = (1 << len(proj.model_lits)) - 1
-        alphas += 1
-        cex = proj.violation((), style, b_all, forced) or rec(0, b_all, forced)
-    # else: the formula itself UP-refutes; every condition holds vacuously
+    if not eng.base_conflict:  # else every condition holds vacuously
+        val, trail, blit = eng.val, eng.trail, proj.blit
+        end, base = 2 * len(scope), eng.mark()
+        for _ in scope_search(eng, scope):
+            proj.add(val[v] > 0 for v in scope)
+        eng.backtrack(base)
+        forced = proj.trail_slots(trail)
+        avail = (1 << len(proj.model_lits)) - 1
+        alphas = 1
+        cex = proj.violation((), style, avail, forced)
+        decisions: list[int] = []
+        frames = [(0, avail, forced, base)] if cex is None else []
+        while frames:
+            slot, avail, forced, mark = frames.pop()
+            if slot == end:
+                eng.backtrack(mark)
+                if decisions:
+                    decisions.pop()
+                continue
+            v = scope[slot >> 1]
+            if val[v] != 0:
+                frames.append(((slot | 1) + 1, avail, forced, mark))
+                continue
+            frames.append((slot + 1, avail, forced, mark))
+            lit = -v if slot & 1 else v
+            sub = len(trail)
+            if not eng.assert_lits((lit,)):
+                eng.backtrack(sub)
+                continue
+            decisions.append(lit)
+            alphas += 1
+            sub_avail, sub_forced = avail & blit[slot], forced | proj.trail_slots(trail, sub)
+            cex = proj.violation(decisions, style, sub_avail, sub_forced)
+            if cex is not None:
+                break
+            frames.append(((slot | 1) + 1, sub_avail, sub_forced, sub))
     return StrengthVerdict(style, tuple(scope), "exhaustive", cex is None, cex,
                            alphas_checked=alphas)
 

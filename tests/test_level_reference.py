@@ -99,7 +99,7 @@ def assert_substitution_matches(g):
     depth = longest_depths(ref_graph)
     assert all(depth[ch] == depth[nid] + 1 for nid in ref_graph.analysis.order
                for ch in ref_graph.nodes[nid].children)
-    assert len({depth[nid] for nid in ref_graph.node_of_leaf}) == 1
+    assert len({depth[nid] for nid, nd in enumerate(ref_graph.nodes) if nd.kind == "leaf"}) == 1
     for target in COVERED:
         ref = compile_graph(ref_graph, target)
         assert ref.graph is ref_graph

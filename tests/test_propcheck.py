@@ -2,11 +2,12 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
 from bdmc import compile_graph, propcheck
-from bdmc.engine import brute_sat, unit_propagate
+from bdmc.engine import PropEngine, brute_sat, unit_propagate
 from bdmc.errors import BudgetExceededError, InputError, PreconditionError
 from bdmc.propcheck import (
     certify_formula,
@@ -398,6 +399,36 @@ def test_certify_formula_walks_down_the_lattice(monkeypatch):
     calls.clear()
     assert certify_formula(NON_URC, [1, 2]).best == "none"
     assert calls == [(2, "pc"), (2, "urc")]
+
+
+def test_exhaustive_check_builds_one_engine(monkeypatch):
+    builds = []
+    init = PropEngine.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PropEngine, "__init__", counting)
+    assert check_strength([(1, 2), (-1, -2)], 2, [1, 2], "urc").passed
+    assert len(builds) == 1
+
+
+def test_exhaustive_walk_does_not_recurse():
+    # every pair of 14 variables has a clause (x_i | x_j): the UP-consistent
+    # alphas set at most one variable false, so the walk goes 14 decisions deep
+    n = 14
+    clauses = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 12)
+    try:
+        verdict = check_strength(clauses, n, range(1, n + 1), "pc")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdict.passed and verdict.alphas_checked == 32_767
 
 
 def test_certify_leaf_wrapper():

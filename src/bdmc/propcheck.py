@@ -14,8 +14,9 @@ for every scope literal l whose negation was not derived, phi & alpha & l must
 be satisfiable (PC).  Both modes answer these queries from one _Projection: the
 formula's models projected onto V, kept as per-literal bitsets, with one PC
 pending-literal loop.  Exhaustive mode reads the complete projection off its
-one engine, then walks all 3^|V| partial assignments on that engine's trail
-in one loop over an explicit frame stack, pruning every extension of a
+one engine, then walks the partial assignments over the variables of V that
+some clause mentions (the first of V if none is) on that engine's trail in
+one loop over an explicit frame stack, pruning every extension of a
 conflicting assignment; a literal no model sets is a failure.  Sampled mode
 draws sample j from its own splitmix64 stream, keyed by (seed, j), asserting
 each literal as it is drawn and stopping at the first UP conflict, and grows
@@ -111,10 +112,11 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class StrengthVerdict:
-    """A strength verdict.  alphas_checked counts the assignments up to and
-    including the first failure, and in sampled mode vacuous counts those
-    among them that UP refutes.  In sampled mode every job grows its own
-    model cache, so sat_calls depends on jobs; every other field does not."""
+    """A strength verdict on the declared scope.  alphas_checked counts the
+    assignments up to and including the first failure, in exhaustive mode
+    over the scope variables some clause mentions; in sampled mode vacuous
+    counts those among them that UP refutes.  In sampled mode every job grows
+    its own model cache, so sat_calls depends on jobs; no other field does."""
 
     style: str  # 'urc' | 'pc'
     scope: tuple[int, ...]
@@ -149,8 +151,9 @@ class StrengthVerdict:
 
 
 def exhaustive_feasible(scope_size: int, budget: int = DEFAULT_EXHAUSTIVE_BUDGET) -> bool:
-    """Whether the 3^scope_size partial assignments of an exhaustive walk fit the budget."""
-    return 3 ** scope_size <= budget
+    """Whether the 3^scope_size partial assignments of an exhaustive walk fit
+    the budget; 3^k exceeds any budget under 2^k, so k is capped there."""
+    return 3 ** min(scope_size, budget.bit_length()) <= budget
 
 
 def check_strength(
@@ -165,11 +168,13 @@ def check_strength(
     jobs: int = 1,
 ) -> StrengthVerdict:
     """The style's condition (URC or PC) of the CNF on scope.  Exhaustive mode
-    walks the 3^|scope| partial assignments, refusing before any work above
-    the budget; sampled mode draws samples of them, the same for any jobs."""
+    walks the scope variables some clause mentions, refusing before any work
+    when 3^|scope| is over the budget; sampled mode draws samples over the
+    whole scope, the same for any jobs."""
     if style not in STYLES:
         raise InputError("style must be 'urc' or 'pc'")
-    scope = list(dict.fromkeys(scope))
+    if not isinstance(scope, range):  # a range repeats nothing, and may be huge
+        scope = list(dict.fromkeys(scope))
     if mode == "exhaustive" and not exhaustive_feasible(len(scope), budget):
         raise BudgetExceededError(
             f"exhaustive mode needs 3^{len(scope)} propagation calls, over the budget"
@@ -270,9 +275,12 @@ class _Projection:
 
 
 def _exhaustive_check(clauses, nvars, scope, style) -> StrengthVerdict:
-    """Walk every UP-consistent partial assignment over the scope, depth
-    first, on one engine: scope_search first reads the complete projection
-    off it, then the walk starts from its base trail.
+    """Walk every UP-consistent partial assignment over the scope variables
+    some clause mentions, depth first, on one engine: scope_search first
+    reads the complete projection off it, then the walk starts from its base
+    trail.  A variable no clause mentions changes neither UP nor
+    satisfiability, so dropping it keeps the verdict; if none is mentioned
+    the first stays, as PC over no variables would not check satisfiability.
 
     A frame is (next slot, models consistent so far, forced slots, mark of
     the decision that opened it), in _Projection's slot numbering: slot 2i
@@ -282,15 +290,17 @@ def _exhaustive_check(clauses, nvars, scope, style) -> StrengthVerdict:
     branch repeats the frame's checks and the other conflicts.  A UP
     conflict moves to the next slot, pruning every extension; an alpha that
     passes opens a frame at the next variable's first slot."""
-    proj = _Projection(scope, nvars)
+    mentioned = {abs(lit) for c in clauses for lit in c}
+    used = [v for v in scope if v in mentioned] or scope[:1]
+    proj = _Projection(used, nvars)
     eng = PropEngine(clauses, nvars)
     alphas = 0
     cex = None
     if not eng.base_conflict:  # else every condition holds vacuously
         val, trail, blit = eng.val, eng.trail, proj.blit
-        end, base = 2 * len(scope), eng.mark()
-        for _ in scope_search(eng, scope):
-            proj.add(val[v] > 0 for v in scope)
+        end, base = 2 * len(used), eng.mark()
+        for _ in scope_search(eng, used):
+            proj.add(val[v] > 0 for v in used)
         eng.backtrack(base)
         forced = proj.trail_slots(trail)
         avail = (1 << len(proj.model_lits)) - 1
@@ -305,7 +315,7 @@ def _exhaustive_check(clauses, nvars, scope, style) -> StrengthVerdict:
                 if decisions:
                     decisions.pop()
                 continue
-            v = scope[slot >> 1]
+            v = used[slot >> 1]
             if val[v] != 0:
                 frames.append(((slot | 1) + 1, avail, forced, mark))
                 continue

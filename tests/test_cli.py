@@ -1,9 +1,15 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bdmc
 from bdmc.cli import main
 
 G1_TEXT = """\
@@ -239,6 +245,42 @@ def test_verify_exhaustive_budget_gate_precedes_encoding_check(tmp_path, g1_file
 
     monkeypatch.setattr(propcheck, "check_encoding", not_called)
     assert main(["verify", "--target", "pc", "--cnf", str(cnf), str(g1_file)]) == 4
+
+
+def _run_module(argv, address_space=None):
+    """python -m bdmc in a subprocess from this checkout, optionally under an
+    address-space limit in bytes."""
+    src = str(Path(bdmc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run([sys.executable, "-m", "bdmc", *argv], env=env, capture_output=True,
+                          text=True, timeout=120, preexec_fn=limit if address_space else None)
+
+
+def test_python_m_bdmc_runs_the_cli():
+    result = _run_module(["--help"])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: bdmc")
+    assert "certify-leaf" in result.stdout
+
+
+@pytest.mark.parametrize("target", ["pc", "urc"])
+def test_verify_absurd_header_refused_without_allocating(tmp_path, g1_file, target):
+    # 10^9 declared variables: the all-variable scope is over the budget, so
+    # exhaustive verify exits 4 in 1 GiB of address space, with no traceback
+    cnf = tmp_path / "g1.cnf"
+    assert main(["compile", "--target", target, str(g1_file), "-o", str(cnf)]) == 0
+    lines = cnf.read_text().splitlines()
+    assert lines[0].startswith("p cnf 13 ")
+    cnf.write_text("\n".join([lines[0].replace(" 13 ", " 1000000000 ")] + lines[1:]) + "\n")
+    result = _run_module(["verify", "--target", target, "--cnf", str(cnf), str(g1_file)],
+                         address_space=1 << 30)
+    assert result.returncode == 4, result.stderr
+    assert "budget exceeded: exhaustive mode needs 3^1000000000" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_eval(g1_file, capsys):

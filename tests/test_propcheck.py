@@ -131,6 +131,47 @@ def test_exhaustive_matches_naive_reference():
             assert confirm_strength_counterexample(cls, nv, cex.alpha, cex.literal, style)
 
 
+def test_exhaustive_exact_with_clause_free_scope_variables():
+    # the walk leaves out scope variables no clause mentions; pass/fail must
+    # stay the definitions' on every scope, free-only ones included
+    NON_URC_34 = [(3, 4), (-3, 4), (3, -4), (-3, -4)]
+    cases = [(NON_URC_34, 4, [1], style) for style in ("urc", "pc")]
+    cases += [(NON_URC_34, 4, [1, 2], "pc"), (NON_URC_34, 4, [2, 3], "pc"), ([], 2, [1, 2], "pc"),
+              ([(3, 4)], 4, [1, 2], "pc"), ([(3,), (-4,)], 4, [1], "pc")]
+    rng = random.Random(7)
+    for _ in range(150):
+        used = rng.randint(1, 4)
+        nv = used + rng.randint(1, 3)  # variables above used occur in no clause
+        cls = [
+            tuple(x if rng.random() < 0.5 else -x
+                  for x in rng.sample(range(1, used + 1), rng.randint(1, min(3, used))))
+            for _ in range(rng.randint(0, 8))
+        ]
+        pool = range(used + 1, nv + 1) if rng.random() < 0.25 else range(1, nv + 1)
+        scope = rng.sample(pool, rng.randint(1, min(len(pool), 6)))
+        cases.append((cls, nv, scope, rng.choice(["urc", "pc"])))
+    for cls, nv, scope, style in cases:
+        got = check_strength(cls, nv, scope, style)
+        assert got.scope == tuple(scope)
+        assert got.passed == naive_strength(cls, nv, scope, style), (cls, scope, style)
+        if not got.passed:
+            cex = got.counterexample
+            assert confirm_strength_counterexample(cls, nv, cex.alpha, cex.literal, style)
+    # unsat while UP stays quiet: PC over the free variable 1 fails
+    assert not check_strength(NON_URC_34, 4, [1], "pc").passed
+
+
+def test_exhaustive_walk_skips_clause_free_variables():
+    # y <-> x2 & x5, over 8 inputs plus y = 9: the six free inputs cost nothing
+    gate = [(-9, 2), (-9, 5), (9, -2, -5)]
+    full = check_strength(gate, 9, range(1, 10), "pc")
+    used = check_strength(gate, 9, [2, 5, 9], "pc")
+    assert full.passed and full.alphas_checked == used.alphas_checked
+    # a scope of free variables only walks its first one: (), (1) and (-1)
+    free = check_strength(gate, 9, [1, 3, 4, 6, 7, 8], "pc")
+    assert free.passed and free.alphas_checked == 3
+
+
 def test_sampled_matches_exhaustive_on_failures():
     rng = random.Random(11)
     checked = 0
@@ -337,13 +378,18 @@ def test_certify_leaf_examples():
     assert cert.best == "urc"
 
 
-def reference_certificate(clauses, n_in, n_aux):
-    """The four classes checked independently, each by its own exhaustive
-    check_strength call over inputs 1..n_in or all variables; best by rank."""
+def exhaustive_strength(clauses, nvars, scope, style):
+    return check_strength(clauses, nvars, scope, style).passed
+
+
+def reference_certificate(clauses, n_in, n_aux, holds=exhaustive_strength):
+    """The four classes checked independently, each by its own holds call
+    (an exhaustive check_strength by default) over inputs 1..n_in or all
+    variables; best by rank."""
     inputs, every = list(range(1, n_in + 1)), list(range(1, n_in + n_aux + 1))
     table = {"cc": (inputs, "urc"), "dc": (inputs, "pc"), "urc": (every, "urc"), "pc": (every, "pc")}
     classes = {name for name, (scope, style) in table.items()
-               if not scope or check_strength(clauses, n_in + n_aux, scope, style).passed}
+               if not scope or holds(clauses, n_in + n_aux, scope, style)}
     return classes, max(classes, key=["cc", "dc", "urc", "pc"].index, default="none")
 
 
@@ -377,6 +423,27 @@ def test_certify_formula_matches_independent_checks():
         assert (cert.classes, cert.best) == (classes, best), (kind, clauses, n_in, n_aux)
         bests.add(best)
     assert bests == {"none", "cc", "dc", "urc", "pc"}
+
+
+def test_certify_formula_exact_with_free_inputs_and_aux():
+    # leaves whose inputs or aux occur in no clause, checked against the
+    # full ternary enumeration of every scope
+    rng = random.Random(3)
+    cases = [([(3, 4), (3, -4), (-3, 4), (-3, -4)], 1, 3),  # unsat over aux alone
+             ([(-5, 1), (-5, 3), (5, -1, -3)], 4, 1)]        # and-gate over 2 of 4 inputs
+    for _ in range(80):
+        n_in, n_aux = rng.randint(1, 3), rng.randint(0, 3)
+        nv = n_in + n_aux
+        vars_ = rng.sample(range(1, nv + 1), rng.randint(1, nv))  # the rest stay free
+        cases.append(([tuple(x if rng.random() < 0.5 else -x
+                             for x in rng.sample(vars_, min(len(vars_), rng.randint(1, 3))))
+                       for _ in range(rng.randint(1, 6))], n_in, n_aux))
+    for clauses, n_in, n_aux in cases:
+        cert = certify_formula(clauses, list(range(1, n_in + 1)),
+                               list(range(n_in + 1, n_in + n_aux + 1)))
+        reference = reference_certificate(clauses, n_in, n_aux, naive_strength)
+        assert (cert.classes, cert.best) == reference, (clauses, n_in, n_aux)
+    assert certify_formula([(3, 4), (3, -4), (-3, 4), (-3, -4)], [1], [2, 3, 4]).best == "none"
 
 
 def test_certify_formula_walks_down_the_lattice(monkeypatch):

@@ -8,9 +8,9 @@ PropEngine keeps two-literal clauses as implication lists and counts the
 non-false literals of longer ones; its trail is both the propagation queue
 and the undo log.
 
-One search over that engine, yielding once per assignment of a prefix of its
-variable order that extends to a model, serves model_under, brute_sat,
-all_scope_models and the exhaustive strength walk's projection.
+One search over that engine, scope_search, yields once per assignment of its
+scope that extends to a model; with no scope it finds one model.  The trail
+records the derivation order, so unit_propagate reads reasons off it.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ class UpResult:
 
     ``literals`` is None exactly when ``conflict`` is True.  The fixpoint
     contains the seed assignment and is closed under unit resolution.
-    ``trace`` (optional) lists (literal, clause_index) pairs in derivation
-    order, clause_index -1 marking seed literals.
+    ``trace`` (optional) lists (literal, clause_index) pairs in trail order:
+    -1 for seeds and unit clauses, else the lowest-index clause containing the
+    literal whose other literals were all made false earlier on the trail.
+    On a conflict it covers the trail entries that remain.
     """
 
     conflict: bool
@@ -64,8 +66,7 @@ class PropEngine:
     conflict, and at 1 the clause is satisfied, a unit, or a conflict that a
     pending entry will find."""
 
-    def __init__(self, clauses: Sequence[Sequence[int]], nvars: int,
-                 trace: Optional[list[tuple[int, int]]] = None):
+    def __init__(self, clauses: Sequence[Sequence[int]], nvars: int):
         self.nvars = nvars
         self.clauses = [tuple(dict.fromkeys(c)) for c in clauses]
         size = 2 * nvars + 1
@@ -92,7 +93,7 @@ class PropEngine:
         # below every caller mark and is never backtracked
         if not self.base_conflict:
             units = [c[0] for c in self.clauses if len(c) == 1]
-            if units and not self.assert_lits(units, trace=trace):
+            if units and not self.assert_lits(units):
                 self.base_conflict = True
 
     def mark(self) -> int:
@@ -114,7 +115,7 @@ class PropEngine:
         del trail[start:]
         return False
 
-    def assert_lits(self, lits: Iterable[int], trace: Optional[list[tuple[int, int]]] = None) -> bool:
+    def assert_lits(self, lits: Iterable[int]) -> bool:
         """Assert literals and propagate to fixpoint.  False means conflict.
 
         A literal is assigned when implied; trail[head:] is the queue still to
@@ -129,8 +130,6 @@ class PropEngine:
             if cur == 0:
                 val[lit], val[-lit] = 1, -1
                 trail.append(lit)
-                if trace is not None:
-                    trace.append((lit, -1))
             elif cur < 0:
                 return self._conflict(head)
         while head < len(trail):
@@ -140,9 +139,6 @@ class PropEngine:
                 if cur == 0:
                     val[other], val[-other] = 1, -1
                     trail.append(other)
-                    if trace is not None:  # the reason: the clause (-lit, other)
-                        trace.append((other, next(ci for ci, c in enumerate(clauses)
-                                                  if len(c) == 2 and {-lit, other} == set(c))))
                 elif cur < 0:
                     return self._conflict(head)  # lit itself is not processed yet
             head += 1
@@ -159,8 +155,6 @@ class PropEngine:
                         if val[other] == 0:
                             val[other], val[-other] = 1, -1
                             trail.append(other)
-                            if trace is not None:
-                                trace.append((other, ci))
                             break
             if conflict:
                 return self._conflict(head)
@@ -175,12 +169,17 @@ def unit_propagate(
 ) -> UpResult:
     """Least fixpoint of unit resolution on ``clauses`` seeded with ``alpha``."""
     seeds = check_partial_assignment(alpha, nvars)
-    trace: Optional[list[tuple[int, int]]] = [] if record_trace else None
-    eng = PropEngine(clauses, nvars, trace=trace)
-    ok = not eng.base_conflict and eng.assert_lits(seeds, trace=trace)
-    if not ok:
-        return UpResult(True, None, tuple(trace) if trace is not None else None)
-    return UpResult(False, frozenset(eng.trail), tuple(trace) if trace is not None else None)
+    eng = PropEngine(clauses, nvars)
+    conflict = not eng.assert_lits(seeds)
+    trace = None
+    if record_trace:  # the clause that fired qualifies, so next() always finds one
+        given = {*seeds, *(c[0] for c in eng.clauses if len(c) == 1)}
+        at = {lit: i for i, lit in enumerate(eng.trail)}
+        trace = tuple((lit, -1 if lit in given else next(
+            ci for ci, c in enumerate(eng.clauses)
+            if lit in c and all(at.get(-o, i) < i for o in c if o != lit)))
+            for i, lit in enumerate(eng.trail))
+    return UpResult(conflict, None if conflict else frozenset(eng.trail), trace)
 
 
 def brute_sat(
@@ -202,22 +201,39 @@ def model_under(eng: PropEngine, assumps: Iterable[int] = ()) -> Optional[tuple[
     mark = eng.mark()
     model = None
     if eng.assert_lits(assumps):
-        for _ in _models(eng, range(1, eng.nvars + 1), 0):
+        for _ in scope_search(eng):
             model = tuple(u if eng.val[u] > 0 else -u for u in range(1, eng.nvars + 1))
             break
     eng.backtrack(mark)
     return model
 
 
-def _models(eng: PropEngine, order: Sequence[int], k: int) -> Iterator[None]:
-    """Depth-first search deciding the first unassigned variable of order
-    (which holds every variable), positive first.  Yields while the engine
-    holds a model, once per assignment of order[:k], and resumes at the last
-    decision among order[:k].  The decisions live on an explicit stack of
-    (literal, mark before it, position in order), so the depth is not
-    bounded by the recursion limit."""
+def all_scope_models(
+    clauses: Sequence[Sequence[int]],
+    nvars: int,
+    scope: Sequence[int],
+) -> list[int]:
+    """Projections onto ``scope`` of the models of the formula, as bitmasks
+    in which bit i is the value of scope[i]; each appears exactly once."""
+    eng = PropEngine(clauses, nvars)
     val = eng.val
-    n = len(order)
+    return sorted(sum(1 << i for i, v in enumerate(scope) if val[v] > 0)
+                  for _ in scope_search(eng, scope))
+
+
+def scope_search(eng: PropEngine, scope: Sequence[int] = ()) -> Iterator[None]:
+    """Depth-first search deciding the first unassigned variable of the scope,
+    then of 1..nvars, positive first; nothing on a base conflict.  Yields
+    while the engine holds a model, once per scope assignment that extends to
+    one, and may return with the last still asserted.  The decisions live on
+    an explicit stack of (literal, mark before it, position in the order), so
+    the depth is not bounded by the recursion limit."""
+    if eng.base_conflict:  # the leftover base trail may assign every variable
+        return
+    val = eng.val
+    # order[:pos] is assigned, so a decision at position k or later is off the scope
+    order = [*scope, *range(1, eng.nvars + 1)]
+    n, k = len(order), len(scope)
     stack: list[tuple[int, int, int]] = []
     pos = 0
     while True:
@@ -245,29 +261,3 @@ def _models(eng: PropEngine, order: Sequence[int], k: int) -> Iterator[None]:
             ok = eng.assert_lits((lit,))
         stack.append((lit, mark, pos))
         pos += 1
-
-
-def all_scope_models(
-    clauses: Sequence[Sequence[int]],
-    nvars: int,
-    scope: Sequence[int],
-) -> list[int]:
-    """Projections onto ``scope`` of the models of the formula, as bitmasks.
-
-    Bit i of a mask is the value of scope[i].  One search decides the scope
-    variables before all others and yields once per scope assignment that
-    extends to a model, so each projection appears exactly once.
-    """
-    eng = PropEngine(clauses, nvars)
-    if not eng.assert_lits(()):
-        return []  # a base conflict can leave a partial assignment behind
-    val = eng.val
-    return sorted(sum(1 << i for i, v in enumerate(scope) if val[v] > 0)
-                  for _ in scope_search(eng, scope))
-
-
-def scope_search(eng: PropEngine, scope: Sequence[int]) -> Iterator[None]:
-    """_models deciding the scope variables first: yields once per scope
-    assignment that extends to a model, with a model on the engine; it may
-    return with the last one still asserted."""
-    return _models(eng, list(dict.fromkeys([*scope, *range(1, eng.nvars + 1)])), len(set(scope)))

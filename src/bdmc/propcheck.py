@@ -34,8 +34,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from . import core
 from .core import (CLASS_PC, CLASS_SATISFIES, CLASS_STRENGTH, CLASS_URC, DEFAULT_EXHAUSTIVE_BUDGET,
                    BdmcGraph, LeafEncoding, build_graph, leaf_spec)
-from .engine import (PropEngine, all_scope_models, brute_sat, check_partial_assignment, model_under,
-                     scope_search, unit_propagate)
+from .engine import PropEngine, all_scope_models, check_partial_assignment, model_under, scope_search
 from .errors import BdmcError, BudgetExceededError, InputError
 
 DEFAULT_SAMPLES = 100_000
@@ -52,6 +51,20 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # encoding correctness (projection equals the circuit's function)
+
+
+def _universe(clauses: Sequence[Sequence[int]], nvars: int, scope: Iterable[int]) -> int:
+    """The largest variable the scope or a clause names, once all are checked
+    to lie in 1..nvars: the checkers size their engines and projections by
+    it, so that a header declaring far more variables than the formula uses
+    costs nothing."""
+    bad = next((v for v in scope if not 0 < v <= nvars), None)
+    if bad is not None:
+        raise InputError(f"scope variable {bad} outside 1..{nvars}")
+    bad = next((lit for c in clauses for lit in c if not 0 < abs(lit) <= nvars), None)
+    if bad is not None:
+        raise InputError(f"literal {bad} outside variable universe 1..{nvars}")
+    return max(max(scope, default=0), max((abs(lit) for c in clauses for lit in c), default=0))
 
 
 @dataclass(frozen=True)
@@ -88,7 +101,7 @@ def check_encoding(
     if len(input_vars) != oracle.num_inputs:
         raise InputError("input_vars must match the oracle's input count")
     want = core.enumerate_models(oracle, budget)
-    got = set(all_scope_models(clauses, nvars, input_vars))
+    got = set(all_scope_models(clauses, _universe(clauses, nvars, input_vars), input_vars))
     if got == want:
         return EncodingCheck(True)
     mask = min(got ^ want)
@@ -180,17 +193,15 @@ def check_strength(
             f"exhaustive mode needs 3^{len(scope)} propagation calls, over the budget"
             f" of {budget}; use sampled mode (e.g. sample:100000:0) or raise BDMC_BUDGET"
         )
-    for v in scope:
-        if not (1 <= v <= nvars):
-            raise InputError(f"scope variable {v} outside 1..{nvars}")
     clauses = [tuple(c) for c in clauses]
+    top = _universe(clauses, nvars, scope)
     if mode == "exhaustive":
-        return _exhaustive_check(clauses, nvars, scope, style)
+        return _exhaustive_check(clauses, top, scope, style)
     if mode != "sampled":
         raise InputError("mode must be 'exhaustive' or 'sampled'")
     if samples < 0:
         raise InputError(f"sample count must be non-negative, got {samples}")
-    return _sampled_check(clauses, nvars, scope, style, samples, seed, jobs)
+    return _sampled_check(clauses, top, scope, style, samples, seed, jobs)
 
 
 class _Projection:
@@ -469,17 +480,16 @@ def confirm_strength_counterexample(
     literal: Optional[int],
     style: str,
 ) -> bool:
-    """Replay a counterexample straight against the definitions, independently
-    of the bitset machinery.  True means it is a genuine violation."""
+    """Replay a counterexample straight against the definitions on one engine,
+    independently of the bitset machinery: UP must not refute alpha nor derive
+    literal, and alpha & -literal (alpha alone for URC) must be unsatisfiable.
+    True means it is a genuine violation."""
     alpha = check_partial_assignment(alpha, nvars)
-    up = unit_propagate(clauses, nvars, alpha)
-    if up.conflict:
+    probe = check_partial_assignment(() if literal is None else (-literal,), nvars)
+    eng = PropEngine(clauses, _universe(clauses, nvars, [abs(lit) for lit in alpha + probe]))
+    if not eng.assert_lits(alpha) or (probe and eng.val[literal] > 0):
         return False
-    if literal is None:
-        return brute_sat(clauses, nvars, alpha) is None
-    if literal in up.literals:
-        return False
-    return brute_sat(clauses, nvars, tuple(alpha) + (-literal,)) is None
+    return model_under(eng, probe) is None
 
 
 # ---------------------------------------------------------------------------

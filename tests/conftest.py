@@ -3,18 +3,13 @@ import os
 import pytest
 
 from bdmc import BdmcError, compile_graph, gen_random
-from bdmc.core import build_graph, leaf_spec
+from bdmc.core import CLASS_STRENGTH, build_graph, leaf_spec
+from bdmc.encoder import TARGET_TABLE
 
 TARGETS = ("cc", "dc", "urc", "urc-seq", "pc")
 
 # which (scope, style) each target's strength claim uses
-TARGET_CHECK = {
-    "cc": ("inputs", "urc"),
-    "dc": ("inputs", "pc"),
-    "urc": ("all", "urc"),
-    "urc-seq": ("all", "urc"),
-    "pc": ("all", "pc"),
-}
+TARGET_CHECK = {t: CLASS_STRENGTH[TARGET_TABLE[t].leaf_class] for t in TARGETS}
 
 CORPUS_SIZE = int(os.environ.get("BDMC_ACCEPT_CORPUS", "100"))
 # sampled tier: per (graph, target) for the three all-vars targets, so each

@@ -8,6 +8,7 @@ from bdmc.engine import (
     PropEngine,
     all_scope_models,
     brute_sat,
+    scope_search,
     unit_propagate,
 )
 from bdmc.errors import InputError
@@ -277,6 +278,45 @@ def test_trace_reasons_precede_their_literals():
                 traced += 1
             seen.add(lit)
     assert traced > 100
+
+
+def test_traced_propagation_agrees_with_untraced():
+    # the trace is read off the trail: the same conflict and literals as an
+    # untraced call, the trail order without a conflict, and each reason the
+    # lowest-index clause whose other literals' complements come earlier
+    rng = random.Random(14)
+    conflicts = 0
+    for _ in range(600):
+        nv, cls = _messy_formula(rng)
+        alpha = [v if rng.random() < 0.5 else -v
+                 for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
+        plain = unit_propagate(cls, nv, alpha)
+        res = unit_propagate(cls, nv, alpha, record_trace=True)
+        assert (res.conflict, res.literals) == (plain.conflict, plain.literals)
+        lits = [lit for lit, _ in res.trace]
+        if res.conflict:
+            conflicts += 1
+        else:
+            eng = PropEngine(cls, nv)
+            assert eng.assert_lits(alpha) and lits == eng.trail
+        units = {c[0] for c in (tuple(set(c)) for c in cls) if len(c) == 1}
+        for i, (lit, ci) in enumerate(res.trace):
+            earlier = set(lits[:i])
+            qualifies = [j for j, c in enumerate(cls)
+                         if lit in c and all(-o in earlier for o in set(c) - {lit})]
+            assert ci == (-1 if lit in alpha or lit in units else qualifies[0]), (cls, alpha)
+    assert conflicts > 50
+
+
+def test_search_returns_at_once_on_base_conflict():
+    # the base conflict leaves the trail [-2, 1, -3], which assigns every
+    # variable: no search may read it as a model
+    cls = [(-2,), (-3, 2, -1), (1,), (-1, -2), (2, -1, 3)]
+    eng = PropEngine(cls, 3)
+    assert eng.base_conflict and eng.trail == [-2, 1, -3]
+    assert list(scope_search(eng, [1, 2, 3])) == []
+    assert all_scope_models(cls, 3, [1, 2, 3]) == []
+    assert brute_sat(cls, 3) is None
 
 
 def test_all_scope_models_full_and_projected():

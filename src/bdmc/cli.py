@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
     cex = results["strength"].counterexample
     if cex is not None:  # replayed against the definitions, apart from the checker
         verdict["strength"]["confirmed"] = propcheck.confirm_strength_counterexample(
-            clauses, nvars, cex.alpha, cex.literal, style)
+            clauses, nvars, cex.alpha, cex.literal)
     verdict["passed"] = passed = all(results.values())
     print(json.dumps(verdict, indent=2, sort_keys=True))
     return EXIT_OK if passed else EXIT_VERIFY_FAIL

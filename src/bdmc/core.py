@@ -309,7 +309,6 @@ class ValidationReport:
     rooted: bool
     decomposable: bool
     smooth: bool
-    aux_disjoint: bool
     covers_inputs: bool
     cycle: tuple[int, ...] = ()
     unreachable: tuple[int, ...] = ()
@@ -319,7 +318,7 @@ class ValidationReport:
 
     @property
     def structurally_valid(self) -> bool:
-        return self.acyclic and self.rooted and self.aux_disjoint and self.covers_inputs
+        return self.acyclic and self.rooted and self.covers_inputs
 
     @property
     def is_valid_bdmc(self) -> bool:
@@ -414,8 +413,6 @@ class GraphAnalysis:
             raise StructureError(
                 f"input variables {list(report.missing_inputs)} appear in no leaf (var(root) != x)"
             )
-        if not report.aux_disjoint:
-            raise StructureError("leaf auxiliary variable sets are not pairwise disjoint")
         if need_decomposable and not report.decomposable:
             raise StructureError(
                 f"graph is not decomposable; witness (node, var) = {report.decomp_witness}"
@@ -474,7 +471,6 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
         elif any(start[ch] != start[nid] + 1 for ch in kids):
             layered = False
     cycle = () if complete and not unreachable else _find_cycle(graph)
-    aux = [v for leaf in graph.leaves for v in leaf.aux_vars]
     scopes = None
     decomposable = smooth = False
     decomp_witness = smooth_witness = None
@@ -519,7 +515,6 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
         rooted=not unreachable,
         decomposable=decomposable,
         smooth=smooth,
-        aux_disjoint=len(aux) == len(set(aux)),
         covers_inputs=not cycle and not missing,
         cycle=cycle,
         unreachable=unreachable,
@@ -543,8 +538,9 @@ def compute_scopes(graph: BdmcGraph) -> VarScopeMap:
 
 
 def validate(graph: BdmcGraph) -> ValidationReport:
-    """Structural report: acyclicity, reachability, decomposability, smoothness,
-    aux disjointness, and var(root) covering the declared inputs."""
+    """Structural report: acyclicity, reachability, decomposability, smoothness
+    and var(root) covering the declared inputs (assemble_graph already
+    refuses aux variables shared between leaves)."""
     return graph.analysis.report
 
 

@@ -13,15 +13,15 @@ propagating alpha without conflict, the formula must be satisfiable (URC), and
 for every scope literal l whose negation was not derived, phi & alpha & l must
 be satisfiable (PC).  Both modes answer these queries from one _Projection: the
 formula's models projected onto V, kept as per-literal bitsets, with one PC
-pending-literal loop.  Exhaustive mode reads the complete projection off its
-one engine, then walks the partial assignments over the variables of V that
-some clause mentions (the first of V if none is) on that engine's trail in
-one loop over an explicit frame stack, pruning every extension of a
-conflicting assignment; a literal no model sets is a failure.  Sampled mode
-draws sample j from its own splitmix64 stream, keyed by (seed, j), asserting
-each literal as it is drawn and stopping at the first UP conflict, and grows
-the projection on demand: a literal no known model sets goes to the DPLL
-oracle.
+pending-literal loop, and both take the variables of V that some clause
+mentions (the first of V if none is).  Exhaustive mode reads the complete
+projection off its one engine, then walks the partial assignments over them
+on that engine's trail in one loop over an explicit frame stack, pruning
+every extension of a conflicting assignment; a literal no model sets is a
+failure.  Sampled mode draws sample j over them from its own splitmix64
+stream, keyed by (seed, j), asserting each literal as it is drawn and
+stopping at the first UP conflict, and grows the projection on demand: a
+literal no known model sets goes to the DPLL oracle.
 """
 
 from __future__ import annotations
@@ -53,18 +53,19 @@ __all__ = [
 # encoding correctness (projection equals the circuit's function)
 
 
-def _universe(clauses: Sequence[Sequence[int]], nvars: int, scope: Iterable[int]) -> int:
-    """The largest variable the scope or a clause names, once all are checked
-    to lie in 1..nvars: the checkers size their engines and projections by
-    it, so that a header declaring far more variables than the formula uses
-    costs nothing."""
-    bad = next((v for v in scope if not 0 < v <= nvars), None)
+def _mentioned(clauses: Sequence[Sequence[int]], nvars: int, scope: Sequence[int]) -> set[int]:
+    """The variables the clauses mention, once they and the scope (a range by
+    its two ends, never materialised) are checked to lie in 1..nvars: the
+    checkers size their engines and projections by the variables they use,
+    so a header declaring far more than the formula uses costs nothing."""
+    ends = (*scope[:1], *scope[-1:]) if isinstance(scope, range) else scope
+    bad = next((v for v in ends if not 0 < v <= nvars), None)
     if bad is not None:
         raise InputError(f"scope variable {bad} outside 1..{nvars}")
     bad = next((lit for c in clauses for lit in c if not 0 < abs(lit) <= nvars), None)
     if bad is not None:
         raise InputError(f"literal {bad} outside variable universe 1..{nvars}")
-    return max(max(scope, default=0), max((abs(lit) for c in clauses for lit in c), default=0))
+    return {abs(lit) for c in clauses for lit in c}
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,8 @@ def check_encoding(
     if len(input_vars) != oracle.num_inputs:
         raise InputError("input_vars must match the oracle's input count")
     want = core.enumerate_models(oracle, budget)
-    got = set(all_scope_models(clauses, _universe(clauses, nvars, input_vars), input_vars))
+    top = max(_mentioned(clauses, nvars, input_vars) | set(input_vars), default=0)
+    got = set(all_scope_models(clauses, top, input_vars))
     if got == want:
         return EncodingCheck(True)
     mask = min(got ^ want)
@@ -125,14 +127,14 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class StrengthVerdict:
-    """A strength verdict on the declared scope.  alphas_checked counts the
-    assignments up to and including the first failure, in exhaustive mode
-    over the scope variables some clause mentions; in sampled mode vacuous
-    counts those among them that UP refutes.  In sampled mode every job grows
+    """A strength verdict on the declared scope (a range stays a range); both
+    modes check assignments over its clause-mentioned variables, counting in
+    alphas_checked those up to and including the first failure and in vacuous
+    (sampled mode) those among them that UP refutes.  Every sampled job grows
     its own model cache, so sat_calls depends on jobs; no other field does."""
 
     style: str  # 'urc' | 'pc'
-    scope: tuple[int, ...]
+    scope: Sequence[int]
     mode: str  # 'exhaustive' | 'sampled'
     passed: bool
     counterexample: Optional[Counterexample] = None
@@ -180,28 +182,37 @@ def check_strength(
     budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
     jobs: int = 1,
 ) -> StrengthVerdict:
-    """The style's condition (URC or PC) of the CNF on scope.  Exhaustive mode
-    walks the scope variables some clause mentions, refusing before any work
-    when 3^|scope| is over the budget; sampled mode draws samples over the
-    whole scope, the same for any jobs."""
+    """The style's condition (URC or PC) of the CNF on scope.  A variable no
+    clause mentions changes neither UP nor satisfiability, so both modes take
+    the scope variables some clause mentions, or the first if none is (PC over
+    none checks no satisfiability): exhaustive mode walks them, refusing
+    before any work when 3^|scope| is over the budget, and sampled mode draws
+    over them, the same for any jobs."""
     if style not in STYLES:
         raise InputError("style must be 'urc' or 'pc'")
     if not isinstance(scope, range):  # a range repeats nothing, and may be huge
-        scope = list(dict.fromkeys(scope))
+        scope = tuple(dict.fromkeys(scope))
     if mode == "exhaustive" and not exhaustive_feasible(len(scope), budget):
         raise BudgetExceededError(
             f"exhaustive mode needs 3^{len(scope)} propagation calls, over the budget"
             f" of {budget}; use sampled mode (e.g. sample:100000:0) or raise BDMC_BUDGET"
         )
     clauses = [tuple(c) for c in clauses]
-    top = _universe(clauses, nvars, scope)
+    mentioned = _mentioned(clauses, nvars, scope)
+    if isinstance(scope, range):
+        walked = sorted((v for v in mentioned if v in scope), key=scope.index)
+    else:
+        walked = [v for v in scope if v in mentioned]
+    walked = walked or list(scope[:1])
+    top = max(mentioned.union(walked), default=0)
     if mode == "exhaustive":
-        return _exhaustive_check(clauses, top, scope, style)
+        cex, alphas = _exhaustive_check(clauses, top, walked, style)
+        return StrengthVerdict(style, scope, mode, cex is None, cex, alphas_checked=alphas)
     if mode != "sampled":
         raise InputError("mode must be 'exhaustive' or 'sampled'")
     if samples < 0:
         raise InputError(f"sample count must be non-negative, got {samples}")
-    return _sampled_check(clauses, top, scope, style, samples, seed, jobs)
+    return _sampled_check(clauses, top, scope, walked, style, samples, seed, jobs)
 
 
 class _Projection:
@@ -285,33 +296,29 @@ class _Projection:
         return None
 
 
-def _exhaustive_check(clauses, nvars, scope, style) -> StrengthVerdict:
-    """Walk every UP-consistent partial assignment over the scope variables
-    some clause mentions, depth first, on one engine: scope_search first
-    reads the complete projection off it, then the walk starts from its base
-    trail.  A variable no clause mentions changes neither UP nor
-    satisfiability, so dropping it keeps the verdict; if none is mentioned
-    the first stays, as PC over no variables would not check satisfiability.
+def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterexample], int]:
+    """Walk every UP-consistent partial assignment over the walked variables
+    depth first, on one engine: scope_search first reads the complete
+    projection off it, then the walk starts from its base trail.  Returns
+    the first counterexample (None on a pass) and the alphas visited.
 
     A frame is (next slot, models consistent so far, forced slots, mark of
     the decision that opened it), in _Projection's slot numbering: slot 2i
-    asserts +scope[i] and slot 2i+1 asserts -scope[i], so alphas are visited
+    asserts +walked[i] and slot 2i+1 asserts -walked[i], so alphas are visited
     in increasing (variable, sign) order, each extending its parent's
     decisions.  An assigned variable skips both its slots: the agreeing
     branch repeats the frame's checks and the other conflicts.  A UP
     conflict moves to the next slot, pruning every extension; an alpha that
     passes opens a frame at the next variable's first slot."""
-    mentioned = {abs(lit) for c in clauses for lit in c}
-    used = [v for v in scope if v in mentioned] or scope[:1]
-    proj = _Projection(used, nvars)
+    proj = _Projection(walked, nvars)
     eng = PropEngine(clauses, nvars)
     alphas = 0
     cex = None
     if not eng.base_conflict:  # else every condition holds vacuously
         val, trail, blit = eng.val, eng.trail, proj.blit
-        end, base = 2 * len(used), eng.mark()
-        for _ in scope_search(eng, used):
-            proj.add(val[v] > 0 for v in used)
+        end, base = 2 * len(walked), eng.mark()
+        for _ in scope_search(eng, walked):
+            proj.add(val[v] > 0 for v in walked)
         eng.backtrack(base)
         forced = proj.trail_slots(trail)
         avail = (1 << len(proj.model_lits)) - 1
@@ -326,7 +333,7 @@ def _exhaustive_check(clauses, nvars, scope, style) -> StrengthVerdict:
                 if decisions:
                     decisions.pop()
                 continue
-            v = used[slot >> 1]
+            v = walked[slot >> 1]
             if val[v] != 0:
                 frames.append(((slot | 1) + 1, avail, forced, mark))
                 continue
@@ -343,8 +350,7 @@ def _exhaustive_check(clauses, nvars, scope, style) -> StrengthVerdict:
             if cex is not None:
                 break
             frames.append(((slot | 1) + 1, sub_avail, sub_forced, sub))
-    return StrengthVerdict(style, tuple(scope), "exhaustive", cex is None, cex,
-                           alphas_checked=alphas)
+    return cex, alphas
 
 
 _MASK64 = (1 << 64) - 1
@@ -373,13 +379,13 @@ def _below(words: Iterator[int], n: int) -> int:
     return w % n
 
 
-def _sampled_check(clauses, nvars, scope, style, samples, seed, jobs) -> StrengthVerdict:
+def _sampled_check(clauses, nvars, scope, walked, style, samples, seed, jobs) -> StrengthVerdict:
     """Split [0, samples) into at most one chunk per job, run on at most one
     worker per chunk and per CPU; the first failing sample over all chunks
     decides, and chunks that start after it are dropped, so the verdict does
     not depend on jobs or on the CPU count."""
     chunk = max(1, -(-samples // max(jobs, 1)))
-    tasks = [(clauses, nvars, scope, style, seed, lo, min(lo + chunk, samples))
+    tasks = [(clauses, nvars, walked, style, seed, lo, min(lo + chunk, samples))
              for lo in range(0, samples, chunk)]
     workers = min(len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -392,7 +398,7 @@ def _sampled_check(clauses, nvars, scope, style, samples, seed, jobs) -> Strengt
     fail_at, cex = min(((r[0], r[1]) for r in results if r[0] is not None),
                        default=(None, None))
     return StrengthVerdict(
-        style, tuple(scope), "sampled",
+        style, scope, "sampled",
         passed=fail_at is None,
         counterexample=cex,
         samples=samples,
@@ -418,7 +424,7 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
     one is skipped and a refuted one is a conflict without an engine call.
     UP is monotone, so a conflicting prefix makes the whole alpha conflict,
     and the sample, which passes vacuously, stops there.  A surviving alpha
-    is checked in scope order."""
+    is checked in scope order on the engine that still holds it."""
     proj = _Projection(scope, nvars)
     k = len(scope)
     eng = PropEngine(clauses, nvars)
@@ -428,11 +434,11 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
     sat_calls = vacuous = 0
     base = proj.trail_slots(eng.trail)  # scope literals forced by the formula's own units
 
-    def new_model(alpha, slot: Optional[int]) -> Optional[int]:
-        """Ask the oracle for a model of alpha (and of the slot's literal)."""
+    def new_model(slot: Optional[int]) -> Optional[int]:
+        """Ask the oracle for a model of the trail (asserting only the slot's literal)."""
         nonlocal sat_calls
         sat_calls += 1
-        model = model_under(eng, alpha if slot is None else alpha + (proj.lit(slot),))
+        model = model_under(eng, () if slot is None else (proj.lit(slot),))
         return None if model is None else proj.add(model[v - 1] > 0 for v in scope)
 
     def draw(j: int) -> Optional[tuple[int, ...]]:
@@ -457,19 +463,17 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
                 return None
         return tuple(picked[idx] for idx in sorted(picked))
 
+    mark = eng.mark()
     for j in range(start, stop):
-        mark = eng.mark()
         alpha = draw(j)
         if alpha is None:
-            eng.backtrack(mark)
             vacuous += 1
-            continue
-        forced = base | proj.trail_slots(eng.trail, mark)
+        else:
+            forced = base | proj.trail_slots(eng.trail, mark)
+            cex = proj.violation(alpha, style, proj.consistent(alpha), forced, new_model)
+            if cex is not None:
+                return j, cex, sat_calls, vacuous
         eng.backtrack(mark)
-        avail = proj.consistent(alpha)
-        cex = proj.violation(alpha, style, avail, forced, lambda slot: new_model(alpha, slot))
-        if cex is not None:
-            return j, cex, sat_calls, vacuous
     return None, None, sat_calls, vacuous
 
 
@@ -478,15 +482,15 @@ def confirm_strength_counterexample(
     nvars: int,
     alpha: Sequence[int],
     literal: Optional[int],
-    style: str,
 ) -> bool:
     """Replay a counterexample straight against the definitions on one engine,
     independently of the bitset machinery: UP must not refute alpha nor derive
-    literal, and alpha & -literal (alpha alone for URC) must be unsatisfiable.
-    True means it is a genuine violation."""
+    literal, and alpha & -literal (alpha alone if literal is None) must be
+    unsatisfiable.  True means it is a genuine violation."""
     alpha = check_partial_assignment(alpha, nvars)
     probe = check_partial_assignment(() if literal is None else (-literal,), nvars)
-    eng = PropEngine(clauses, _universe(clauses, nvars, [abs(lit) for lit in alpha + probe]))
+    top = max(_mentioned(clauses, nvars, ()).union(abs(lit) for lit in alpha + probe), default=0)
+    eng = PropEngine(clauses, top)
     if not eng.assert_lits(alpha) or (probe and eng.val[literal] > 0):
         return False
     return model_under(eng, probe) is None
@@ -535,7 +539,7 @@ def certify_formula(
             continue
         walked.add((tuple(scope), style))
         # a constant over no variables is vacuously complete
-        if not scope or _exhaustive_check(mapped, nvars, scope, style).passed:
+        if not scope or check_strength(mapped, nvars, scope, style, budget=budget).passed:
             got |= CLASS_SATISFIES[name]
     return LeafCertificate(frozenset(got), next((c for c in CLASS_STRENGTH if c in got), "none"))
 

@@ -113,10 +113,8 @@ def scope_facts(g):
 def ref_validate(g):
     cycle = ref_cycle(g)
     unreachable = tuple(sorted(set(range(g.num_nodes)) - ref_reachable(g)))
-    aux = [v for lf in g.leaves for v in lf.aux_vars]
     fields = dict(acyclic=not cycle, rooted=not unreachable, decomposable=False, smooth=False,
-                  aux_disjoint=len(aux) == len(set(aux)), covers_inputs=False, cycle=cycle,
-                  unreachable=unreachable)
+                  covers_inputs=False, cycle=cycle, unreachable=unreachable)
     if cycle:
         return ValidationReport(**fields)
     var_sets = ref_scopes(g)[0]

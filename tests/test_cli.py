@@ -283,6 +283,21 @@ def test_verify_absurd_header_refused_without_allocating(tmp_path, g1_file, targ
     assert "Traceback" not in result.stderr
 
 
+def test_verify_absurd_header_sampled_over_all_variables(tmp_path, g1_file):
+    # 10^9 declared variables, 13 used: sampled verify over all of them draws
+    # over the 13 in 1 GiB of address space and reports the declared scope
+    cnf = tmp_path / "g1.cnf"
+    assert main(["compile", "--target", "pc", str(g1_file), "-o", str(cnf)]) == 0
+    lines = cnf.read_text().splitlines()
+    assert lines[0] == "p cnf 13 38"
+    cnf.write_text("\n".join(["p cnf 1000000000 38"] + lines[1:]) + "\n")
+    result = _run_module(["verify", "--target", "pc", "--cnf", str(cnf), str(g1_file),
+                          "--mode", "sample:10:0"], address_space=1 << 30)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert '"scope_size": 1000000000' in result.stdout
+
+
 @pytest.mark.parametrize("mode", ["exhaustive", "sample:10:0"])
 def test_verify_absurd_header_input_scope_sized_by_the_clauses(tmp_path, g1_file, mode):
     # 10^9 declared variables, 13 used: over the two-input scope both modes

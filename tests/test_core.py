@@ -5,6 +5,8 @@ import pytest
 from bdmc.core import (
     CLASS_SATISFIES,
     CLASS_STRENGTH,
+    Node,
+    assemble_graph,
     build_graph,
     compute_scopes,
     enumerate_models,
@@ -12,9 +14,10 @@ from bdmc.core import (
     infer_claimed_class,
     leaf_spec,
     make_clause,
+    make_leaf,
     validate,
 )
-from bdmc.errors import BudgetExceededError, InputError, StructureError
+from bdmc.errors import BdmcError, BudgetExceededError, InputError, StructureError
 from bdmc.propcheck import gen_random
 
 from conftest import g1
@@ -48,7 +51,7 @@ def test_validate_single_leaf_all_flags():
                     leaves=[leaf_spec(inputs=[1], clauses=[[1]])], n=1)
     rep = validate(g)
     assert rep.acyclic and rep.rooted and rep.decomposable and rep.smooth
-    assert rep.aux_disjoint and rep.covers_inputs
+    assert rep.covers_inputs
     assert rep.is_valid_bdmc
 
 
@@ -120,6 +123,72 @@ def test_duplicate_edge_rejected():
         build_graph(
             nodes=[("or", [1, 1]), ("leaf", 1)],
             leaves=[leaf_spec(inputs=[1], clauses=[[1]])], n=1)
+
+
+X1 = leaf_spec(inputs=[1], clauses=[[1]])
+NOT_X1 = leaf_spec(inputs=[1], clauses=[[-1]])
+CYCLE = [Node("or", children=(1,)), Node("or", children=(0, 2)), Node("leaf", leaf=1)]
+# id: (a call refusing a malformed sentence, its error class, its message)
+REFUSALS = {
+    "clause-variable-undeclared": (
+        lambda: assemble_graph([Node("leaf", leaf=1)], 0, [make_leaf(1, (1,), (), [[2]])], ["x1"]),
+        InputError, "leaf 1: clause variable 2 not among its inputs/aux"),
+    "no-nodes": (lambda: assemble_graph([], 0, [], ["x1"]),
+                 StructureError, "no nodes: sentence has no root"),
+    "root-out-of-range": (lambda: build_graph([("leaf", 1)], [X1], n=1, root=3),
+                          StructureError, "root id 3 out of range"),
+    "leaf-indices": (
+        lambda: assemble_graph([Node("leaf", leaf=2)], 0, [make_leaf(2, (1,), (), [[1]])], ["x1"]),
+        StructureError, "leaf indices must be exactly 1..numLeaves"),
+    "leaf-on-two-nodes": (lambda: build_graph([("or", [1, 2]), ("leaf", 1), ("leaf", 1)], [X1], n=1),
+                          StructureError, "leaf 1 attached to two nodes"),
+    "no-children": (lambda: build_graph([("and", [])], [], n=1),
+                    StructureError, "node 0: inner node with no children"),
+    "child-out-of-range": (lambda: build_graph([("or", [5])], [], n=1),
+                           StructureError, "node 0: child id 5 out of range"),
+    "unknown-kind": (lambda: build_graph([("xor", [1]), ("leaf", 1)], [X1], n=1),
+                     StructureError, "node 0: unknown kind 'xor'"),
+    "leaf-without-node": (lambda: build_graph([("leaf", 1)], [X1, NOT_X1], n=1),
+                          StructureError, "leaf 2 has no node"),
+    "input-undeclared": (
+        lambda: build_graph([("leaf", 1)], [leaf_spec(inputs=[2], clauses=[[1]])], n=1),
+        StructureError, "leaf 1: input variable 2 not declared"),
+    "aux-reused": (
+        lambda: assemble_graph(
+            [Node("or", children=(1, 2)), Node("leaf", leaf=1), Node("leaf", leaf=2)], 0,
+            [make_leaf(1, (1,), (2,), [[1, 2]]), make_leaf(2, (1,), (2,), [[-1, -2]])], ["x1"]),
+        StructureError, "leaf 2: aux variable 2 reused or clashes with inputs"),
+    "aux-clashes-with-input": (
+        lambda: assemble_graph([Node("leaf", leaf=1)], 0, [make_leaf(1, (1,), (2,), [[1, 2]])],
+                               ["x1", "x2"]),
+        StructureError, "leaf 1: aux variable 2 reused or clashes with inputs"),
+    "no-input-count": (lambda: build_graph([("leaf", 1)], [X1]),
+                       InputError, "build_graph needs n or input_names"),
+    "aux-name-count": (
+        lambda: build_graph([("leaf", 1)], [leaf_spec([1], [[1]], aux=2, aux_names=["a"])], n=1),
+        InputError, "leaf 1: aux name count mismatch"),
+    "clause-literal-undeclared": (
+        lambda: build_graph([("leaf", 1)], [leaf_spec(inputs=[1], clauses=[[2]])], n=1),
+        InputError, "leaf 1: clause literal 2 not declared"),
+    "cycle": (
+        lambda: assemble_graph(CYCLE, 0, [make_leaf(1, (1,), (), [[1]])], ["x1"])
+        .analysis.require_valid(),
+        StructureError, "cycle detected through nodes [0, 1, 0]"),
+    "not-decomposable": (
+        lambda: build_graph([("and", [1, 2]), ("leaf", 1), ("leaf", 2)], [X1, NOT_X1], n=1)
+        .analysis.require_valid(),
+        StructureError, "graph is not decomposable; witness (node, var) = (0, 1)"),
+    "assignment-off-the-inputs": (lambda: evaluate(g1(), [1, -2, 3]),
+                                  InputError, "assignment mentions 3, not an input variable (1..2)"),
+}
+
+
+@pytest.mark.parametrize("build, error, message",
+                         [pytest.param(*case, id=name) for name, case in REFUSALS.items()])
+def test_structural_refusals(build, error, message):
+    with pytest.raises(BdmcError) as refused:
+        build()
+    assert type(refused.value) is error and str(refused.value) == message
 
 
 def test_scopes_and_holders():

@@ -61,7 +61,7 @@ def test_mutant_fails_the_exhaustive_check(mutants, i):
     v = check_strength(clauses, nvars, list(range(1, nvars + 1)), "pc", budget=3 ** nvars)
     assert not v.passed
     assert (v.counterexample.alpha, v.counterexample.literal) == (alpha, literal)
-    assert confirm_strength_counterexample(clauses, nvars, alpha, literal, "pc")
+    assert confirm_strength_counterexample(clauses, nvars, alpha, literal)
 
 
 def test_sampled_detection_rate_holds(mutants):
@@ -73,6 +73,5 @@ def test_sampled_detection_rate_holds(mutants):
             if not v.passed:
                 detected += 1
                 cex = v.counterexample
-                assert confirm_strength_counterexample(clauses, nvars, cex.alpha,
-                                                       cex.literal, "pc")
+                assert confirm_strength_counterexample(clauses, nvars, cex.alpha, cex.literal)
     assert detected >= PARENT_DETECTIONS, detected

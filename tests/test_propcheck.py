@@ -1,5 +1,6 @@
 """Checkers: encoding correctness, strength verdicts, certification, generator."""
 
+import dataclasses
 import itertools
 import random
 import sys
@@ -71,7 +72,7 @@ def test_check_strength_examples():
     v = check_strength(NON_URC, 2, [1, 2], "urc")
     assert not v.passed
     assert v.counterexample.alpha == () and v.counterexample.literal is None
-    assert confirm_strength_counterexample(NON_URC, 2, (), None, "urc")
+    assert confirm_strength_counterexample(NON_URC, 2, (), None)
 
     out = compile_graph(g1(), "pc", auto_smooth=True, auto_level=True)
     v = check_strength(out.all_clauses(), out.num_vars,
@@ -81,6 +82,16 @@ def test_check_strength_examples():
     out = compile_graph(g1(), "cc")
     v = check_strength(out.all_clauses(), out.num_vars, [1, 2], "urc")
     assert v.passed
+
+
+@pytest.mark.parametrize("clauses, alpha, literal", [
+    ([(-1, 2), (-1, -2)], (1,), None),  # UP refutes alpha
+    ([(-1, 2), (1, 3)], (1,), 2),  # UP derives the literal
+    ([(1, 2)], (), 1),  # alpha & -literal is satisfiable
+    ([(1, 2)], (-1,), None),  # alpha is satisfiable: no URC violation
+])
+def test_confirm_rejects_non_violations(clauses, alpha, literal):
+    assert not confirm_strength_counterexample(clauses, 3, alpha, literal)
 
 
 @pytest.mark.parametrize("clauses, nvars", [([(2, 2, 1)], 2), ([(1, 1)], 1)])
@@ -128,7 +139,7 @@ def test_exhaustive_matches_naive_reference():
         assert got.passed == naive_strength(cls, nv, scope, style), (cls, scope, style)
         if not got.passed:
             cex = got.counterexample
-            assert confirm_strength_counterexample(cls, nv, cex.alpha, cex.literal, style)
+            assert confirm_strength_counterexample(cls, nv, cex.alpha, cex.literal)
 
 
 def test_exhaustive_exact_with_clause_free_scope_variables():
@@ -156,7 +167,7 @@ def test_exhaustive_exact_with_clause_free_scope_variables():
         assert got.passed == naive_strength(cls, nv, scope, style), (cls, scope, style)
         if not got.passed:
             cex = got.counterexample
-            assert confirm_strength_counterexample(cls, nv, cex.alpha, cex.literal, style)
+            assert confirm_strength_counterexample(cls, nv, cex.alpha, cex.literal)
     # unsat while UP stays quiet: PC over the free variable 1 fails
     assert not check_strength(NON_URC_34, 4, [1], "pc").passed
 
@@ -193,7 +204,7 @@ def test_sampled_matches_exhaustive_on_failures():
         # tiny scopes: 4000 draws all but surely hit a violating alpha
         assert not sampled.passed
         cex = sampled.counterexample
-        assert confirm_strength_counterexample(cls, nv, cex.alpha, cex.literal, style)
+        assert confirm_strength_counterexample(cls, nv, cex.alpha, cex.literal)
     assert checked >= 10
 
 
@@ -218,12 +229,30 @@ def test_sampled_deterministic_and_parallel_equal():
     assert not one["passed"] and one["alphas_checked"] == 33
     cex = one["counterexample"]
     literal = None if cex["literal"] == "bot" else cex["literal"]
-    assert confirm_strength_counterexample(cls, nv, cex["alpha"], literal, "pc")
+    assert confirm_strength_counterexample(cls, nv, cex["alpha"], literal)
     one.pop("sat_calls")
     two.pop("sat_calls")
     assert one == two
     empty = check_strength(cls, nv, scope, "pc", mode="sampled", samples=0, jobs=2)
     assert empty.passed and empty.alphas_checked == 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("style, samples", [("pc", 3000), ("urc", 400)])  # fails, passes
+def test_sampled_draws_over_clause_mentioned_variables(style, samples, jobs):
+    # variables no clause mentions, anywhere in the scope, change no field
+    # of the verdict but the declared scope
+    out = compile_graph(g1(), "cc")
+    cls, nv = out.all_clauses(), out.num_vars
+    scope = list(range(1, nv + 1))
+    want = check_strength(cls, nv, scope, style, mode="sampled", samples=samples, seed=9,
+                          jobs=jobs)
+    assert want.passed == (style == "urc")
+    for padded in ([nv + 1, *scope[:3], nv + 2, *scope[3:], nv + 3], range(1, nv + 4)):
+        got = check_strength(cls, nv + 3, padded, style, mode="sampled", samples=samples,
+                             seed=9, jobs=jobs)
+        assert list(got.scope) == list(padded)
+        assert dataclasses.replace(got, scope=want.scope) == want
 
 
 def full_draw(scope, seed, j):
@@ -242,9 +271,12 @@ def full_draw(scope, seed, j):
 
 
 def reference_sampled(clauses, nvars, scope, style, seed, samples):
-    """(alphas_checked, counterexample, vacuous) of full draws, each judged
-    by unit_propagate and brute_sat straight from the definitions; the PC
-    literals in slot order (+v before -v, scope order)."""
+    """(alphas_checked, counterexample, vacuous) of full draws over the scope
+    variables some clause mentions (the first scope variable if none is),
+    each judged by unit_propagate and brute_sat straight from the
+    definitions; the PC literals in slot order (+v before -v, scope order)."""
+    mentioned = {abs(lit) for c in clauses for lit in c}
+    scope = [v for v in scope if v in mentioned] or scope[:1]
     vacuous = 0
     for j in range(samples):
         alpha = full_draw(scope, seed, j)
@@ -287,7 +319,9 @@ def test_sampled_early_stop_matches_full_draws():
 
 def test_sampled_draw_law(monkeypatch):
     # a uniform size in 0..k, then a uniform subset of that size with fair
-    # signs: over k = 3 each alpha of size s has chance 1/4 / (C(3, s) 2^s)
+    # signs: over k = 3 each alpha of size s has chance 1/4 / (C(3, s) 2^s);
+    # the one clause mentions the three scope variables, and no alpha over
+    # them refutes it
     from collections import Counter
     from math import comb
 
@@ -300,7 +334,8 @@ def test_sampled_draw_law(monkeypatch):
 
     monkeypatch.setattr(propcheck._Projection, "violation", record)
     n = 16000
-    assert check_strength([], 3, [1, 2, 3], "urc", mode="sampled", samples=n, seed=3).passed
+    assert check_strength([(1, 2, 3, 4)], 4, [1, 2, 3], "urc", mode="sampled", samples=n,
+                          seed=3).passed
     assert sum(seen.values()) == n and len(seen) == 27
     for alpha, count in seen.items():
         p = 0.25 / (comb(3, len(alpha)) * 2 ** len(alpha))

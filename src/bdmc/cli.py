@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 parse/input error, 2 unmet compile precondition,
 3 verification failure, 4 budget exceeded.  The resolved configuration is
 echoed to stderr; outputs are byte-deterministic for fixed inputs and flags.
 The BDMC_BUDGET environment variable (default 3^14) caps the assignments of
-every exhaustive sweep: 3^k partial assignments for a strength check over k
-variables, 2^n input assignments for the correctness check over n inputs.
+every exhaustive sweep: 3^k for a strength check over the k scope variables
+some clause mentions, 2^n for the correctness check over n inputs, which
+verify runs against the sentence as written, not a smoothed or leveled copy.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import encoder, formats, propcheck, transform
-from .core import CLASS_STRENGTH, evaluate
+from .core import CLASS_STRENGTH, assemble_graph, evaluate
 from .errors import (
     BdmcError,
     BudgetExceededError,
@@ -121,11 +123,10 @@ def cmd_verify(args) -> int:
         clauses = output.all_clauses()
         nvars = output.num_vars
         num_inputs = output.num_inputs
-        graph = output.graph
         source = "compiled"
     scope_kind, style = CLASS_STRENGTH[spec.leaf_class]
     scope_kind = args.scope or scope_kind
-    # a range: an absurd header's variable count costs nothing before the gate
+    # a range: an absurd header's variable count costs nothing
     scope = range(1, (num_inputs if scope_kind == "inputs" else nvars) + 1)
     mode, samples, seed = _parse_mode(args.mode)
     verdict = {"target": spec.name, "source": source, "style": style, "scope": scope_kind}
@@ -137,8 +138,8 @@ def cmd_verify(args) -> int:
             budget=_budget(), jobs=args.jobs,
         ),
     }
-    # first the check whose budget gate can refuse before any work: 3^|scope|
-    # when exhaustive, else check_encoding's 2^n
+    # first the check whose budget gate can refuse before any work: 3^k over
+    # the k scope variables some clause mentions when exhaustive, else 2^n
     order = ("strength", "encoding") if mode == "exhaustive" else ("encoding", "strength")
     results = {key: checks[key]() for key in order}
     verdict.update((key, result.to_dict()) for key, result in results.items())
@@ -246,13 +247,11 @@ def cmd_certify_leaf(args) -> int:
             "best": cert.best,
         })
         if args.apply and cert.best != "none":
-            from dataclasses import replace
             upgraded.append(replace(leaf, claimed_class=cert.best))
         else:
             upgraded.append(leaf)
     print(json.dumps(rows, indent=2, sort_keys=True))
     if args.apply:
-        from .core import assemble_graph
         new_graph = assemble_graph(graph.nodes, graph.root, upgraded, graph.input_names)
         out = args.output or args.input
         _write(out, formats.serialize_bdmc(new_graph))

@@ -186,17 +186,12 @@ def check_strength(
     clause mentions changes neither UP nor satisfiability, so both modes take
     the scope variables some clause mentions, or the first if none is (PC over
     none checks no satisfiability): exhaustive mode walks them, refusing
-    before any work when 3^|scope| is over the budget, and sampled mode draws
-    over them, the same for any jobs."""
+    before the walk when 3^k over those k is over the budget, and sampled
+    mode draws over them, the same for any jobs."""
     if style not in STYLES:
         raise InputError("style must be 'urc' or 'pc'")
     if not isinstance(scope, range):  # a range repeats nothing, and may be huge
         scope = tuple(dict.fromkeys(scope))
-    if mode == "exhaustive" and not exhaustive_feasible(len(scope), budget):
-        raise BudgetExceededError(
-            f"exhaustive mode needs 3^{len(scope)} propagation calls, over the budget"
-            f" of {budget}; use sampled mode (e.g. sample:100000:0) or raise BDMC_BUDGET"
-        )
     clauses = [tuple(c) for c in clauses]
     mentioned = _mentioned(clauses, nvars, scope)
     if isinstance(scope, range):
@@ -204,6 +199,10 @@ def check_strength(
     else:
         walked = [v for v in scope if v in mentioned]
     walked = walked or list(scope[:1])
+    if mode == "exhaustive" and not exhaustive_feasible(len(walked), budget):
+        raise BudgetExceededError(f"exhaustive mode needs 3^{len(walked)} propagation calls, over the"
+                                  f" budget of {budget}; use sampled mode (e.g. sample:100000:0)"
+                                  " or raise BDMC_BUDGET")
     top = max(mentioned.union(walked), default=0)
     if mode == "exhaustive":
         cex, alphas = _exhaustive_check(clauses, top, walked, style)
@@ -517,29 +516,29 @@ def certify_formula(
 ) -> LeafCertificate:
     """Certify the propagation classes of a CNF encoding by exhaustion.
 
-    core.CLASS_STRENGTH's classes are tried strongest first: one implied by
-    a class already certified is skipped, and each (scope, style) pair is
-    walked once, so without aux variables the two scopes share their walks.
-    best is the first class held in table order, or 'none'.
+    Each of core.CLASS_STRENGTH's classes, strongest first, is an exhaustive
+    check_strength, whose gate counts the variables some clause mentions;
+    (all, pc) walks them all and comes first, so an over-budget leaf is
+    refused before any walk.  A class implied by one already certified is
+    skipped, and each (scope, style) pair is walked once, so without aux
+    variables the two scopes share their walks.  best is the first class
+    held in table order, or 'none'.
     """
-    local = {v: i + 1 for i, v in enumerate(list(input_vars) + list(aux_vars))}
-    nvars = len(local)
-    mapped = [tuple((1 if l > 0 else -1) * local[abs(l)] for l in c) for c in clauses]
-    scopes = {"inputs": [local[v] for v in input_vars], "all": list(range(1, nvars + 1))}
-    worst = max(map(len, scopes.values()))
-    if not exhaustive_feasible(worst, budget):
-        raise BudgetExceededError(
-            f"leaf certification needs 3^{worst} propagation calls, over budget {budget}"
-        )
+    scopes = {"inputs": tuple(input_vars), "all": (*input_vars, *aux_vars)}
+    known = set(scopes["all"])
+    bad = next((lit for c in clauses for lit in c if abs(lit) not in known), None)
+    if bad is not None:
+        raise InputError(f"clause literal {bad} names neither an input nor an aux variable")
+    nvars = max(known, default=0)
     got: set[str] = set()
     walked = set()  # a walked pair failed, or certified every class it can
     for name, (scope_kind, style) in CLASS_STRENGTH.items():
         scope = scopes[scope_kind]
-        if name in got or (tuple(scope), style) in walked:
+        if name in got or (scope, style) in walked:
             continue
-        walked.add((tuple(scope), style))
+        walked.add((scope, style))
         # a constant over no variables is vacuously complete
-        if not scope or check_strength(mapped, nvars, scope, style, budget=budget).passed:
+        if not scope or check_strength(clauses, nvars, scope, style, budget=budget).passed:
             got |= CLASS_SATISFIES[name]
     return LeafCertificate(frozenset(got), next((c for c in CLASS_STRENGTH if c in got), "none"))
 

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import bdmc
-from bdmc.cli import main
+from bdmc.cli import _parse_mode, build_parser, cmd_stats, main
+from bdmc.errors import InputError
+from bdmc.formats import parse_bdmc
 
 G1_TEXT = """\
 bdmc 3 2 2 2
@@ -200,9 +202,6 @@ def test_verify_dimacs_with_too_few_variables_exit(tmp_path, g1_file, capsys, cn
 
 
 def test_verify_non_integer_mode_exit(g1_file, capsys):
-    from bdmc.cli import _parse_mode
-    from bdmc.errors import InputError
-
     with pytest.raises(InputError):
         _parse_mode("sample:abc:0")
     assert main(["verify", "--target", "pc", "--mode", "sample:abc:0", str(g1_file)]) == 1
@@ -229,22 +228,28 @@ def test_unreadable_input_exits_1(tmp_path, g1_file, capsys, argv, bad_name, bad
     assert "parse error: " in capsys.readouterr().err
 
 
-def test_verify_exhaustive_budget_gate_precedes_encoding_check(tmp_path, g1_file, monkeypatch):
-    # a header declaring 200000 variables is over the 3^|scope| budget: exit 4
-    # without building an engine for the correctness sweep
-    from bdmc import propcheck
+def test_verify_exhaustive_budget_gate_precedes_encoding_check(tmp_path, monkeypatch, capsys):
+    # parity_dnnf(4) compiled to pc mentions 49 variables, so the all-variable
+    # walk is over the 3^14 budget: exit 4 on a header declaring 200000
+    # variables, without building an engine for the correctness sweep
+    from conftest import parity_dnnf
 
-    cnf = tmp_path / "g1.cnf"
-    main(["compile", "--target", "pc", str(g1_file), "-o", str(cnf)])
+    from bdmc import propcheck
+    from bdmc.formats import serialize_bdmc
+
+    sentence, cnf = tmp_path / "parity4.bdmc", tmp_path / "parity4.cnf"
+    sentence.write_text(serialize_bdmc(parity_dnnf(4)))
+    main(["compile", "--target", "pc", "--auto-level", str(sentence), "-o", str(cnf)])
     lines = cnf.read_text().splitlines()
-    assert lines[0] == "p cnf 13 38"
-    cnf.write_text("\n".join(["p cnf 200000 38"] + lines[1:]) + "\n")
+    assert lines[0].startswith("p cnf 49 ")
+    cnf.write_text("\n".join([lines[0].replace(" 49 ", " 200000 ")] + lines[1:]) + "\n")
 
     def not_called(*args, **kwargs):
         raise AssertionError("check_encoding ran before the strength budget gate")
 
     monkeypatch.setattr(propcheck, "check_encoding", not_called)
-    assert main(["verify", "--target", "pc", "--cnf", str(cnf), str(g1_file)]) == 4
+    assert main(["verify", "--target", "pc", "--cnf", str(cnf), str(sentence)]) == 4
+    assert "budget exceeded: exhaustive mode needs 3^49 " in capsys.readouterr().err
 
 
 def _run_module(argv, address_space=None):
@@ -268,9 +273,10 @@ def test_python_m_bdmc_runs_the_cli():
 
 
 @pytest.mark.parametrize("target", ["pc", "urc"])
-def test_verify_absurd_header_refused_without_allocating(tmp_path, g1_file, target):
-    # 10^9 declared variables: the all-variable scope is over the budget, so
-    # exhaustive verify exits 4 in 1 GiB of address space, with no traceback
+def test_verify_absurd_header_certified_without_allocating(tmp_path, g1_file, target):
+    # 10^9 declared variables, 13 used: exhaustive verify over all of them
+    # walks the 13 and passes in 1 GiB of address space, with no traceback,
+    # reporting the declared scope
     cnf = tmp_path / "g1.cnf"
     assert main(["compile", "--target", target, str(g1_file), "-o", str(cnf)]) == 0
     lines = cnf.read_text().splitlines()
@@ -278,9 +284,11 @@ def test_verify_absurd_header_refused_without_allocating(tmp_path, g1_file, targ
     cnf.write_text("\n".join([lines[0].replace(" 13 ", " 1000000000 ")] + lines[1:]) + "\n")
     result = _run_module(["verify", "--target", target, "--cnf", str(cnf), str(g1_file)],
                          address_space=1 << 30)
-    assert result.returncode == 4, result.stderr
-    assert "budget exceeded: exhaustive mode needs 3^1000000000" in result.stderr
+    assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
+    strength = json.loads(result.stdout)["strength"]
+    assert strength["mode"] == "exhaustive" and strength["passed"] is True
+    assert strength["scope_size"] == 1000000000
 
 
 def test_verify_absurd_header_sampled_over_all_variables(tmp_path, g1_file):
@@ -387,6 +395,36 @@ def test_certify_leaf_command(tmp_path, capsys):
                  "-o", str(tmp_path / "w.cnf")]) == 0
 
 
+def test_certify_one_leaf_applies_to_that_leaf_only(tmp_path, capsys):
+    path, out = tmp_path / "two.bdmc", tmp_path / "out.bdmc"
+    path.write_text("bdmc 3 2 2 2\ninputs x1 x2\nO 2 1 2\nL 1\nL 2\nroot 0\n"
+                    "leaf 1 inputs x1 x2 aux clauses 1 class cc\nx1 x2 0\n"
+                    "leaf 2 inputs x1 x2 aux clauses 1 class cc\nx1 -x2 0\n")
+    assert main(["certify-leaf", str(path), "--leaf", "1", "--apply", "-o", str(out)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(row["leaf"], row["claimed"], row["best"]) for row in rows] == [(1, "cc", "pc")]
+    leaves = parse_bdmc(out.read_text()).leaves
+    assert [leaf.claimed_class for leaf in leaves] == ["pc", "cc"]
+    assert [leaf.clauses for leaf in leaves] == [leaf.clauses for leaf in
+                                                parse_bdmc(path.read_text()).leaves]
+
+
+def test_verify_judges_the_sentence_as_written(tmp_path, monkeypatch, capsys):
+    # a smoothing bug that changes the function (x1 | x2 becomes x1 & x2)
+    # must fail verify: the encoding is compared with the parsed sentence
+    from bdmc import encoder
+
+    path = tmp_path / "nonsmooth.bdmc"
+    path.write_text(NONSMOOTH_TEXT)
+    wrong = parse_bdmc("bdmc 1 0 1 2\ninputs x1 x2\nL 1\nroot 0\n"
+                       "leaf 1 inputs x1 x2 aux clauses 2 class pc\nx1 0\nx2 0\n")
+    assert wrong.analysis.report.smooth and not parse_bdmc(NONSMOOTH_TEXT).analysis.report.smooth
+    monkeypatch.setattr(encoder, "smooth", lambda graph: wrong)
+    assert main(["verify", "--target", "pc", "--auto-smooth", "--auto-level", str(path)]) == 3
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["strength"]["passed"] and not verdict["encoding"]["ok"]
+
+
 def test_gen_compile_verify_pipeline(tmp_path, capsys):
     d = tmp_path / "gen"
     assert main(["gen", "--seed", "17", "--n", "4", "--count", "3", "-o", str(d)]) == 0
@@ -396,3 +434,17 @@ def test_gen_compile_verify_pipeline(tmp_path, capsys):
                      str(f), "--mode", "sample:1500:3"]) == 0
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["passed"] and verdict["encoding"]["ok"]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda path: _parse_mode("sample:5"), "sampled mode is sample:<count>:<seed>",
+                 id="mode-without-seed"),
+    pytest.param(lambda path: _parse_mode("fast"),
+                 "unknown mode 'fast'; use 'exhaustive' or 'sample:N:SEED'", id="unknown-mode"),
+    pytest.param(lambda path: cmd_stats(build_parser().parse_args(["stats", str(path)])),
+                 "stats on a .bdmc file needs --target", id="stats-bdmc-without-target"),
+])
+def test_cli_input_refusals(g1_file, call, message):
+    with pytest.raises(InputError) as refused:
+        call(g1_file)
+    assert type(refused.value) is InputError and str(refused.value) == message

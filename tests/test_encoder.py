@@ -16,6 +16,7 @@ from bdmc.encoder import (
     circuit_clauses,
     leaf_clauses,
     separator_clauses,
+    target_spec,
 )
 from bdmc.engine import brute_sat
 from bdmc.errors import InputError, PreconditionError
@@ -310,3 +311,21 @@ def test_n3_lists_all_parents_of_shared_node():
     shared = [c for c in groups["N3"]
               if c == make_clause([-vm.node_literal(3), vm.node_literal(1), vm.node_literal(2)])]
     assert len(shared) == 1
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: target_spec("sat"),
+                 "unknown target 'sat'; expected one of cc, dc, urc, urc-seq, pc", id="unknown-target"),
+    pytest.param(lambda: cardinality("amk", [1, 2]), "unknown cardinality kind 'amk'",
+                 id="unknown-cardinality"),
+    pytest.param(lambda: cardinality(AMO_SEQUENTIAL, [1, 2, 3]),
+                 "sequential encoding needs a first_aux variable id", id="sequential-without-aux"),
+    pytest.param(lambda: separator_clauses(separator_cover(g1()), build_varmap(g1()), "N4"),
+                 "kind must be 'N5' or 'N6'", id="separator-kind"),
+    pytest.param(lambda: leaf_clauses(g1(), build_varmap(g1()), "E4"),
+                 "which must be one of 'E1', 'E2', 'E3'", id="leaf-group"),
+])
+def test_encoder_input_refusals(build, message):
+    with pytest.raises(InputError) as refused:
+        build()
+    assert type(refused.value) is InputError and str(refused.value) == message

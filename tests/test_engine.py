@@ -8,6 +8,7 @@ from bdmc.engine import (
     PropEngine,
     all_scope_models,
     brute_sat,
+    check_partial_assignment,
     scope_search,
     unit_propagate,
 )
@@ -333,3 +334,19 @@ def test_all_scope_models_deeper_than_recursion_limit():
     n = 1500
     clauses = [c for i in range(1, n + 1) for c in ((i, n + i), (i, -(n + i)))]
     assert all_scope_models(clauses, 2 * n, range(1, n + 1)) == [(1 << n) - 1]
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: check_partial_assignment((1, 0)), "literal 0 is not allowed",
+                 id="assignment-literal-0"),
+    pytest.param(lambda: check_partial_assignment((1, -3), 2),
+                 "literal -3 outside variable universe 1..2", id="assignment-off-the-universe"),
+    pytest.param(lambda: PropEngine([(1, 2), (-1, 3, 2)], 2),
+                 "literal 3 outside variable universe 1..2", id="engine-off-the-universe"),
+    pytest.param(lambda: PropEngine([(0,)], 2),
+                 "literal 0 outside variable universe 1..2", id="engine-literal-0"),
+])
+def test_engine_input_refusals(build, message):
+    with pytest.raises(InputError) as refused:
+        build()
+    assert type(refused.value) is InputError and str(refused.value) == message

@@ -212,3 +212,32 @@ def test_parser_mutations_raise_only_package_errors(corpus):
             parse_bdmc("".join(chars))
         except BdmcError:
             pass
+
+
+def _sentence(inputs="x1 x2", nodes="L 1", root="root 0", leaf="leaf 1 inputs x1 x2 aux clauses 1"):
+    """A one-leaf sentence with one of its lines replaced."""
+    return f"bdmc 1 0 1 2\ninputs {inputs}\n{nodes}\n{root}\n{leaf}\nx1 x2 0\n"
+
+
+@pytest.mark.parametrize("parse, message", [
+    pytest.param(lambda: parse_bdmc(_sentence(inputs="x1 x1")),
+                 "duplicate input variable name (line 2)", id="duplicate-input-name"),
+    pytest.param(lambda: parse_bdmc(_sentence(nodes="O 0")),
+                 "inner node must have at least one child (line 3)", id="or-without-children"),
+    pytest.param(lambda: parse_bdmc(_sentence(root="root 1")),
+                 "root id 1 out of range (line 4)", id="root-out-of-range"),
+    pytest.param(lambda: parse_bdmc(_sentence(leaf="leaf 1 inputs x1 x2 aux clauses")),
+                 "missing clause count (line 5)", id="missing-clause-count"),
+    pytest.param(lambda: parse_bdmc(_sentence(leaf="leaf 1 inputs x1 x1 aux clauses 1")),
+                 "leaf 1 lists an input variable twice (line 5)", id="leaf-input-twice"),
+    pytest.param(lambda: parse_bdmc(_sentence(leaf="leaf 1 inputs x1 aux x2 clauses 1")),
+                 "aux name 'x2' clashes with an input variable (line 5)", id="aux-clashes-with-input"),
+    pytest.param(lambda: parse_bdmc(_sentence(leaf="leaf 1 inputs x1 x2 aux a a clauses 1")),
+                 "leaf 1 lists an aux variable twice (line 5)", id="aux-twice"),
+    pytest.param(lambda: parse_dimacs("c a comment, and no clauses\n"),
+                 "missing 'p cnf' header", id="dimacs-without-header"),
+])
+def test_format_refusals(parse, message):
+    with pytest.raises(ParseError) as refused:
+        parse()
+    assert type(refused.value) is ParseError and str(refused.value) == message

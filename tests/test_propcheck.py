@@ -538,9 +538,43 @@ def test_certify_leaf_wrapper():
     assert certify_leaf(g.leaves[0]).best == "pc"
 
 
-def test_certify_budget():
-    with pytest.raises(BudgetExceededError):
-        certify_formula([[1, 2]], list(range(1, 20)), budget=3 ** 4)
+def test_certify_budget(monkeypatch):
+    # a clause over 5 of 19 inputs: 3^5 is over the budget, refused before any walk
+    def not_called(*args):
+        raise AssertionError("a walk ran before the budget gate")
+
+    monkeypatch.setattr(propcheck, "_exhaustive_check", not_called)
+    with pytest.raises(BudgetExceededError, match=r"exhaustive mode needs 3\^5 "):
+        certify_formula([[1, 4, 8, 13, 19]], list(range(1, 20)), budget=3 ** 4)
+
+
+def test_exhaustive_gate_counts_the_walked_variables():
+    # 38 clause-free scope variables cost nothing: the walk and its gate see 2
+    verdict = check_strength([(1, 2), (-1, -2)], 40, range(1, 41), "pc")
+    assert verdict.passed and len(verdict.scope) == 40
+    assert dataclasses.replace(verdict, scope=(1, 2)) == check_strength(
+        [(1, 2), (-1, -2)], 40, [1, 2], "pc")
+    assert certify_formula([[1, 2]], list(range(1, 20))).best == "pc"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: check_strength([(1, 5)], 3, [1], "pc"),
+                 "literal 5 outside variable universe 1..3", id="clause-off-the-universe"),
+    pytest.param(lambda: check_encoding([(1, 2)], 2, [1], g1()),
+                 "input_vars must match the oracle's input count", id="encoding-input-count"),
+    pytest.param(lambda: gen_random(leaf_class="cc"), "leaf_class must be 'pc' or 'urc'",
+                 id="generator-leaf-class"),
+    pytest.param(lambda: certify_formula([[5]], [1]),
+                 "clause literal 5 names neither an input nor an aux variable",
+                 id="certify-alien-variable"),
+    pytest.param(lambda: certify_formula([[-2]], [1, 3]),
+                 "clause literal -2 names neither an input nor an aux variable",
+                 id="certify-variable-between-inputs"),
+])
+def test_propcheck_input_refusals(call, message):
+    with pytest.raises(InputError) as refused:
+        call()
+    assert type(refused.value) is InputError and str(refused.value) == message
 
 
 def test_gen_random_contract():

@@ -16,9 +16,12 @@ formula's models projected onto V, kept as per-literal bitsets, with one PC
 pending-literal loop, and both take the variables of V that some clause
 mentions (the first of V if none is).  Exhaustive mode reads the complete
 projection off its one engine, then walks the partial assignments over them
-on that engine's trail in one loop over an explicit frame stack, pruning
-every extension of a conflicting assignment; a literal no model sets is a
-failure.  Sampled mode draws sample j over them from its own splitmix64
+in one loop over an explicit frame stack, pruning every extension of a
+conflicting assignment; a literal no model sets is a failure.  It asserts
+an alpha only when its models leave a literal open: if they set each scope
+literal not refuted by its parent's closure plus its own literal, UP, being
+sound, closes alpha to exactly that set, and both conditions hold.  Sampled
+mode draws sample j over them from its own splitmix64
 stream, keyed by (seed, j), asserting each literal as it is drawn and
 stopping at the first UP conflict, and grows the projection on demand: a
 literal no known model sets goes to the DPLL oracle.
@@ -279,6 +282,12 @@ class _Projection:
             if avail or (extend is not None and extend(None) is not None):
                 return None
             return Counterexample(tuple(alpha), None)
+        slot = self.open_slot(avail, forced, extend)
+        return None if slot is None else Counterexample(tuple(alpha), -self.lit(slot))
+
+    def open_slot(self, avail: int, forced: int, extend=None) -> Optional[int]:
+        """PC's first unmet need at an alpha closed to forced: a slot not
+        refuted by forced that no model in avail (nor extend) sets, or None."""
         swapped = ((forced & self.even) << 1) | ((forced & (self.even << 1)) >> 1)
         pend = self.all_lits & ~swapped
         while pend:
@@ -287,7 +296,7 @@ class _Projection:
             if not t:
                 j = extend(slot) if extend is not None else None
                 if j is None:
-                    return Counterexample(tuple(alpha), -self.lit(slot))
+                    return slot
                 avail |= 1 << j
                 t = 1 << j
             j = (t & -t).bit_length() - 1
@@ -301,20 +310,26 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
     projection off it, then the walk starts from its base trail.  Returns
     the first counterexample (None on a pass) and the alphas visited.
 
-    A frame is (next slot, models consistent so far, forced slots, mark of
-    the decision that opened it), in _Projection's slot numbering: slot 2i
-    asserts +walked[i] and slot 2i+1 asserts -walked[i], so alphas are visited
-    in increasing (variable, sign) order, each extending its parent's
-    decisions.  An assigned variable skips both its slots: the agreeing
-    branch repeats the frame's checks and the other conflicts.  A UP
-    conflict moves to the next slot, pruning every extension; an alpha that
-    passes opens a frame at the next variable's first slot."""
+    A frame is (next slot, models consistent so far, forced slots, number of
+    decisions), in _Projection's slot numbering: slot 2i asserts +walked[i]
+    and slot 2i+1 asserts -walked[i], so alphas are visited in increasing
+    (variable, sign) order, each extending its parent's decisions.  forced
+    is the exact scope closure, and a variable in it skips both its slots:
+    the agreeing branch repeats the frame's checks and the other conflicts.
+    A UP conflict moves to the next slot, pruning every extension; an alpha
+    that passes opens a frame at the next variable's first slot.
+
+    A child whose models set every slot not refuted by its forced plus its
+    literal is satisfiable and entails no other scope literal, so UP closes
+    it to exactly that and both conditions hold: it is not asserted.  Any
+    other child first asserts the deferred decisions, each at its own mark,
+    so its siblings share them."""
     proj = _Projection(walked, nvars)
     eng = PropEngine(clauses, nvars)
     alphas = 0
     cex = None
     if not eng.base_conflict:  # else every condition holds vacuously
-        val, trail, blit = eng.val, eng.trail, proj.blit
+        val, trail, blit, open_slot = eng.val, eng.trail, proj.blit, proj.open_slot
         end, base = 2 * len(walked), eng.mark()
         for _ in scope_search(eng, walked):
             proj.add(val[v] > 0 for v in walked)
@@ -324,31 +339,35 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
         alphas = 1
         cex = proj.violation((), style, avail, forced)
         decisions: list[int] = []
-        frames = [(0, avail, forced, base)] if cex is None else []
+        marks: list[int] = []  # marks[i]: the trail before decisions[i], while asserted
+        frames = [(0, avail, forced, 0)] if cex is None else []
         while frames:
-            slot, avail, forced, mark = frames.pop()
+            slot, avail, forced, depth = frames.pop()
+            del decisions[depth:]
+            if len(marks) > depth:
+                eng.backtrack(marks[depth])
+                del marks[depth:]
             if slot == end:
-                eng.backtrack(mark)
-                if decisions:
-                    decisions.pop()
                 continue
+            if forced >> (slot & ~1) & 3:
+                frames.append(((slot | 1) + 1, avail, forced, depth))
+                continue
+            frames.append((slot + 1, avail, forced, depth))
             v = walked[slot >> 1]
-            if val[v] != 0:
-                frames.append(((slot | 1) + 1, avail, forced, mark))
-                continue
-            frames.append((slot + 1, avail, forced, mark))
-            lit = -v if slot & 1 else v
-            sub = len(trail)
-            if not eng.assert_lits((lit,)):
-                eng.backtrack(sub)
-                continue
-            decisions.append(lit)
+            decisions.append(-v if slot & 1 else v)
+            sub_avail, sub_forced = avail & blit[slot], forced | 1 << slot
+            if open_slot(sub_avail, sub_forced) is not None:
+                for lit in decisions[len(marks):]:  # all but the last are satisfiable
+                    marks.append(len(trail))
+                    ok = eng.assert_lits((lit,))
+                if not ok:  # the next frame backtracks it
+                    continue
+                sub_forced = forced | proj.trail_slots(trail, marks[-1])
+                cex = proj.violation(decisions, style, sub_avail, sub_forced)
             alphas += 1
-            sub_avail, sub_forced = avail & blit[slot], forced | proj.trail_slots(trail, sub)
-            cex = proj.violation(decisions, style, sub_avail, sub_forced)
             if cex is not None:
                 break
-            frames.append(((slot | 1) + 1, sub_avail, sub_forced, sub))
+            frames.append(((slot | 1) + 1, sub_avail, sub_forced, depth + 1))
     return cex, alphas
 
 
@@ -521,15 +540,16 @@ def certify_formula(
     (all, pc) walks them all and comes first, so an over-budget leaf is
     refused before any walk.  A class implied by one already certified is
     skipped, and each (scope, style) pair is walked once, so without aux
-    variables the two scopes share their walks.  best is the first class
-    held in table order, or 'none'.
+    variables in a clause the two scopes share their walks.  best is the
+    first class held in table order, or 'none'.
     """
-    scopes = {"inputs": tuple(input_vars), "all": (*input_vars, *aux_vars)}
-    known = set(scopes["all"])
+    known = {*input_vars, *aux_vars}
     bad = next((lit for c in clauses for lit in c if abs(lit) not in known), None)
     if bad is not None:
         raise InputError(f"clause literal {bad} names neither an input nor an aux variable")
     nvars = max(known, default=0)
+    mentioned = {abs(lit) for c in clauses for lit in c}  # the walks skip other aux
+    scopes = {"inputs": tuple(input_vars), "all": (*input_vars, *(v for v in aux_vars if v in mentioned))}
     got: set[str] = set()
     walked = set()  # a walked pair failed, or certified every class it can
     for name, (scope_kind, style) in CLASS_STRENGTH.items():

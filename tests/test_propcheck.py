@@ -19,7 +19,7 @@ from bdmc.propcheck import (
     gen_random,
 )
 
-from conftest import g1
+from conftest import g1, parity_dnnf
 
 NON_URC = [(1, 2), (-1, 2), (1, -2), (-1, -2)]  # unsat, but UP-quiet under empty alpha
 
@@ -503,6 +503,21 @@ def test_certify_formula_walks_down_the_lattice(monkeypatch):
     assert calls == [(2, "pc"), (2, "urc")]
 
 
+def test_certify_formula_drops_clause_free_aux(monkeypatch):
+    # aux 3 occurs in no clause, so the all-variable scope is the inputs and
+    # the two scopes share their walks
+    calls = []
+    walk = propcheck._exhaustive_check
+
+    def counting(clauses, nvars, scope, style):
+        calls.append((tuple(scope), style))
+        return walk(clauses, nvars, scope, style)
+
+    monkeypatch.setattr(propcheck, "_exhaustive_check", counting)
+    assert certify_formula(NON_URC, [1, 2], [3]).best == "none"
+    assert calls == [((1, 2), "pc"), ((1, 2), "urc")]
+
+
 def test_exhaustive_check_builds_one_engine(monkeypatch):
     builds = []
     init = PropEngine.__init__
@@ -531,6 +546,61 @@ def test_exhaustive_walk_does_not_recurse():
     finally:
         sys.setrecursionlimit(limit)
     assert verdict.passed and verdict.alphas_checked == 32_767
+
+
+def _exhaustive(alphas, cex=None, scope_size=3):
+    out = {"alphas_checked": alphas, "mode": "exhaustive", "passed": cex is None,
+           "sat_calls": 0, "scope_size": scope_size}
+    if cex is not None:
+        out["counterexample"] = {"alpha": cex[0], "literal": cex[1]}
+    return out
+
+
+# the walk settles an alpha from the models alone when they set every scope
+# literal its closure does not refute; each formula sends some alpha down one
+# of the engine's branches, and the verdicts are those of a walk that asserts
+# every alpha
+@pytest.mark.parametrize("clauses, urc, pc", [
+    # {-1} has no model and UP refutes it: pruned, not counted; PC fails at
+    # the root, where 1 is entailed but not derived
+    ([(1, 2), (1, -2), (3, 2)], _exhaustive(14), _exhaustive(1, ([], 1))),
+    # {1} has no model and UP leaves it alone: the URC counterexample
+    ([(-1, 2, 3), (-1, -2, 3), (-1, 2, -3), (-1, -2, -3)],
+     _exhaustive(2, ([1], "bot")), _exhaustive(1, ([], -1))),
+    # the same over the scope {1}: no other literal is open at {1}
+    ([(-1, 2, 3), (-1, -2, 3), (-1, 2, -3), (-1, -2, -3)],
+     _exhaustive(2, ([1], "bot"), 1), _exhaustive(1, ([], -1), 1)),
+    # {1} entails 2, which UP does not derive: the PC counterexample
+    ([(-1, 2, 3), (-1, 2, -3)], _exhaustive(24), _exhaustive(2, ([1], 2))),
+    # {1} is settled by the models, {1, 2} derives 3 once 1 is asserted
+    # under it; 3 is skipped below both
+    ([(-1, -2, 3)], _exhaustive(25), _exhaustive(25)),
+    # the unit 2 is on the base trail: the root's forced slots skip 2
+    ([(2,), (-2, -1, 3)], _exhaustive(7), _exhaustive(7)),
+])
+def test_exhaustive_branch_verdicts(clauses, urc, pc):
+    scope = [1, 2, 3][:urc["scope_size"]]
+    for style, want in (("urc", urc), ("pc", pc)):
+        assert check_strength(clauses, 3, scope, style).to_dict() == {**want, "style": style}
+
+
+@pytest.mark.parametrize("style", ["pc", "urc"])
+def test_exhaustive_walk_asserts_only_open_alphas(monkeypatch, style):
+    # most alphas of a pc encoding are settled by its models: the engine sees
+    # fewer assertions than there are alphas
+    out = compile_graph(parity_dnnf(6), "pc", auto_smooth=True, auto_level=True)
+    calls = []
+    assert_lits = PropEngine.assert_lits
+
+    def counting(self, lits):
+        calls.append(lits)
+        return assert_lits(self, lits)
+
+    monkeypatch.setattr(PropEngine, "assert_lits", counting)
+    verdict = check_strength(out.all_clauses(), out.num_vars,
+                             range(1, out.num_inputs + 1), style)
+    assert verdict.passed and verdict.alphas_checked == 665
+    assert len(calls) < verdict.alphas_checked
 
 
 def test_certify_leaf_wrapper():

@@ -4,6 +4,12 @@ Literals are nonzero ints in the DIMACS convention: variable v is the positive
 literal v, its negation is -v.  Clauses are sequences of literals; a formula is
 a sequence of clauses plus a variable count (variables are 1..nvars).
 
+Inside the engine a literal is a code, the layout SAT solvers have used since
+MiniSat: +v is 2v, -v is 2v+1, and c ^ 1 negates c, so every list indexed by
+literal is read at non-negative positions.  code and decode map between the
+two; PropEngine, scope_search and model_under's assumptions speak codes, and
+every other function here takes and returns DIMACS literals.
+
 PropEngine keeps two-literal clauses as implication lists and counts the
 non-false literals of longer ones; its trail is both the propagation queue
 and the undo log.
@@ -57,32 +63,45 @@ def check_partial_assignment(lits: Iterable[int], nvars: Optional[int] = None) -
     return tuple(out)
 
 
+def code(lit: int) -> int:
+    """The engine's code of a DIMACS literal: 2v for +v, 2v+1 for -v."""
+    return 2 * lit if lit > 0 else 1 - 2 * lit
+
+
+def decode(c: int) -> int:
+    """The DIMACS literal of a code."""
+    return -(c >> 1) if c & 1 else c >> 1
+
+
 class PropEngine:
-    """Unit propagation over lists indexed by literal, of length 2*nvars+1
-    with -v wrapping to the top half: val[lit] is 1, -1 or 0, and val[-v] ==
-    -val[v].  A clause (a, b) is the implications imp[-a] -> b and imp[-b] ->
-    a.  A longer clause ci sits on occ[lit] for each of its literals, and
-    left[ci] counts those no processed trail entry made false: 0 is a
-    conflict, and at 1 the clause is satisfied, a unit, or a conflict that a
-    pending entry will find."""
+    """Unit propagation over lists indexed by literal code, of length
+    2*nvars+2 (codes 0 and 1 name no literal and stay unused): val[c] is 1,
+    -1 or 0, and val[c ^ 1] == -val[c].  The stored clauses and the trail
+    hold codes.  A clause (a, b) is the implications imp[a ^ 1] -> b and
+    imp[b ^ 1] -> a.  A longer clause ci sits on occ[c] for each of its
+    literals, and left[ci] counts those no processed trail entry made false:
+    0 is a conflict, and at 1 the clause is satisfied, a unit, or a conflict
+    that a pending entry will find."""
 
     def __init__(self, clauses: Sequence[Sequence[int]], nvars: int):
         self.nvars = nvars
-        self.clauses = [tuple(dict.fromkeys(c)) for c in clauses]
-        size = 2 * nvars + 1
-        imp: list[list[int]] = [[] for _ in range(size)]
-        occ: list[list[int]] = [[] for _ in range(size)]
-        for ci, clause in enumerate(self.clauses):
+        self.clauses: list[tuple[int, ...]] = []
+        for clause in clauses:
             for lit in clause:
                 if not 1 <= abs(lit) <= nvars:
                     raise InputError(f"literal {lit} outside variable universe 1..{nvars}")
+            self.clauses.append(tuple(dict.fromkeys(map(code, clause))))
+        size = 2 * nvars + 2
+        imp: list[list[int]] = [[] for _ in range(size)]
+        occ: list[list[int]] = [[] for _ in range(size)]
+        for ci, clause in enumerate(self.clauses):
             if len(clause) == 2:
                 a, b = clause
-                imp[-a].append(b)
-                imp[-b].append(a)
+                imp[a ^ 1].append(b)
+                imp[b ^ 1].append(a)
             elif len(clause) > 2:
-                for lit in clause:
-                    occ[lit].append(ci)
+                for c in clause:
+                    occ[c].append(ci)
         self.left = [len(c) for c in self.clauses]  # kept for clauses of 3+ literals
         self.val = [0] * size
         self.trail: list[int] = []
@@ -101,22 +120,23 @@ class PropEngine:
 
     def backtrack(self, mark: int) -> None:
         val, left, _, occ, _, trail = self._state
-        while len(trail) > mark:
-            lit = trail.pop()
-            val[lit] = val[-lit] = 0
-            for ci in occ[-lit]:
+        for c in trail[mark:]:  # undone in any order, as no step reads another's
+            val[c] = val[c ^ 1] = 0
+            for ci in occ[c ^ 1]:
                 left[ci] += 1
+        del trail[mark:]
 
     def _conflict(self, start: int) -> bool:
         """Unassign the unprocessed trail entries from start on; False."""
         val, trail = self.val, self.trail
-        for lit in trail[start:]:
-            val[lit] = val[-lit] = 0
+        for c in trail[start:]:
+            val[c] = val[c ^ 1] = 0
         del trail[start:]
         return False
 
     def assert_lits(self, lits: Iterable[int]) -> bool:
-        """Assert literals and propagate to fixpoint.  False means conflict.
+        """Assert literal codes and propagate to fixpoint.  False means
+        conflict.
 
         A literal is assigned when implied; trail[head:] is the queue still to
         process, unassigned again on conflict, so the caller backtracks to its
@@ -125,27 +145,29 @@ class PropEngine:
             return False
         val, left, imp, occ, clauses, trail = self._state
         head = len(trail)
-        for lit in lits:
-            cur = val[lit]
+        for c in lits:
+            cur = val[c]
             if cur == 0:
-                val[lit], val[-lit] = 1, -1
-                trail.append(lit)
+                val[c] = 1
+                val[c ^ 1] = -1
+                trail.append(c)
             elif cur < 0:
                 return self._conflict(head)
         while head < len(trail):
-            lit = trail[head]
-            for other in imp[lit]:
+            c = trail[head]
+            for other in imp[c]:
                 cur = val[other]
                 if cur == 0:
-                    val[other], val[-other] = 1, -1
+                    val[other] = 1
+                    val[other ^ 1] = -1
                     trail.append(other)
                 elif cur < 0:
-                    return self._conflict(head)  # lit itself is not processed yet
+                    return self._conflict(head)  # c itself is not processed yet
             head += 1
             conflict = False
-            # the decrements must complete even on conflict, so that lit is
+            # the decrements must complete even on conflict, so that c is
             # processed and backtrack() stays the exact inverse
-            for ci in occ[-lit]:
+            for ci in occ[c ^ 1]:
                 n = left[ci] - 1
                 left[ci] = n
                 if n == 0:
@@ -153,7 +175,8 @@ class PropEngine:
                 elif n == 1 and not conflict:
                     for other in clauses[ci]:
                         if val[other] == 0:
-                            val[other], val[-other] = 1, -1
+                            val[other] = 1
+                            val[other ^ 1] = -1
                             trail.append(other)
                             break
             if conflict:
@@ -170,16 +193,18 @@ def unit_propagate(
     """Least fixpoint of unit resolution on ``clauses`` seeded with ``alpha``."""
     seeds = check_partial_assignment(alpha, nvars)
     eng = PropEngine(clauses, nvars)
-    conflict = not eng.assert_lits(seeds)
+    conflict = not eng.assert_lits(map(code, seeds))
+    trail = [decode(c) for c in eng.trail]
     trace = None
     if record_trace:  # the clause that fired qualifies, so next() always finds one
-        given = {*seeds, *(c[0] for c in eng.clauses if len(c) == 1)}
-        at = {lit: i for i, lit in enumerate(eng.trail)}
+        cls = [tuple(map(decode, c)) for c in eng.clauses]
+        given = {*seeds, *(c[0] for c in cls if len(c) == 1)}
+        at = {lit: i for i, lit in enumerate(trail)}
         trace = tuple((lit, -1 if lit in given else next(
-            ci for ci, c in enumerate(eng.clauses)
+            ci for ci, c in enumerate(cls)
             if lit in c and all(at.get(-o, i) < i for o in c if o != lit)))
-            for i, lit in enumerate(eng.trail))
-    return UpResult(conflict, None if conflict else frozenset(eng.trail), trace)
+            for i, lit in enumerate(trail))
+    return UpResult(conflict, None if conflict else frozenset(trail), trace)
 
 
 def brute_sat(
@@ -192,17 +217,18 @@ def brute_sat(
     The model is a tuple of nvars signed literals (position v-1 holds v or -v).
     Deterministic: branches on the lowest unassigned variable, positive first.
     """
-    return model_under(PropEngine(clauses, nvars), check_partial_assignment(alpha, nvars))
+    eng = PropEngine(clauses, nvars)
+    return model_under(eng, map(code, check_partial_assignment(alpha, nvars)))
 
 
 def model_under(eng: PropEngine, assumps: Iterable[int] = ()) -> Optional[tuple[int, ...]]:
-    """A model extending the engine's trail and assumps, or None; the engine
-    is left as it was."""
+    """A model extending the engine's trail and the assumption codes, as
+    DIMACS literals, or None; the engine is left as it was."""
     mark = eng.mark()
     model = None
     if eng.assert_lits(assumps):
         for _ in scope_search(eng):
-            model = tuple(u if eng.val[u] > 0 else -u for u in range(1, eng.nvars + 1))
+            model = tuple(u if eng.val[2 * u] > 0 else -u for u in range(1, eng.nvars + 1))
             break
     eng.backtrack(mark)
     return model
@@ -217,22 +243,23 @@ def all_scope_models(
     in which bit i is the value of scope[i]; each appears exactly once."""
     eng = PropEngine(clauses, nvars)
     val = eng.val
-    return sorted(sum(1 << i for i, v in enumerate(scope) if val[v] > 0)
+    return sorted(sum(1 << i for i, v in enumerate(scope) if val[2 * v] > 0)
                   for _ in scope_search(eng, scope))
 
 
 def scope_search(eng: PropEngine, scope: Sequence[int] = ()) -> Iterator[None]:
-    """Depth-first search deciding the first unassigned variable of the scope,
-    then of 1..nvars, positive first; nothing on a base conflict.  Yields
-    while the engine holds a model, once per scope assignment that extends to
-    one, and may return with the last still asserted.  The decisions live on
-    an explicit stack of (literal, mark before it, position in the order), so
-    the depth is not bounded by the recursion limit."""
+    """Depth-first search deciding the first unassigned variable of the scope
+    (variables, not codes), then of 1..nvars, positive first; nothing on a
+    base conflict.  Yields while the engine holds a model, once per scope
+    assignment that extends to one, and may return with the last still
+    asserted.  The decisions live on an explicit stack of (literal code, mark
+    before it, position in the order), so the depth is not bounded by the
+    recursion limit."""
     if eng.base_conflict:  # the leftover base trail may assign every variable
         return
     val = eng.val
     # order[:pos] is assigned, so a decision at position k or later is off the scope
-    order = [*scope, *range(1, eng.nvars + 1)]
+    order = [*(2 * v for v in scope), *range(2, 2 * eng.nvars + 2, 2)]
     n, k = len(order), len(scope)
     stack: list[tuple[int, int, int]] = []
     pos = 0
@@ -252,12 +279,12 @@ def scope_search(eng: PropEngine, scope: Sequence[int] = ()) -> Iterator[None]:
             ok = eng.assert_lits((lit,))
         while not ok:
             eng.backtrack(mark)
-            while lit < 0:  # both branches done: undo the decision above
+            while lit & 1:  # both branches done: undo the decision above
                 if not stack:
                     return
                 lit, mark, pos = stack.pop()
                 eng.backtrack(mark)
-            lit = -lit
+            lit ^= 1
             ok = eng.assert_lits((lit,))
         stack.append((lit, mark, pos))
         pos += 1

@@ -32,12 +32,13 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import core
 from .core import (CLASS_PC, CLASS_SATISFIES, CLASS_STRENGTH, CLASS_URC, DEFAULT_EXHAUSTIVE_BUDGET,
                    BdmcGraph, LeafEncoding, build_graph, leaf_spec)
-from .engine import PropEngine, all_scope_models, check_partial_assignment, model_under, scope_search
+from .engine import (PropEngine, all_scope_models, check_partial_assignment, code, decode, model_under,
+                     scope_search)
 from .errors import BdmcError, BudgetExceededError, InputError
 
 DEFAULT_SAMPLES = 100_000
@@ -220,18 +221,20 @@ def check_strength(
 class _Projection:
     """Models of the formula projected onto the scope, kept as bitsets.
 
-    Slot 2i stands for +scope[i] and slot 2i+1 for -scope[i]; a set of scope
-    literals is an int over slots, and bit[lit] (indexed by literal like the
-    engine's val) is the slot bit of a scope literal, 0 off the scope.  Model
-    j is bit j: blit[slot] holds the models that set the slot's literal,
-    model_lits[j] the slots model j sets.
+    Slot 2i stands for +scope[i] and slot 2i+1 for -scope[i], whose engine
+    codes are codes[2i] and codes[2i+1]; a set of scope literals is an int
+    over slots, and bit[c] (indexed by code like the engine's val) is the
+    slot bit of a scope literal, 0 off the scope.  Model j is bit j:
+    blit[slot] holds the models that set the slot's literal, model_lits[j]
+    the slots model j sets.  Alphas are tuples of codes; a Counterexample
+    carries DIMACS literals.
     """
 
     def __init__(self, scope, nvars: int):
-        self.scope = scope
-        self.bit = [0] * (2 * nvars + 1)
-        for i, v in enumerate(scope):
-            self.bit[v], self.bit[-v] = 1 << 2 * i, 2 << 2 * i
+        self.codes = [c for v in scope for c in (2 * v, 2 * v + 1)]
+        self.bit = [0] * (2 * nvars + 2)
+        for slot, c in enumerate(self.codes):
+            self.bit[c] = 1 << slot
         self.all_lits = (1 << (2 * len(scope))) - 1
         self.even = self.all_lits // 3  # bits 0,2,4,...
         self.blit = [0] * (2 * len(scope))
@@ -248,10 +251,6 @@ class _Projection:
         self.model_lits.append(lm)
         return j
 
-    def lit(self, slot: int) -> int:
-        v = self.scope[slot >> 1]
-        return -v if slot & 1 else v
-
     def trail_slots(self, trail: Sequence[int], start: int = 0) -> int:
         """The scope literals on trail[start:]."""
         bit = self.bit
@@ -263,8 +262,8 @@ class _Projection:
     def consistent(self, alpha: Sequence[int]) -> int:
         """The models that agree with every literal of alpha."""
         acc = (1 << len(self.model_lits)) - 1
-        for lit in alpha:
-            acc &= self.blit[self.bit[lit].bit_length() - 1]
+        for c in alpha:
+            acc &= self.blit[self.bit[c].bit_length() - 1]
         return acc
 
     def violation(self, alpha: Sequence[int], style: str, avail: int, forced: int,
@@ -281,9 +280,11 @@ class _Projection:
         if style == "urc":
             if avail or (extend is not None and extend(None) is not None):
                 return None
-            return Counterexample(tuple(alpha), None)
+            return Counterexample(tuple(map(decode, alpha)), None)
         slot = self.open_slot(avail, forced, extend)
-        return None if slot is None else Counterexample(tuple(alpha), -self.lit(slot))
+        if slot is None:
+            return None
+        return Counterexample(tuple(map(decode, alpha)), decode(self.codes[slot ^ 1]))
 
     def open_slot(self, avail: int, forced: int, extend=None) -> Optional[int]:
         """PC's first unmet need at an alpha closed to forced: a slot not
@@ -312,10 +313,11 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
 
     A frame is (next slot, models consistent so far, forced slots, number of
     decisions), in _Projection's slot numbering: slot 2i asserts +walked[i]
-    and slot 2i+1 asserts -walked[i], so alphas are visited in increasing
-    (variable, sign) order, each extending its parent's decisions.  forced
-    is the exact scope closure, and a variable in it skips both its slots:
-    the agreeing branch repeats the frame's checks and the other conflicts.
+    and slot 2i+1 asserts -walked[i], each decision kept as its code, so
+    alphas are visited in increasing (variable, sign) order, each extending
+    its parent's decisions.  forced is the exact scope closure, and a
+    variable in it skips both its slots: the agreeing branch repeats the
+    frame's checks and the other conflicts.
     A UP conflict moves to the next slot, pruning every extension; an alpha
     that passes opens a frame at the next variable's first slot.
 
@@ -329,10 +331,11 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
     alphas = 0
     cex = None
     if not eng.base_conflict:  # else every condition holds vacuously
-        val, trail, blit, open_slot = eng.val, eng.trail, proj.blit, proj.open_slot
+        val, trail, blit, codes = eng.val, eng.trail, proj.blit, proj.codes
+        open_slot = proj.open_slot
         end, base = 2 * len(walked), eng.mark()
         for _ in scope_search(eng, walked):
-            proj.add(val[v] > 0 for v in walked)
+            proj.add(val[2 * v] > 0 for v in walked)
         eng.backtrack(base)
         forced = proj.trail_slots(trail)
         avail = (1 << len(proj.model_lits)) - 1
@@ -353,13 +356,12 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
                 frames.append(((slot | 1) + 1, avail, forced, depth))
                 continue
             frames.append((slot + 1, avail, forced, depth))
-            v = walked[slot >> 1]
-            decisions.append(-v if slot & 1 else v)
+            decisions.append(codes[slot])
             sub_avail, sub_forced = avail & blit[slot], forced | 1 << slot
             if open_slot(sub_avail, sub_forced) is not None:
-                for lit in decisions[len(marks):]:  # all but the last are satisfiable
+                for c in decisions[len(marks):]:  # all but the last are satisfiable
                     marks.append(len(trail))
-                    ok = eng.assert_lits((lit,))
+                    ok = eng.assert_lits((c,))
                 if not ok:  # the next frame backtracks it
                     continue
                 sub_forced = forced | proj.trail_slots(trail, marks[-1])
@@ -376,25 +378,6 @@ _MASK64 = (1 << 64) - 1
 
 def _mix(seed: int, j: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + (j + 1) * 0xBF58476D1CE4E5B9) & _MASK64
-
-
-def _splitmix64(state: int) -> Iterator[int]:
-    """The splitmix64 generator from state: uniform 64-bit words."""
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
-
-
-def _below(words: Iterator[int], n: int) -> int:
-    """A uniform int in [0, n): the first word under the largest multiple
-    of n that fits in 64 bits, reduced mod n."""
-    limit = (1 << 64) - (1 << 64) % n
-    w = next(words)
-    while w >= limit:
-        w = next(words)
-    return w % n
 
 
 def _sampled_check(clauses, nvars, scope, walked, style, samples, seed, jobs) -> StrengthVerdict:
@@ -435,11 +418,13 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
 
     Sample j reads one splitmix64 stream seeded with _mix(seed, j) and
     nothing else, so any partition of the index range yields the same first
-    failure.  It draws a size uniformly from 0..k, then that many distinct
-    scope positions by a sparse partial Fisher-Yates shuffle (a dict of the
-    moved positions), each with a fair sign: a uniform subset with
-    independent signs.  Each literal is asserted as it is drawn; an implied
-    one is skipped and a refuted one is a conflict without an engine call.
+    failure.  A uniform int in [0, n) is the first word under limits[n], the
+    largest multiple of n that fits in 64 bits, reduced mod n.  The first is
+    a size in 0..k, and each later one a scope position and a sign, making
+    that many distinct positions by a sparse partial Fisher-Yates shuffle (a
+    dict of the moved positions): a uniform subset with independent signs.
+    Each literal is asserted as it is drawn; an implied one is skipped and a
+    refuted one is a conflict without an engine call.
     UP is monotone, so a conflicting prefix makes the whole alpha conflict,
     and the sample, which passes vacuously, stops there.  A surviving alpha
     is checked in scope order on the engine that still holds it."""
@@ -448,7 +433,8 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
     eng = PropEngine(clauses, nvars)
     if eng.base_conflict:  # the formula UP-refutes itself: every sample is vacuous
         return None, None, 0, stop - start
-    val = eng.val
+    val, codes = eng.val, proj.codes
+    limits = [0] + [(1 << 64) - (1 << 64) % n for n in range(1, 2 * k + 2)]  # n <= max(k+1, 2k)
     sat_calls = vacuous = 0
     base = proj.trail_slots(eng.trail)  # scope literals forced by the formula's own units
 
@@ -456,29 +442,40 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
         """Ask the oracle for a model of the trail (asserting only the slot's literal)."""
         nonlocal sat_calls
         sat_calls += 1
-        model = model_under(eng, () if slot is None else (proj.lit(slot),))
+        model = model_under(eng, () if slot is None else (codes[slot],))
         return None if model is None else proj.add(model[v - 1] > 0 for v in scope)
 
     def draw(j: int) -> Optional[tuple[int, ...]]:
         """Draw and assert sample j: its alpha in scope order, or None on a
         conflict, which leaves the engine to be backtracked."""
-        words = _splitmix64(_mix(seed, j))
+        state = _mix(seed, j)
         moved: dict[int, int] = {}
-        picked: dict[int, int] = {}  # scope position -> literal
-        for i in range(_below(words, k + 1)):
-            r = _below(words, 2 * (k - i))  # a position in [i, k) and a sign
-            p = i + (r >> 1)
-            idx = moved.get(p, p)
-            moved[p] = moved.get(i, i)
-            v = scope[idx]
-            lit = -v if r & 1 else v
-            picked[idx] = lit
-            cur = val[lit]
-            if cur == 0:
-                if not eng.assert_lits((lit,)):
+        picked: dict[int, int] = {}  # scope position -> literal code
+        i, size, n = -1, 0, k + 1  # i is -1 while the size is drawn, then the literal's index
+        while i < size:
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            z ^= z >> 31
+            if z >= limits[n]:
+                continue
+            if i < 0:
+                size = z % n
+            else:
+                r = z % n  # a position in [i, k) and a sign
+                p = i + (r >> 1)
+                idx = moved.get(p, p)
+                moved[p] = moved.get(i, i)
+                c = codes[2 * idx] | r & 1
+                picked[idx] = c
+                cur = val[c]
+                if cur == 0:
+                    if not eng.assert_lits((c,)):
+                        return None
+                elif cur < 0:
                     return None
-            elif cur < 0:
-                return None
+            i += 1
+            n = 2 * (k - i)
         return tuple(picked[idx] for idx in sorted(picked))
 
     mark = eng.mark()
@@ -509,7 +506,8 @@ def confirm_strength_counterexample(
     probe = check_partial_assignment(() if literal is None else (-literal,), nvars)
     top = max(_mentioned(clauses, nvars, ()).union(abs(lit) for lit in alpha + probe), default=0)
     eng = PropEngine(clauses, top)
-    if not eng.assert_lits(alpha) or (probe and eng.val[literal] > 0):
+    probe = [code(lit) for lit in probe]
+    if not eng.assert_lits(map(code, alpha)) or (probe and eng.val[probe[0] ^ 1] > 0):
         return False
     return model_under(eng, probe) is None
 

@@ -9,6 +9,9 @@ from bdmc.engine import (
     all_scope_models,
     brute_sat,
     check_partial_assignment,
+    code,
+    decode,
+    model_under,
     scope_search,
     unit_propagate,
 )
@@ -148,14 +151,14 @@ def test_engine_push_pop_state_consistency():
                 continue
             lit = rng.choice([1, -1]) * rng.randint(1, nv)
             mark = eng.mark()
-            seeds = list(dict.fromkeys(list(eng.trail) + [lit]))
+            seeds = list(dict.fromkeys([*map(decode, eng.trail), lit]))
             consistent = not any(-s in seeds for s in seeds)
-            ok = eng.assert_lits((lit,))
+            ok = eng.assert_lits((code(lit),))
             if consistent:
                 fresh = unit_propagate(cls, nv, seeds)
                 assert ok == (not fresh.conflict)
                 if ok:
-                    assert frozenset(eng.trail) == fresh.literals
+                    assert frozenset(map(decode, eng.trail)) == fresh.literals
             if ok:
                 stack.append(mark)
             else:
@@ -198,7 +201,7 @@ def _random_walk(rng, eng, nv, check, steps=25):
             continue
         lit = rng.choice([1, -1]) * rng.randint(1, nv)
         mark = eng.mark()
-        ok = eng.assert_lits((lit,))
+        ok = eng.assert_lits((code(lit),))
         check([d for _, d in stack] + [lit], ok)
         if ok:
             stack.append((mark, lit))
@@ -210,20 +213,20 @@ def _random_walk(rng, eng, nv, check, steps=25):
 def test_left_counts_distinct_non_false_literals():
     # after every step of a walk with conflicting asserts and backtracks,
     # including the mid-conflict state, left[ci] is the number of distinct
-    # non-false literals of each clause of three or more, and val[-v]
-    # mirrors val[v]
+    # non-false literals of each clause of three or more, val[c ^ 1] mirrors
+    # val[c], and the codes 0 and 1 of no literal stay unwritten
     rng = random.Random(11)
     for _ in range(200):
         nv, cls = _messy_formula(rng)
         eng = PropEngine(cls, nv)
 
         def check(live, ok):
-            assert eng.val[0] == 0
-            assert all(eng.val[-v] == -eng.val[v] for v in range(1, nv + 1))
+            assert eng.val[0] == eng.val[1] == 0
+            assert all(eng.val[c ^ 1] == -eng.val[c] for c in range(2, 2 * nv + 2))
             for ci, c in enumerate(cls):
                 lits = set(c)
                 if len(lits) >= 3:
-                    assert eng.left[ci] == sum(1 for l in lits if eng.val[l] >= 0)
+                    assert eng.left[ci] == sum(1 for l in lits if eng.val[code(l)] >= 0)
 
         check([], True)
         if not eng.base_conflict:
@@ -244,8 +247,8 @@ def test_walk_matches_unit_closure():
             units, bot = unit_closure(cls, live)
             assert (not ok) == bot, (cls, live)
             if ok:
-                assigned = {l for v in range(1, nv + 1) for l in (v, -v) if eng.val[l] > 0}
-                assert assigned == set(eng.trail) == units, (cls, live)
+                assigned = {l for v in range(1, nv + 1) for l in (v, -v) if eng.val[code(l)] > 0}
+                assert assigned == set(map(decode, eng.trail)) == units, (cls, live)
             else:
                 conflicts += 1
 
@@ -299,7 +302,7 @@ def test_traced_propagation_agrees_with_untraced():
             conflicts += 1
         else:
             eng = PropEngine(cls, nv)
-            assert eng.assert_lits(alpha) and lits == eng.trail
+            assert eng.assert_lits(map(code, alpha)) and lits == [*map(decode, eng.trail)]
         units = {c[0] for c in (tuple(set(c)) for c in cls) if len(c) == 1}
         for i, (lit, ci) in enumerate(res.trace):
             earlier = set(lits[:i])
@@ -314,10 +317,26 @@ def test_search_returns_at_once_on_base_conflict():
     # variable: no search may read it as a model
     cls = [(-2,), (-3, 2, -1), (1,), (-1, -2), (2, -1, 3)]
     eng = PropEngine(cls, 3)
-    assert eng.base_conflict and eng.trail == [-2, 1, -3]
+    assert eng.base_conflict and [*map(decode, eng.trail)] == [-2, 1, -3]
     assert list(scope_search(eng, [1, 2, 3])) == []
     assert all_scope_models(cls, 3, [1, 2, 3]) == []
     assert brute_sat(cls, 3) is None
+
+
+def test_literal_codes():
+    # +v is 2v and -v is 2v+1: the mapping round-trips, negation is ^ 1, and
+    # no literal has the code 0 or 1
+    n = 50
+    lits = [s * v for v in range(1, n + 1) for s in (1, -1)]
+    assert sorted(map(code, lits)) == list(range(2, 2 * n + 2))
+    assert all(decode(code(lit)) == lit and code(-lit) == code(lit) ^ 1 for lit in lits)
+    # model_under takes its assumptions as codes and answers in DIMACS: the
+    # DIMACS -2 would read as the code of +3
+    eng = PropEngine([(1, 2)], 3)
+    assert model_under(eng, (code(-2),)) == (1, -2, 3)
+    assert model_under(eng, (code(-1), code(-3))) == (-1, 2, -3)
+    assert model_under(eng, (code(-1), code(-2))) is None
+    assert eng.trail == [] and eng.val[0] == eng.val[1] == 0
 
 
 def test_all_scope_models_full_and_projected():

@@ -255,15 +255,38 @@ def test_sampled_draws_over_clause_mentioned_variables(style, samples, jobs):
         assert dataclasses.replace(got, scope=want.scope) == want
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(state):
+    """The splitmix64 generator from state: uniform 64-bit words."""
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
+def _below(words, n):
+    """A uniform int in [0, n): the first word under the largest multiple
+    of n that fits in 64 bits, reduced mod n."""
+    limit = (1 << 64) - (1 << 64) % n
+    w = next(words)
+    while w >= limit:
+        w = next(words)
+    return w % n
+
+
 def full_draw(scope, seed, j):
     """Sample j drawn in full from its stream by a dense Fisher-Yates
-    shuffle, with no early stop; in scope order."""
-    words = propcheck._splitmix64(propcheck._mix(seed, j))
+    shuffle, with no early stop; in scope order.  The stream is generated
+    here, independently of the sampler's inlined copy."""
+    words = _splitmix64(propcheck._mix(seed, j))
     k = len(scope)
     pos = list(range(k))
     picked = {}
-    for i in range(propcheck._below(words, k + 1)):
-        r = propcheck._below(words, 2 * (k - i))
+    for i in range(_below(words, k + 1)):
+        r = _below(words, 2 * (k - i))
         p = i + (r >> 1)
         pos[i], pos[p] = pos[p], pos[i]
         picked[pos[i]] = -scope[pos[i]] if r & 1 else scope[pos[i]]

@@ -1,4 +1,5 @@
-"""No library function recurses unless its depth is bounded by design."""
+"""No library function recurses unless its depth is bounded by design, and a
+graph deeper than the default recursion limit goes through every target."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,35 @@ def self_recursive_functions():
 
 def test_only_bounded_recursion_in_the_library():
     assert self_recursive_functions() == BOUNDED_RECURSION
+
+
+def test_deep_parity_through_every_target(tmp_path, capsys):
+    # parity_dnnf(502) is 1,002 layers deep, past the default recursion
+    # limit: every target compiles, exhaustive and sampled verify both stop
+    # at a budget gate with exit 4 and a message, and 20 samples over the
+    # pc encoding's every variable pass
+    from conftest import parity_dnnf
+
+    from bdmc import encoder
+    from bdmc.cli import main
+    from bdmc.formats import parse_dimacs, serialize_bdmc
+    from bdmc.propcheck import check_strength
+
+    g = parity_dnnf(502)
+    assert max(g.analysis.starts) == 1002
+    sentence = tmp_path / "parity502.bdmc"
+    sentence.write_text(serialize_bdmc(g))
+    for target in encoder.TARGET_TABLE:
+        cnf = tmp_path / f"{target}.cnf"
+        assert main(["compile", "--target", target, "--auto-smooth", "--auto-level",
+                     str(sentence), "-o", str(cnf)]) == 0
+        for mode in ("exhaustive", "sample:20:0"):
+            capsys.readouterr()
+            assert main(["verify", "--target", target, "--cnf", str(cnf), "--mode", mode,
+                         str(sentence)]) == 4, (target, mode)
+            err = capsys.readouterr().err
+            assert "budget exceeded: " in err and "Traceback" not in err, (target, mode)
+    nvars, clauses = parse_dimacs((tmp_path / "pc.cnf").read_text())
+    assert nvars > 8000
+    assert check_strength(clauses, nvars, range(1, nvars + 1), "pc", mode="sampled",
+                          samples=20).passed

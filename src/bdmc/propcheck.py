@@ -21,10 +21,12 @@ conflicting assignment; a literal no model sets is a failure.  It asserts
 an alpha only when its models leave a literal open: if they set each scope
 literal not refuted by its parent's closure plus its own literal, UP, being
 sound, closes alpha to exactly that set, and both conditions hold.  Sampled
-mode draws sample j over them from its own splitmix64
-stream, keyed by (seed, j), asserting each literal as it is drawn and
-stopping at the first UP conflict, and grows the projection on demand: a
-literal no known model sets goes to the DPLL oracle.
+mode draws sample j over them from its own splitmix64 stream, keyed by
+(seed, j), against a lazily filled table of single-literal UP closures: the
+draw stops as vacuous once their union holds a failed literal or a
+complementary pair, and only an alpha the table does not refute is asserted
+on the engine, whole.  It grows the projection on demand: a literal no known
+model sets goes to the DPLL oracle.
 """
 
 from __future__ import annotations
@@ -288,7 +290,10 @@ class _Projection:
 
     def open_slot(self, avail: int, forced: int, extend=None) -> Optional[int]:
         """PC's first unmet need at an alpha closed to forced: a slot not
-        refuted by forced that no model in avail (nor extend) sets, or None."""
+        refuted by forced that no model in avail (nor extend) sets, or None.
+        A model from extend that leaves its slot unset is a fault of the
+        oracle, not of the formula: it raises RuntimeError rather than
+        asking again for ever."""
         swapped = ((forced & self.even) << 1) | ((forced & (self.even << 1)) >> 1)
         pend = self.all_lits & ~swapped
         while pend:
@@ -298,6 +303,9 @@ class _Projection:
                 j = extend(slot) if extend is not None else None
                 if j is None:
                     return slot
+                if not self.model_lits[j] >> slot & 1:
+                    raise RuntimeError(f"model {j} from extend({slot}) does not set slot {slot}"
+                                       f" (literal {decode(self.codes[slot])})")
                 avail |= 1 << j
                 t = 1 << j
             j = (t & -t).bit_length() - 1
@@ -423,20 +431,41 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
     a size in 0..k, and each later one a scope position and a sign, making
     that many distinct positions by a sparse partial Fisher-Yates shuffle (a
     dict of the moved positions): a uniform subset with independent signs.
-    Each literal is asserted as it is drawn; an implied one is skipped and a
-    refuted one is a conflict without an engine call.
-    UP is monotone, so a conflicting prefix makes the whole alpha conflict,
-    and the sample, which passes vacuously, stops there.  A surviving alpha
-    is checked in scope order on the engine that still holds it."""
+
+    The engine stays at its base trail while literals are drawn.  reach[c],
+    filled on the first draw of a literal c the base leaves open, is its
+    single-literal closure: an int with bit d for every code d that UP
+    derives from the base plus c, or -1 when that conflicts.  A literal the
+    base refutes is a conflict and one it implies adds nothing; any other
+    ORs its closure into acc.  UP is monotone, so a consistent closure of
+    the alpha would contain every such closure: a failed literal or a
+    complementary pair in acc refutes the whole alpha, and the sample, which
+    passes vacuously, stops there without an engine call.  An alpha the
+    table does not refute is asserted whole, which decides it exactly, and a
+    surviving one is checked in scope order on the engine that holds it."""
     proj = _Projection(scope, nvars)
     k = len(scope)
     eng = PropEngine(clauses, nvars)
     if eng.base_conflict:  # the formula UP-refutes itself: every sample is vacuous
         return None, None, 0, stop - start
-    val, codes = eng.val, proj.codes
+    val, trail, codes = eng.val, eng.trail, proj.codes
     limits = [0] + [(1 << 64) - (1 << 64) % n for n in range(1, 2 * k + 2)]  # n <= max(k+1, 2k)
     sat_calls = vacuous = 0
-    base = proj.trail_slots(eng.trail)  # scope literals forced by the formula's own units
+    base = proj.trail_slots(trail)  # scope literals forced by the formula's own units
+    mark = eng.mark()
+    reach = [0] * len(val)  # 0 until filled: a closure holds its own literal's bit
+    even = ((1 << len(val)) - 1) // 3  # the bits of the +v codes 2v
+
+    def closure(c: int) -> int:
+        """Fill reach[c] from one assertion of c on the base trail."""
+        got = -1
+        if eng.assert_lits((c,)):
+            got = 0
+            for d in trail[mark:]:
+                got |= 1 << d
+        eng.backtrack(mark)
+        reach[c] = got
+        return got
 
     def new_model(slot: Optional[int]) -> Optional[int]:
         """Ask the oracle for a model of the trail (asserting only the slot's literal)."""
@@ -446,11 +475,12 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
         return None if model is None else proj.add(model[v - 1] > 0 for v in scope)
 
     def draw(j: int) -> Optional[tuple[int, ...]]:
-        """Draw and assert sample j: its alpha in scope order, or None on a
-        conflict, which leaves the engine to be backtracked."""
+        """Draw sample j: its alpha in scope order, or None when the base
+        and the table refute it."""
         state = _mix(seed, j)
         moved: dict[int, int] = {}
         picked: dict[int, int] = {}  # scope position -> literal code
+        acc = 0  # the union of the drawn literals' closures
         i, size, n = -1, 0, k + 1  # i is -1 while the size is drawn, then the literal's index
         while i < size:
             state = (state + 0x9E3779B97F4A7C15) & _MASK64
@@ -469,25 +499,31 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
                 c = codes[2 * idx] | r & 1
                 picked[idx] = c
                 cur = val[c]
-                if cur == 0:
-                    if not eng.assert_lits((c,)):
-                        return None
-                elif cur < 0:
+                if cur < 0:
                     return None
+                if cur == 0:
+                    got = reach[c] or closure(c)
+                    if got < 0:
+                        return None
+                    acc |= got
+                    if acc & (acc >> 1) & even:
+                        return None
             i += 1
             n = 2 * (k - i)
         return tuple(picked[idx] for idx in sorted(picked))
 
-    mark = eng.mark()
     for j in range(start, stop):
         alpha = draw(j)
-        if alpha is None:
+        if alpha is None:  # the engine holds only its base trail
             vacuous += 1
-        else:
-            forced = base | proj.trail_slots(eng.trail, mark)
+            continue
+        if eng.assert_lits(alpha):
+            forced = base | proj.trail_slots(trail, mark)
             cex = proj.violation(alpha, style, proj.consistent(alpha), forced, new_model)
             if cex is not None:
                 return j, cex, sat_calls, vacuous
+        else:
+            vacuous += 1
         eng.backtrack(mark)
     return None, None, sat_calls, vacuous
 

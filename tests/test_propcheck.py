@@ -340,6 +340,68 @@ def test_sampled_early_stop_matches_full_draws():
     assert outcomes >= {(True, True), (True, False), (False, True)}
 
 
+@pytest.mark.parametrize("clauses, table_refutes", [
+    # each single-literal closure is the literal alone, and so consistent with
+    # every other, yet UP({1, 2}) conflicts: only the whole-alpha assertion
+    # finds it
+    ([(-1, -2, 3), (-1, -2, -3)], False),
+    # literal 1 fails on its own
+    ([(-1, 2), (-1, -2)], True),
+])
+def test_sampled_closure_table_exact(monkeypatch, clauses, table_refutes):
+    # both formulas are URC, so every sample runs, and neither is PC
+    calls, oracle = [], []  # the sampler's engine calls; set while the oracle runs
+    assert_lits, model_under = propcheck.PropEngine.assert_lits, propcheck.model_under
+
+    def counting(self, lits):
+        calls.extend(() if oracle else [1])
+        return assert_lits(self, lits)
+
+    def uncounted(eng, assumps=()):
+        oracle.append(1)
+        try:
+            return model_under(eng, assumps)
+        finally:
+            oracle.pop()
+
+    monkeypatch.setattr(propcheck.PropEngine, "assert_lits", counting)
+    monkeypatch.setattr(propcheck, "model_under", uncounted)
+    samples = 300
+    fills = 2 * len({abs(lit) for c in clauses for lit in c})  # one call per literal at most
+    for seed, style in itertools.product(range(3), ("urc", "pc")):
+        del calls[:]
+        got = check_strength(clauses, 3, [1, 2, 3], style, mode="sampled", samples=samples,
+                             seed=seed)
+        engine_calls = len(calls)
+        cex = got.counterexample
+        want = reference_sampled(clauses, 3, [1, 2, 3], style, seed, samples)
+        assert (got.alphas_checked, cex and (cex.alpha, cex.literal), got.vacuous) == want
+        assert got.passed == (style == "urc")
+        if style == "urc":
+            assert got.vacuous > 0
+            # past the fills, only the alphas the table leaves open reach
+            # the engine, one call each
+            open_alphas = samples - (got.vacuous if table_refutes else 0)
+            assert open_alphas <= engine_calls <= fills + open_alphas
+
+
+def test_open_slot_refuses_a_model_that_misses_its_slot():
+    # an oracle whose model leaves the asked slot unset must not be asked
+    # again for ever
+    proj = propcheck._Projection([1, 2], 2)
+    asked = []
+
+    def extend(slot):
+        asked.append(slot)
+        if len(asked) > 3:
+            pytest.fail("open_slot asked again for the same slot")
+        return proj.add([False, False])  # sets -1 and -2, never +1
+
+    with pytest.raises(RuntimeError, match=r"does not set slot 0 \(literal 1\)"):
+        proj.open_slot(0, 0, extend)
+    assert asked == [0]
+
+
 def test_sampled_draw_law(monkeypatch):
     # a uniform size in 0..k, then a uniform subset of that size with fair
     # signs: over k = 3 each alpha of size s has chance 1/4 / (C(3, s) 2^s);

@@ -21,8 +21,8 @@ conflicting assignment; a literal no model sets is a failure.  It asserts
 an alpha only when its models leave a literal open: if they set each scope
 literal not refuted by its parent's closure plus its own literal, UP, being
 sound, closes alpha to exactly that set, and both conditions hold.  Sampled
-mode draws sample j over them from its own splitmix64 stream, keyed by
-(seed, j), against a lazily filled table of single-literal UP closures: the
+mode draws sample j over them from its own stream of BLAKE2b words, keyed
+by (seed, j), against a lazily filled table of single-literal UP closures: the
 draw stops as vacuous once their union holds a failed literal or a
 complementary pair, and only an alpha the table does not refute is asserted
 on the engine, whole.  It grows the projection on demand: a literal no known
@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import os
 import random
+import struct
 from dataclasses import dataclass
+from hashlib import blake2b
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import core
@@ -215,6 +217,9 @@ def check_strength(
         return StrengthVerdict(style, scope, mode, cex is None, cex, alphas_checked=alphas)
     if mode != "sampled":
         raise InputError("mode must be 'exhaustive' or 'sampled'")
+    for name, x in (("samples", samples), ("seed", seed)):
+        if isinstance(x, bool) or not isinstance(x, int):  # a hashed "%d" would truncate 1.5
+            raise InputError(f"{name} must be an int, got {x!r}")
     if samples < 0:
         raise InputError(f"sample count must be non-negative, got {samples}")
     return _sampled_check(clauses, top, scope, walked, style, samples, seed, jobs)
@@ -381,13 +386,6 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
     return cex, alphas
 
 
-_MASK64 = (1 << 64) - 1
-
-
-def _mix(seed: int, j: int) -> int:
-    return (seed * 0x9E3779B97F4A7C15 + (j + 1) * 0xBF58476D1CE4E5B9) & _MASK64
-
-
 def _sampled_check(clauses, nvars, scope, walked, style, samples, seed, jobs) -> StrengthVerdict:
     """Split [0, samples) into at most one chunk per job, run on at most one
     worker per chunk and per CPU; the first failing sample over all chunks
@@ -424,13 +422,16 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
     counterexample, sat_calls, vacuous), fail_at None on a pass and vacuous
     the samples UP refutes, counted up to the failure.
 
-    Sample j reads one splitmix64 stream seeded with _mix(seed, j) and
-    nothing else, so any partition of the index range yields the same first
-    failure.  A uniform int in [0, n) is the first word under limits[n], the
-    largest multiple of n that fits in 64 bits, reduced mod n.  The first is
-    a size in 0..k, and each later one a scope position and a sign, making
-    that many distinct positions by a sparse partial Fisher-Yates shuffle (a
-    dict of the moved positions): a uniform subset with independent signs.
+    Sample j reads the little-endian 64-bit words of the BLAKE2b digests of
+    b"seed j b" for blocks b = 0, 1, ..., eight words a block, hashing a
+    block only when the draw reaches it, and nothing else, so any partition
+    of the index range yields the same first failure.  A uniform int in
+    [0, n) is the first word under limits[n], the largest multiple of n that
+    fits in 64 bits, reduced mod n.  The first is a size in 0..k, and each
+    later one a scope position and a sign, making that many distinct
+    positions by a partial Fisher-Yates shuffle of pos, whose touched
+    entries are restored after the draw: a uniform subset with independent
+    signs, each literal kept as its slot.
 
     The engine stays at its base trail while literals are drawn.  reach[c],
     filled on the first draw of a literal c the base leaves open, is its
@@ -455,6 +456,8 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
     mark = eng.mark()
     reach = [0] * len(val)  # 0 until filled: a closure holds its own literal's bit
     even = ((1 << len(val)) - 1) // 3  # the bits of the +v codes 2v
+    pos = list(range(k))  # the identity between draws
+    words8 = struct.Struct("<8Q").unpack
 
     def closure(c: int) -> int:
         """Fill reach[c] from one assertion of c on the base trail."""
@@ -474,19 +477,17 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
         model = model_under(eng, () if slot is None else (codes[slot],))
         return None if model is None else proj.add(model[v - 1] > 0 for v in scope)
 
-    def draw(j: int) -> Optional[tuple[int, ...]]:
-        """Draw sample j: its alpha in scope order, or None when the base
-        and the table refute it."""
-        state = _mix(seed, j)
-        moved: dict[int, int] = {}
-        picked: dict[int, int] = {}  # scope position -> literal code
+    for j in range(start, stop):
+        w, block = 8, -1  # no block hashed yet
+        slots, moved = [], []  # the drawn slots; the positions swapped into place
         acc = 0  # the union of the drawn literals' closures
         i, size, n = -1, 0, k + 1  # i is -1 while the size is drawn, then the literal's index
         while i < size:
-            state = (state + 0x9E3779B97F4A7C15) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            z ^= z >> 31
+            if w == 8:
+                block += 1
+                words, w = words8(blake2b(b"%d %d %d" % (seed, j, block)).digest()), 0
+            z = words[w]
+            w += 1
             if z >= limits[n]:
                 continue
             if i < 0:
@@ -494,29 +495,29 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
             else:
                 r = z % n  # a position in [i, k) and a sign
                 p = i + (r >> 1)
-                idx = moved.get(p, p)
-                moved[p] = moved.get(i, i)
-                c = codes[2 * idx] | r & 1
-                picked[idx] = c
+                slot = 2 * pos[p] | r & 1
+                pos[p] = pos[i]  # pos[i] is never read again in this draw
+                moved.append(p)
+                slots.append(slot)
+                c = codes[slot]
                 cur = val[c]
                 if cur < 0:
-                    return None
+                    break
                 if cur == 0:
                     got = reach[c] or closure(c)
                     if got < 0:
-                        return None
+                        break
                     acc |= got
                     if acc & (acc >> 1) & even:
-                        return None
+                        break
             i += 1
             n = 2 * (k - i)
-        return tuple(picked[idx] for idx in sorted(picked))
-
-    for j in range(start, stop):
-        alpha = draw(j)
-        if alpha is None:  # the engine holds only its base trail
+        for p in moved:
+            pos[p] = p
+        if i < size:  # the base and the table refute it; the engine holds only its base trail
             vacuous += 1
             continue
+        alpha = tuple(codes[slot] for slot in sorted(slots))
         if eng.assert_lits(alpha):
             forced = base | proj.trail_slots(trail, mark)
             cex = proj.violation(alpha, style, proj.consistent(alpha), forced, new_model)

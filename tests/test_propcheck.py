@@ -1,8 +1,10 @@
 """Checkers: encoding correctness, strength verdicts, certification, generator."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
+import struct
 import sys
 
 import pytest
@@ -124,6 +126,18 @@ def test_check_strength_validates_args():
     assert zero.passed and zero.alphas_checked == 0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", "3"), ("seed", True), ("seed", None),
+    ("samples", 10.0), ("samples", "10"), ("samples", False),
+])
+def test_check_strength_refuses_non_int_seed_and_samples(field, value):
+    # a float seed would be truncated into the hashed message, and a bool
+    # would print as true in the verdict
+    args = {"samples": 10, "seed": 0, field: value}
+    with pytest.raises(InputError, match=f"{field} must be an int, got {value!r}"):
+        check_strength([(1, 2)], 2, [1, 2], "urc", mode="sampled", **args)
+
+
 def test_exhaustive_matches_naive_reference():
     rng = random.Random(42)
     for _ in range(150):
@@ -225,8 +239,8 @@ def test_sampled_deterministic_and_parallel_equal():
     scope = list(range(1, nv + 1))
     one, two = (check_strength(cls, nv, scope, "pc", mode="sampled", samples=3000, seed=9,
                                jobs=jobs).to_dict() for jobs in (1, 2))
-    # sample 32 of seed 9's splitmix64 streams is the first to fail
-    assert not one["passed"] and one["alphas_checked"] == 33
+    # sample 190 of seed 9's BLAKE2b streams is the first to fail
+    assert not one["passed"] and one["alphas_checked"] == 191
     cex = one["counterexample"]
     literal = None if cex["literal"] == "bot" else cex["literal"]
     assert confirm_strength_counterexample(cls, nv, cex["alpha"], literal)
@@ -255,16 +269,11 @@ def test_sampled_draws_over_clause_mentioned_variables(style, samples, jobs):
         assert dataclasses.replace(got, scope=want.scope) == want
 
 
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(state):
-    """The splitmix64 generator from state: uniform 64-bit words."""
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
+def _words(seed, j):
+    """Sample j's stream: the little-endian 64-bit words of the BLAKE2b
+    digests of b"seed j b" for blocks b = 0, 1, 2, ..."""
+    for block in itertools.count():
+        yield from struct.unpack("<8Q", hashlib.blake2b(b"%d %d %d" % (seed, j, block)).digest())
 
 
 def _below(words, n):
@@ -281,7 +290,7 @@ def full_draw(scope, seed, j):
     """Sample j drawn in full from its stream by a dense Fisher-Yates
     shuffle, with no early stop; in scope order.  The stream is generated
     here, independently of the sampler's inlined copy."""
-    words = _splitmix64(propcheck._mix(seed, j))
+    words = _words(seed, j)
     k = len(scope)
     pos = list(range(k))
     picked = {}
@@ -402,6 +411,20 @@ def test_open_slot_refuses_a_model_that_misses_its_slot():
     assert asked == [0]
 
 
+def recorded_survivors(monkeypatch):
+    """The alphas reaching _Projection.violation, as DIMACS literals, in the
+    order the sampler checks them."""
+    seen = []
+    violation = propcheck._Projection.violation
+
+    def record(self, alpha, *args):
+        seen.append(tuple(map(propcheck.decode, alpha)))
+        return violation(self, alpha, *args)
+
+    monkeypatch.setattr(propcheck._Projection, "violation", record)
+    return seen
+
+
 def test_sampled_draw_law(monkeypatch):
     # a uniform size in 0..k, then a uniform subset of that size with fair
     # signs: over k = 3 each alpha of size s has chance 1/4 / (C(3, s) 2^s);
@@ -410,22 +433,58 @@ def test_sampled_draw_law(monkeypatch):
     from collections import Counter
     from math import comb
 
-    seen = Counter()
-    violation = propcheck._Projection.violation
-
-    def record(self, alpha, *args):
-        seen[alpha] += 1
-        return violation(self, alpha, *args)
-
-    monkeypatch.setattr(propcheck._Projection, "violation", record)
+    survivors = recorded_survivors(monkeypatch)
     n = 16000
     assert check_strength([(1, 2, 3, 4)], 4, [1, 2, 3], "urc", mode="sampled", samples=n,
                           seed=3).passed
+    seen = Counter(survivors)
     assert sum(seen.values()) == n and len(seen) == 27
     for alpha, count in seen.items():
         p = 0.25 / (comb(3, len(alpha)) * 2 ** len(alpha))
         assert abs(count - n * p) <= 5 * (n * p * (1 - p)) ** 0.5, (alpha, count)
         assert list(alpha) == sorted(alpha, key=abs)
+
+
+def test_sample_stream_known_answer():
+    # sample 0 of seed 0 starts with the words of the digest of b"0 0 0"
+    words = _words(0, 0)
+    assert next(words) == 0x0244c7dbb66b1297
+    assert next(words) == 0x9f02cf62956c85a0
+
+
+def test_sampled_draws_match_full_draws_past_one_block(monkeypatch):
+    # over 12 variables a draw of size 8 or more reads a second digest:
+    # every alpha UP does not refute reaches the check, as drawn in full
+    clauses = [tuple(range(1, 13)), (-1, -2), (-3, 4), (5, -6, 7)]
+    scope = list(range(1, 13))
+    seen = recorded_survivors(monkeypatch)
+    for seed in (0, 7, -3, 2 ** 70):
+        del seen[:]
+        got = check_strength(clauses, 12, scope, "urc", mode="sampled", samples=300, seed=seed)
+        drawn = [full_draw(scope, seed, j) for j in range(300)]
+        want = [alpha for alpha in drawn if not unit_propagate(clauses, 12, alpha).conflict]
+        assert got.passed and seen == want
+        assert got.vacuous == 300 - len(want) > 0
+        assert max(map(len, want)) >= 8
+
+
+@pytest.mark.parametrize("a, b", [
+    ((5, 0), (5 + 2 ** 64, 0)),
+    ((-1, 0), (2 ** 64 - 1, 0)),
+    ((0, 1), (13042035347997579285, 0)),  # (seed, first sample)
+])
+def test_sampled_seeds_do_not_alias(monkeypatch, a, b):
+    # seeds equal mod 2^64, or a seed whose stream is another's shifted by
+    # one sample, once drew the same alphas
+    scope = list(range(1, 13))
+    seen = recorded_survivors(monkeypatch)
+    runs = []
+    for seed, first in (a, b):
+        del seen[:]
+        check_strength([tuple(range(1, 14))], 13, scope, "urc", mode="sampled", samples=first + 20,
+                       seed=seed)  # no alpha over the scope refutes the clause
+        runs.append(seen[first:])
+    assert len(runs[0]) == len(runs[1]) == 20 and runs[0] != runs[1]
 
 
 def test_sampled_vacuous_counter():

@@ -4,10 +4,11 @@ Subcommands: compile, verify, stats, eval, smooth, level, gen, certify-leaf.
 Exit codes: 0 success, 1 parse/input error, 2 unmet compile precondition,
 3 verification failure, 4 budget exceeded.  The resolved configuration is
 echoed to stderr; outputs are byte-deterministic for fixed inputs and flags.
-The BDMC_BUDGET environment variable (default 3^14) caps the assignments of
-every exhaustive sweep: 3^k for a strength check over the k scope variables
-some clause mentions, 2^n for the correctness check over n inputs, which
-verify runs against the sentence as written, not a smoothed or leveled copy.
+The BDMC_BUDGET environment variable (a positive integer, default 3^14) caps
+the assignments of every exhaustive sweep: 3^k for a strength check over the
+k scope variables some clause mentions, 2^n for the correctness check over n
+inputs, which verify runs against the sentence as written, not a smoothed or
+leveled copy.
 """
 
 from __future__ import annotations
@@ -42,9 +43,12 @@ def _budget() -> int:
     if raw is None:
         return propcheck.DEFAULT_EXHAUSTIVE_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise InputError(f"BDMC_BUDGET must be an integer, got {raw!r}")
+    if budget <= 0:
+        raise InputError(f"BDMC_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _echo_config(args: argparse.Namespace) -> None:

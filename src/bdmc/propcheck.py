@@ -20,7 +20,12 @@ in one loop over an explicit frame stack, pruning every extension of a
 conflicting assignment; a literal no model sets is a failure.  It asserts
 an alpha only when its models leave a literal open: if they set each scope
 literal not refuted by its parent's closure plus its own literal, UP, being
-sound, closes alpha to exactly that set, and both conditions hold.  Sampled
+sound, closes alpha to exactly that set, and both conditions hold.  It walks
+no subtree the models settle: when the models of a passing alpha take every
+value on the r variables the subtree decides (for PC, on those together
+with each earlier one left open), no such literal is entailed, so each
+extension closes to that alpha's closure plus its own literals and passes,
+and the walk counts the 3^r - 1 of them in closed form.  Sampled
 mode draws sample j over them from its own stream of BLAKE2b words, keyed
 by (seed, j), against a lazily filled table of single-literal UP closures: the
 draw stops as vacuous once their union holds a failed literal or a
@@ -138,8 +143,10 @@ class StrengthVerdict:
     """A strength verdict on the declared scope (a range stays a range); both
     modes check assignments over its clause-mentioned variables, counting in
     alphas_checked those up to and including the first failure and in vacuous
-    (sampled mode) those among them that UP refutes.  Every sampled job grows
-    its own model cache, so sat_calls depends on jobs; no other field does."""
+    (sampled mode) those among them that UP refutes.  Exhaustive mode counts
+    the alphas of a subtree its models settle without visiting them, with the
+    same numbers a walk of each would give.  Every sampled job grows its own
+    model cache, so sat_calls depends on jobs; no other field does."""
 
     style: str  # 'urc' | 'pc'
     scope: Sequence[int]
@@ -338,7 +345,19 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
     literal is satisfiable and entails no other scope literal, so UP closes
     it to exactly that and both conditions hold: it is not asserted.  Any
     other child first asserts the deferred decisions, each at its own mark,
-    so its siblings share them."""
+    so its siblings share them.
+
+    An alpha that passes, the root included, settles its subtree when its
+    models take all 2^r values on R, the r walked variables after its last
+    decision that forced leaves open, and for PC all values on R plus e for
+    each e in E, the open walked variables before it.  Then no literal of
+    those variables is entailed under any extension, so sound UP derives
+    none: each of the 3^r - 1 extensions closes to forced plus its own
+    literals, is satisfiable and passes, the walk's next alphas in a row.
+    They are counted, and no frame is pushed.  The models are distinct on
+    the walked variables and agree with forced, so 2^(r + |E|) of them are
+    the full cube, and fewer than 2^r (PC with E: 2^(r+1)) rule it out;
+    otherwise the test splits the models by R's variables, layer by layer."""
     proj = _Projection(walked, nvars)
     eng = PropEngine(clauses, nvars)
     alphas = 0
@@ -354,9 +373,41 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
         avail = (1 << len(proj.model_lits)) - 1
         alphas = 1
         cex = proj.violation((), style, avail, forced)
+        even, pc = proj.even, style == "pc"
+
+        def free_cube(avail: int, forced: int, first: int) -> Optional[int]:
+            """The size of the subtree settled from slot first on, or None."""
+            free = even & ~(forced | forced >> 1)
+            rest, early = free >> first << first, free & ((1 << first) - 1)
+            r, n = rest.bit_count(), avail.bit_count()
+            if n == 1 << (r + early.bit_count()):  # distinct on them: the full cube
+                return 3 ** r - 1
+            if n < 1 << (r + (pc and early != 0)):
+                return None
+            cells = [avail]
+            while rest:
+                s = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                pos, neg, layer = blit[s], blit[s + 1], []
+                for c in cells:
+                    a, b = c & pos, c & neg
+                    if not (a and b):
+                        return None
+                    layer += a, b
+                cells = layer
+            while pc and early:
+                s = (early & -early).bit_length() - 1
+                early &= early - 1
+                pos, neg = blit[s], blit[s + 1]
+                if not all(c & pos and c & neg for c in cells):
+                    return None
+            return 3 ** r - 1
+
         decisions: list[int] = []
         marks: list[int] = []  # marks[i]: the trail before decisions[i], while asserted
-        frames = [(0, avail, forced, 0)] if cex is None else []
+        settled = free_cube(avail, forced, 0) if cex is None else 0
+        alphas += settled or 0
+        frames = [(0, avail, forced, 0)] if settled is None else []
         while frames:
             slot, avail, forced, depth = frames.pop()
             del decisions[depth:]
@@ -382,7 +433,11 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
             alphas += 1
             if cex is not None:
                 break
-            frames.append(((slot | 1) + 1, sub_avail, sub_forced, depth + 1))
+            settled = free_cube(sub_avail, sub_forced, (slot | 1) + 1)
+            if settled is None:
+                frames.append(((slot | 1) + 1, sub_avail, sub_forced, depth + 1))
+            else:
+                alphas += settled
     return cex, alphas
 
 

@@ -164,11 +164,15 @@ def test_budget_bounds_correctness_sweep(tmp_path, monkeypatch, budget, code):
     ["gen", "--count", "1", "-o", "OUT"],
 ])
 def test_malformed_budget_exits_1(tmp_path, g1_file, capsys, monkeypatch, argv):
-    # the config echo reads BDMC_BUDGET before any command runs
-    monkeypatch.setenv("BDMC_BUDGET", "abc")
+    # the config echo reads BDMC_BUDGET before any command runs; a budget
+    # below 1 would refuse every sweep as over it (exit 4)
     argv = [{"G1": str(g1_file), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
-    assert main(argv) == 1
-    assert "BDMC_BUDGET must be an integer" in capsys.readouterr().err
+    for budget, message in (("abc", "BDMC_BUDGET must be an integer"),
+                            ("0", "BDMC_BUDGET must be a positive integer"),
+                            ("-1", "BDMC_BUDGET must be a positive integer")):
+        monkeypatch.setenv("BDMC_BUDGET", budget)
+        assert main(argv) == 1, budget
+        assert message in capsys.readouterr().err, budget
 
 
 def test_verify_clause_with_repeated_literal(tmp_path, g1_file, capsys):

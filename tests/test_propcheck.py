@@ -156,6 +156,67 @@ def test_exhaustive_matches_naive_reference():
             assert confirm_strength_counterexample(cls, nv, cex.alpha, cex.literal)
 
 
+def reference_walk(clauses, nvars, scope, style):
+    """The documented walk, alpha by alpha: from each UP-consistent alpha, the
+    +v subtree then the -v one, variable by variable after its last decision,
+    skipping variables its closure sets.  It walks the scope variables some
+    clause mentions (the first if none is) and returns (counterexample,
+    alphas_checked), every alpha judged by unit_propagate and brute_sat."""
+    mentioned = {abs(lit) for c in clauses for lit in c}
+    walked = [v for v in scope if v in mentioned] or list(scope[:1])
+    alphas = 0
+
+    def visit(alpha, start):
+        nonlocal alphas
+        up = unit_propagate(clauses, nvars, alpha)
+        if up.conflict:
+            return None
+        alphas += 1
+        if style == "urc":
+            if brute_sat(clauses, nvars, alpha) is None:
+                return {"alpha": alpha, "literal": "bot"}
+        else:
+            for lit in (s * v for v in walked for s in (1, -1)):
+                if -lit not in up.literals and brute_sat(clauses, nvars, alpha + [lit]) is None:
+                    return {"alpha": alpha, "literal": -lit}
+        for i in range(start, len(walked)):
+            v = walked[i]
+            if v in up.literals or -v in up.literals:
+                continue
+            for lit in (v, -v):
+                cex = visit(alpha + [lit], i + 1)
+                if cex is not None:
+                    return cex
+        return None
+
+    return visit([], 0), alphas
+
+
+def test_exhaustive_matches_reference_walk():
+    # the closed-form settling of free subtrees counts, and fails, exactly
+    # where the alpha-by-alpha walk does.  In the first case 4 is auxiliary:
+    # {2, 3} entails 1 and UP misses it, while the models with 2 take both
+    # values of 3, so only PC's test on (3, 1) keeps the subtree under 2
+    cases = [([(1, -2, 4), (1, -3, -4)], 4, [1, 2, 3])]
+    rng = random.Random(2022)
+    for _ in range(320):
+        nv = rng.randint(2, 7)
+        cls = [
+            tuple(x if rng.random() < 0.5 else -x
+                  for x in rng.sample(range(1, nv + 1), rng.randint(2, min(3, nv))))
+            for _ in range(rng.randint(1, 2 * nv))
+        ]
+        cases.append((cls, nv, rng.sample(range(1, nv + 1), rng.randint(1, nv))))
+    for case, (cls, nv, scope) in enumerate(cases):
+        for style in ("urc", "pc"):
+            cex, alphas = reference_walk(cls, nv, scope, style)
+            want = {"style": style, "scope_size": len(scope), "mode": "exhaustive",
+                    "passed": cex is None, "alphas_checked": alphas, "sat_calls": 0}
+            if cex is not None:
+                want["counterexample"] = cex
+            assert check_strength(cls, nv, scope, style).to_dict() == want, (case, cls, scope, style)
+
+
 def test_exhaustive_exact_with_clause_free_scope_variables():
     # the walk leaves out scope variables no clause mentions; pass/fail must
     # stay the definitions' on every scope, free-only ones included
@@ -677,7 +738,8 @@ def test_exhaustive_check_builds_one_engine(monkeypatch):
 
 def test_exhaustive_walk_does_not_recurse():
     # every pair of 14 variables has a clause (x_i | x_j): the UP-consistent
-    # alphas set at most one variable false, so the walk goes 14 decisions deep
+    # alphas set at most one variable false, so the walk goes 13 decisions
+    # deep before the models settle the last variable's subtree
     n = 14
     clauses = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     depth, frame = 0, sys._getframe()
@@ -745,6 +807,47 @@ def test_exhaustive_walk_asserts_only_open_alphas(monkeypatch, style):
                              range(1, out.num_inputs + 1), style)
     assert verdict.passed and verdict.alphas_checked == 665
     assert len(calls) < verdict.alphas_checked
+
+
+def _count_open_slots(monkeypatch):
+    calls = []
+    open_slot = propcheck._Projection.open_slot
+
+    def counting(self, *args):
+        calls.append(args)
+        return open_slot(self, *args)
+
+    monkeypatch.setattr(propcheck._Projection, "open_slot", counting)
+    return calls
+
+
+@pytest.mark.parametrize("style", ["pc", "urc"])
+def test_exhaustive_settles_free_subtrees(monkeypatch, style):
+    # (x1 | ... | x10): below +x1, or any alpha with a true literal, the
+    # models take every value on the later variables, so each such subtree
+    # is counted as 3^r - 1 alphas, not walked; walking every alpha asks
+    # open_slot 59,057 (pc) and 59,046 (urc) times
+    calls = _count_open_slots(monkeypatch)
+    verdict = check_strength([tuple(range(1, 11))], 10, range(1, 11), style)
+    assert verdict.passed and verdict.alphas_checked == 59_047
+    assert len(calls) < 500
+
+
+XOR3 = [(1, 2, 3), (1, -2, -3), (-1, 2, -3), (-1, -2, 3)]  # x1 ^ x2 ^ x3 = 1
+
+
+@pytest.mark.parametrize("style, open_slots", [
+    # below {2}, the models 010 and 111 take both values of 3: settled
+    ("urc", 14),
+    # but only (0, 0) and (1, 1) on (3, 1), where 1 is unset before 2
+    ("pc", 31),
+])
+def test_exhaustive_settles_subtree_by_style(monkeypatch, style, open_slots):
+    calls = _count_open_slots(monkeypatch)
+    verdict = check_strength(XOR3, 3, [1, 2, 3], style)
+    assert verdict.passed and verdict.alphas_checked == 19
+    assert len(calls) == open_slots
+    assert reference_walk(XOR3, 3, [1, 2, 3], style) == (None, 19)
 
 
 def test_certify_leaf_wrapper():

@@ -58,8 +58,9 @@ def _echo_config(args: argparse.Namespace) -> None:
 
 
 def _read_text(path: str) -> str:
+    # utf-8-sig drops the byte-order mark some editors write at the start
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 

@@ -19,6 +19,7 @@ internally.
 from __future__ import annotations
 
 import json
+import re
 from typing import TYPE_CHECKING
 
 from .core import BdmcGraph, LeafEncoding, Node, assemble_graph, make_leaf
@@ -59,9 +60,18 @@ class _Lines:
         return self.pos >= len(self.rows)
 
 
+def _decimal(tok: str) -> int:
+    """int(tok) for ASCII decimal digits with an optional sign; int() alone
+    also reads '1_0' as 10 and the Arabic-Indic '١' as 1."""
+    value = int(tok)
+    if "_" in tok or not tok.isascii():
+        raise ValueError(f"{tok!r} is not an ASCII decimal integer")
+    return value
+
+
 def _int(tok: str, lno: int, what: str) -> int:
     try:
-        return int(tok)
+        return _decimal(tok)
     except ValueError:
         raise ParseError(f"expected {what}, got {tok!r}", line=lno) from None
 
@@ -231,15 +241,50 @@ def emit_dimacs(output: "EncodingOutput") -> tuple[str, str]:
     """DIMACS text plus the varmap sidecar (one JSON object per line).
 
     Clause order: groups in the fixed order N1,N2,N3,N5,N6,E1,E2,E3,ROOT,
-    construction order within each group.
+    construction order within each group.  Each text is built by one join
+    over its rows: a clause row is its literals and a 0, space separated, and
+    a varmap row is one compact JSON object.
     """
     clauses = output.all_clauses()
-    rows = [f"p cnf {output.num_vars} {len(clauses)}"]
-    for clause in clauses:
-        rows.append(" ".join(str(l) for l in clause) + " 0")
-    cnf_text = "\n".join(rows) + "\n"
-    map_rows = [_VARMAP_JSON.encode(entry) for entry in output.varmap.entries]
-    return cnf_text, "\n".join(map_rows) + "\n"
+    cnf_text = f"p cnf {output.num_vars} {len(clauses)}\n" + "".join(
+        [" ".join(map(str, clause)) + " 0\n" for clause in clauses])
+    varmap_text = "\n".join(map(_VARMAP_JSON.encode, output.varmap.entries)) + "\n"
+    return cnf_text, varmap_text
+
+
+# Canonical DIMACS, the text `emit_dimacs` writes and the only text the bulk
+# reader takes: blank or comment lines, the 'p cnf <n> <m>' header, then
+# literals in ASCII digits, '-' and '+' among spaces, tabs and line breaks,
+# comment lines anywhere.  Lines end at \n, \r\n or a lone \r; a text with any
+# other break of `str.splitlines` (\v, \f, \x1c-\x1e, \x85, \u2028, \u2029)
+# fails these patterns and goes to the line loop.
+_EOL = r"(?:\r\n|\r(?!\n)|\n)"
+_REST = r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
+_HEADER = re.compile(
+    rf"(?:[ \t]*(?:c{_REST})?{_EOL})*[ \t]*p[ \t]+cnf[ \t]+([0-9]+)[ \t]+([0-9]+)[ \t]*(?:{_EOL}|\Z)")
+_COMMENT_LINE = re.compile(rf"(?:\A|(?<=[\r\n]))[ \t]*c{_REST}")
+_BODY = re.compile(r"[0-9+\- \t\r\n]*")
+
+
+def _bulk_literals(text: str) -> tuple[int, int, tuple[int, ...]] | None:
+    """(nvars, declared clauses, literal stream) of a canonical text whose
+    literals are all integers within +-nvars; None gives the text up."""
+    head = _HEADER.match(text)
+    if head is None:
+        return None
+    body = text[head.end():]
+    if "c" in body:
+        body = _COMMENT_LINE.sub("", body)
+    if _BODY.fullmatch(body) is None:
+        return None
+    try:
+        nvars, declared = int(head[1]), int(head[2])
+        lits = tuple(map(int, body.split()))
+        if lits and (min(lits) < -nvars or max(lits) > nvars):
+            return None
+    except ValueError:
+        return None
+    return nvars, declared, lits
 
 
 def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
@@ -247,8 +292,38 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
 
     After the 'p cnf' header the literals form one stream in which 0 ends a
     clause, so a clause may span lines and a line may hold several clauses.
-    Header counts are checked.
+    Header counts are checked.  Integers are ASCII decimal with an optional
+    sign ('+1' and '-0' are read, '1_0' and non-ASCII digits are refused).
+
+    Canonical text, the kind `emit_dimacs` writes, is read in bulk when its
+    literals all lie within +-num_vars: one split of the body, clauses cut as
+    slices at its zeros.  It is the header after any blank or comment lines,
+    then literals in ASCII digits and signs among spaces, tabs and \n, \r\n or
+    \r line breaks, with comment lines anywhere.  Every other text, each
+    malformed one included, goes through the line loop, which words every
+    `ParseError` and its line number.
     """
+    bulk = _bulk_literals(text)
+    if bulk is None:
+        return _parse_dimacs_lines(text)
+    nvars, declared, lits = bulk
+    clauses: list[tuple[int, ...]] = []
+    start = 0
+    index = lits.index
+    for _ in range(lits.count(0)):
+        end = index(0, start)
+        clauses.append(lits[start:end])
+        start = end + 1
+    if start < len(lits):
+        raise ParseError("last clause is not ended by 0")
+    if declared != len(clauses):
+        raise ParseError(f"header declares {declared} clauses, found {len(clauses)}")
+    return nvars, clauses
+
+
+def _parse_dimacs_lines(text: str) -> tuple[int, list[tuple[int, ...]]]:
+    """`parse_dimacs` one line at a time: the reader of any text and the
+    source of every diagnostic."""
     nvars = None
     declared = None
     clauses: list[tuple[int, ...]] = []
@@ -264,13 +339,13 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
                     raise ParseError(f"bad problem line {line!r}", line=lno)
                 if nvars is not None:
                     raise ParseError("'p cnf' header must come once, before the clauses", line=lno)
-                nvars, declared = int(parts[2]), int(parts[3])
+                nvars, declared = _decimal(parts[2]), _decimal(parts[3])
                 if nvars < 0 or declared < 0:
                     raise ParseError(f"negative count in problem line {line!r}", line=lno)
                 continue
             if nvars is None:
                 raise ParseError("clause before 'p cnf' header", line=lno)
-            for lit in map(int, line.split()):
+            for lit in map(_decimal, line.split()):
                 if lit == 0:
                     clauses.append(tuple(lits))
                     lits = []

@@ -232,6 +232,18 @@ def test_unreadable_input_exits_1(tmp_path, g1_file, capsys, argv, bad_name, bad
     assert "parse error: " in capsys.readouterr().err
 
 
+def test_inputs_with_a_byte_order_mark_are_read(tmp_path, capsys):
+    # some editors start a UTF-8 file with the mark EF BB BF; it is not text
+    bom = "\ufeff".encode("utf-8")
+    sentence, cnf = tmp_path / "g1.bdmc", tmp_path / "g1.cnf"
+    sentence.write_bytes(bom + G1_TEXT.encode("utf-8"))
+    assert main(["compile", "--target", "pc", str(sentence), "-o", str(cnf)]) == 0
+    cnf.write_bytes(bom + cnf.read_bytes())
+    capsys.readouterr()
+    assert main(["verify", "--target", "pc", "--cnf", str(cnf), str(sentence)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+
+
 def test_verify_exhaustive_budget_gate_precedes_encoding_check(tmp_path, monkeypatch, capsys):
     # parity_dnnf(4) compiled to pc mentions 49 variables, so the all-variable
     # walk is over the 3^14 budget: exit 4 on a header declaring 200000

@@ -174,6 +174,18 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 2 1\n1\n-3 0\n")
     with pytest.raises(ParseError, match=r"expected an integer.*\(line 3\)"):
         parse_dimacs("p cnf 2 1\n1\n2 x 0\n")
+    # int() alone reads '1_0' as 10 and the Arabic-Indic digit one as 1
+    for text, line in (("p cnf 2 1\n1_0 0\n", 2), ("p cnf 2 1\n\u0661 0\n", 2),
+                       ("p cnf 1_0 1\n1 0\n", 1), ("c\np cnf 2 \uff11\n1 0\n", 2)):
+        with pytest.raises(ParseError, match=rf"is not an ASCII decimal integer \(line {line}\)"):
+            parse_dimacs(text)
+
+
+def test_signed_integers_are_read():
+    # an explicit sign stays accepted in both formats, '-0' included
+    graph = parse_bdmc(_sentence(nodes="L +1", root="root -0"))
+    assert graph.root == 0 and graph.nodes[0].leaf == 1
+    assert parse_dimacs("p cnf +2 1\n+1 -2 -0\n") == (2, [(1, -2)])
 
 
 def test_parse_dimacs_clause_stream():
@@ -236,6 +248,18 @@ def _sentence(inputs="x1 x2", nodes="L 1", root="root 0", leaf="leaf 1 inputs x1
                  "leaf 1 lists an aux variable twice (line 5)", id="aux-twice"),
     pytest.param(lambda: parse_dimacs("c a comment, and no clauses\n"),
                  "missing 'p cnf' header", id="dimacs-without-header"),
+    pytest.param(lambda: parse_bdmc(_sentence(nodes="L 1_0")),
+                 "expected a leaf index, got '1_0' (line 3)", id="underscore-in-leaf-index"),
+    pytest.param(lambda: parse_bdmc(_sentence(root="root \u0660")),
+                 "expected a node id, got '\u0660' (line 4)", id="non-ascii-digit-in-root"),
+    pytest.param(lambda: parse_bdmc("bdmc 1 0 1 1_0\n"),
+                 "expected a count, got '1_0' (line 1)", id="underscore-in-header-count"),
+    pytest.param(lambda: parse_dimacs("p cnf 2 1\n1 2_0 0\n"),
+                 "expected an integer: '2_0' is not an ASCII decimal integer (line 2)",
+                 id="dimacs-underscore-in-literal"),
+    pytest.param(lambda: parse_dimacs("p cnf 2 1\n-\u0662 0\n"),
+                 "expected an integer: '-\u0662' is not an ASCII decimal integer (line 2)",
+                 id="dimacs-non-ascii-digit"),
 ])
 def test_format_refusals(parse, message):
     with pytest.raises(ParseError) as refused:

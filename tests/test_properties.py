@@ -11,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from bdmc import BdmcError, compile_graph, emit_dimacs, gen_random, propcheck  # noqa: E402
+from bdmc import BdmcError, compile_graph, emit_dimacs, formats, gen_random, propcheck  # noqa: E402
 from bdmc.core import build_graph, enumerate_models, leaf_spec  # noqa: E402
 from bdmc.cli import main  # noqa: E402
 from bdmc.errors import ParseError  # noqa: E402
@@ -40,12 +40,19 @@ def test_bdmc_text_round_trip(seed, n, depth, leaf_class):
 BASE_SENTENCE = serialize_bdmc(g1())
 
 
-# lists of (position, substitute/insert/delete, character) edits of BASE_DIMACS
-EDITS = st.lists(
-    st.tuples(st.integers(0, len(BASE_DIMACS)), st.sampled_from("sid"),
-              st.sampled_from(list("0123456789 -\npcx\t"))),
-    min_size=1, max_size=6,
-)
+EDIT_CHARS = "0123456789 -\npcx\t"
+
+
+def edit_lists(chars):
+    """Lists of (position, substitute/insert/delete, character) edits of BASE_DIMACS."""
+    return st.lists(
+        st.tuples(st.integers(0, len(BASE_DIMACS)), st.sampled_from("sid"),
+                  st.sampled_from(list(chars))),
+        min_size=1, max_size=6,
+    )
+
+
+EDITS = edit_lists(EDIT_CHARS)
 
 
 def mutate(edits):
@@ -70,6 +77,64 @@ def test_mutated_dimacs_raises_only_parse_error(edits):
         return
     assert all(0 < abs(lit) <= nvars for clause in clauses for lit in clause)
 
+
+
+def read_dimacs(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+# signs, underscores, comment starts and lone carriage returns: the spellings
+# the bulk reader must read exactly as the line loop does, or give up
+@settings(max_examples=300, deadline=None, database=None)
+@given(edits=edit_lists(EDIT_CHARS + "+_c\r"))
+def test_bulk_dimacs_reader_matches_the_line_loop(edits):
+    text = mutate(edits)
+    assert read_dimacs(parse_dimacs, text) == read_dimacs(formats._parse_dimacs_lines, text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    pytest.param("c made by hand\nc\n\np cnf 3 2\n1 -2 0\n3 0\n", (3, [(1, -2), (3,)]),
+                 id="leading-comment-block"),
+    pytest.param("p cnf 3 2\n1 -2 0\nc 3 0 between\n  c indented\n3 0\n", (3, [(1, -2), (3,)]),
+                 id="comment-between-clauses"),
+    pytest.param("c x\r\np cnf 3 2\r\n1 -2 0\r\nc 1 0\r\n3 0\r\n", (3, [(1, -2), (3,)]),
+                 id="crlf"),
+    pytest.param("c x\rp cnf 2 2\rc 1 0\r1 0\r-2 0", (2, [(1,), (-2,)]),
+                 id="lone-cr-ends-a-comment"),
+    pytest.param("p\tcnf\t3 2 \n\t1\t-2\t0\n3\t0\t\n", (3, [(1, -2), (3,)]), id="tabs"),
+    pytest.param("p cnf 3 3\n1 0 -2 +3 0 -3 -0\n", (3, [(1,), (-2, 3), (-3,)]),
+                 id="clauses-sharing-a-line"),
+    pytest.param("p cnf 3 1\n1\n-2\n\n3\n0\n", (3, [(1, -2, 3)]), id="clause-over-lines"),
+    pytest.param("p cnf 2 3\n0\n1 2 0 0\n", (2, [(), (1, 2), ()]), id="empty-clauses"),
+    pytest.param(BASE_DIMACS, parse_dimacs(BASE_DIMACS), id="compiler-output"),
+])
+def test_bulk_dimacs_reader_reads_canonical_text(monkeypatch, text, expected):
+    assert read_dimacs(formats._parse_dimacs_lines, text) == expected
+
+    def refuse(text):
+        raise AssertionError("canonical text left to the line loop")
+
+    monkeypatch.setattr(formats, "_parse_dimacs_lines", refuse)
+    assert parse_dimacs(text) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    pytest.param("p cnf 2 2\nc 1 0\x0c1 0\n2 0\n", (2, [(1,), (2,)]), id="form-feed-ends-a-comment"),
+    pytest.param("p cnf 2 2\n1 0\x85c 2\n2 0\n", (2, [(1,), (2,)]), id="nel-ends-a-line"),
+    pytest.param("p cnf 2 1\n1\xa02 0\n", (2, [(1, 2)]), id="no-break-space"),
+    pytest.param("p cnf 2 1\n1_0 0\n",
+                 "ParseError: expected an integer: '1_0' is not an ASCII decimal integer (line 2)",
+                 id="underscore"),
+    pytest.param("p cnf 2 1\n\u0661 0\n",
+                 "ParseError: expected an integer: '\u0661' is not an ASCII decimal integer (line 2)",
+                 id="arabic-indic-digit"),
+    pytest.param("p cnf 2 1\n1 3 0\n", "ParseError: literal 3 out of range (line 2)", id="out-of-range"),
+])
+def test_bulk_dimacs_reader_gives_up_other_text(text, expected):
+    assert read_dimacs(parse_dimacs, text) == read_dimacs(formats._parse_dimacs_lines, text) == expected
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -427,7 +427,12 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
     Kahn sweep then gives the topological order and the longest-path depths,
     and one sweep over that order the layer spans.  Var-sets come from one
     bottom-up sweep; ranges and the validation report from single sweeps
-    over nodes and leaves.
+    over nodes and leaves.  The report compares set sizes: a multi-child
+    and-node is decomposable iff the sizes of its children's var-sets sum to
+    the size of their union (var(v) where v is reached), a multi-child
+    or-node is smooth iff no child's var-set is smaller than its own (an
+    unreached node's own set is empty).  The per-variable walk runs only at
+    the first failing node, to name the witness.
     Acyclicity covers all nodes: _find_cycle runs only to name a cycle, or
     to rule one out among unreachable nodes.
     """
@@ -493,22 +498,21 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
             for v in frozenset(leaf.input_vars):
                 ranges[v - 1].append(leaf.index)
         scopes = VarScopeMap(tuple(var_sets), tuple(map(tuple, ranges)))
-        decomposable = smooth = True
+        size = list(map(len, var_sets))
         for nid, nd in enumerate(nodes):
+            kids = nd.children
+            if len(kids) < 2:  # one child: var(v) = var(child)
+                continue
             if nd.kind == "and":
-                taken: dict[int, int] = {}
-                for ch in nd.children:
-                    for v in var_sets[ch]:
-                        if v in taken and taken[v] != ch:
-                            decomposable = False
-                            decomp_witness = decomp_witness or (nid, v)
-                        taken.setdefault(v, ch)
-            elif nd.kind == "or" and len(nd.children) > 1:  # one child: var(v) = var(child)
-                for ch in nd.children:
-                    gap = var_sets[nid] - var_sets[ch]
-                    if gap:
-                        smooth = False
-                        smooth_witness = smooth_witness or (nid, ch, frozenset(gap))
+                if decomp_witness is None:
+                    union = size[nid] if reached[nid] else len(
+                        frozenset().union(*[var_sets[ch] for ch in kids]))
+                    if sum([size[ch] for ch in kids]) != union:
+                        decomp_witness = _shared_var(nid, kids, var_sets)
+            elif smooth_witness is None and min([size[ch] for ch in kids]) < size[nid]:
+                ch = next(ch for ch in kids if size[ch] < size[nid])
+                smooth_witness = (nid, ch, var_sets[nid] - var_sets[ch])
+        decomposable, smooth = decomp_witness is None, smooth_witness is None
         missing = tuple(sorted(set(graph.input_vars) - var_sets[root]))
     report = ValidationReport(
         acyclic=not cycle,
@@ -525,6 +529,18 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
     if not complete:
         return GraphAnalysis(report, None, None, None, False, scopes)
     return GraphAnalysis(report, tuple(order), tuple(start), tuple(end), layered, scopes)
+
+
+def _shared_var(nid: int, kids: tuple[int, ...], var_sets) -> Optional[tuple[int, int]]:
+    """(nid, v) for the first v, in child then set order, that an earlier
+    child of the and-node already holds: the decomposability witness."""
+    taken: set[int] = set()
+    for ch in kids:
+        for v in var_sets[ch]:
+            if v in taken:
+                return nid, v
+            taken.add(v)
+    return None
 
 
 def topo_order(graph: BdmcGraph) -> list[int]:

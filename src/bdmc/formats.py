@@ -28,7 +28,7 @@ from .errors import ParseError
 if TYPE_CHECKING:
     from .encoder import EncodingOutput
 
-_VARMAP_JSON = json.JSONEncoder(separators=(", ", ": "))
+_json_str = json.encoder.encode_basestring_ascii
 
 KEYWORDS = {"bdmc", "inputs", "aux", "clauses", "root", "leaf", "class", "A", "O", "L"}
 
@@ -243,12 +243,16 @@ def emit_dimacs(output: "EncodingOutput") -> tuple[str, str]:
     Clause order: groups in the fixed order N1,N2,N3,N5,N6,E1,E2,E3,ROOT,
     construction order within each group.  Each text is built by one join
     over its rows: a clause row is its literals and a 0, space separated, and
-    a varmap row is one compact JSON object.
+    a varmap row is one JSON object, the text of json.dumps(entry,
+    separators=(", ", ": ")), written from its items (strings and ints only).
     """
     clauses = output.all_clauses()
     cnf_text = f"p cnf {output.num_vars} {len(clauses)}\n" + "".join(
         [" ".join(map(str, clause)) + " 0\n" for clause in clauses])
-    varmap_text = "\n".join(map(_VARMAP_JSON.encode, output.varmap.entries)) + "\n"
+    varmap_text = "\n".join([
+        "{%s}" % ", ".join([_json_str(k) + ": " + (_json_str(v) if isinstance(v, str) else str(v))
+                            for k, v in entry.items()])
+        for entry in output.varmap.entries]) + "\n"
     return cnf_text, varmap_text
 
 

@@ -674,15 +674,17 @@ def gen_random(
     Deterministic per seed.  Leaves are drawn from class-specific generators
     (single clauses, small prime-ish 2-CNFs and gate encodings for pc;
     renamable Horn for urc) and re-certified before use; candidates failing
-    certification or the size budget are discarded and redrawn.
+    certification or the size budget are discarded and redrawn.  Each
+    distinct candidate leaf is certified once per call.
     """
     if leaf_class not in (CLASS_PC, CLASS_URC):
         raise InputError("leaf_class must be 'pc' or 'urc'")
     if n < 1:
         raise InputError(f"a sentence needs at least one input, got n={n}")
     rng = random.Random(seed)
+    verdicts: dict[tuple, bool] = {}
     for _ in range(400):
-        graph = _random_graph(rng, n, max_depth, leaf_class)
+        graph = _random_graph(rng, n, max_depth, leaf_class, verdicts)
         if graph is None:
             continue
         if not graph.analysis.report.is_valid_bdmc:
@@ -710,7 +712,9 @@ def _post_transform_vars(graph: BdmcGraph) -> int:
     return g2.num_inputs + 2 * m + g2.num_nodes + padding
 
 
-def _random_graph(rng, n, max_depth, leaf_class) -> Optional[BdmcGraph]:
+def _random_graph(rng, n, max_depth, leaf_class, verdicts) -> Optional[BdmcGraph]:
+    """One draw; verdicts maps (width, aux count, clauses) to whether that
+    candidate leaf certifies as leaf_class, shared by the draws of one call."""
     nodes: list[tuple] = []
     leaves: list[dict] = []
     registry: dict[frozenset[int], int] = {}
@@ -720,11 +724,13 @@ def _random_graph(rng, n, max_depth, leaf_class) -> Optional[BdmcGraph]:
         return len(nodes) - 1
 
     def certified(width, aux_ct, clauses):
-        cert = certify_formula(
-            clauses, list(range(1, width + 1)),
-            list(range(width + 1, width + 1 + aux_ct)),
-        )
-        return cert.satisfies(leaf_class)
+        key = (width, aux_ct, tuple(map(tuple, clauses)))
+        if key not in verdicts:
+            verdicts[key] = certify_formula(
+                clauses, list(range(1, width + 1)),
+                list(range(width + 1, width + 1 + aux_ct)),
+            ).satisfies(leaf_class)
+        return verdicts[key]
 
     def make_leaf(cell: tuple[int, ...]) -> int:
         for _ in range(25):

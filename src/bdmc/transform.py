@@ -7,7 +7,10 @@ leaves a multi-child node and skips a depth layer.  A one-child node spans
 every layer from its own start down to its child's, so the layers of each
 root-to-leaf path tile 0..L, which makes the depth layers of each D_i
 separators and yields a separator cover; the tests check covers against the
-exactly-one-hit definition (tests/oracles.py).
+exactly-one-hit definition (tests/oracles.py).  The cover takes a number of
+bitmask operations that grows with the graph's edges and its separators'
+entries, not with layers times inputs: a variable is visited only at the
+layers where its separator changes.
 
 Every operation reads validity, scopes and layer spans from graph.analysis, the
 memoised core.GraphAnalysis of its graph version.  A rewrite returns a new
@@ -17,6 +20,7 @@ graph version, whose analysis runs when something first reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from .core import BdmcGraph, CLASS_TRUE, LeafEncoding, Node, assemble_graph
 from .errors import PreconditionError
 
@@ -138,39 +142,74 @@ class SeparatorCover:
 def separator_cover(graph: BdmcGraph) -> SeparatorCover:
     """Layer separators of a layered graph.
 
-    S_{i,d} = nodes of H_i whose layer span [start, end] holds d, for
-    d = 1..L; empty layers and the d = 0 layer are dropped.  A variable
-    lists each distinct separator once, at its first layer (the layers a
-    long pass-through spans alone repeat one), and duplicates across
-    variables are merged.  H_i and the nodes spanning each layer are node
-    bitmasks, so S_{i,d} is one AND, and each distinct mask becomes one
-    frozenset shared by every variable that has it.
+    S_{i,d} = nodes of H_i whose layer span [max(start, 1), end] holds d,
+    for d = 1..L; the d = 0 layer is dropped.  A variable lists each
+    distinct separator once, in layer order, and duplicates across variables
+    are merged.  H_i and the nodes spanning a layer are node bitmasks, so
+    S_{i,d} is one AND, and each distinct mask becomes one frozenset shared
+    by every variable that has it.
+
+    H_i comes from one walk down the topological order: a node passes its
+    ancestors plus itself to each child and then drops its own mask, and a
+    leaf ORs what it got into H_i of each of its inputs.  The spanning nodes
+    are kept as a bit array, set where a span begins and cleared after it
+    ends.  Variable i is visited at layer d only when a node of H_i begins
+    there.  That finds every distinct S_{i,d}, each once: a node leaves S_i
+    after layer d only if it ends at d, and then one of its children in
+    H_i begins at d + 1 (its one child, or any child, since in a layered
+    graph all children of a multi-child node begin one layer below it); a
+    node that begins at d spans d, so S_{i,d} holds it and differs from
+    S_{i,d-1}.  Nor does S_i return to an earlier value: every node of H_i
+    lies on a root-to-leaf path of D_i, whose spans tile 0..L with exactly
+    one node per layer, so a node spanning d1 and d3 > d1 spans every layer
+    between and is the only node of its paths there.
     """
     a = graph.analysis.require_valid()
     if not a.layered:
         raise PreconditionError(
             f"graph is not layered: {_layer_witness(graph)}; run level() first")
+    nodes, leaves, var_sets = graph.nodes, graph.leaves, a.scopes.var_sets
+    starts, ends = a.starts, a.ends
+    depth = max(ends)
     holders = [0] * (graph.num_inputs + 1)
-    spanning = [0] * (max(a.ends) + 1)
-    for nid, vs in enumerate(a.scopes.var_sets):
-        bit = 1 << nid
-        for v in vs:
-            holders[v] |= bit
-        for d in range(max(a.starts[nid], 1), a.ends[nid] + 1):
-            spanning[d] |= bit
+    anc = [0] * graph.num_nodes
+    begins: list[list[int]] = [[] for _ in range(depth + 2)]
+    flips: list[list[int]] = [[] for _ in range(depth + 2)]
+    for u in a.order:
+        up = anc[u] | 1 << u
+        anc[u] = 0
+        nd = nodes[u]
+        if nd.kind == "leaf":
+            for v in leaves[nd.leaf - 1].input_vars:
+                holders[v] |= up
+        else:
+            for ch in nd.children:
+                anc[ch] |= up
+        first = max(starts[u], 1)
+        if first <= ends[u]:  # a root that ends at layer 0 spans no layer
+            begins[first].append(u)
+            flips[first].append(u)
+            flips[ends[u] + 1].append(u)
+    live = bytearray(graph.num_nodes // 8 + 1)
     sets: dict[int, frozenset[int]] = {}
-    per_var = []
-    for v in graph.input_vars:
-        layers: dict[int, frozenset[int]] = {}
-        for span in spanning[1:]:
+    per_var: list = [[] for _ in holders]  # each list becomes a tuple below
+    for d in range(1, depth + 1):
+        for u in flips[d]:
+            live[u >> 3] ^= 1 << (u & 7)
+        if not begins[d]:
+            continue
+        span = int.from_bytes(live, "little")
+        for v in frozenset().union(*[var_sets[u] for u in begins[d]]):
             mask = holders[v] & span
-            if mask and mask not in layers:
-                if mask not in sets:
-                    sets[mask] = frozenset(_bit_positions(mask))
-                layers[mask] = sets[mask]
-        per_var.append(tuple(layers.values()))
-    merged = dict.fromkeys(sep for seps in per_var for sep in seps)
-    return SeparatorCover(tuple(per_var), tuple(merged))
+            sep = sets.get(mask)
+            if sep is None:
+                sep = sets[mask] = frozenset(_bit_positions(mask))
+            per_var[v].append(sep)
+    del sets, holders  # drop the masks and turn one list at a time: a lower peak
+    for v in graph.input_vars:
+        per_var[v] = tuple(per_var[v])
+    per_var_t = tuple(per_var[1:])
+    return SeparatorCover(per_var_t, tuple(dict.fromkeys(chain.from_iterable(per_var_t))))
 
 
 def _bit_positions(mask: int) -> list[int]:

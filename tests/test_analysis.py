@@ -200,6 +200,7 @@ def outcome(fn, g):
 LIT = leaf_spec(inputs=[1], clauses=[[1]], cls="pc")
 NEG = leaf_spec(inputs=[1], clauses=[[-1]], cls="pc")
 LIT2 = leaf_spec(inputs=[2], clauses=[[1]], cls="pc")
+BOTH = leaf_spec(inputs=[1, 2], clauses=[[1, 2]], cls="pc")
 
 ODD_GRAPHS = {
     "cycle": build_graph(
@@ -218,6 +219,21 @@ ODD_GRAPHS = {
         nodes=[("or", [1, 2]), ("leaf", 1), ("and", [3, 4]), ("leaf", 2), ("leaf", 3)],
         leaves=[LIT, NEG, LIT2], n=2),
     "missing_input": build_graph(nodes=[("leaf", 1)], leaves=[LIT], n=2),
+    # node 1 is decomposable; the later and-nodes 4 and 7 have two children
+    # over {1, 2}, and 4 is the witness
+    "later_and_shares_two_vars": build_graph(
+        nodes=[("or", [1, 4, 7]), ("and", [2, 3]), ("leaf", 1), ("leaf", 2),
+               ("and", [5, 6]), ("leaf", 3), ("leaf", 4), ("and", [6, 5])],
+        leaves=[LIT, LIT2, BOTH, BOTH], n=2),
+    # nodes 3 and 4 are not reached; the children of and-node 3, both
+    # reached, share x1, and an unreached or-node is smooth
+    "unreached_not_decomposable": build_graph(
+        nodes=[("or", [1, 2]), ("leaf", 1), ("leaf", 2), ("and", [1, 2]), ("or", [1, 2])],
+        leaves=[LIT, NEG], n=1),
+    # the second child of or-node 0 misses x2; or-node 1 fails too, later
+    "or_second_child_misses": build_graph(
+        nodes=[("or", [1, 2]), ("or", [3, 4]), ("leaf", 2), ("leaf", 1), ("leaf", 3)],
+        leaves=[BOTH, LIT, LIT2], n=2),
     # one leaf depth, but the edge 0 -> 2 spans two levels
     "skip_edge": build_graph(
         nodes=[("or", [1, 2]), ("or", [2]), ("and", [3]), ("leaf", 1)], leaves=[LIT], n=1),
@@ -250,6 +266,24 @@ def test_analyze_witnesses_on_odd_graphs():
     assert not analyze(ODD_GRAPHS["skip_edge"]).layered
     assert analyze(ODD_GRAPHS["not_smooth_not_leveled"]).report.smooth_witness == (
         0, 1, frozenset({2}))
+    rep = analyze(ODD_GRAPHS["later_and_shares_two_vars"]).report
+    assert rep.decomp_witness == (4, 1) and rep.smooth
+    rep = analyze(ODD_GRAPHS["unreached_not_decomposable"]).report
+    assert rep.decomp_witness == (3, 1) and rep.unreachable == (3, 4) and rep.smooth
+    rep = analyze(ODD_GRAPHS["or_second_child_misses"]).report
+    assert rep.decomposable and rep.smooth_witness == (0, 2, frozenset({2}))
+
+
+def test_analyze_agrees_on_leveled_parity():
+    g = level(parity_dnnf(20))
+    assert g.analysis.layered
+    assert_agrees(g)
+
+
+def test_cover_merges_per_var_in_order(corpus):
+    for g in list(corpus) + [parity_dnnf(20)]:
+        cov = separator_cover(level(smooth(g)))
+        assert cov.merged == tuple(dict.fromkeys(s for seps in cov.per_var for s in seps))
 
 
 def test_analyze_agrees_on_corpus(corpus):

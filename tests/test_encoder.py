@@ -22,7 +22,8 @@ from bdmc.engine import brute_sat
 from bdmc.errors import InputError, PreconditionError
 from bdmc.transform import separator_cover
 
-from conftest import TARGET_CHECK, g1
+from conftest import TARGET_CHECK, g1, parity_dnnf
+from test_golden import output_digest
 
 
 def test_varmap_numbering_g1():
@@ -329,3 +330,29 @@ def test_encoder_input_refusals(build, message):
     with pytest.raises(InputError) as refused:
         build()
     assert type(refused.value) is InputError and str(refused.value) == message
+
+
+# output_digest (tests/test_golden.py) of parity_dnnf(k) alone, per target:
+# the DIMACS, varmap and stats bytes of graphs far larger than the corpus
+PARITY_DIGESTS = {
+    60: {
+        "cc": "8dc443d6bd5034aee238d8aa13ed6c49a86b514652c4fc3d9330b978fcac0422",
+        "dc": "94333dd1607bcd757da44d3cff4e1ef271eca42b83604faaaa9316ed763e8890",
+        "urc": "6eb80e951c794403cbb77007c3a8dd06d3750431bf7861e0d135423c38923165",
+        "urc-seq": "ce79b2d249395720ebbe12e1b9ee06a7444af30aae28f831fe27ac695def15ce",
+        "pc": "192a305c70beb18d7a8cc6446e0b7775e9ec6aee9a2efb82abcabb5c44829d42",
+    },
+    200: {
+        "cc": "cfe80d4be7ab3004ee4721e3c0f70b91d514d8a80b5259d24ffd0729f7b56c49",
+        "dc": "faa91433129c609ae1f558b5bc8a5ba8408e7e078733f71a60f7445543b6f293",
+        "urc": "944d83678979d8eef2d82afcddf9513e4599acf301dea86409d7075ab13031d7",
+        "urc-seq": "cc1fce0b7ff911b5c0b829fb70aa1c1f7d40309d54ebc78b1049fd2eba61b201",
+        "pc": "359bd376c0e621415fed97afc29e819d2d1bf2afa27421facbcab797fc679a95",
+    },
+}
+
+
+@pytest.mark.parametrize("k", sorted(PARITY_DIGESTS))
+def test_parity_output_bytes(k):
+    g = parity_dnnf(k)
+    assert {t: output_digest([g], t) for t in TARGETS} == PARITY_DIGESTS[k]

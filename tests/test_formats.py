@@ -152,6 +152,20 @@ def test_varmap_roles_are_bijective(compiled_corpus):
     assert [r["id"] for r in inputs] == list(range(1, out.num_inputs + 1))
 
 
+def test_varmap_rows_escape_names():
+    names = ['q"uote', "back\\slash", "caf\u00e9", "snow\u2603"]
+    leaves = [leaf_spec(inputs=[1, 2, 3, 4], clauses=[[1, 2, 5], [-5, 3, 4]], aux=1,
+                        aux_names=['y"\u2603'])]
+    out = compile_graph(build_graph(nodes=[("leaf", 1)], leaves=leaves, input_names=names), "cc")
+    _, varmap_text = emit_dimacs(out)
+    rows = varmap_text.splitlines()
+    assert varmap_text.endswith("\n") and len(rows) == len(out.varmap.entries)
+    for row, entry in zip(rows, out.varmap.entries):
+        assert row == json.dumps(entry, separators=(", ", ": "))
+    assert [json.loads(r)["name"] for r in rows[:4]] == names
+    assert any('\\u2603' in r and 'y\\"' in r for r in rows)
+
+
 def test_zero_clause_dimacs_header():
     out = compile_graph(g1(), "cc")
     out.groups = {"ROOT": []}

@@ -5,16 +5,25 @@ the leaf's formula is simulated by Horn propagation over variables standing
 for "literal l was derived" plus one variable standing for "contradiction
 derived".  DR+ adds clauses making the contradiction variable propagate every
 literal, and totality clauses [[x]] v [[-x]].  Both read the leaf's clauses,
-take its variables from the MetaVarSpace, and return a tuple of clauses.
+take its variables from one read of its MetaVarSpace block, and return a
+tuple of clauses.
+
+Both build every clause canonical (sorted by variable, no variable twice),
+so neither runs core.make_clause, the check for clauses from user input:
+- A DR body is one meta literal per literal of a leaf clause.  A canonical
+  leaf clause (core.make_leaf builds them) holds each variable once, and a
+  block gives each variable its own pair of ids, so the body has no repeated
+  variable and tuple(sorted(body, key=abs)) is canonical.
+- The variable clauses are written in ascending order: a variable's
+  positive meta, its negative one, then [[bot]], the block's last id.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Clause, LeafEncoding, make_clause
+from .core import Clause, LeafEncoding
 from .errors import InputError, PreconditionError
 
 
@@ -24,38 +33,63 @@ class MetaVarSpace:
 
     Variables are handed out per leaf: for each leaf's variables in ascending
     order, the positive meta before the negative one, with the bot marker
-    last.  Leaves own pairwise disjoint blocks, each kept as its first id and
-    the leaf's variables, so every lookup is arithmetic.
+    last.  Leaves own pairwise disjoint blocks, handed out in leaf order, and
+    each block is kept as the map from the leaf's literals to their ids.
     """
 
     next_id: int
-    _blocks: dict  # leaf index -> (first id, the leaf's variables ascending)
+    _blocks: dict  # leaf index -> ({literal: id} in id order, id of bot)
 
     @staticmethod
     def for_leaves(leaves: Sequence[LeafEncoding], first_id: int) -> "MetaVarSpace":
-        blocks: dict[int, tuple[int, tuple[int, ...]]] = {}
+        blocks: dict[int, tuple[dict[int, int], int]] = {}
         nxt = first_id
         for leaf in leaves:
-            vs = tuple(sorted(set(leaf.input_vars) | set(leaf.aux_vars)))
-            blocks[leaf.index] = (nxt, vs)
-            nxt += 2 * len(vs) + 1
+            ids: dict[int, int] = {}
+            for v in sorted(set(leaf.input_vars) | set(leaf.aux_vars)):
+                ids[v] = nxt
+                ids[-v] = nxt + 1
+                nxt += 2
+            blocks[leaf.index] = (ids, nxt)
+            nxt += 1
         return MetaVarSpace(nxt, blocks)
+
+    def block(self, i: int) -> tuple[dict[int, int], int]:
+        """Leaf i's block: {lit: [[lit]]^i} over the literals of its
+        variables, in id order, and [[bot]]^i, the id after them."""
+        return self._blocks[i]
 
     def meta(self, i: int, lit: int) -> int:
         """Solver variable for [[lit]]^i."""
-        first, vs = self._blocks.get(i, (0, ()))
-        j = bisect_left(vs, abs(lit))
-        if j == len(vs) or vs[j] != abs(lit):
+        got = self._blocks[i][0].get(lit) if i in self._blocks else None
+        if got is None:
             raise InputError(f"no meta-variable for literal {lit} in leaf {i}")
-        return first + 2 * j + (lit < 0)
+        return got
 
     def bot(self, i: int) -> int:
         """Solver variable for [[bot]]^i."""
-        first, vs = self._blocks[i]
-        return first + 2 * len(vs)
+        return self._blocks[i][1]
 
     def source_vars_of(self, i: int) -> tuple[int, ...]:
-        return self._blocks[i][1]
+        return tuple(self._blocks[i][0])[::2]
+
+
+def _dr(leaf: LeafEncoding, ids: dict[int, int], bot: int) -> list[Clause]:
+    """The DR clauses of a leaf without the empty clause, over its block."""
+    out: list[Clause] = []
+    try:
+        for clause in leaf.clauses:
+            body = [-ids[-e] for e in clause]
+            for j, l in enumerate(clause):
+                head = body.copy()
+                head[j] = ids[l]
+                out.append(tuple(sorted(head, key=abs)))
+    except KeyError as missing:
+        raise InputError(
+            f"no meta-variable for literal {missing.args[0]} in leaf {leaf.index}") from None
+    metas = iter(ids.values())
+    out.extend((-pos, -neg, bot) for pos, neg in zip(metas, metas))
+    return out
 
 
 def dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tuple[Clause, ...]:
@@ -65,20 +99,12 @@ def dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tuple[Clause, ...]:
     Otherwise every clause C and every l in C contribute the definite Horn
     clause (AND_{e in C-l} [[-e]]) -> [[l]], and every variable contributes
     [[x]] & [[-x]] -> [[bot]].  Unit clauses of phi become unit meta clauses.
-    A literal outside the leaf's block raises InputError in space.meta.
+    A literal outside the leaf's block raises InputError.
     """
-    i = leaf.index
-    bot = space.bot(i)
+    ids, bot = space.block(leaf.index)
     if leaf.is_constant_false:
         return ((bot,),)
-    out: list[Clause] = []
-    for clause in leaf.clauses:
-        for l in clause:
-            body = [-space.meta(i, -e) for e in clause if e != l]
-            out.append(make_clause(body + [space.meta(i, l)]))
-    for v in space.source_vars_of(i):
-        out.append(make_clause([-space.meta(i, v), -space.meta(i, -v), bot]))
-    return tuple(out)
+    return tuple(_dr(leaf, ids, bot))
 
 
 def extended_dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tuple[Clause, ...]:
@@ -90,12 +116,12 @@ def extended_dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tuple[Clause,
             f"leaf {i}: extended dual rail is undefined on formulas containing the"
             " empty clause; simplify the leaf to a constant-false leaf first"
         )
-    out = list(dual_rail(leaf, space))
-    bot = space.bot(i)
-    leaf_vars = space.source_vars_of(i)
-    for v in leaf_vars:
-        out.append(make_clause([-bot, space.meta(i, v)]))
-        out.append(make_clause([-bot, space.meta(i, -v)]))
-    for v in leaf_vars:
-        out.append(make_clause([space.meta(i, v), space.meta(i, -v)]))
+    ids, bot = space.block(i)
+    out = _dr(leaf, ids, bot)
+    metas = list(ids.values())
+    pairs = list(zip(metas[0::2], metas[1::2]))
+    for pos, neg in pairs:
+        out.append((pos, -bot))
+        out.append((neg, -bot))
+    out.extend(pairs)
     return tuple(out)

@@ -20,6 +20,15 @@ compile_graph and size_report read every per-target fact from that record,
 and so does the CLI.
 A leaf node's variable is the negation of its dual-rail contradiction marker
 throughout.
+
+Every builder returns its clauses canonical, sorted by variable with no
+variable twice, so compile never runs core.make_clause, the check for
+clauses from user input (make_leaf, build_graph, parse_bdmc).  The reasons
+are in each builder's docstring: node literals are distinct variables and
+edges are never duplicated (N1-N3, N5, N6), a meta id is above every input
+id and blocks ascend with the leaf index (E2, E3), and dualrail builds E1 in
+the order of a leaf's block.  VarMap builds the node literals and the meta
+blocks once per compile.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import BdmcGraph, CLASS_SATISFIES, Clause, make_clause
+from .core import BdmcGraph, CLASS_SATISFIES, Clause
 from .dualrail import MetaVarSpace, dual_rail, extended_dual_rail
 from .errors import InputError, PreconditionError
 from .transform import SeparatorCover, is_layered, level, separator_cover, smooth
@@ -102,18 +111,20 @@ class VarMap:
             for v, name in zip(leaf.aux_vars, leaf.aux_names):
                 names.setdefault(v, name if uses[name] <= 1 else f"{name}@{leaf.index}")
         for leaf in graph.leaves:
-            for v in self.space.source_vars_of(leaf.index):
+            ids, bot = self.space.block(leaf.index)
+            metas = iter(ids.items())
+            for (v, pos), (_, neg) in zip(metas, metas):
                 base = names.get(v, f"v{v}")
-                for lit, txt in ((v, base), (-v, "-" + base)):
+                for mid, txt in ((pos, base), (neg, "-" + base)):
                     self.entries.append({
-                        "id": self.space.meta(leaf.index, lit),
+                        "id": mid,
                         "role": "meta",
                         "name": f"[[{txt}]]@{leaf.index}",
                         "leaf": leaf.index,
                         "literal": txt,
                     })
             self.entries.append({
-                "id": self.space.bot(leaf.index),
+                "id": bot,
                 "role": "meta",
                 "name": f"[[bot]]@{leaf.index}",
                 "leaf": leaf.index,
@@ -127,16 +138,17 @@ class VarMap:
                 self.node_vars[nid] = nxt
                 self.entries.append({"id": nxt, "role": "node", "name": f"n{nid}", "node": nid})
                 nxt += 1
+        # the literal of every node, by node id, for the clause builders
+        self.node_lits: list[int] = [
+            -self.space.bot(nd.leaf) if nd.kind == "leaf" else self.node_vars[nid]
+            for nid, nd in enumerate(graph.nodes)]
         self.num_vars = nxt - 1
         self.num_card_aux = 0
 
     def node_literal(self, nid: int) -> int:
         """The literal standing for node nid: its own variable for inner
         nodes, -[[bot]]^i for the leaf carrying formula i."""
-        nd = self.graph.nodes[nid]
-        if nd.kind == "leaf":
-            return -self.space.bot(nd.leaf)
-        return self.node_vars[nid]
+        return self.node_lits[nid]
 
     def add_card_aux(self, separator_idx: int, position: int) -> int:
         self.num_vars += 1
@@ -160,30 +172,32 @@ def build_varmap(graph: BdmcGraph) -> VarMap:
 
 
 def _pair(a: int, b: int) -> Clause:
-    """The canonical clause of two literals over distinct variables, built
-    without make_clause's checks where the caller guarantees them."""
+    """The canonical clause of two literals over distinct variables."""
     return (a, b) if abs(a) < abs(b) else (b, a)
 
 
 def circuit_clauses(graph: BdmcGraph, varmap: VarMap) -> dict[str, list[Clause]]:
     """Groups N1 (or), N2 (and) and N3 (parents) over node literals.
 
-    Every node has its own variable, so the N2 binaries are built canonical
-    directly; the wider N1 and N3 clauses go through make_clause."""
+    Distinct nodes have distinct variables, assemble_graph refuses duplicate
+    edges and no node is its own child or parent, so the literals of a node
+    and its children (or its parents) hold no variable twice: N2 binaries are
+    ordered directly, and each N1 and N3 clause is sorted once by variable."""
     n1: list[Clause] = []
     n2: list[Clause] = []
     n3: list[Clause] = []
-    lit = varmap.node_literal
+    lits = varmap.node_lits
     for nid, nd in enumerate(graph.nodes):
         if nd.kind == "or":
-            n1.append(make_clause([-lit(nid)] + [lit(ch) for ch in nd.children]))
+            n1.append(tuple(sorted([-lits[nid], *[lits[ch] for ch in nd.children]], key=abs)))
         elif nd.kind == "and":
+            head = -lits[nid]
             for ch in nd.children:
-                n2.append(_pair(-lit(nid), lit(ch)))
-    for nid in range(graph.num_nodes):
-        if nid == graph.root or not graph.parents[nid]:
+                n2.append(_pair(head, lits[ch]))
+    for nid, parents in enumerate(graph.parents):
+        if nid == graph.root or not parents:
             continue
-        n3.append(make_clause([-lit(nid)] + [lit(p) for p in graph.parents[nid]]))
+        n3.append(tuple(sorted([-lits[nid], *[lits[p] for p in parents]], key=abs)))
     return {"N1": n1, "N2": n2, "N3": n3}
 
 
@@ -238,8 +252,9 @@ def separator_clauses(cover: SeparatorCover, varmap: VarMap, kind: str) -> list[
     if kind not in ("N5", "N6"):
         raise InputError("kind must be 'N5' or 'N6'")
     out: dict[Clause, None] = {}
+    node_lits = varmap.node_lits
     for sep in cover.merged:
-        lits = [varmap.node_literal(nid) for nid in sorted(sep)]
+        lits = [node_lits[nid] for nid in sorted(sep)]
         clauses, _ = cardinality(EO_CANONICAL if kind == "N6" else AMO_CANONICAL, lits)
         for c in clauses:
             out.setdefault(c)
@@ -250,8 +265,9 @@ def seq_separator_clauses(cover: SeparatorCover, varmap: VarMap) -> list[Clause]
     """N5 variant for urc-seq: Sinz ladders for separators of size >= 3,
     canonical pairs below that (same clause count, no auxiliaries)."""
     out: dict[Clause, None] = {}
+    node_lits = varmap.node_lits
     for idx, sep in enumerate(cover.merged):
-        lits = [varmap.node_literal(nid) for nid in sorted(sep)]
+        lits = [node_lits[nid] for nid in sorted(sep)]
         if len(lits) <= 2:
             clauses, _ = cardinality(AMO_CANONICAL, lits)
         else:
@@ -271,7 +287,12 @@ def leaf_clauses(
     lean: bool = False,
 ) -> list[Clause]:
     """Groups E1 (dual-rail encodings), E2 (input consistency), E3 (smooth
-    converse; requires a smooth graph)."""
+    converse; requires a smooth graph).
+
+    E2 and E3 are written in ascending variable order: an input id is at
+    most n, every meta id is above n, and blocks are handed out in leaf
+    order, so the metas of one literal ascend with the leaf index, which is
+    the order of scopes.range_of."""
     space = varmap.space
     out: list[Clause] = []
     if which == "E1":
@@ -281,18 +302,20 @@ def leaf_clauses(
         return out
     if which == "E2":
         for leaf in graph.leaves:
+            ids = space.block(leaf.index)[0]
             for v in leaf.input_vars:
-                out.append(make_clause([-v, space.meta(leaf.index, v)]))
-                out.append(make_clause([v, space.meta(leaf.index, -v)]))
+                out.append((-v, ids[v]))
+                out.append((v, ids[-v]))
         return out
     if which == "E3":
         if not graph.analysis.report.smooth:
             raise PreconditionError("E3 clauses require a smooth graph")
         scopes = graph.analysis.scopes
+        blocks = {leaf.index: space.block(leaf.index)[0] for leaf in graph.leaves}
         for v in graph.input_vars:
             rng = scopes.range_of(v)
-            out.append(make_clause([-space.meta(i, v) for i in rng] + [v]))
-            out.append(make_clause([-space.meta(i, -v) for i in rng] + [-v]))
+            out.append((v, *[-blocks[i][v] for i in rng]))
+            out.append((-v, *[-blocks[i][-v] for i in rng]))
         return out
     raise InputError("which must be one of 'E1', 'E2', 'E3'")
 
@@ -383,7 +406,7 @@ def compile_graph(
         elif tag in ("N5", "N6"):
             groups[tag] = separator_clauses(cover, varmap, tag)
         elif tag == "ROOT":
-            groups[tag] = [make_clause([varmap.node_literal(graph.root)])]
+            groups[tag] = [(varmap.node_lits[graph.root],)]  # a node literal is never 0
         else:
             groups[tag] = leaf_clauses(graph, varmap, tag, lean=lean_cc)
     output = EncodingOutput(

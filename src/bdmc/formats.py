@@ -242,18 +242,33 @@ def emit_dimacs(output: "EncodingOutput") -> tuple[str, str]:
 
     Clause order: groups in the fixed order N1,N2,N3,N5,N6,E1,E2,E3,ROOT,
     construction order within each group.  Each text is built by one join
-    over its rows: a clause row is its literals and a 0, space separated, and
-    a varmap row is one JSON object, the text of json.dumps(entry,
-    separators=(", ", ": ")), written from its items (strings and ints only).
+    over its rows, and each row is one %-format.  A clause row is its
+    literals and a 0, space separated, from the format for its length.  A
+    varmap row is one JSON object, the text of json.dumps(entry,
+    separators=(", ", ": ")), from the format for its role, whose keys are in
+    the order VarMap builds them.  Names from the sentence (input and meta
+    names, meta literals) go through encode_basestring_ascii; the generated
+    node and card-aux names, n<id> and s<sep>.<pos>, need no escaping.
     """
     clauses = output.all_clauses()
+    row = [" ".join(["%d"] * k) + " 0\n" for k in range(max(map(len, clauses), default=0) + 1)]
     cnf_text = f"p cnf {output.num_vars} {len(clauses)}\n" + "".join(
-        [" ".join(map(str, clause)) + " 0\n" for clause in clauses])
-    varmap_text = "\n".join([
-        "{%s}" % ", ".join([_json_str(k) + ": " + (_json_str(v) if isinstance(v, str) else str(v))
-                            for k, v in entry.items()])
-        for entry in output.varmap.entries]) + "\n"
-    return cnf_text, varmap_text
+        [row[len(clause)] % clause for clause in clauses])
+    rows = []
+    for e in output.varmap.entries:
+        role = e["role"]
+        if role == "meta":
+            rows.append('{"id": %d, "role": "meta", "name": %s, "leaf": %d, "literal": %s}' % (
+                e["id"], _json_str(e["name"]), e["leaf"], _json_str(e["literal"])))
+        elif role == "node":
+            rows.append('{"id": %d, "role": "node", "name": "%s", "node": %d}' % (
+                e["id"], e["name"], e["node"]))
+        elif role == "input":
+            rows.append('{"id": %d, "role": "input", "name": %s}' % (e["id"], _json_str(e["name"])))
+        else:
+            rows.append('{"id": %d, "role": "card-aux", "name": "%s", "separator": %d,'
+                        ' "position": %d}' % (e["id"], e["name"], e["separator"], e["position"]))
+    return cnf_text, "\n".join(rows) + "\n"
 
 
 # Canonical DIMACS, the text `emit_dimacs` writes and the only text the bulk

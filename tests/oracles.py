@@ -4,8 +4,10 @@ Each is an independent specification, kept apart from the code it checks:
 minimal satisfying subtrees and the subtree semantics (against
 core.evaluate, deciding each leaf by trying every assignment of its aux
 variables, with no engine), the exactly-one-hit separator-cover checker (against
-transform.separator_cover) and the clause-derivation unit closure (against
-the propagation engine and dual rail).
+transform.separator_cover), the clause-derivation unit closure (against
+the propagation engine and dual rail), dual rail built clause by clause
+through make_clause (against dualrail's canonical builders) and the
+canonical-form check of compiled clause groups.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from bdmc.core import Assignment, BdmcGraph, LeafEncoding, _input_mask
-from bdmc.errors import BudgetExceededError
+from bdmc.core import Assignment, BdmcGraph, Clause, LeafEncoding, _input_mask, make_clause
+from bdmc.dualrail import MetaVarSpace
+from bdmc.errors import BudgetExceededError, PreconditionError
 from bdmc.transform import SeparatorCover
 
 # ---------------------------------------------------------------------------
@@ -191,3 +194,51 @@ def unit_closure(clauses: Sequence[Sequence[int]], alpha: Iterable[int] = ()) ->
     if any(-l in units for l in units):
         bot = True
     return frozenset(units), bot
+
+
+# ---------------------------------------------------------------------------
+# dual rail through make_clause, and the canonical form of compiled groups
+
+
+def reference_dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tuple[Clause, ...]:
+    """DR with every clause put together literal by literal and made
+    canonical by make_clause, each meta id looked up on its own."""
+    i = leaf.index
+    bot = space.bot(i)
+    if leaf.is_constant_false:
+        return ((bot,),)
+    out: list[Clause] = []
+    for clause in leaf.clauses:
+        for l in clause:
+            body = [-space.meta(i, -e) for e in clause if e != l]
+            out.append(make_clause(body + [space.meta(i, l)]))
+    for v in space.source_vars_of(i):
+        out.append(make_clause([-space.meta(i, v), -space.meta(i, -v), bot]))
+    return tuple(out)
+
+
+def reference_extended_dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tuple[Clause, ...]:
+    """DR+ on top of reference_dual_rail, in the same way."""
+    i = leaf.index
+    if leaf.is_constant_false:
+        raise PreconditionError(f"leaf {i}: extended dual rail needs a satisfiable-shaped leaf")
+    out = list(reference_dual_rail(leaf, space))
+    bot = space.bot(i)
+    leaf_vars = space.source_vars_of(i)
+    for v in leaf_vars:
+        out.append(make_clause([-bot, space.meta(i, v)]))
+        out.append(make_clause([-bot, space.meta(i, -v)]))
+    for v in leaf_vars:
+        out.append(make_clause([space.meta(i, v), space.meta(i, -v)]))
+    return tuple(out)
+
+
+def non_canonical_clause(output) -> Optional[tuple[str, Clause]]:
+    """The first (group, clause) of a compiled output that make_clause would
+    change, or that mentions a variable outside 1..num_vars; None if none."""
+    for tag, clauses in output.groups.items():
+        for clause in clauses:
+            if (type(clause) is not tuple or make_clause(clause) != clause
+                    or not all(1 <= abs(l) <= output.num_vars for l in clause)):
+                return tag, clause
+    return None

@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from bdmc.core import LeafEncoding, make_clause
+from bdmc.core import LeafEncoding, make_clause, make_leaf
 from bdmc.dualrail import MetaVarSpace, dual_rail, extended_dual_rail
 from bdmc.errors import InputError, PreconditionError
 
-from oracles import unit_closure
+from oracles import reference_dual_rail, reference_extended_dual_rail, unit_closure
 
 
 def space_for(clauses, inputs, aux=()):
@@ -145,3 +145,35 @@ def test_propagation_equivalence_random():
             for lit in (v, -v):
                 assert (lit in lhs_units) == (sp.meta(1, lit) in rhs_units)
         assert lhs_bot == (sp.bot(1) in rhs_units)
+
+
+def test_builders_match_the_make_clause_reference():
+    # several leaves share one space, so later blocks start far from 1; the
+    # clauses, their order and the ids must equal the reference's
+    rng = random.Random(25)
+    for _ in range(200):
+        leaves = []
+        for index in range(1, rng.randint(1, 4) + 1):
+            nin, naux = rng.randint(1, 4), rng.randint(0, 2)
+            inputs = sorted(rng.sample(range(1, 7), nin))
+            aux = list(range(7 + 2 * index, 7 + 2 * index + naux))
+            pool = inputs + aux
+            clauses = [[v if rng.random() < 0.5 else -v
+                        for v in rng.sample(pool, rng.randint(1, min(4, len(pool))))]
+                       for _ in range(rng.randint(0, 5))]
+            leaves.append(make_leaf(index, inputs, aux, clauses, "cc"))
+        sp = MetaVarSpace.for_leaves(leaves, first_id=rng.randint(1, 30))
+        for leaf in leaves:
+            assert dual_rail(leaf, sp) == reference_dual_rail(leaf, sp)
+            assert extended_dual_rail(leaf, sp) == reference_extended_dual_rail(leaf, sp)
+
+
+def test_block_matches_meta_and_bot():
+    leaf = make_leaf(2, [1, 3], [5], [[1, -5], [3, 5]], "cc")
+    sp = MetaVarSpace.for_leaves([leaf], first_id=10)
+    ids, bot = sp.block(2)
+    assert list(ids) == [1, -1, 3, -3, 5, -5]
+    assert list(ids.values()) == [sp.meta(2, l) for l in ids] == list(range(10, 16))
+    assert bot == sp.bot(2) == 16 and sp.next_id == 17
+    with pytest.raises(InputError, match="no meta-variable for literal 2 in leaf 2"):
+        sp.meta(2, 2)

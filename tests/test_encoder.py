@@ -23,6 +23,7 @@ from bdmc.errors import InputError, PreconditionError
 from bdmc.transform import separator_cover
 
 from conftest import TARGET_CHECK, g1, parity_dnnf
+from oracles import non_canonical_clause
 from test_golden import output_digest
 
 
@@ -356,3 +357,22 @@ PARITY_DIGESTS = {
 def test_parity_output_bytes(k):
     g = parity_dnnf(k)
     assert {t: output_digest([g], t) for t in TARGETS} == PARITY_DIGESTS[k]
+
+
+# The clause builders write canonical clauses without make_clause; these
+# checks hold them to what make_clause would return.
+
+
+def test_groups_are_canonical_on_the_corpus(compiled_corpus):
+    for outputs in compiled_corpus:
+        for target, out in outputs.items():
+            assert non_canonical_clause(out) is None, target
+
+
+@pytest.mark.parametrize("k", [20, 60])
+def test_groups_are_canonical_on_parity(k):
+    g = parity_dnnf(k)
+    outputs = [compile_graph(g, t, auto_smooth=True, auto_level=True) for t in TARGETS]
+    outputs.append(compile_graph(g, "cc", lean_cc=True))
+    for out in outputs:
+        assert non_canonical_clause(out) is None, out.target

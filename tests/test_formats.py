@@ -166,6 +166,32 @@ def test_varmap_rows_escape_names():
     assert any('\\u2603' in r and 'y\\"' in r for r in rows)
 
 
+def test_varmap_rows_of_every_role():
+    # three leaves under one or-node share a separator of size 3, so urc-seq
+    # adds card-aux rows; the shared aux name gets @leaf suffixes
+    names = ["x\u00e9", 'snow"\u2603']
+    leaves = [leaf_spec(inputs=[1, 2], clauses=[[1, -2, 3]], aux=1, aux_names=["y\u2603"],
+                        cls="pc") for _ in range(3)]
+    g = build_graph(nodes=[("or", [1, 2, 3]), ("leaf", 1), ("leaf", 2), ("leaf", 3)],
+                    leaves=leaves, input_names=names)
+    out = compile_graph(g, "urc-seq")
+    _, varmap_text = emit_dimacs(out)
+    rows = varmap_text.splitlines()
+    assert len(rows) == len(out.varmap.entries) == out.num_vars
+    for row, entry in zip(rows, out.varmap.entries):
+        assert row == json.dumps(entry, separators=(", ", ": "))
+    by_role = {}
+    for entry, row in zip(out.varmap.entries, rows):
+        by_role.setdefault(entry["role"], []).append(row)
+    assert sorted(by_role) == ["card-aux", "input", "meta", "node"]
+    assert by_role["input"][1] == '{"id": 2, "role": "input", "name": "snow\\"\\u2603"}'
+    assert by_role["node"] == ['{"id": %d, "role": "node", "name": "n0", "node": 0}'
+                               % out.varmap.node_vars[0]]
+    assert [json.loads(r)["name"] for r in by_role["card-aux"]] == ["s0.1", "s0.2"]
+    assert ('"name": "[[-y\\u2603@3]]@3", "leaf": 3, "literal": "-y\\u2603@3"}'
+            in varmap_text)
+
+
 def test_zero_clause_dimacs_header():
     out = compile_graph(g1(), "cc")
     out.groups = {"ROOT": []}

@@ -1,5 +1,6 @@
 """Property tests: text round trips, parser robustness under mutation,
-leveling on random or-DAGs, and the sampled checker's per-sample streams."""
+leveling on random or-DAGs, the sampled checker's per-sample streams and
+the canonical form of compiled clause groups."""
 
 import contextlib
 import io
@@ -18,8 +19,8 @@ from bdmc.errors import ParseError  # noqa: E402
 from bdmc.formats import parse_bdmc, parse_dimacs, serialize_bdmc  # noqa: E402
 from bdmc.transform import is_layered, level, separator_cover  # noqa: E402
 
-from conftest import g1  # noqa: E402
-from oracles import check_separator_cover  # noqa: E402
+from conftest import TARGETS, g1  # noqa: E402
+from oracles import check_separator_cover, non_canonical_clause  # noqa: E402
 from test_level_reference import assert_substitution_matches  # noqa: E402
 
 BASE_DIMACS = emit_dimacs(compile_graph(g1(), "pc"))[0]
@@ -330,3 +331,22 @@ def test_sampled_stream_is_partition_free(case, seed, cuts, j):
         upto = run_range(case, seed, lo, j + 1)
         assert alone[:2] == upto[:2]
         assert alone[3] == upto[3] - before[3]
+
+
+GRAPHS = st.one_of(
+    or_dags(),
+    st.builds(lambda seed, n, depth: gen_random(n=n, max_depth=depth, leaf_class="pc", seed=seed),
+              st.integers(0, 5000), st.integers(2, 6), st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_compiled_groups_are_canonical(data):
+    try:
+        g = data.draw(GRAPHS)
+    except BdmcError:
+        assume(False)
+    for target in TARGETS:
+        out = compile_graph(g, target, auto_smooth=True, auto_level=True)
+        assert non_canonical_clause(out) is None, target
+    assert non_canonical_clause(compile_graph(g, "cc", lean_cc=True)) is None

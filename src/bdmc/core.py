@@ -4,7 +4,8 @@ A BDMC is a rooted DAG of and/or nodes whose leaves carry CNF encodings over
 subsets of the global input variables plus private auxiliary variables.  This
 module owns the graph representation, structural validation (acyclicity,
 decomposability, smoothness), input-variable scopes, and brute-force semantic
-evaluation used as the oracle by every checker.
+evaluation used as the oracle by every checker.  A node's scope var(v) is
+one int, bit i set for input i; set views are built from it on request.
 
 All structure comes from one pass, analyze(), whose GraphAnalysis
 (topological order, layer spans, scopes, validation report) is memoised as
@@ -353,20 +354,52 @@ def _find_cycle(graph: BdmcGraph) -> tuple[int, ...]:
     return ()
 
 
+_BYTE_BITS = tuple(tuple(p for p in range(8) if b >> p & 1) for b in range(256))
+
+
+def bit_positions(mask: int) -> list[int]:
+    """The positions of the set bits of a non-negative int, ascending.
+
+    A mask with at least one bit in 16 set is read a byte at a time through
+    a table; a sparser one by clearing its top bit until none is left.
+    """
+    out = []
+    if mask.bit_count() << 4 < mask.bit_length():
+        while mask:
+            top = mask.bit_length() - 1
+            out.append(top)
+            mask ^= 1 << top
+        out.reverse()
+        return out
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for p in _BYTE_BITS[byte]:
+                out.append(base + p)
+        base += 8
+    return out
+
+
 @dataclass(frozen=True)
 class VarScopeMap:
-    """var(v) per node (a one-child node shares its child's set object) and
-    the range (leaf indices) per input variable."""
+    """var(v) per node as a mask (bit i set for input i; 0 for an
+    unreached node) and the range (leaf indices) per input variable.  The
+    set views var_sets, var() and h() are built from the masks on each
+    read."""
 
-    var_sets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
     ranges: tuple[tuple[int, ...], ...]
 
+    @property
+    def var_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(bit_positions(m)) for m in self.masks)
+
     def var(self, node_id: int) -> frozenset[int]:
-        return self.var_sets[node_id]
+        return frozenset(bit_positions(self.masks[node_id]))
 
     def h(self, input_var: int) -> frozenset[int]:
         """H_i: the nodes whose scope holds the input variable."""
-        return frozenset(nid for nid, vs in enumerate(self.var_sets) if input_var in vs)
+        return frozenset(nid for nid, m in enumerate(self.masks) if m >> input_var & 1)
 
     def range_of(self, lit: int) -> tuple[int, ...]:
         return self.ranges[abs(lit) - 1]
@@ -425,14 +458,15 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
 
     A reachability sweep from the root counts in-degrees; one heap-ordered
     Kahn sweep then gives the topological order and the longest-path depths,
-    and one sweep over that order the layer spans.  Var-sets come from one
-    bottom-up sweep; ranges and the validation report from single sweeps
-    over nodes and leaves.  The report compares set sizes: a multi-child
-    and-node is decomposable iff the sizes of its children's var-sets sum to
-    the size of their union (var(v) where v is reached), a multi-child
-    or-node is smooth iff no child's var-set is smaller than its own (an
-    unreached node's own set is empty).  The per-variable walk runs only at
-    the first failing node, to name the witness.
+    and one sweep over that order the layer spans.  Scope masks come from
+    one bottom-up sweep (a leaf ORs its inputs' bits, an inner node its
+    children's masks); ranges and the validation report from single sweeps
+    over nodes and leaves.  The report compares bit counts: a multi-child
+    and-node is decomposable iff its children's counts sum to the count of
+    their union (var(v) where v is reached), a multi-child or-node is smooth
+    iff no child's count is below its own (an unreached node's mask is 0).
+    The decomposability witness is the first child, in child order, sharing
+    a variable with an earlier child, and the least such variable.
     Acyclicity covers all nodes: _find_cycle runs only to name a cycle, or
     to rule one out among unreachable nodes.
     """
@@ -473,47 +507,52 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
         kids = nodes[nid].children
         if len(kids) == 1:
             end[nid] = start[kids[0]] - 1
-        elif any(start[ch] != start[nid] + 1 for ch in kids):
-            layered = False
+        elif layered:
+            below = start[nid] + 1
+            for ch in kids:
+                if start[ch] != below:
+                    layered = False
+                    break
     cycle = () if complete and not unreachable else _find_cycle(graph)
     scopes = None
     decomposable = smooth = False
     decomp_witness = smooth_witness = None
     missing: tuple[int, ...] = ()
     if not cycle:
-        var_sets: list[frozenset[int]] = [frozenset()] * n
+        masks = [0] * n
         for nid in reversed(order):
             nd = nodes[nid]
             if nd.kind == "leaf":
-                var_sets[nid] = frozenset(graph.leaves[nd.leaf - 1].input_vars)
-            elif len(nd.children) == 1:
-                var_sets[nid] = var_sets[nd.children[0]]
+                m = 0
+                for v in graph.leaves[nd.leaf - 1].input_vars:
+                    m |= 1 << v
             else:
-                acc: set[int] = set()
+                m = 0
                 for ch in nd.children:
-                    acc |= var_sets[ch]
-                var_sets[nid] = frozenset(acc)
+                    m |= masks[ch]
+            masks[nid] = m
         ranges: list[list[int]] = [[] for _ in graph.input_vars]
         for leaf in graph.leaves:
-            for v in frozenset(leaf.input_vars):
+            for v in leaf.input_vars:
                 ranges[v - 1].append(leaf.index)
-        scopes = VarScopeMap(tuple(var_sets), tuple(map(tuple, ranges)))
-        size = list(map(len, var_sets))
+        scopes = VarScopeMap(tuple(masks), tuple(map(tuple, ranges)))
+        size = list(map(int.bit_count, masks))
         for nid, nd in enumerate(nodes):
             kids = nd.children
             if len(kids) < 2:  # one child: var(v) = var(child)
                 continue
             if nd.kind == "and":
                 if decomp_witness is None:
-                    union = size[nid] if reached[nid] else len(
-                        frozenset().union(*[var_sets[ch] for ch in kids]))
+                    union = size[nid] if reached[nid] else reduce(
+                        or_, [masks[ch] for ch in kids]).bit_count()
                     if sum([size[ch] for ch in kids]) != union:
-                        decomp_witness = _shared_var(nid, kids, var_sets)
+                        decomp_witness = _shared_var(nid, kids, masks)
             elif smooth_witness is None and min([size[ch] for ch in kids]) < size[nid]:
                 ch = next(ch for ch in kids if size[ch] < size[nid])
-                smooth_witness = (nid, ch, var_sets[nid] - var_sets[ch])
+                smooth_witness = (nid, ch, frozenset(bit_positions(masks[nid] & ~masks[ch])))
         decomposable, smooth = decomp_witness is None, smooth_witness is None
-        missing = tuple(sorted(set(graph.input_vars) - var_sets[root]))
+        all_inputs = (1 << graph.num_inputs + 1) - 2  # bits 1..n
+        missing = tuple(bit_positions(all_inputs & ~masks[root]))
     report = ValidationReport(
         acyclic=not cycle,
         rooted=not unreachable,
@@ -531,15 +570,16 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
     return GraphAnalysis(report, tuple(order), tuple(start), tuple(end), layered, scopes)
 
 
-def _shared_var(nid: int, kids: tuple[int, ...], var_sets) -> Optional[tuple[int, int]]:
-    """(nid, v) for the first v, in child then set order, that an earlier
-    child of the and-node already holds: the decomposability witness."""
-    taken: set[int] = set()
+def _shared_var(nid: int, kids: tuple[int, ...], masks) -> Optional[tuple[int, int]]:
+    """(nid, v) for the first child, in child order, that shares a variable
+    with an earlier child of the and-node, and v the least such variable:
+    the decomposability witness."""
+    taken = 0
     for ch in kids:
-        for v in var_sets[ch]:
-            if v in taken:
-                return nid, v
-            taken.add(v)
+        common = taken & masks[ch]
+        if common:
+            return nid, (common & -common).bit_length() - 1
+        taken |= masks[ch]
     return None
 
 

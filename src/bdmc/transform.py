@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from .core import BdmcGraph, CLASS_TRUE, LeafEncoding, Node, assemble_graph
+from .core import BdmcGraph, CLASS_TRUE, LeafEncoding, Node, assemble_graph, bit_positions
 from .errors import PreconditionError
 
 
@@ -32,7 +32,7 @@ def smooth(graph: BdmcGraph) -> BdmcGraph:
     is a fresh constant-true leaf over M.  The represented function, validity
     and decomposability are preserved.
     """
-    scopes = graph.analysis.require_valid().scopes
+    masks = graph.analysis.require_valid().scopes.masks
     nodes = list(graph.nodes)
     leaves = list(graph.leaves)
     changed = False
@@ -42,14 +42,14 @@ def smooth(graph: BdmcGraph) -> BdmcGraph:
             continue
         new_children = []
         for ch in nd.children:
-            missing = scopes.var(nid) - scopes.var(ch)
+            missing = masks[nid] & ~masks[ch]
             if not missing:
                 new_children.append(ch)
                 continue
             changed = True
             index = len(leaves) + 1
             leaves.append(
-                LeafEncoding(index, tuple(sorted(missing)), (), (), CLASS_TRUE, ())
+                LeafEncoding(index, tuple(bit_positions(missing)), (), (), CLASS_TRUE, ())
             )
             leaf_nid = len(nodes)
             nodes.append(Node("leaf", leaf=index))
@@ -77,15 +77,19 @@ def level(graph: BdmcGraph) -> BdmcGraph:
     starts = graph.analysis.require_valid().starts
     nodes = list(graph.nodes)
     for nid, nd in enumerate(graph.nodes):
-        if len(nd.children) < 2 or starts[nid] < 0:
+        kids = nd.children
+        if len(kids) < 2 or starts[nid] < 0:
             continue
-        new_children = []
-        for ch in nd.children:
-            if starts[ch] - starts[nid] > 1:
+        below = starts[nid] + 1
+        new_children = None  # a node none of whose edges skips a layer is kept
+        for i, ch in enumerate(kids):
+            if starts[ch] > below:
+                if new_children is None:
+                    new_children = list(kids)
                 nodes.append(Node("or", children=(ch,)))
-                ch = len(nodes) - 1
-            new_children.append(ch)
-        nodes[nid] = Node(nd.kind, children=tuple(new_children))
+                new_children[i] = len(nodes) - 1
+        if new_children is not None:
+            nodes[nid] = Node(nd.kind, children=tuple(new_children))
     if len(nodes) == graph.num_nodes:
         return graph
     return assemble_graph(nodes, graph.root, list(graph.leaves), graph.input_names)
@@ -147,7 +151,9 @@ def separator_cover(graph: BdmcGraph) -> SeparatorCover:
     distinct separator once, in layer order, and duplicates across variables
     are merged.  H_i and the nodes spanning a layer are node bitmasks, so
     S_{i,d} is one AND, and each distinct mask becomes one frozenset shared
-    by every variable that has it.
+    by every variable that has it.  The variables visited at a layer are
+    the bits of the OR of the scope masks (core.VarScopeMap) of the nodes
+    beginning there.
 
     H_i comes from one walk down the topological order: a node passes its
     ancestors plus itself to each child and then drops its own mask, and a
@@ -168,7 +174,7 @@ def separator_cover(graph: BdmcGraph) -> SeparatorCover:
     if not a.layered:
         raise PreconditionError(
             f"graph is not layered: {_layer_witness(graph)}; run level() first")
-    nodes, leaves, var_sets = graph.nodes, graph.leaves, a.scopes.var_sets
+    nodes, leaves, masks = graph.nodes, graph.leaves, a.scopes.masks
     starts, ends = a.starts, a.ends
     depth = max(ends)
     holders = [0] * (graph.num_inputs + 1)
@@ -199,11 +205,14 @@ def separator_cover(graph: BdmcGraph) -> SeparatorCover:
         if not begins[d]:
             continue
         span = int.from_bytes(live, "little")
-        for v in frozenset().union(*[var_sets[u] for u in begins[d]]):
+        here = 0
+        for u in begins[d]:
+            here |= masks[u]
+        for v in bit_positions(here):
             mask = holders[v] & span
             sep = sets.get(mask)
             if sep is None:
-                sep = sets[mask] = frozenset(_bit_positions(mask))
+                sep = sets[mask] = frozenset(bit_positions(mask))
             per_var[v].append(sep)
     del sets, holders  # drop the masks and turn one list at a time: a lower peak
     for v in graph.input_vars:
@@ -211,11 +220,3 @@ def separator_cover(graph: BdmcGraph) -> SeparatorCover:
     per_var_t = tuple(per_var[1:])
     return SeparatorCover(per_var_t, tuple(dict.fromkeys(chain.from_iterable(per_var_t))))
 
-
-def _bit_positions(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out

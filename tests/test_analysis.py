@@ -123,7 +123,7 @@ def ref_validate(g):
         if nd.kind == "and":
             taken = {}
             for ch in nd.children:
-                for v in var_sets[ch]:
+                for v in sorted(var_sets[ch]):
                     if v in taken and taken[v] != ch:
                         decomp = decomp or (nid, v)
                     taken.setdefault(v, ch)
@@ -245,6 +245,8 @@ def assert_agrees(g):
     assert a.report == ref_validate(g) == validate(g)
     assert outcome(topo_order, g) == outcome(ref_topo_order, g)
     assert outcome(scope_facts, g) == outcome(ref_scopes, g)
+    if a.scopes is not None:
+        assert a.scopes.masks == tuple(sum(1 << x for x in vs) for vs in ref_scopes(g)[0])
     assert outcome(node_spans, g) == outcome(ref_spans, g)
     if a.order is not None:
         assert list(a.order) == ref_topo_order(g)
@@ -274,6 +276,18 @@ def test_analyze_witnesses_on_odd_graphs():
     assert rep.decomposable and rep.smooth_witness == (0, 2, frozenset({2}))
 
 
+def test_decomp_witness_is_the_least_shared_variable():
+    # and-node 0's children both hold x1 and x9; iterating frozenset({1, 9})
+    # meets 9 first, the witness names the least shared variable
+    g = build_graph(
+        nodes=[("and", [1, 2]), ("leaf", 1), ("and", [3, 4]), ("leaf", 2), ("leaf", 3)],
+        leaves=[leaf_spec(inputs=[1, 9], clauses=[[1, 2]], cls="pc"),
+                leaf_spec(inputs=[9], clauses=[[1]], cls="pc"), LIT],
+        n=9)
+    assert analyze(g).report.decomp_witness == (0, 1)
+    assert_agrees(g)
+
+
 def test_analyze_agrees_on_leveled_parity():
     g = level(parity_dnnf(20))
     assert g.analysis.layered
@@ -292,6 +306,29 @@ def test_analyze_agrees_on_corpus(corpus):
         gs = smooth(g)
         assert_agrees(gs)
         assert_agrees(level(gs))
+
+
+def test_smooth_pads_the_reference_gap(corpus):
+    """Each pad leaf smooth() adds covers var(v) - var(ch) of the or-edge it
+    sits on, by the reference scopes of the unsmoothed graph."""
+    graphs = [g for g in corpus if not validate(g).smooth]
+    assert graphs
+    for g in graphs:
+        var_sets = ref_scopes(g)[0]
+        gs = smooth(g)
+        pads = {}
+        for nid, nd in enumerate(g.nodes):
+            if nd.kind != "or":
+                continue
+            for ch, new in zip(nd.children, gs.nodes[nid].children):
+                if new != ch:
+                    wrap = gs.nodes[new]
+                    assert wrap.kind == "and" and wrap.children[0] == ch
+                    pads[nid, ch] = gs.leaves[gs.nodes[wrap.children[1]].leaf - 1].input_vars
+        assert pads
+        assert pads == {(nid, ch): tuple(sorted(var_sets[nid] - var_sets[ch]))
+                        for nid, nd in enumerate(g.nodes) if nd.kind == "or"
+                        for ch in nd.children if var_sets[nid] - var_sets[ch]}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Graph model, validation, scopes, and brute-force semantics."""
 
+import random
+
 import pytest
 
 from bdmc.core import (
@@ -7,6 +9,7 @@ from bdmc.core import (
     CLASS_STRENGTH,
     Node,
     assemble_graph,
+    bit_positions,
     build_graph,
     compute_scopes,
     enumerate_models,
@@ -210,6 +213,28 @@ def test_scope_multi_var_leaf():
     g = build_graph(nodes=[("leaf", 1)],
                     leaves=[leaf_spec(inputs=[1, 2], clauses=[[1, 2]])], n=2)
     assert compute_scopes(g).var(0) == frozenset({1, 2})
+
+
+def test_scope_masks_hold_bit_v_for_input_v():
+    g = build_graph(
+        nodes=[("or", [1, 2]), ("leaf", 1), ("leaf", 2)],
+        leaves=[leaf_spec(inputs=[3], clauses=[[1]]),
+                leaf_spec(inputs=[1, 3], clauses=[[1, 2]])],
+        n=3,
+    )
+    assert compute_scopes(g).masks == (0b1010, 0b1000, 0b1010)
+    assert validate(g).missing_inputs == (2,)
+
+
+def test_bit_positions_on_dense_and_sparse_masks():
+    rng = random.Random(7)
+    masks = [0, 1, 1 << 700, (1 << 64) - 1]
+    for _ in range(300):
+        width = rng.randint(1, 900)
+        masks.append(rng.getrandbits(width))
+        masks.append(sum(1 << rng.randrange(width) for _ in range(rng.randint(1, 4))))
+    for mask in masks:
+        assert bit_positions(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def test_evaluate_g1():

@@ -354,29 +354,14 @@ def _find_cycle(graph: BdmcGraph) -> tuple[int, ...]:
     return ()
 
 
-_BYTE_BITS = tuple(tuple(p for p in range(8) if b >> p & 1) for b in range(256))
-
-
 def bit_positions(mask: int) -> list[int]:
-    """The positions of the set bits of a non-negative int, ascending.
-
-    A mask with at least one bit in 16 set is read a byte at a time through
-    a table; a sparser one by clearing its top bit until none is left.
-    """
+    """The positions of the set bits of a non-negative int, ascending."""
     out = []
-    if mask.bit_count() << 4 < mask.bit_length():
-        while mask:
-            top = mask.bit_length() - 1
-            out.append(top)
-            mask ^= 1 << top
-        out.reverse()
-        return out
-    base = 0
-    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
-        if byte:
-            for p in _BYTE_BITS[byte]:
-                out.append(base + p)
-        base += 8
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return out
 
 
@@ -507,12 +492,8 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
         kids = nodes[nid].children
         if len(kids) == 1:
             end[nid] = start[kids[0]] - 1
-        elif layered:
-            below = start[nid] + 1
-            for ch in kids:
-                if start[ch] != below:
-                    layered = False
-                    break
+        elif layered and any(start[ch] != start[nid] + 1 for ch in kids):
+            layered = False
     cycle = () if complete and not unreachable else _find_cycle(graph)
     scopes = None
     decomposable = smooth = False

@@ -77,19 +77,15 @@ def level(graph: BdmcGraph) -> BdmcGraph:
     starts = graph.analysis.require_valid().starts
     nodes = list(graph.nodes)
     for nid, nd in enumerate(graph.nodes):
-        kids = nd.children
-        if len(kids) < 2 or starts[nid] < 0:
+        if len(nd.children) < 2 or starts[nid] < 0:
             continue
-        below = starts[nid] + 1
-        new_children = None  # a node none of whose edges skips a layer is kept
-        for i, ch in enumerate(kids):
-            if starts[ch] > below:
-                if new_children is None:
-                    new_children = list(kids)
+        new_children = []
+        for ch in nd.children:
+            if starts[ch] - starts[nid] > 1:
                 nodes.append(Node("or", children=(ch,)))
-                new_children[i] = len(nodes) - 1
-        if new_children is not None:
-            nodes[nid] = Node(nd.kind, children=tuple(new_children))
+                ch = len(nodes) - 1
+            new_children.append(ch)
+        nodes[nid] = Node(nd.kind, children=tuple(new_children))
     if len(nodes) == graph.num_nodes:
         return graph
     return assemble_graph(nodes, graph.root, list(graph.leaves), graph.input_names)

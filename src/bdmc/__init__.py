@@ -6,7 +6,6 @@ from .core import (
     LeafEncoding,
     Node,
     ValidationReport,
-    VarScopeMap,
     build_graph,
     compute_scopes,
     enumerate_models,
@@ -26,7 +25,7 @@ from .encoder import (
     separator_clauses,
     size_report,
 )
-from .engine import UpResult, brute_sat, unit_propagate
+from .engine import brute_sat
 from .errors import (
     BdmcError,
     BudgetExceededError,

@@ -5,13 +5,13 @@ subsets of the global input variables plus private auxiliary variables.  This
 module owns the graph representation, structural validation (acyclicity,
 decomposability, smoothness), input-variable scopes, and brute-force semantic
 evaluation used as the oracle by every checker.  A node's scope var(v) is
-one int, bit i set for input i; set views are built from it on request.
+one int mask, bit i set for input i; bit_positions lists its variables.
 
 All structure comes from one pass, analyze(), whose GraphAnalysis
-(topological order, layer spans, scopes, validation report) is memoised as
-BdmcGraph.analysis: a graph version is immutable and every rewrite returns a
-new one, so each version is analysed at most once.  validate, compute_scopes
-and topo_order are views of it.
+(topological order, layer spans, scope masks, validation report) is memoised
+as BdmcGraph.analysis: a graph version is immutable and every rewrite returns
+a new one, so each version is analysed at most once.  validate,
+compute_scopes and topo_order are views of it.
 
 Variable ids ("source space"): inputs are 1..n, auxiliaries of the leaves get
 ids above n, assigned leaf by leaf.  Literals are signed ints.
@@ -318,13 +318,10 @@ class ValidationReport:
     missing_inputs: tuple[int, ...] = ()
 
     @property
-    def structurally_valid(self) -> bool:
-        return self.acyclic and self.rooted and self.covers_inputs
-
-    @property
     def is_valid_bdmc(self) -> bool:
-        """Structure plus decomposability: what every operation relies on."""
-        return self.structurally_valid and self.decomposable
+        """Acyclic, rooted, covering the inputs and decomposable: what every
+        operation relies on (GraphAnalysis.require_valid)."""
+        return self.acyclic and self.rooted and self.covers_inputs and self.decomposable
 
 
 def _find_cycle(graph: BdmcGraph) -> tuple[int, ...]:
@@ -366,31 +363,6 @@ def bit_positions(mask: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class VarScopeMap:
-    """var(v) per node as a mask (bit i set for input i; 0 for an
-    unreached node) and the range (leaf indices) per input variable.  The
-    set views var_sets, var() and h() are built from the masks on each
-    read."""
-
-    masks: tuple[int, ...]
-    ranges: tuple[tuple[int, ...], ...]
-
-    @property
-    def var_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(bit_positions(m)) for m in self.masks)
-
-    def var(self, node_id: int) -> frozenset[int]:
-        return frozenset(bit_positions(self.masks[node_id]))
-
-    def h(self, input_var: int) -> frozenset[int]:
-        """H_i: the nodes whose scope holds the input variable."""
-        return frozenset(nid for nid, m in enumerate(self.masks) if m >> input_var & 1)
-
-    def range_of(self, lit: int) -> tuple[int, ...]:
-        return self.ranges[abs(lit) - 1]
-
-
-@dataclass(frozen=True)
 class GraphAnalysis:
     """The structure of one graph version, computed once by analyze().
 
@@ -401,9 +373,10 @@ class GraphAnalysis:
     start, any other node where it starts (-1 and -1 if unreachable).
     ``layered`` holds when every child of every multi-child node starts one
     layer below it; then the layers of every root-to-leaf path tile 0..L.
-    Order and spans are None when a reachable cycle leaves them undefined;
-    ``scopes`` is None on any cycle.  Read it as ``graph.analysis``, which
-    computes it once per graph version.
+    ``masks`` holds var(v) per node, bit i set for input i (0 for an
+    unreached node).  Order and spans are None when a reachable cycle leaves
+    them undefined; ``masks`` is None on any cycle.  Read it as
+    ``graph.analysis``, which computes it once per graph version.
     """
 
     report: ValidationReport
@@ -411,22 +384,19 @@ class GraphAnalysis:
     starts: Optional[tuple[int, ...]]
     ends: Optional[tuple[int, ...]]
     layered: bool
-    scopes: Optional[VarScopeMap]
+    masks: Optional[tuple[int, ...]]
 
     def topo_order(self) -> tuple[int, ...]:
         if self.order is None:
             raise StructureError("cycle detected; topological order undefined")
         return self.order
 
-    def var_scopes(self) -> VarScopeMap:
-        if self.scopes is None:
-            raise StructureError(f"cycle detected through nodes {list(self.report.cycle)}")
-        return self.scopes
-
     def require_valid(self, need_decomposable: bool = True) -> "GraphAnalysis":
         report = self.report
         if not report.acyclic:
             raise StructureError(f"cycle detected through nodes {list(report.cycle)}")
+        if not report.rooted:
+            raise StructureError(f"nodes {list(report.unreachable)} are not reachable from the root")
         if not report.covers_inputs:
             raise StructureError(
                 f"input variables {list(report.missing_inputs)} appear in no leaf (var(root) != x)"
@@ -445,11 +415,11 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
     Kahn sweep then gives the topological order and the longest-path depths,
     and one sweep over that order the layer spans.  Scope masks come from
     one bottom-up sweep (a leaf ORs its inputs' bits, an inner node its
-    children's masks); ranges and the validation report from single sweeps
-    over nodes and leaves.  The report compares bit counts: a multi-child
-    and-node is decomposable iff its children's counts sum to the count of
-    their union (var(v) where v is reached), a multi-child or-node is smooth
-    iff no child's count is below its own (an unreached node's mask is 0).
+    children's masks), the validation report from one sweep over the
+    nodes.  The report compares bit counts: a multi-child and-node is
+    decomposable iff its children's counts sum to the count of their union
+    (var(v) where v is reached), a multi-child or-node is smooth iff no
+    child's count is below its own (an unreached node's mask is 0).
     The decomposability witness is the first child, in child order, sharing
     a variable with an earlier child, and the least such variable.
     Acyclicity covers all nodes: _find_cycle runs only to name a cycle, or
@@ -495,7 +465,7 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
         elif layered and any(start[ch] != start[nid] + 1 for ch in kids):
             layered = False
     cycle = () if complete and not unreachable else _find_cycle(graph)
-    scopes = None
+    masks = None
     decomposable = smooth = False
     decomp_witness = smooth_witness = None
     missing: tuple[int, ...] = ()
@@ -512,11 +482,7 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
                 for ch in nd.children:
                     m |= masks[ch]
             masks[nid] = m
-        ranges: list[list[int]] = [[] for _ in graph.input_vars]
-        for leaf in graph.leaves:
-            for v in leaf.input_vars:
-                ranges[v - 1].append(leaf.index)
-        scopes = VarScopeMap(tuple(masks), tuple(map(tuple, ranges)))
+        masks = tuple(masks)
         size = list(map(int.bit_count, masks))
         for nid, nd in enumerate(nodes):
             kids = nd.children
@@ -547,8 +513,8 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
         missing_inputs=missing,
     )
     if not complete:
-        return GraphAnalysis(report, None, None, None, False, scopes)
-    return GraphAnalysis(report, tuple(order), tuple(start), tuple(end), layered, scopes)
+        return GraphAnalysis(report, None, None, None, False, masks)
+    return GraphAnalysis(report, tuple(order), tuple(start), tuple(end), layered, masks)
 
 
 def _shared_var(nid: int, kids: tuple[int, ...], masks) -> Optional[tuple[int, int]]:
@@ -569,9 +535,13 @@ def topo_order(graph: BdmcGraph) -> list[int]:
     return list(graph.analysis.topo_order())
 
 
-def compute_scopes(graph: BdmcGraph) -> VarScopeMap:
-    """var(v) for every node, H_i per input variable, range per input variable."""
-    return graph.analysis.var_scopes()
+def compute_scopes(graph: BdmcGraph) -> tuple[int, ...]:
+    """var(v) of every node as a mask, bit i set for input i (0 for an
+    unreached node); raises StructureError on a cycle."""
+    masks = graph.analysis.masks
+    if masks is None:
+        raise StructureError(f"cycle detected through nodes {list(graph.analysis.report.cycle)}")
+    return masks
 
 
 def validate(graph: BdmcGraph) -> ValidationReport:

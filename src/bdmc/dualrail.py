@@ -59,19 +59,9 @@ class MetaVarSpace:
         variables, in id order, and [[bot]]^i, the id after them."""
         return self._blocks[i]
 
-    def meta(self, i: int, lit: int) -> int:
-        """Solver variable for [[lit]]^i."""
-        got = self._blocks[i][0].get(lit) if i in self._blocks else None
-        if got is None:
-            raise InputError(f"no meta-variable for literal {lit} in leaf {i}")
-        return got
-
     def bot(self, i: int) -> int:
         """Solver variable for [[bot]]^i."""
         return self._blocks[i][1]
-
-    def source_vars_of(self, i: int) -> tuple[int, ...]:
-        return tuple(self._blocks[i][0])[::2]
 
 
 def _dr(leaf: LeafEncoding, ids: dict[int, int], bot: int) -> list[Clause]:

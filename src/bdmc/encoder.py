@@ -132,23 +132,18 @@ class VarMap:
             })
         self.node_vars: dict[int, int] = {}
         nxt = self.space.next_id
-        topo = graph.analysis.topo_order()
-        for nid in dict.fromkeys([*topo, *range(graph.num_nodes)]):  # unreachable ones last
+        for nid in graph.analysis.require_valid().topo_order():
             if graph.nodes[nid].kind != "leaf":
                 self.node_vars[nid] = nxt
                 self.entries.append({"id": nxt, "role": "node", "name": f"n{nid}", "node": nid})
                 nxt += 1
-        # the literal of every node, by node id, for the clause builders
+        # the literal of every node, by node id, for the clause builders: its
+        # own variable for an inner node, -[[bot]]^i for the leaf of formula i
         self.node_lits: list[int] = [
             -self.space.bot(nd.leaf) if nd.kind == "leaf" else self.node_vars[nid]
             for nid, nd in enumerate(graph.nodes)]
         self.num_vars = nxt - 1
         self.num_card_aux = 0
-
-    def node_literal(self, nid: int) -> int:
-        """The literal standing for node nid: its own variable for inner
-        nodes, -[[bot]]^i for the leaf carrying formula i."""
-        return self.node_lits[nid]
 
     def add_card_aux(self, separator_idx: int, position: int) -> int:
         self.num_vars += 1
@@ -291,8 +286,8 @@ def leaf_clauses(
 
     E2 and E3 are written in ascending variable order: an input id is at
     most n, every meta id is above n, and blocks are handed out in leaf
-    order, so the metas of one literal ascend with the leaf index, which is
-    the order of scopes.range_of."""
+    order, so the metas of one literal ascend with the leaf index, the
+    order in which E3 collects them."""
     space = varmap.space
     out: list[Clause] = []
     if which == "E1":
@@ -310,12 +305,17 @@ def leaf_clauses(
     if which == "E3":
         if not graph.analysis.report.smooth:
             raise PreconditionError("E3 clauses require a smooth graph")
-        scopes = graph.analysis.scopes
-        blocks = {leaf.index: space.block(leaf.index)[0] for leaf in graph.leaves}
+        # pos[v] and neg[v] collect -[[v]]^i and -[[-v]]^i leaf by leaf
+        pos: list[list[int]] = [[] for _ in range(graph.num_inputs + 1)]
+        neg: list[list[int]] = [[] for _ in range(graph.num_inputs + 1)]
+        for leaf in graph.leaves:
+            ids = space.block(leaf.index)[0]
+            for v in leaf.input_vars:
+                pos[v].append(-ids[v])
+                neg[v].append(-ids[-v])
         for v in graph.input_vars:
-            rng = scopes.range_of(v)
-            out.append((v, *[-blocks[i][v] for i in rng]))
-            out.append((-v, *[-blocks[i][-v] for i in rng]))
+            out.append((v, *pos[v]))
+            out.append((-v, *neg[v]))
         return out
     raise InputError("which must be one of 'E1', 'E2', 'E3'")
 

@@ -15,33 +15,14 @@ non-false literals of longer ones; its trail is both the propagation queue
 and the undo log.
 
 One search over that engine, scope_search, yields once per assignment of its
-scope that extends to a model; with no scope it finds one model.  The trail
-records the derivation order, so unit_propagate reads reasons off it.
+scope that extends to a model; with no scope it finds one model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
-
-
-@dataclass(frozen=True)
-class UpResult:
-    """Outcome of unit propagation: a closed literal set or a conflict.
-
-    ``literals`` is None exactly when ``conflict`` is True.  The fixpoint
-    contains the seed assignment and is closed under unit resolution.
-    ``trace`` (optional) lists (literal, clause_index) pairs in trail order:
-    -1 for seeds and unit clauses, else the lowest-index clause containing the
-    literal whose other literals were all made false earlier on the trail.
-    On a conflict it covers the trail entries that remain.
-    """
-
-    conflict: bool
-    literals: Optional[frozenset[int]]
-    trace: Optional[tuple[tuple[int, int], ...]] = None
 
 
 def check_partial_assignment(lits: Iterable[int], nvars: Optional[int] = None) -> tuple[int, ...]:
@@ -182,29 +163,6 @@ class PropEngine:
             if conflict:
                 return self._conflict(head)
         return True
-
-
-def unit_propagate(
-    clauses: Sequence[Sequence[int]],
-    nvars: int,
-    alpha: Iterable[int] = (),
-    record_trace: bool = False,
-) -> UpResult:
-    """Least fixpoint of unit resolution on ``clauses`` seeded with ``alpha``."""
-    seeds = check_partial_assignment(alpha, nvars)
-    eng = PropEngine(clauses, nvars)
-    conflict = not eng.assert_lits(map(code, seeds))
-    trail = [decode(c) for c in eng.trail]
-    trace = None
-    if record_trace:  # the clause that fired qualifies, so next() always finds one
-        cls = [tuple(map(decode, c)) for c in eng.clauses]
-        given = {*seeds, *(c[0] for c in cls if len(c) == 1)}
-        at = {lit: i for i, lit in enumerate(trail)}
-        trace = tuple((lit, -1 if lit in given else next(
-            ci for ci, c in enumerate(cls)
-            if lit in c and all(at.get(-o, i) < i for o in c if o != lit)))
-            for i, lit in enumerate(trail))
-    return UpResult(conflict, None if conflict else frozenset(trail), trace)
 
 
 def brute_sat(

@@ -76,13 +76,20 @@ def _int(tok: str, lno: int, what: str) -> int:
         raise ParseError(f"expected {what}, got {tok!r}", line=lno) from None
 
 
+def _count(tok: str, lno: int, what: str) -> int:
+    value = _int(tok, lno, what)
+    if value < 0:
+        raise ParseError(f"{what} cannot be negative, got {tok!r}", line=lno)
+    return value
+
+
 def parse_bdmc(text: str) -> BdmcGraph:
     """Parse a BDMC document into a validated graph."""
     lines = _Lines(text)
     lno, toks = lines.next("header line 'bdmc ...'")
     if toks[0] != "bdmc" or len(toks) != 5:
         raise ParseError("expected header 'bdmc <nodes> <edges> <leaves> <inputVars>'", line=lno)
-    n_nodes, n_edges, n_leaves, n_inputs = (_int(t, lno, "a count") for t in toks[1:])
+    n_nodes, n_edges, n_leaves, n_inputs = (_count(t, lno, "a count") for t in toks[1:])
     lno, toks = lines.next("'inputs' line")
     if toks[0] != "inputs":
         raise ParseError("expected 'inputs' line", line=lno)
@@ -113,7 +120,7 @@ def parse_bdmc(text: str) -> BdmcGraph:
         elif kind in ("A", "O"):
             if len(toks) < 2:
                 raise ParseError(f"node line must be '{kind} <k> <children...>'", line=lno)
-            k = _int(toks[1], lno, "a child count")
+            k = _count(toks[1], lno, "a child count")
             kids = [_int(t, lno, "a child id") for t in toks[2:]]
             if len(kids) != k:
                 raise ParseError(f"node declares {k} children but lists {len(kids)}", line=lno)
@@ -158,7 +165,7 @@ def parse_bdmc(text: str) -> BdmcGraph:
         tail = toks[i_clauses + 1:]
         if not tail:
             raise ParseError("missing clause count", line=lno)
-        m = _int(tail[0], lno, "a clause count")
+        m = _count(tail[0], lno, "a clause count")
         claimed = None
         if len(tail) > 1:
             if tail[1] != "class" or len(tail) != 3:

@@ -6,21 +6,23 @@ covers its parent's variable scope.  Leveling makes a graph layered
 leaves a multi-child node and skips a depth layer.  A one-child node spans
 every layer from its own start down to its child's, so the layers of each
 root-to-leaf path tile 0..L, which makes the depth layers of each D_i
-separators and yields a separator cover; the tests check covers against the
-exactly-one-hit definition (tests/oracles.py).  The cover takes a number of
-bitmask operations that grows with the graph's edges and its separators'
-entries, not with layers times inputs: a variable is visited only at the
-layers where its separator changes.
+separators; the cover is their family merged across the variables.  The
+tests check it against the layer definition and the exactly-one-hit checker
+(tests/oracles.py).  The cover takes a number of bitmask operations that
+grows with the graph's edges and its separators' entries, not with layers
+times inputs: a variable is visited only at the layers where its separator
+changes.
 
-Every operation reads validity, scopes and layer spans from graph.analysis, the
-memoised core.GraphAnalysis of its graph version.  A rewrite returns a new
-graph version, whose analysis runs when something first reads it.
+Every operation reads validity, scope masks and layer spans from
+graph.analysis, the memoised core.GraphAnalysis of its graph version.  A
+rewrite returns a new graph version, whose analysis runs when something
+first reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+
 from .core import BdmcGraph, CLASS_TRUE, LeafEncoding, Node, assemble_graph, bit_positions
 from .errors import PreconditionError
 
@@ -32,7 +34,7 @@ def smooth(graph: BdmcGraph) -> BdmcGraph:
     is a fresh constant-true leaf over M.  The represented function, validity
     and decomposability are preserved.
     """
-    masks = graph.analysis.require_valid().scopes.masks
+    masks = graph.analysis.require_valid().masks
     nodes = list(graph.nodes)
     leaves = list(graph.leaves)
     changed = False
@@ -77,7 +79,7 @@ def level(graph: BdmcGraph) -> BdmcGraph:
     starts = graph.analysis.require_valid().starts
     nodes = list(graph.nodes)
     for nid, nd in enumerate(graph.nodes):
-        if len(nd.children) < 2 or starts[nid] < 0:
+        if len(nd.children) < 2:
             continue
         new_children = []
         for ch in nd.children:
@@ -121,16 +123,15 @@ def _layer_witness(graph: BdmcGraph) -> str:
 
 @dataclass(frozen=True)
 class SeparatorCover:
-    """Per input variable, its distinct separators of D_i in layer order; plus
-    the merged deduplicated family.
+    """The distinct layer separators of every D_i, merged across the input
+    variables, ordered by the least (variable, layer) at which each occurs.
 
-    Every S is a set of node ids hitting each root-to-leaf path of D_i exactly
-    once; the union of a variable's separators is H_i minus the root (the
+    Every S is a set of node ids hitting each root-to-leaf path of some D_i
+    exactly once; the separators of variable i cover H_i minus the root (the
     layer-0 separator {root} exists but is dropped, the encodings never need
     it), or all of H_i where a one-child root spans further layers.
     """
 
-    per_var: tuple[tuple[frozenset[int], ...], ...]
     merged: tuple[frozenset[int], ...]
 
     @property
@@ -143,13 +144,12 @@ def separator_cover(graph: BdmcGraph) -> SeparatorCover:
     """Layer separators of a layered graph.
 
     S_{i,d} = nodes of H_i whose layer span [max(start, 1), end] holds d,
-    for d = 1..L; the d = 0 layer is dropped.  A variable lists each
-    distinct separator once, in layer order, and duplicates across variables
-    are merged.  H_i and the nodes spanning a layer are node bitmasks, so
-    S_{i,d} is one AND, and each distinct mask becomes one frozenset shared
-    by every variable that has it.  The variables visited at a layer are
-    the bits of the OR of the scope masks (core.VarScopeMap) of the nodes
-    beginning there.
+    for d = 1..L; the d = 0 layer is dropped.  The merged family holds each
+    distinct S_{i,d} once, ordered by the least (i, d) that has it: variable
+    by variable, each in layer order.  H_i and the nodes spanning a layer
+    are node bitmasks, so S_{i,d} is one AND, and each distinct mask becomes
+    one frozenset.  The variables visited at a layer are the bits of the OR
+    of the scope masks (GraphAnalysis.masks) of the nodes beginning there.
 
     H_i comes from one walk down the topological order: a node passes its
     ancestors plus itself to each child and then drops its own mask, and a
@@ -170,7 +170,7 @@ def separator_cover(graph: BdmcGraph) -> SeparatorCover:
     if not a.layered:
         raise PreconditionError(
             f"graph is not layered: {_layer_witness(graph)}; run level() first")
-    nodes, leaves, masks = graph.nodes, graph.leaves, a.scopes.masks
+    nodes, leaves, masks = graph.nodes, graph.leaves, a.masks
     starts, ends = a.starts, a.ends
     depth = max(ends)
     holders = [0] * (graph.num_inputs + 1)
@@ -193,8 +193,8 @@ def separator_cover(graph: BdmcGraph) -> SeparatorCover:
             flips[first].append(u)
             flips[ends[u] + 1].append(u)
     live = bytearray(graph.num_nodes // 8 + 1)
-    sets: dict[int, frozenset[int]] = {}
-    per_var: list = [[] for _ in holders]  # each list becomes a tuple below
+    stride = depth + 1
+    least: dict[int, int] = {}  # separator mask -> its least (v, d), as v * stride + d
     for d in range(1, depth + 1):
         for u in flips[d]:
             live[u >> 3] ^= 1 << (u & 7)
@@ -206,13 +206,9 @@ def separator_cover(graph: BdmcGraph) -> SeparatorCover:
             here |= masks[u]
         for v in bit_positions(here):
             mask = holders[v] & span
-            sep = sets.get(mask)
-            if sep is None:
-                sep = sets[mask] = frozenset(bit_positions(mask))
-            per_var[v].append(sep)
-    del sets, holders  # drop the masks and turn one list at a time: a lower peak
-    for v in graph.input_vars:
-        per_var[v] = tuple(per_var[v])
-    per_var_t = tuple(per_var[1:])
-    return SeparatorCover(per_var_t, tuple(dict.fromkeys(chain.from_iterable(per_var_t))))
+            key = v * stride + d
+            if least.get(mask, key) >= key:
+                least[mask] = key
+    ranked = sorted(least, key=least.__getitem__)
+    return SeparatorCover(tuple(frozenset(bit_positions(m)) for m in ranked))
 

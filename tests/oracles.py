@@ -3,22 +3,26 @@
 Each is an independent specification, kept apart from the code it checks:
 minimal satisfying subtrees and the subtree semantics (against
 core.evaluate, deciding each leaf by trying every assignment of its aux
-variables, with no engine), the exactly-one-hit separator-cover checker (against
-transform.separator_cover), the clause-derivation unit closure (against
-the propagation engine and dual rail), dual rail built clause by clause
-through make_clause (against dualrail's canonical builders) and the
-canonical-form check of compiled clause groups.
+variables, with no engine), the layer separators of each input variable by
+their definition and the exactly-one-hit checker they must pass (against
+transform.separator_cover, whose merged family must be theirs in order),
+the clause-derivation unit closure (against the propagation engine and dual
+rail), dual rail built clause by clause through make_clause (against
+dualrail's canonical builders) and the canonical-form check of compiled
+clause groups.  propagate, unit propagation of a seed assignment over
+engine.PropEngine, is the engine's reading that the strength oracles use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from bdmc.core import Assignment, BdmcGraph, Clause, LeafEncoding, _input_mask, make_clause
 from bdmc.dualrail import MetaVarSpace
+from bdmc.engine import PropEngine, check_partial_assignment, code, decode
 from bdmc.errors import BudgetExceededError, PreconditionError
-from bdmc.transform import SeparatorCover
 
 # ---------------------------------------------------------------------------
 # circuit semantics by minimal subtrees
@@ -89,6 +93,35 @@ def evaluate_by_subtrees(graph: BdmcGraph, assignment: Assignment) -> bool:
 # ---------------------------------------------------------------------------
 # separator covers
 
+Separators = tuple[tuple[frozenset[int], ...], ...]  # per input variable, in layer order
+
+
+def holders(graph: BdmcGraph, v: int) -> frozenset[int]:
+    """H_v: the nodes whose scope holds input v."""
+    return frozenset(nid for nid, m in enumerate(graph.analysis.masks) if m >> v & 1)
+
+
+def ref_separator_layers(graph: BdmcGraph) -> Separators:
+    """Per input variable i, the distinct non-empty S_{i,d} = nodes of H_i
+    whose layer span [start, end] holds d, for d = 1..L, in layer order.
+    Spans and scope masks come from graph.analysis, which test_analysis
+    checks against reference walks."""
+    a = graph.analysis
+    depth = max(a.ends)
+    out = []
+    for v in graph.input_vars:
+        h = sorted(holders(graph, v))
+        layers = (frozenset(u for u in h if a.starts[u] <= d <= a.ends[u])
+                  for d in range(1, depth + 1))
+        out.append(tuple(dict.fromkeys(s for s in layers if s)))
+    return tuple(out)
+
+
+def ref_merged(graph: BdmcGraph) -> tuple[frozenset[int], ...]:
+    """ref_separator_layers deduplicated in order over the variables: the
+    merged family separator_cover must return."""
+    return tuple(dict.fromkeys(chain.from_iterable(ref_separator_layers(graph))))
+
 
 @dataclass(frozen=True)
 class CoverCheck:
@@ -101,9 +134,9 @@ class CoverCheck:
         return self.ok
 
 
-def check_separator_cover(graph: BdmcGraph, cover: SeparatorCover) -> CoverCheck:
-    """Exactly-one-hit check over each D_i, plus the coverage condition
-    union(S_i) in {H_i, H_i - root}.
+def check_separator_cover(graph: BdmcGraph, per_var: Separators) -> CoverCheck:
+    """Exactly-one-hit check of per_var[i - 1], the separators of input i,
+    over each D_i, plus the coverage condition union(S_i) in {H_i, H_i - root}.
 
     One bottom-up sweep per input variable keeps, per node of D_i, bitmasks
     over that variable's separators: those some path to a sink hits, those
@@ -112,11 +145,11 @@ def check_separator_cover(graph: BdmcGraph, cover: SeparatorCover) -> CoverCheck
     """
     a = graph.analysis.require_valid(need_decomposable=False)
     for v in graph.input_vars:
-        h = a.scopes.h(v)
+        h = holders(graph, v)
         # D_i children before parents, each node with its children in D_i
         sub = {nid: [ch for ch in graph.nodes[nid].children if ch in h]
                for nid in reversed(a.order) if nid in h}
-        seps = cover.per_var[v - 1] if v - 1 < len(cover.per_var) else ()
+        seps = per_var[v - 1] if v - 1 < len(per_var) else ()
         own = dict.fromkeys(sub, 0)
         for j, sep in enumerate(seps):
             for nid in sep & h:
@@ -168,6 +201,17 @@ def _witness(root, sub, sep) -> CoverCheck:
 # unit resolution
 
 
+def propagate(clauses: Sequence[Sequence[int]], nvars: int,
+              alpha: Iterable[int] = ()) -> Optional[frozenset[int]]:
+    """The literals unit propagation derives from the partial assignment
+    alpha (seeds and the formula's units included), or None on a conflict:
+    the trail of a PropEngine after asserting alpha."""
+    eng = PropEngine(clauses, nvars)
+    if not eng.assert_lits(map(code, check_partial_assignment(alpha, nvars))):
+        return None
+    return frozenset(map(decode, eng.trail))
+
+
 def unit_closure(clauses: Sequence[Sequence[int]], alpha: Iterable[int] = ()) -> tuple[frozenset[int], bool]:
     """Exact unit-resolution closure: all derivable unit clauses, plus a bot flag.
 
@@ -204,16 +248,16 @@ def reference_dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tuple[Clause
     """DR with every clause put together literal by literal and made
     canonical by make_clause, each meta id looked up on its own."""
     i = leaf.index
-    bot = space.bot(i)
+    meta, bot = space.block(i)
     if leaf.is_constant_false:
         return ((bot,),)
     out: list[Clause] = []
     for clause in leaf.clauses:
         for l in clause:
-            body = [-space.meta(i, -e) for e in clause if e != l]
-            out.append(make_clause(body + [space.meta(i, l)]))
-    for v in space.source_vars_of(i):
-        out.append(make_clause([-space.meta(i, v), -space.meta(i, -v), bot]))
+            body = [-meta[-e] for e in clause if e != l]
+            out.append(make_clause(body + [meta[l]]))
+    for v in sorted(set(leaf.input_vars) | set(leaf.aux_vars)):
+        out.append(make_clause([-meta[v], -meta[-v], bot]))
     return tuple(out)
 
 
@@ -223,13 +267,13 @@ def reference_extended_dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tup
     if leaf.is_constant_false:
         raise PreconditionError(f"leaf {i}: extended dual rail needs a satisfiable-shaped leaf")
     out = list(reference_dual_rail(leaf, space))
-    bot = space.bot(i)
-    leaf_vars = space.source_vars_of(i)
+    meta, bot = space.block(i)
+    leaf_vars = sorted(set(leaf.input_vars) | set(leaf.aux_vars))
     for v in leaf_vars:
-        out.append(make_clause([-bot, space.meta(i, v)]))
-        out.append(make_clause([-bot, space.meta(i, -v)]))
+        out.append(make_clause([-bot, meta[v]]))
+        out.append(make_clause([-bot, meta[-v]]))
     for v in leaf_vars:
-        out.append(make_clause([space.meta(i, v), space.meta(i, -v)]))
+        out.append(make_clause([meta[v], meta[-v]]))
     return tuple(out)
 
 

@@ -26,7 +26,7 @@ from bdmc.propcheck import (
 from bdmc.transform import SeparatorCover, level, separator_cover, smooth
 
 from conftest import CORPUS_SIZE, JOBS, SAMPLES_PER_TARGET, TARGET_CHECK, TARGETS, g1, parity_dnnf
-from oracles import check_separator_cover, unit_closure
+from oracles import check_separator_cover, ref_merged, ref_separator_layers, unit_closure
 
 
 def report(criterion, ok, detail):
@@ -97,10 +97,11 @@ def test_criterion_3_dual_rail_equivalence():
         alpha = [v if rng.random() < 0.5 else -v
                  for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
         lhs_units, lhs_bot = unit_closure(cls, alpha)
-        rhs_units, _ = unit_closure(dr, [sp.meta(1, l) for l in alpha])
+        meta = sp.block(1)[0]
+        rhs_units, _ = unit_closure(dr, [meta[l] for l in alpha])
         for v in range(1, nv + 1):
             for lit in (v, -v):
-                assert (lit in lhs_units) == (sp.meta(1, lit) in rhs_units), (cls, alpha, lit)
+                assert (lit in lhs_units) == (meta[lit] in rhs_units), (cls, alpha, lit)
         assert lhs_bot == (sp.bot(1) in rhs_units), (cls, alpha)
         pairs += 1
     report(3, pairs == 1000, f"derivation equivalence held on {pairs} random (phi, alpha) pairs")
@@ -173,8 +174,8 @@ def test_criterion_6_transform_soundness(corpus):
         gl = level(gs)
         assert enumerate_models(gs) == want
         assert enumerate_models(gl) == want
-        cov = separator_cover(gl)
-        assert check_separator_cover(gl, cov).ok
+        assert check_separator_cover(gl, ref_separator_layers(gl)).ok
+        assert separator_cover(gl).merged == ref_merged(gl)
         graphs += 1
     report(6, graphs >= CORPUS_SIZE,
            f"model sets preserved and covers validated on {graphs} graphs")
@@ -194,7 +195,7 @@ def test_criterion_7_negative_controls():
     g = build_graph(nodes=[("leaf", 1)],
                     leaves=[leaf_spec(inputs=[1, 2], clauses=[[-1, 2]], cls="pc")], n=2)
     out = compile_graph(g, "cc")
-    dropped = make_clause([-1, out.varmap.space.meta(1, 1)])
+    dropped = make_clause([-1, out.varmap.space.block(1)[0][1]])
     assert dropped in out.groups["E2"]
     mutant = [c for c in out.all_clauses() if c != dropped]
     res = check_encoding(mutant, out.num_vars, [1, 2], out.graph)
@@ -208,13 +209,13 @@ def test_criterion_7_negative_controls():
                 leaf_spec(inputs=[2], clauses=[[1]], cls="pc")],
         n=2,
     )
-    cov = separator_cover(g)
-    assert all(len(svar) == 2 for svar in cov.per_var)
-    blobs = tuple(frozenset().union(*svar) for svar in cov.per_var)
-    bad_cov = SeparatorCover(
-        tuple((blob,) for blob in blobs), tuple(dict.fromkeys(blobs)))
-    chk = check_separator_cover(g, bad_cov)
+    per_var = ref_separator_layers(g)
+    assert all(len(svar) == 2 for svar in per_var)
+    assert separator_cover(g).merged == ref_merged(g)
+    blobs = tuple(frozenset().union(*svar) for svar in per_var)
+    chk = check_separator_cover(g, tuple((blob,) for blob in blobs))
     assert not chk.ok and chk.bad_path is not None
+    bad_cov = SeparatorCover(tuple(dict.fromkeys(blobs)))
 
     out = compile_graph(g, "pc")
     bad_n6 = separator_clauses(bad_cov, out.varmap, "N6")

@@ -11,6 +11,7 @@ from bdmc import core
 from bdmc.core import (
     ValidationReport,
     analyze,
+    bit_positions,
     build_graph,
     compute_scopes,
     leaf_spec,
@@ -23,6 +24,7 @@ from bdmc.formats import parse_bdmc, serialize_bdmc
 from bdmc.transform import level, separator_cover, smooth
 
 from conftest import parity_dnnf
+from oracles import ref_merged
 
 # ---------------------------------------------------------------------------
 # reference semantics: one independent walk per property, the oracle for the
@@ -99,15 +101,16 @@ def ref_scopes(g):
             var_sets[nid] = frozenset(acc)
     holders = tuple(frozenset(nid for nid in range(g.num_nodes) if v in var_sets[nid])
                     for v in g.input_vars)
-    ranges = tuple(tuple(lf.index for lf in g.leaves if v in lf.input_vars)
-                   for v in g.input_vars)
-    return tuple(var_sets), holders, ranges
+    return tuple(var_sets), holders
 
 
 def scope_facts(g):
-    """compute_scopes(g) as ref_scopes returns it, H_v included."""
-    sc = compute_scopes(g)
-    return sc.var_sets, tuple(sc.h(v) for v in g.input_vars), sc.ranges
+    """compute_scopes(g) read as ref_scopes returns it: var(v) per node and
+    H_v per input."""
+    masks = compute_scopes(g)
+    return (tuple(frozenset(bit_positions(m)) for m in masks),
+            tuple(frozenset(nid for nid, m in enumerate(masks) if m >> v & 1)
+                  for v in g.input_vars))
 
 
 def ref_validate(g):
@@ -168,17 +171,6 @@ def ref_spans(g):
         for ch in kids if len(kids) > 1 else ():
             layered = layered and starts[ch] == starts[nid] + 1
     return starts, ends, layered
-
-
-def ref_separator_layers(g):
-    starts, ends, _ = ref_spans(g)
-    holders = ref_scopes(g)[1]
-    return tuple(
-        tuple(dict.fromkeys(layer for layer in (
-            frozenset(nid for nid in holders[v - 1] if starts[nid] <= d <= ends[nid])
-            for d in range(1, max(ends) + 1)) if layer))
-        for v in g.input_vars
-    )
 
 
 def node_spans(g):
@@ -245,13 +237,13 @@ def assert_agrees(g):
     assert a.report == ref_validate(g) == validate(g)
     assert outcome(topo_order, g) == outcome(ref_topo_order, g)
     assert outcome(scope_facts, g) == outcome(ref_scopes, g)
-    if a.scopes is not None:
-        assert a.scopes.masks == tuple(sum(1 << x for x in vs) for vs in ref_scopes(g)[0])
+    if a.masks is not None:
+        assert a.masks == tuple(sum(1 << x for x in vs) for vs in ref_scopes(g)[0])
     assert outcome(node_spans, g) == outcome(ref_spans, g)
     if a.order is not None:
         assert list(a.order) == ref_topo_order(g)
     if a.layered and a.report.is_valid_bdmc:
-        assert separator_cover(g).per_var == ref_separator_layers(g)
+        assert separator_cover(g).merged == ref_merged(g)
 
 
 @pytest.mark.parametrize("name", sorted(ODD_GRAPHS))
@@ -295,9 +287,11 @@ def test_analyze_agrees_on_leveled_parity():
 
 
 def test_cover_merges_per_var_in_order(corpus):
+    # the reference layers of each variable, deduplicated in order over the
+    # variables; a layer-major order differs on most corpus graphs
     for g in list(corpus) + [parity_dnnf(20)]:
-        cov = separator_cover(level(smooth(g)))
-        assert cov.merged == tuple(dict.fromkeys(s for seps in cov.per_var for s in seps))
+        gl = level(smooth(g))
+        assert separator_cover(gl).merged == ref_merged(gl)
 
 
 def test_analyze_agrees_on_corpus(corpus):

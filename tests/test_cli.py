@@ -441,6 +441,17 @@ def test_verify_judges_the_sentence_as_written(tmp_path, monkeypatch, capsys):
     assert verdict["strength"]["passed"] and not verdict["encoding"]["ok"]
 
 
+def test_unrooted_sentence_exits_1(tmp_path, capsys):
+    # or-node 3 over leaf node 1 is reached from no root path
+    path = tmp_path / "unrooted.bdmc"
+    path.write_text(G1_TEXT.replace("bdmc 3 2", "bdmc 4 3").replace("L 2\n", "L 2\nO 1 1\n"))
+    capsys.readouterr()
+    for argv in (["compile", "--target", "pc", "--auto-smooth", "--auto-level"],
+                 ["verify", "--target", "dc"], ["eval", "--assign", "x1=1,x2=0"]):
+        assert main([*argv, str(path)]) == 1, argv
+        assert "nodes [3] are not reachable from the root" in capsys.readouterr().err
+
+
 def test_gen_compile_verify_pipeline(tmp_path, capsys):
     d = tmp_path / "gen"
     assert main(["gen", "--seed", "17", "--n", "4", "--count", "3", "-o", str(d)]) == 0

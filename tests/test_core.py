@@ -177,6 +177,9 @@ REFUSALS = {
         lambda: assemble_graph(CYCLE, 0, [make_leaf(1, (1,), (), [[1]])], ["x1"])
         .analysis.require_valid(),
         StructureError, "cycle detected through nodes [0, 1, 0]"),
+    "unreachable": (
+        lambda: build_graph([("leaf", 1), ("or", [0])], [X1], n=1).analysis.require_valid(),
+        StructureError, "nodes [1] are not reachable from the root"),
     "not-decomposable": (
         lambda: build_graph([("and", [1, 2]), ("leaf", 1), ("leaf", 2)], [X1, NOT_X1], n=1)
         .analysis.require_valid(),
@@ -201,18 +204,16 @@ def test_scopes_and_holders():
                 leaf_spec(inputs=[2], clauses=[[1]])],
         n=2,
     )
-    sc = compute_scopes(g)
-    assert sc.var(1) == frozenset({1})
-    assert sc.var(0) == frozenset({1, 2})
-    assert sc.h(1) == frozenset({0, 1})
-    assert sc.range_of(1) == (1,)
-    assert sc.range_of(-1) == (1,)
+    masks = compute_scopes(g)
+    assert bit_positions(masks[1]) == [1]
+    assert bit_positions(masks[0]) == [1, 2]
+    assert [nid for nid, m in enumerate(masks) if m >> 1 & 1] == [0, 1]  # H_1
 
 
 def test_scope_multi_var_leaf():
     g = build_graph(nodes=[("leaf", 1)],
                     leaves=[leaf_spec(inputs=[1, 2], clauses=[[1, 2]])], n=2)
-    assert compute_scopes(g).var(0) == frozenset({1, 2})
+    assert bit_positions(compute_scopes(g)[0]) == [1, 2]
 
 
 def test_scope_masks_hold_bit_v_for_input_v():
@@ -222,7 +223,7 @@ def test_scope_masks_hold_bit_v_for_input_v():
                 leaf_spec(inputs=[1, 3], clauses=[[1, 2]])],
         n=3,
     )
-    assert compute_scopes(g).masks == (0b1010, 0b1000, 0b1010)
+    assert compute_scopes(g) == (0b1010, 0b1000, 0b1010)
     assert validate(g).missing_inputs == (2,)
 
 
@@ -352,7 +353,6 @@ def test_subtree_scopes_disjoint_and_partition_when_smooth():
     from bdmc.transform import smooth
     for seed in (1, 4, 9, 16):
         g = smooth(gen_random(n=5, max_depth=3, leaf_class="pc", seed=seed))
-        sc = compute_scopes(g)
         for tree in minimal_subtrees(g):
             cells = [frozenset(g.leaves[g.nodes[nid].leaf - 1].input_vars)
                      for nid in tree if g.nodes[nid].kind == "leaf"]

@@ -19,13 +19,14 @@ def space_for(clauses, inputs, aux=()):
 
 def vars_of(sp, i):
     """z_i: all meta-variables of leaf i, bot included."""
-    return {sp.meta(i, l) for v in sp.source_vars_of(i) for l in (v, -v)} | {sp.bot(i)}
+    return set(sp.block(i)[0].values()) | {sp.bot(i)}
 
 
 def test_meta_ids_ordering():
     leaf, sp = space_for([[1, 2]], [1, 2])
     # var ascending, positive before negative, bot last
-    assert (sp.meta(1, 1), sp.meta(1, -1), sp.meta(1, 2), sp.meta(1, -2), sp.bot(1)) == (1, 2, 3, 4, 5)
+    meta = sp.block(1)[0]
+    assert (meta[1], meta[-1], meta[2], meta[-2], sp.bot(1)) == (1, 2, 3, 4, 5)
     assert vars_of(sp, 1) == {1, 2, 3, 4, 5}
 
 
@@ -40,11 +41,12 @@ def test_dual_rail_expansion_exact():
     # phi = {x v y}: two implication clauses plus one bot rule per variable
     leaf, sp = space_for([[1, 2]], [1, 2])
     dr = dual_rail(leaf, sp)
+    meta = sp.block(1)[0]
     assert set(dr) == {
-        make_clause([-sp.meta(1, -2), sp.meta(1, 1)]),   # [[-y]] -> [[x]]
-        make_clause([-sp.meta(1, -1), sp.meta(1, 2)]),   # [[-x]] -> [[y]]
-        make_clause([-sp.meta(1, 1), -sp.meta(1, -1), sp.bot(1)]),
-        make_clause([-sp.meta(1, 2), -sp.meta(1, -2), sp.bot(1)]),
+        make_clause([-meta[-2], meta[1]]),   # [[-y]] -> [[x]]
+        make_clause([-meta[-1], meta[2]]),   # [[-x]] -> [[y]]
+        make_clause([-meta[1], -meta[-1], sp.bot(1)]),
+        make_clause([-meta[2], -meta[-2], sp.bot(1)]),
     }
 
 
@@ -64,7 +66,7 @@ def test_dual_rail_empty_clause_collapses_to_bot_unit():
 def test_dual_rail_unit_clause_gives_unit_meta():
     leaf, sp = space_for([[1]], [1])
     dr = dual_rail(leaf, sp)
-    assert (sp.meta(1, 1),) in dr
+    assert (sp.block(1)[0][1],) in dr
 
 
 def test_dual_rail_alien_variable_rejected():
@@ -78,13 +80,14 @@ def test_extended_dual_rail_expansion():
     leaf, sp = space_for([[1, 2]], [1, 2])
     dr = set(dual_rail(leaf, sp))
     xdr = set(extended_dual_rail(leaf, sp))
+    meta = sp.block(1)[0]
     extra = {
-        make_clause([-sp.bot(1), sp.meta(1, 1)]),
-        make_clause([-sp.bot(1), sp.meta(1, -1)]),
-        make_clause([-sp.bot(1), sp.meta(1, 2)]),
-        make_clause([-sp.bot(1), sp.meta(1, -2)]),
-        make_clause([sp.meta(1, 1), sp.meta(1, -1)]),
-        make_clause([sp.meta(1, 2), sp.meta(1, -2)]),
+        make_clause([-sp.bot(1), meta[1]]),
+        make_clause([-sp.bot(1), meta[-1]]),
+        make_clause([-sp.bot(1), meta[2]]),
+        make_clause([-sp.bot(1), meta[-2]]),
+        make_clause([meta[1], meta[-1]]),
+        make_clause([meta[2], meta[-2]]),
     }
     assert xdr == dr | extra
 
@@ -140,10 +143,11 @@ def test_propagation_equivalence_random():
         alpha = [v if rng.random() < 0.5 else -v
                  for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
         lhs_units, lhs_bot = unit_closure(cls, alpha)
-        rhs_units, _ = unit_closure(dr, [sp.meta(1, l) for l in alpha])
+        meta = sp.block(1)[0]
+        rhs_units, _ = unit_closure(dr, [meta[l] for l in alpha])
         for v in range(1, nv + 1):
             for lit in (v, -v):
-                assert (lit in lhs_units) == (sp.meta(1, lit) in rhs_units)
+                assert (lit in lhs_units) == (meta[lit] in rhs_units)
         assert lhs_bot == (sp.bot(1) in rhs_units)
 
 
@@ -173,7 +177,5 @@ def test_block_matches_meta_and_bot():
     sp = MetaVarSpace.for_leaves([leaf], first_id=10)
     ids, bot = sp.block(2)
     assert list(ids) == [1, -1, 3, -3, 5, -5]
-    assert list(ids.values()) == [sp.meta(2, l) for l in ids] == list(range(10, 16))
+    assert list(ids.values()) == list(range(10, 16))
     assert bot == sp.bot(2) == 16 and sp.next_id == 17
-    with pytest.raises(InputError, match="no meta-variable for literal 2 in leaf 2"):
-        sp.meta(2, 2)

@@ -3,7 +3,7 @@
 import pytest
 
 from bdmc import compile_graph
-from bdmc.core import CLASS_STRENGTH, build_graph, leaf_spec, make_clause
+from bdmc.core import CLASS_STRENGTH, Node, assemble_graph, build_graph, leaf_spec, make_clause
 from bdmc.encoder import (
     AMO_CANONICAL,
     AMO_SEQUENTIAL,
@@ -19,7 +19,8 @@ from bdmc.encoder import (
     target_spec,
 )
 from bdmc.engine import brute_sat
-from bdmc.errors import InputError, PreconditionError
+from bdmc.errors import InputError, PreconditionError, StructureError
+from bdmc.propcheck import gen_random
 from bdmc.transform import separator_cover
 
 from conftest import TARGET_CHECK, g1, parity_dnnf
@@ -30,11 +31,11 @@ from test_golden import output_digest
 def test_varmap_numbering_g1():
     vm = build_varmap(g1())
     # inputs 1..2, leaf 1 metas 3..7, leaf 2 metas 8..12, root node 13
-    assert vm.space.meta(1, 1) == 3 and vm.space.meta(1, -1) == 4
+    assert vm.space.block(1)[0][1] == 3 and vm.space.block(1)[0][-1] == 4
     assert vm.space.bot(1) == 7 and vm.space.bot(2) == 12
     assert vm.node_vars[0] == 13
     assert vm.num_vars == 13
-    assert vm.node_literal(1) == -7 and vm.node_literal(0) == 13
+    assert vm.node_lits[1] == -7 and vm.node_lits[0] == 13
 
 
 def test_circuit_clauses_g1():
@@ -56,8 +57,8 @@ def test_circuit_clauses_and_node():
     vm = build_varmap(g)
     groups = circuit_clauses(g, vm)
     root = vm.node_vars[0]
-    assert groups["N2"] == [make_clause([-root, vm.node_literal(1)]),
-                            make_clause([-root, vm.node_literal(2)])]
+    assert groups["N2"] == [make_clause([-root, vm.node_lits[1]]),
+                            make_clause([-root, vm.node_lits[2]])]
     assert groups["N1"] == []
 
 
@@ -230,10 +231,21 @@ def test_compile_rejects_constant_false_leaf():
         compile_graph(g, "cc")
 
 
+def test_every_target_refuses_an_unrooted_graph():
+    # one unreachable one-child node over a reached leaf; compiled anyway,
+    # the pc encoding of this graph failed its own strength check
+    g = gen_random(n=2, max_depth=3, seed=0)
+    bad = assemble_graph(g.nodes + (Node("or", (8,)),), g.root, g.leaves, g.input_names)
+    for target in TARGETS:
+        with pytest.raises(StructureError) as refused:
+            compile_graph(bad, target, auto_smooth=True, auto_level=True)
+        assert str(refused.value) == f"nodes [{g.num_nodes}] are not reachable from the root"
+
+
 def test_root_separator_never_emitted(compiled_corpus):
     for outputs in compiled_corpus[:20]:
         out = outputs["pc"]
-        root_lit = out.varmap.node_literal(out.graph.root)
+        root_lit = out.varmap.node_lits[out.graph.root]
         assert (make_clause([root_lit]),) == tuple(out.groups["ROOT"])
         # no N6 at-least-one unit equal to the root: {root} is dropped
         for clause in out.groups["N6"]:
@@ -279,7 +291,7 @@ def test_size_report_json_shape():
 def test_separator_clauses_empty_cover():
     from bdmc.transform import SeparatorCover
     vm = build_varmap(g1())
-    empty = SeparatorCover(((), ()), ())
+    empty = SeparatorCover(())
     assert separator_clauses(empty, vm, "N5") == []
     assert separator_clauses(empty, vm, "N6") == []
 
@@ -311,7 +323,7 @@ def test_n3_lists_all_parents_of_shared_node():
     vm = build_varmap(g)
     groups = circuit_clauses(g, vm)
     shared = [c for c in groups["N3"]
-              if c == make_clause([-vm.node_literal(3), vm.node_literal(1), vm.node_literal(2)])]
+              if c == make_clause([-vm.node_lits[3], vm.node_lits[1], vm.node_lits[2]])]
     assert len(shared) == 1
 
 

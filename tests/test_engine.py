@@ -13,39 +13,32 @@ from bdmc.engine import (
     decode,
     model_under,
     scope_search,
-    unit_propagate,
 )
 from bdmc.errors import InputError
 
-from oracles import unit_closure
+from oracles import propagate, unit_closure
 
 
 def test_up_single_step():
-    res = unit_propagate([(1, 2)], 2, [-1])
-    assert not res.conflict
-    assert res.literals == frozenset({-1, 2})
+    assert propagate([(1, 2)], 2, [-1]) == frozenset({-1, 2})
 
 
 def test_up_conflict_two_units():
-    res = unit_propagate([(1,), (-1,)], 1)
-    assert res.conflict
-    assert res.literals is None
+    assert propagate([(1,), (-1,)], 1) is None
 
 
 def test_up_two_step_chain():
-    res = unit_propagate([(-1, 2), (-2, 3)], 3, [1])
-    assert res.literals == frozenset({1, 2, 3})
+    assert propagate([(-1, 2), (-2, 3)], 3, [1]) == frozenset({1, 2, 3})
 
 
 def test_up_propagates_formula_units():
     # the formula's own unit clause must fire without any seed
-    res = unit_propagate([(1,), (-1, 2)], 2)
-    assert res.literals == frozenset({1, 2})
+    assert propagate([(1,), (-1, 2)], 2) == frozenset({1, 2})
 
 
 def test_up_rejects_complementary_seed():
     with pytest.raises(InputError):
-        unit_propagate([(1, 2)], 2, [1, -1])
+        propagate([(1, 2)], 2, [1, -1])
 
 
 def test_up_monotone_in_alpha():
@@ -60,17 +53,12 @@ def test_up_monotone_in_alpha():
         vars_ = rng.sample(range(1, nv + 1), rng.randint(0, nv))
         alpha = [v if rng.random() < 0.5 else -v for v in vars_]
         sub = alpha[: rng.randint(0, len(alpha))]
-        small = unit_propagate(cls, nv, sub)
-        big = unit_propagate(cls, nv, alpha)
-        if not small.conflict and not big.conflict:
-            assert small.literals <= big.literals
-        if small.conflict:
-            assert big.conflict
-
-
-def test_up_trace():
-    res = unit_propagate([(-1, 2)], 2, [1], record_trace=True)
-    assert res.trace == ((1, -1), (2, 0))
+        small = propagate(cls, nv, sub)
+        big = propagate(cls, nv, alpha)
+        if small is not None and big is not None:
+            assert small <= big
+        if small is None:
+            assert big is None
 
 
 def test_closure_derives_clause_literal_despite_complement():
@@ -97,10 +85,10 @@ def test_closure_matches_engine_without_conflict():
         alpha = [v if rng.random() < 0.5 else -v
                  for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
         units, bot = unit_closure(cls, alpha)
-        up = unit_propagate(cls, nv, alpha)
-        assert up.conflict == bot
-        if not up.conflict:
-            assert up.literals == units
+        up = propagate(cls, nv, alpha)
+        assert (up is None) == bot
+        if up is not None:
+            assert up == units
 
 
 def test_brute_sat_model_and_unsat():
@@ -155,10 +143,10 @@ def test_engine_push_pop_state_consistency():
             consistent = not any(-s in seeds for s in seeds)
             ok = eng.assert_lits((code(lit),))
             if consistent:
-                fresh = unit_propagate(cls, nv, seeds)
-                assert ok == (not fresh.conflict)
+                fresh = propagate(cls, nv, seeds)
+                assert ok == (fresh is not None)
                 if ok:
-                    assert frozenset(map(decode, eng.trail)) == fresh.literals
+                    assert frozenset(map(decode, eng.trail)) == fresh
             if ok:
                 stack.append(mark)
             else:
@@ -167,9 +155,9 @@ def test_engine_push_pop_state_consistency():
 
 def test_up_clause_with_repeated_literal():
     # each copy of a repeated literal is the same literal
-    assert unit_propagate([(2, 2, 1)], 2, [-1]).literals == frozenset({-1, 2})
-    assert unit_propagate([(1, 1)], 1).literals == frozenset({1})
-    assert unit_propagate([(1, 1), (-1, -1)], 1).conflict
+    assert propagate([(2, 2, 1)], 2, [-1]) == frozenset({-1, 2})
+    assert propagate([(1, 1)], 1) == frozenset({1})
+    assert propagate([(1, 1), (-1, -1)], 1) is None
 
 
 def _messy_formula(rng):
@@ -262,54 +250,25 @@ def test_walk_matches_unit_closure():
 
 
 def test_trace_reasons_precede_their_literals():
-    # every traced literal's reason clause has all its other literals false
-    # earlier in the trace; seeds and the formula's units carry -1
+    # the trail is the derivation order: every literal on it but the seeds
+    # and the formula's units has a clause whose other literals were all
+    # made false earlier on the trail
     rng = random.Random(13)
     traced = 0
     for _ in range(600):
         nv, cls = _messy_formula(rng)
         alpha = [v if rng.random() < 0.5 else -v
                  for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
-        res = unit_propagate(cls, nv, alpha, record_trace=True)
+        eng = PropEngine(cls, nv)
+        eng.assert_lits(map(code, alpha))
         seen = set()
-        for lit, ci in res.trace:
-            if ci == -1:
-                assert lit in alpha or any(set(c) == {lit} for c in cls)
-            else:
-                clause = set(cls[ci])
-                assert lit in clause
-                assert all(-o in seen for o in clause - {lit}), (cls, res.trace)
+        for lit in map(decode, eng.trail):
+            if lit not in alpha and not any(set(c) == {lit} for c in cls):
+                assert any(lit in c and all(-o in seen for o in set(c) - {lit})
+                           for c in cls), (cls, alpha)
                 traced += 1
             seen.add(lit)
     assert traced > 100
-
-
-def test_traced_propagation_agrees_with_untraced():
-    # the trace is read off the trail: the same conflict and literals as an
-    # untraced call, the trail order without a conflict, and each reason the
-    # lowest-index clause whose other literals' complements come earlier
-    rng = random.Random(14)
-    conflicts = 0
-    for _ in range(600):
-        nv, cls = _messy_formula(rng)
-        alpha = [v if rng.random() < 0.5 else -v
-                 for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
-        plain = unit_propagate(cls, nv, alpha)
-        res = unit_propagate(cls, nv, alpha, record_trace=True)
-        assert (res.conflict, res.literals) == (plain.conflict, plain.literals)
-        lits = [lit for lit, _ in res.trace]
-        if res.conflict:
-            conflicts += 1
-        else:
-            eng = PropEngine(cls, nv)
-            assert eng.assert_lits(map(code, alpha)) and lits == [*map(decode, eng.trail)]
-        units = {c[0] for c in (tuple(set(c)) for c in cls) if len(c) == 1}
-        for i, (lit, ci) in enumerate(res.trace):
-            earlier = set(lits[:i])
-            qualifies = [j for j, c in enumerate(cls)
-                         if lit in c and all(-o in earlier for o in set(c) - {lit})]
-            assert ci == (-1 if lit in alpha or lit in units else qualifies[0]), (cls, alpha)
-    assert conflicts > 50
 
 
 def test_search_returns_at_once_on_base_conflict():

@@ -294,6 +294,13 @@ def _sentence(inputs="x1 x2", nodes="L 1", root="root 0", leaf="leaf 1 inputs x1
                  "expected a node id, got '\u0660' (line 4)", id="non-ascii-digit-in-root"),
     pytest.param(lambda: parse_bdmc("bdmc 1 0 1 1_0\n"),
                  "expected a count, got '1_0' (line 1)", id="underscore-in-header-count"),
+    pytest.param(lambda: parse_bdmc("bdmc -1 0 1 2\n"),
+                 "a count cannot be negative, got '-1' (line 1)", id="negative-header-count"),
+    pytest.param(lambda: parse_bdmc(_sentence(leaf="leaf 1 inputs x1 aux clauses -2")),
+                 "a clause count cannot be negative, got '-2' (line 5)",
+                 id="negative-clause-count"),
+    pytest.param(lambda: parse_bdmc(_sentence(nodes="A -1")),
+                 "a child count cannot be negative, got '-1' (line 3)", id="negative-child-count"),
     pytest.param(lambda: parse_dimacs("p cnf 2 1\n1 2_0 0\n"),
                  "expected an integer: '2_0' is not an ASCII decimal integer (line 2)",
                  id="dimacs-underscore-in-literal"),

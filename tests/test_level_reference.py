@@ -13,12 +13,12 @@ compile_graph emits.
 import pytest
 
 from bdmc import check_encoding, check_strength, compile_graph
-from bdmc.core import CLASS_STRENGTH, Node, assemble_graph, build_graph, leaf_spec
+from bdmc.core import CLASS_STRENGTH, Node, assemble_graph, bit_positions, build_graph, leaf_spec
 from bdmc.encoder import TARGETS, target_spec
 from bdmc.transform import level, smooth
 
 from conftest import parity_dnnf
-from oracles import check_separator_cover
+from oracles import check_separator_cover, ref_merged, ref_separator_layers
 
 COVERED = ("urc", "urc-seq", "pc")
 
@@ -62,8 +62,8 @@ def depth_layers(g):
     depth d, d >= 1, merged across variables."""
     depth = longest_depths(g)
     layers = {}
-    for nid, vs in enumerate(g.analysis.scopes.var_sets):
-        for v in vs if depth[nid] > 0 else ():
+    for nid, m in enumerate(g.analysis.masks):
+        for v in bit_positions(m) if depth[nid] > 0 else ():
             layers.setdefault((v, depth[nid]), set()).add(nid)
     return {frozenset(s) for s in layers.values()}
 
@@ -105,7 +105,8 @@ def assert_substitution_matches(g):
         assert ref.graph is ref_graph
         assert set(ref.cover.merged) == depth_layers(ref_graph)
         new = compile_graph(g, target, auto_smooth=True, auto_level=True)
-        assert check_separator_cover(new.graph, new.cover).ok
+        assert check_separator_cover(new.graph, ref_separator_layers(new.graph)).ok
+        assert new.cover.merged == ref_merged(new.graph)
         new_keys = inserted_keys(new.graph, base)
         want = keyed_groups(ref, base, ref_keys)
         got = keyed_groups(new, base, new_keys)

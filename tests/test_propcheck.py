@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from bdmc import compile_graph, propcheck
-from bdmc.engine import PropEngine, brute_sat, unit_propagate
+from bdmc.engine import PropEngine, brute_sat
 from bdmc.errors import BudgetExceededError, InputError, PreconditionError
 from bdmc.propcheck import (
     certify_formula,
@@ -22,6 +22,7 @@ from bdmc.propcheck import (
 )
 
 from conftest import g1, parity_dnnf
+from oracles import propagate
 
 NON_URC = [(1, 2), (-1, 2), (1, -2), (-1, -2)]  # unsat, but UP-quiet under empty alpha
 
@@ -31,8 +32,8 @@ def naive_strength(clauses, nvars, scope, style):
     bitset DFS is validated against."""
     for signs in itertools.product((0, 1, -1), repeat=len(scope)):
         alpha = [s * v for s, v in zip(signs, scope) if s]
-        up = unit_propagate(clauses, nvars, alpha)
-        if up.conflict:
+        up = propagate(clauses, nvars, alpha)
+        if up is None:
             continue
         if style == "urc":
             if brute_sat(clauses, nvars, alpha) is None:
@@ -40,7 +41,7 @@ def naive_strength(clauses, nvars, scope, style):
         else:
             for v in scope:
                 for lit in (v, -v):
-                    if -lit in up.literals:
+                    if -lit in up:
                         continue
                     if brute_sat(clauses, nvars, alpha + [lit]) is None:
                         return False
@@ -161,15 +162,15 @@ def reference_walk(clauses, nvars, scope, style):
     +v subtree then the -v one, variable by variable after its last decision,
     skipping variables its closure sets.  It walks the scope variables some
     clause mentions (the first if none is) and returns (counterexample,
-    alphas_checked), every alpha judged by unit_propagate and brute_sat."""
+    alphas_checked), every alpha judged by propagate and brute_sat."""
     mentioned = {abs(lit) for c in clauses for lit in c}
     walked = [v for v in scope if v in mentioned] or list(scope[:1])
     alphas = 0
 
     def visit(alpha, start):
         nonlocal alphas
-        up = unit_propagate(clauses, nvars, alpha)
-        if up.conflict:
+        up = propagate(clauses, nvars, alpha)
+        if up is None:
             return None
         alphas += 1
         if style == "urc":
@@ -177,11 +178,11 @@ def reference_walk(clauses, nvars, scope, style):
                 return {"alpha": alpha, "literal": "bot"}
         else:
             for lit in (s * v for v in walked for s in (1, -1)):
-                if -lit not in up.literals and brute_sat(clauses, nvars, alpha + [lit]) is None:
+                if -lit not in up and brute_sat(clauses, nvars, alpha + [lit]) is None:
                     return {"alpha": alpha, "literal": -lit}
         for i in range(start, len(walked)):
             v = walked[i]
-            if v in up.literals or -v in up.literals:
+            if v in up or -v in up:
                 continue
             for lit in (v, -v):
                 cex = visit(alpha + [lit], i + 1)
@@ -366,15 +367,15 @@ def full_draw(scope, seed, j):
 def reference_sampled(clauses, nvars, scope, style, seed, samples):
     """(alphas_checked, counterexample, vacuous) of full draws over the scope
     variables some clause mentions (the first scope variable if none is),
-    each judged by unit_propagate and brute_sat straight from the
+    each judged by propagate and brute_sat straight from the
     definitions; the PC literals in slot order (+v before -v, scope order)."""
     mentioned = {abs(lit) for c in clauses for lit in c}
     scope = [v for v in scope if v in mentioned] or scope[:1]
     vacuous = 0
     for j in range(samples):
         alpha = full_draw(scope, seed, j)
-        up = unit_propagate(clauses, nvars, alpha)
-        if up.conflict:
+        up = propagate(clauses, nvars, alpha)
+        if up is None:
             vacuous += 1
             continue
         if style == "urc":
@@ -382,7 +383,7 @@ def reference_sampled(clauses, nvars, scope, style, seed, samples):
                 return j + 1, (alpha, None), vacuous
             continue
         for lit in (lit for v in scope for lit in (v, -v)):
-            if -lit not in up.literals and brute_sat(clauses, nvars, alpha + (lit,)) is None:
+            if -lit not in up and brute_sat(clauses, nvars, alpha + (lit,)) is None:
                 return j + 1, (alpha, -lit), vacuous
     return samples, None, vacuous
 
@@ -523,7 +524,7 @@ def test_sampled_draws_match_full_draws_past_one_block(monkeypatch):
         del seen[:]
         got = check_strength(clauses, 12, scope, "urc", mode="sampled", samples=300, seed=seed)
         drawn = [full_draw(scope, seed, j) for j in range(300)]
-        want = [alpha for alpha in drawn if not unit_propagate(clauses, 12, alpha).conflict]
+        want = [alpha for alpha in drawn if propagate(clauses, 12, alpha) is not None]
         assert got.passed and seen == want
         assert got.vacuous == 300 - len(want) > 0
         assert max(map(len, want)) >= 8
@@ -937,7 +938,8 @@ def test_brute_sat_on_extended_dual_rail_bot_case():
     sp = MetaVarSpace.for_leaves([leaf], 1)
     xdr = extended_dual_rail(leaf, sp)
     nv = sp.next_id - 1
-    alpha = [sp.meta(1, -1), sp.meta(1, -2)]
+    meta = sp.block(1)[0]
+    alpha = [meta[-1], meta[-2]]
     model = brute_sat(xdr, nv, alpha)
     assert model is not None
     assert model[sp.bot(1) - 1] == sp.bot(1)  # [[bot]] is set

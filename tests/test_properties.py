@@ -20,7 +20,8 @@ from bdmc.formats import parse_bdmc, parse_dimacs, serialize_bdmc  # noqa: E402
 from bdmc.transform import is_layered, level, separator_cover  # noqa: E402
 
 from conftest import TARGETS, g1  # noqa: E402
-from oracles import check_separator_cover, non_canonical_clause  # noqa: E402
+from oracles import (  # noqa: E402
+    check_separator_cover, non_canonical_clause, ref_merged, ref_separator_layers)
 from test_level_reference import assert_substitution_matches  # noqa: E402
 
 BASE_DIMACS = emit_dimacs(compile_graph(g1(), "pc"))[0]
@@ -284,7 +285,8 @@ def test_level_on_random_or_dags(g):
     assert is_layered(gl) and level(gl) is gl
     assert gl.num_nodes == g.num_nodes + long_edges
     assert enumerate_models(gl) == enumerate_models(g)
-    assert check_separator_cover(gl, separator_cover(gl)).ok
+    assert check_separator_cover(gl, ref_separator_layers(gl)).ok
+    assert separator_cover(gl).merged == ref_merged(gl)
     assert_substitution_matches(g)
 
 

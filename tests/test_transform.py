@@ -2,19 +2,13 @@
 
 import pytest
 
-from bdmc.core import build_graph, compute_scopes, enumerate_models, leaf_spec, validate
+from bdmc.core import build_graph, enumerate_models, leaf_spec, validate
 from bdmc.errors import PreconditionError
 from bdmc.propcheck import gen_random
-from bdmc.transform import (
-    SeparatorCover,
-    is_layered,
-    level,
-    separator_cover,
-    smooth,
-)
+from bdmc.transform import is_layered, level, separator_cover, smooth
 
 from conftest import g1
-from oracles import check_separator_cover
+from oracles import check_separator_cover, holders, ref_merged, ref_separator_layers
 
 
 def or_of_unbalanced():
@@ -107,7 +101,7 @@ def test_transforms_preserve_models():
 def test_separator_cover_g1():
     g = g1()
     cov = separator_cover(g)
-    assert cov.per_var == ((frozenset({1, 2}),), (frozenset({1, 2}),))
+    assert ref_separator_layers(g) == ((frozenset({1, 2}),), (frozenset({1, 2}),))
     assert cov.merged == (frozenset({1, 2}),)
     assert cov.total_size == 2
 
@@ -115,9 +109,8 @@ def test_separator_cover_g1():
 def test_separator_cover_single_leaf_empty():
     g = build_graph(nodes=[("leaf", 1)],
                     leaves=[leaf_spec(inputs=[1], clauses=[[1]], cls="pc")], n=1)
-    cov = separator_cover(g)
-    assert cov.merged == ()
-    assert check_separator_cover(g, cov).ok
+    assert separator_cover(g).merged == ()
+    assert check_separator_cover(g, ref_separator_layers(g)).ok
 
 
 def test_separator_cover_chain():
@@ -163,27 +156,22 @@ def test_check_separator_cover_deep_leveled_chain():
         leaves=[leaf_spec(inputs=[1], clauses=[[1]], cls="pc")],
         n=1,
     )
-    cov = separator_cover(g)
-    assert len(cov.merged) == depth
-    assert check_separator_cover(g, cov).ok
+    assert len(separator_cover(g).merged) == depth
+    assert separator_cover(g).merged == ref_merged(g)
+    assert check_separator_cover(g, ref_separator_layers(g)).ok
 
 
 def test_cover_roundtrip_random():
     for seed in range(20):
         g = level(smooth(gen_random(n=5, max_depth=3, leaf_class="pc", seed=300 + seed)))
-        cov = separator_cover(g)
-        assert check_separator_cover(g, cov).ok
-        # per-variable union covers H_i minus the root; the separators are
-        # the distinct non-empty layers d = 1..L of H_i, in layer order
-        a = g.analysis
-        sc = compute_scopes(g)
+        per_var = ref_separator_layers(g)
+        assert check_separator_cover(g, per_var).ok
+        assert separator_cover(g).merged == ref_merged(g)
+        # per-variable union covers H_i minus the root
         for v in g.input_vars:
-            seps = cov.per_var[v - 1]
+            seps = per_var[v - 1]
             union = frozenset().union(*seps) if seps else frozenset()
-            assert union == sc.h(v) - {g.root}
-            layers = [frozenset(u for u in sc.h(v) if a.starts[u] <= d <= a.ends[u])
-                      for d in range(1, max(a.ends) + 1)]
-            assert seps == tuple(dict.fromkeys(s for s in layers if s))
+            assert union == holders(g, v) - {g.root}
             assert len(set(seps)) == len(seps)
 
 
@@ -193,10 +181,7 @@ def test_cover_mutation_detected():
     big = max(cov.merged, key=len)
     assert len(big) >= 2
     shrunk = frozenset(sorted(big)[:-1])
-    bad = SeparatorCover(
-        tuple(tuple(shrunk if s == big else s for s in svar) for svar in cov.per_var),
-        tuple(shrunk if s == big else s for s in cov.merged),
-    )
+    bad = tuple(tuple(shrunk if s == big else s for s in svar) for svar in ref_separator_layers(g))
     res = check_separator_cover(g, bad)
     assert not res.ok
     assert res.bad_path is not None or res.uncovered is not None
@@ -204,7 +189,7 @@ def test_cover_mutation_detected():
 
 def test_empty_cover_uncovered_witness():
     g = g1()
-    res = check_separator_cover(g, SeparatorCover(((), ()), ()))
+    res = check_separator_cover(g, ((), ()))
     assert not res.ok
     assert res.uncovered is not None
     var, node = res.uncovered
@@ -219,9 +204,7 @@ def test_merged_separator_rejected():
                 leaf_spec(inputs=[2], clauses=[[1]], cls="pc")],
         n=2,
     )
-    cov = separator_cover(g)
     merged_sep = frozenset({1, 2})  # and-node with its own child leaf
-    bad = SeparatorCover(((merged_sep,), cov.per_var[1]), (merged_sep,) + cov.merged[1:])
-    res = check_separator_cover(g, bad)
+    res = check_separator_cover(g, ((merged_sep,), ref_separator_layers(g)[1]))
     assert not res.ok
     assert res.bad_path == (0, 1, 2)

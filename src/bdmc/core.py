@@ -391,7 +391,7 @@ class GraphAnalysis:
             raise StructureError("cycle detected; topological order undefined")
         return self.order
 
-    def require_valid(self, need_decomposable: bool = True) -> "GraphAnalysis":
+    def require_valid(self) -> "GraphAnalysis":
         report = self.report
         if not report.acyclic:
             raise StructureError(f"cycle detected through nodes {list(report.cycle)}")
@@ -401,7 +401,7 @@ class GraphAnalysis:
             raise StructureError(
                 f"input variables {list(report.missing_inputs)} appear in no leaf (var(root) != x)"
             )
-        if need_decomposable and not report.decomposable:
+        if not report.decomposable:
             raise StructureError(
                 f"graph is not decomposable; witness (node, var) = {report.decomp_witness}"
             )

@@ -28,12 +28,12 @@ are in each builder's docstring: node literals are distinct variables and
 edges are never duplicated (N1-N3, N5, N6), a meta id is above every input
 id and blocks ascend with the leaf index (E2, E3), and dualrail builds E1 in
 the order of a leaf's block.  VarMap builds the node literals and the meta
-blocks once per compile.
+blocks once per compile.  It holds only the numbering: formats.emit_dimacs
+writes the varmap sidecar that names each variable.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -90,71 +90,32 @@ def target_spec(target: str) -> Target:
 
 
 class VarMap:
-    """Solver-variable numbering and the varmap sidecar entries.
+    """Solver-variable numbering of one compile.
 
-    Inputs take ids 1..n, then meta-variables leaf by leaf (variable
+    Inputs take ids 1..n, then meta-variables leaf by leaf (space, variable
     ascending, positive before negative, bot last), then inner nodes in
-    topological order, then cardinality auxiliaries.  An aux variable is
-    named by its source name, suffixed with @leaf where leaves share it.
+    topological order (node_vars), then cardinality auxiliaries, whose
+    (separator, position) pairs card_aux keeps in id order.
+    formats.emit_dimacs names every variable from this numbering.
     """
 
     def __init__(self, graph: BdmcGraph):
-        self.graph = graph
-        n = graph.num_inputs
-        self.space = MetaVarSpace.for_leaves(graph.leaves, n + 1)
-        self.entries: list[dict] = []
-        for v in range(1, n + 1):
-            self.entries.append({"id": v, "role": "input", "name": graph.input_names[v - 1]})
-        names = dict(enumerate(graph.input_names, start=1))
-        uses = Counter(name for leaf in graph.leaves for name in leaf.aux_names)
-        for leaf in graph.leaves:
-            for v, name in zip(leaf.aux_vars, leaf.aux_names):
-                names.setdefault(v, name if uses[name] <= 1 else f"{name}@{leaf.index}")
-        for leaf in graph.leaves:
-            ids, bot = self.space.block(leaf.index)
-            metas = iter(ids.items())
-            for (v, pos), (_, neg) in zip(metas, metas):
-                base = names.get(v, f"v{v}")
-                for mid, txt in ((pos, base), (neg, "-" + base)):
-                    self.entries.append({
-                        "id": mid,
-                        "role": "meta",
-                        "name": f"[[{txt}]]@{leaf.index}",
-                        "leaf": leaf.index,
-                        "literal": txt,
-                    })
-            self.entries.append({
-                "id": bot,
-                "role": "meta",
-                "name": f"[[bot]]@{leaf.index}",
-                "leaf": leaf.index,
-                "literal": "bot",
-            })
-        self.node_vars: dict[int, int] = {}
-        nxt = self.space.next_id
-        for nid in graph.analysis.require_valid().topo_order():
-            if graph.nodes[nid].kind != "leaf":
-                self.node_vars[nid] = nxt
-                self.entries.append({"id": nxt, "role": "node", "name": f"n{nid}", "node": nid})
-                nxt += 1
+        self.space = MetaVarSpace.for_leaves(graph.leaves, graph.num_inputs + 1)
+        inner = [nid for nid in graph.analysis.require_valid().topo_order()
+                 if graph.nodes[nid].kind != "leaf"]
+        first = self.space.next_id
+        self.node_vars: dict[int, int] = dict(zip(inner, range(first, first + len(inner))))
         # the literal of every node, by node id, for the clause builders: its
         # own variable for an inner node, -[[bot]]^i for the leaf of formula i
         self.node_lits: list[int] = [
             -self.space.bot(nd.leaf) if nd.kind == "leaf" else self.node_vars[nid]
             for nid, nd in enumerate(graph.nodes)]
-        self.num_vars = nxt - 1
-        self.num_card_aux = 0
+        self.num_vars = first + len(inner) - 1
+        self.card_aux: list[tuple[int, int]] = []
 
     def add_card_aux(self, separator_idx: int, position: int) -> int:
         self.num_vars += 1
-        self.num_card_aux += 1
-        self.entries.append({
-            "id": self.num_vars,
-            "role": "card-aux",
-            "name": f"s{separator_idx}.{position}",
-            "separator": separator_idx,
-            "position": position,
-        })
+        self.card_aux.append((separator_idx, position))
         return self.num_vars
 
 
@@ -526,7 +487,7 @@ def size_report(output: EncodingOutput) -> SizeStats:
         ell=graph.num_leaves,
         t=t,
         num_vars=output.num_vars,
-        num_card_aux=output.varmap.num_card_aux,
+        num_card_aux=len(output.varmap.card_aux),
         group_counts=counts,
         total_clauses=total,
         bounds=tuple(bounds),

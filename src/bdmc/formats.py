@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from .core import BdmcGraph, LeafEncoding, Node, assemble_graph, make_leaf
@@ -83,6 +84,17 @@ def _count(tok: str, lno: int, what: str) -> int:
     return value
 
 
+def _leaf_index(tok: str, lno: int, n_leaves: int, seen: set[int], twice: str) -> int:
+    """A leaf index in 1..n_leaves not yet in seen, which takes it."""
+    index = _int(tok, lno, "a leaf index")
+    if not 1 <= index <= n_leaves:
+        raise ParseError(f"leaf index {index} out of range 1..{n_leaves}", line=lno)
+    if index in seen:
+        raise ParseError(f"leaf {index} {twice}", line=lno)
+    seen.add(index)
+    return index
+
+
 def parse_bdmc(text: str) -> BdmcGraph:
     """Parse a BDMC document into a validated graph."""
     lines = _Lines(text)
@@ -110,13 +122,15 @@ def parse_bdmc(text: str) -> BdmcGraph:
         raise ParseError("no nodes: sentence has no root")
     nodes: list[Node] = []
     edge_count = 0
+    attached: set[int] = set()
     for _ in range(n_nodes):
         lno, toks = lines.next("a node line")
         kind = toks[0]
         if kind == "L":
             if len(toks) != 2:
                 raise ParseError("leaf node line must be 'L <leafIndex>'", line=lno)
-            nodes.append(Node("leaf", leaf=_int(toks[1], lno, "a leaf index")))
+            leaf = _leaf_index(toks[1], lno, n_leaves, attached, "attached to two nodes")
+            nodes.append(Node("leaf", leaf=leaf))
         elif kind in ("A", "O"):
             if len(toks) < 2:
                 raise ParseError(f"node line must be '{kind} <k> <children...>'", line=lno)
@@ -146,6 +160,7 @@ def parse_bdmc(text: str) -> BdmcGraph:
         raise ParseError(f"root id {root} out of range", line=lno)
 
     leaves: list[LeafEncoding] = []
+    declared: set[int] = set()
     next_aux = n_inputs + 1
     for _ in range(n_leaves):
         lno, toks = lines.next("a 'leaf' block")
@@ -159,7 +174,9 @@ def parse_bdmc(text: str) -> BdmcGraph:
             raise ParseError("leaf line needs 'inputs', 'aux' and 'clauses' sections", line=lno)
         if i_inputs != 2 or not (i_inputs < i_aux < i_clauses):
             raise ParseError("leaf line sections out of order", line=lno)
-        index = _int(toks[1], lno, "a leaf index")
+        index = _leaf_index(toks[1], lno, n_leaves, declared, "has two 'leaf' blocks")
+        if index not in attached:
+            raise ParseError(f"leaf {index} has no node", line=lno)
         in_names = toks[i_inputs + 1:i_aux]
         aux_names = toks[i_aux + 1:i_clauses]
         tail = toks[i_clauses + 1:]
@@ -250,31 +267,44 @@ def emit_dimacs(output: "EncodingOutput") -> tuple[str, str]:
     Clause order: groups in the fixed order N1,N2,N3,N5,N6,E1,E2,E3,ROOT,
     construction order within each group.  Each text is built by one join
     over its rows, and each row is one %-format.  A clause row is its
-    literals and a 0, space separated, from the format for its length.  A
-    varmap row is one JSON object, the text of json.dumps(entry,
-    separators=(", ", ": ")), from the format for its role, whose keys are in
-    the order VarMap builds them.  Names from the sentence (input and meta
-    names, meta literals) go through encode_basestring_ascii; the generated
-    node and card-aux names, n<id> and s<sep>.<pos>, need no escaping.
+    literals and a 0, space separated, from the format for its length.
+
+    The sidecar has one row per solver variable, in id order, each the text
+    of json.dumps(row, separators=(", ", ": ")) from the format for its
+    role.  This is the one writer of those rows, and it takes them straight
+    from the VarMap numbering: input names, each leaf's meta block, then
+    node_vars, then card_aux on the last ids.  An aux variable goes by its
+    name, suffixed @leaf where leaves share the name (v<id> if it has none).
+    Each name from the sentence is escaped once by encode_basestring_ascii;
+    the generated names need no escaping.
     """
     clauses = output.all_clauses()
     row = [" ".join(["%d"] * k) + " 0\n" for k in range(max(map(len, clauses), default=0) + 1)]
     cnf_text = f"p cnf {output.num_vars} {len(clauses)}\n" + "".join(
         [row[len(clause)] % clause for clause in clauses])
-    rows = []
-    for e in output.varmap.entries:
-        role = e["role"]
-        if role == "meta":
-            rows.append('{"id": %d, "role": "meta", "name": %s, "leaf": %d, "literal": %s}' % (
-                e["id"], _json_str(e["name"]), e["leaf"], _json_str(e["literal"])))
-        elif role == "node":
-            rows.append('{"id": %d, "role": "node", "name": "%s", "node": %d}' % (
-                e["id"], e["name"], e["node"]))
-        elif role == "input":
-            rows.append('{"id": %d, "role": "input", "name": %s}' % (e["id"], _json_str(e["name"])))
-        else:
-            rows.append('{"id": %d, "role": "card-aux", "name": "%s", "separator": %d,'
-                        ' "position": %d}' % (e["id"], e["name"], e["separator"], e["position"]))
+    graph, varmap = output.graph, output.varmap
+    text = {v: _json_str(name)[1:-1] for v, name in enumerate(graph.input_names, start=1)}
+    rows = ['{"id": %d, "role": "input", "name": "%s"}' % item for item in text.items()]
+    uses = Counter(name for leaf in graph.leaves for name in leaf.aux_names)
+    for leaf in graph.leaves:
+        for v, name in zip(leaf.aux_vars, leaf.aux_names):
+            text[v] = _json_str(name if uses[name] <= 1 else f"{name}@{leaf.index}")[1:-1]
+    meta = '{"id": %d, "role": "meta", "name": "[[%s%s]]@%d", "leaf": %d, "literal": "%s%s"}'
+    for leaf in graph.leaves:
+        i = leaf.index
+        ids, bot = varmap.space.block(i)
+        metas = iter(ids.items())
+        for (v, pos), (_, neg) in zip(metas, metas):
+            name = text[v] if v in text else f"v{v}"
+            rows.append(meta % (pos, "", name, i, i, "", name))
+            rows.append(meta % (neg, "-", name, i, i, "-", name))
+        rows.append(meta % (bot, "", "bot", i, i, "", "bot"))
+    rows.extend('{"id": %d, "role": "node", "name": "n%d", "node": %d}' % (var, nid, nid)
+                for nid, var in varmap.node_vars.items())
+    first = varmap.num_vars - len(varmap.card_aux) + 1
+    rows.extend('{"id": %d, "role": "card-aux", "name": "s%d.%d", "separator": %d,'
+                ' "position": %d}' % (var, sep, pos, sep, pos)
+                for var, (sep, pos) in enumerate(varmap.card_aux, start=first))
     return cnf_text, "\n".join(rows) + "\n"
 
 

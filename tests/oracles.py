@@ -143,12 +143,12 @@ def check_separator_cover(graph: BdmcGraph, per_var: Separators) -> CoverCheck:
     every such path hits, and those some path hits twice.  Only the first
     failing separator rebuilds a witness path.
     """
-    a = graph.analysis.require_valid(need_decomposable=False)
+    order = graph.analysis.topo_order()
     for v in graph.input_vars:
         h = holders(graph, v)
         # D_i children before parents, each node with its children in D_i
         sub = {nid: [ch for ch in graph.nodes[nid].children if ch in h]
-               for nid in reversed(a.order) if nid in h}
+               for nid in reversed(order) if nid in h}
         seps = per_var[v - 1] if v - 1 < len(per_var) else ()
         own = dict.fromkeys(sub, 0)
         for j, sep in enumerate(seps):

@@ -257,7 +257,7 @@ def test_urc_seq_aux_only_for_large_separators(compiled_corpus):
     for outputs in compiled_corpus:
         out = outputs["urc-seq"]
         big = any(len(s) >= 3 for s in out.cover.merged)
-        assert (out.varmap.num_card_aux > 0) == big
+        assert bool(out.varmap.card_aux) == big
         seen_aux = seen_aux or big
     assert seen_aux, "corpus should contain at least one separator of size >= 3"
 

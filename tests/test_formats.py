@@ -144,12 +144,27 @@ def test_emit_dimacs_g1_cc():
     assert len(meta) == 1
 
 
+def varmap_rows(out):
+    """The emitted varmap rows, each checked to be the bytes of
+    json.dumps(row, separators=(", ", ": ")), as parsed dicts."""
+    _, varmap_text = emit_dimacs(out)
+    assert varmap_text.endswith("\n")
+    rows = varmap_text.splitlines()
+    for row in rows:
+        assert row == json.dumps(json.loads(row), separators=(", ", ": "))
+    return [json.loads(row) for row in rows]
+
+
 def test_varmap_roles_are_bijective(compiled_corpus):
-    out = compiled_corpus[0]["urc-seq"]
-    rows = out.varmap.entries
-    assert len({r["id"] for r in rows}) == len(rows) == out.num_vars
-    inputs = [r for r in rows if r["role"] == "input"]
-    assert [r["id"] for r in inputs] == list(range(1, out.num_inputs + 1))
+    for outputs in compiled_corpus:
+        for target, out in outputs.items():
+            rows = varmap_rows(out)
+            assert [r["id"] for r in rows] == list(range(1, out.num_vars + 1)), target
+            roles = [r["role"] for r in rows]
+            vm = out.varmap
+            n_meta = vm.space.next_id - out.num_inputs - 1
+            assert roles == (["input"] * out.num_inputs + ["meta"] * n_meta
+                             + ["node"] * len(vm.node_vars) + ["card-aux"] * len(vm.card_aux))
 
 
 def test_varmap_rows_escape_names():
@@ -157,13 +172,13 @@ def test_varmap_rows_escape_names():
     leaves = [leaf_spec(inputs=[1, 2, 3, 4], clauses=[[1, 2, 5], [-5, 3, 4]], aux=1,
                         aux_names=['y"\u2603'])]
     out = compile_graph(build_graph(nodes=[("leaf", 1)], leaves=leaves, input_names=names), "cc")
+    rows = varmap_rows(out)
+    assert len(rows) == out.num_vars
+    assert [r["name"] for r in rows[:4]] == names
+    assert [r["literal"] for r in rows if r["role"] == "meta"] == [
+        *(sign + name for name in names for sign in ("", "-")), 'y"\u2603', '-y"\u2603', "bot"]
     _, varmap_text = emit_dimacs(out)
-    rows = varmap_text.splitlines()
-    assert varmap_text.endswith("\n") and len(rows) == len(out.varmap.entries)
-    for row, entry in zip(rows, out.varmap.entries):
-        assert row == json.dumps(entry, separators=(", ", ": "))
-    assert [json.loads(r)["name"] for r in rows[:4]] == names
-    assert any('\\u2603' in r and 'y\\"' in r for r in rows)
+    assert '"literal": "-y\\"\\u2603"' in varmap_text
 
 
 def test_varmap_rows_of_every_role():
@@ -175,19 +190,39 @@ def test_varmap_rows_of_every_role():
     g = build_graph(nodes=[("or", [1, 2, 3]), ("leaf", 1), ("leaf", 2), ("leaf", 3)],
                     leaves=leaves, input_names=names)
     out = compile_graph(g, "urc-seq")
-    _, varmap_text = emit_dimacs(out)
-    rows = varmap_text.splitlines()
-    assert len(rows) == len(out.varmap.entries) == out.num_vars
-    for row, entry in zip(rows, out.varmap.entries):
-        assert row == json.dumps(entry, separators=(", ", ": "))
+    rows = varmap_rows(out)
+    assert [r["id"] for r in rows] == list(range(1, out.num_vars + 1))
     by_role = {}
-    for entry, row in zip(out.varmap.entries, rows):
-        by_role.setdefault(entry["role"], []).append(row)
+    for r in rows:
+        by_role.setdefault(r["role"], []).append(r)
     assert sorted(by_role) == ["card-aux", "input", "meta", "node"]
-    assert by_role["input"][1] == '{"id": 2, "role": "input", "name": "snow\\"\\u2603"}'
-    assert by_role["node"] == ['{"id": %d, "role": "node", "name": "n0", "node": 0}'
-                               % out.varmap.node_vars[0]]
-    assert [json.loads(r)["name"] for r in by_role["card-aux"]] == ["s0.1", "s0.2"]
+    assert by_role["input"] == [{"id": v, "role": "input", "name": name}
+                                for v, name in enumerate(names, start=1)]
+    # each field against the numbering: metas from the blocks, nodes from
+    # node_vars, card-aux rows from card_aux after every other id
+    vm = out.varmap
+    want = []
+    for leaf in out.graph.leaves:
+        i = leaf.index
+        ids, bot = vm.space.block(i)
+        name_of = {**dict(enumerate(names, start=1)), leaf.aux_vars[0]: f"y\u2603@{i}"}
+        for lit, mid in ids.items():
+            literal = ("-" if lit < 0 else "") + name_of[abs(lit)]
+            want.append({"id": mid, "role": "meta", "name": f"[[{literal}]]@{i}",
+                         "leaf": i, "literal": literal})
+        want.append({"id": bot, "role": "meta", "name": f"[[bot]]@{i}", "leaf": i,
+                     "literal": "bot"})
+    assert by_role["meta"] == want
+    assert list(vm.node_vars) == [0]
+    assert by_role["node"] == [{"id": var, "role": "node", "name": f"n{nid}", "node": nid}
+                               for nid, var in vm.node_vars.items()]
+    first = out.num_vars - len(vm.card_aux) + 1
+    assert vm.card_aux == [(0, 1), (0, 2)]
+    assert by_role["card-aux"] == [
+        {"id": var, "role": "card-aux", "name": f"s{sep}.{pos}", "separator": sep, "position": pos}
+        for var, (sep, pos) in enumerate(vm.card_aux, start=first)]
+    _, varmap_text = emit_dimacs(out)
+    assert '{"id": 2, "role": "input", "name": "snow\\"\\u2603"}\n' in varmap_text
     assert ('"name": "[[-y\\u2603@3]]@3", "leaf": 3, "literal": "-y\\u2603@3"}'
             in varmap_text)
 
@@ -301,6 +336,20 @@ def _sentence(inputs="x1 x2", nodes="L 1", root="root 0", leaf="leaf 1 inputs x1
                  id="negative-clause-count"),
     pytest.param(lambda: parse_bdmc(_sentence(nodes="A -1")),
                  "a child count cannot be negative, got '-1' (line 3)", id="negative-child-count"),
+    pytest.param(lambda: parse_bdmc(_sentence(nodes="L 5")),
+                 "leaf index 5 out of range 1..1 (line 3)", id="leaf-node-index-above-range"),
+    pytest.param(lambda: parse_bdmc(_sentence(nodes="L 0")),
+                 "leaf index 0 out of range 1..1 (line 3)", id="leaf-node-index-zero"),
+    pytest.param(lambda: parse_bdmc(_sentence(nodes="L -1")),
+                 "leaf index -1 out of range 1..1 (line 3)", id="leaf-node-index-negative"),
+    pytest.param(lambda: parse_bdmc(G1_TEXT.replace("L 2", "L 1")),
+                 "leaf 1 attached to two nodes (line 6)", id="leaf-attached-twice"),
+    pytest.param(lambda: parse_bdmc(_sentence(leaf="leaf 3 inputs x1 x2 aux clauses 1")),
+                 "leaf index 3 out of range 1..1 (line 5)", id="leaf-block-index-out-of-range"),
+    pytest.param(lambda: parse_bdmc(G1_TEXT.replace("leaf 2", "leaf 1")),
+                 "leaf 1 has two 'leaf' blocks (line 10)", id="leaf-block-twice"),
+    pytest.param(lambda: parse_bdmc(G1_TEXT.replace("O 2 1 2", "O 1 1").replace("L 2", "O 1 1")),
+                 "leaf 2 has no node (line 10)", id="leaf-block-without-node"),
     pytest.param(lambda: parse_dimacs("p cnf 2 1\n1 2_0 0\n"),
                  "expected an integer: '2_0' is not an ASCII decimal integer (line 2)",
                  id="dimacs-underscore-in-literal"),

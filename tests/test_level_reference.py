@@ -10,11 +10,14 @@ dropping tautologies and duplicates must give exactly the clauses that
 compile_graph emits.
 """
 
+import json
+
 import pytest
 
 from bdmc import check_encoding, check_strength, compile_graph
 from bdmc.core import CLASS_STRENGTH, Node, assemble_graph, bit_positions, build_graph, leaf_spec
 from bdmc.encoder import TARGETS, target_spec
+from bdmc.formats import emit_dimacs
 from bdmc.transform import level, smooth
 
 from conftest import parity_dnnf
@@ -82,7 +85,7 @@ def keyed_groups(out, base, keys):
     """Each clause group as signed variable keys: inputs and meta-variables
     by their varmap names, node variables by node_key."""
     name = {}
-    for e in out.varmap.entries:
+    for e in map(json.loads, emit_dimacs(out)[1].splitlines()):
         name[e["id"]] = node_key(e["node"], base, keys) if e["role"] == "node" else e["name"]
     return {tag: [frozenset((lit > 0, name[abs(lit)]) for lit in c) for c in clauses]
             for tag, clauses in out.groups.items()}

@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import encoder, formats, propcheck, transform
-from .core import CLASS_STRENGTH, assemble_graph, evaluate
+from .core import CLASS_STRENGTH, evaluate
 from .errors import (
     BdmcError,
     BudgetExceededError,
@@ -257,7 +257,7 @@ def cmd_certify_leaf(args) -> int:
             upgraded.append(leaf)
     print(json.dumps(rows, indent=2, sort_keys=True))
     if args.apply:
-        new_graph = assemble_graph(graph.nodes, graph.root, upgraded, graph.input_names)
+        new_graph = replace(graph, leaves=tuple(upgraded))
         out = args.output or args.input
         _write(out, formats.serialize_bdmc(new_graph))
         print(f"wrote {out}", file=sys.stderr)

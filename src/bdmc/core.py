@@ -11,7 +11,11 @@ All structure comes from one pass, analyze(), whose GraphAnalysis
 (topological order, layer spans, scope masks, validation report) is memoised
 as BdmcGraph.analysis: a graph version is immutable and every rewrite returns
 a new one, so each version is analysed at most once.  validate,
-compute_scopes and topo_order are views of it.
+compute_scopes and topo_order are views of it.  analyze() refuses a cycle
+or a node the root does not reach, so every analysed graph is a rooted DAG.
+assemble_graph checks the parts build_graph is given; the parser checks the
+same facts line by line and the rewrites only add to a checked graph, so
+both build BdmcGraph directly.
 
 Variable ids ("source space"): inputs are 1..n, auxiliaries of the leaves get
 ids above n, assigned leaf by leaf.  Literals are signed ints.
@@ -20,7 +24,7 @@ ids above n, assigned leaf by leaf.  Literals are signed ints.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -157,7 +161,6 @@ class BdmcGraph:
     num_inputs: int
     leaves: tuple[LeafEncoding, ...]
     input_names: tuple[str, ...]
-    parents: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def num_nodes(self) -> int:
@@ -178,6 +181,15 @@ class BdmcGraph:
         return range(1, self.num_inputs + 1)
 
     @cached_property
+    def parents(self) -> tuple[tuple[int, ...], ...]:
+        """The parents of every node, by node id, in ascending order."""
+        parents: list[list[int]] = [[] for _ in self.nodes]
+        for nid, nd in enumerate(self.nodes):
+            for ch in nd.children:
+                parents[ch].append(nid)
+        return tuple(map(tuple, parents))
+
+    @cached_property
     def analysis(self) -> "GraphAnalysis":
         """The structure of this graph version, analysed on first use."""
         return analyze(self)
@@ -192,8 +204,8 @@ def assemble_graph(
     """Build a BdmcGraph from fully resolved parts, checking hard invariants.
 
     Hard failures here are malformed sentences no operation could accept:
-    broken leaf<->node bijection, out-of-range ids, duplicate edges.  Softer
-    structural properties are validate()'s job.
+    broken leaf<->node bijection, out-of-range ids, duplicate edges.  A cycle
+    or an unreached node is refused by analyze(), on first use.
     """
     nodes = tuple(nodes)
     leaves = tuple(sorted(leaves, key=lambda lf: lf.index))
@@ -233,18 +245,7 @@ def assemble_graph(
             if v <= n or v in seen_aux:
                 raise StructureError(f"leaf {leaf.index}: aux variable {v} reused or clashes with inputs")
             seen_aux.add(v)
-    parents: list[list[int]] = [[] for _ in nodes]
-    for nid, nd in enumerate(nodes):
-        for ch in nd.children:
-            parents[ch].append(nid)
-    return BdmcGraph(
-        nodes=nodes,
-        root=root,
-        num_inputs=n,
-        leaves=leaves,
-        input_names=tuple(input_names),
-        parents=tuple(tuple(p) for p in parents),
-    )
+    return BdmcGraph(nodes, root, n, leaves, tuple(input_names))
 
 
 def leaf_spec(inputs, clauses, aux=0, cls=None, aux_names=None):
@@ -306,22 +307,22 @@ def build_graph(nodes, leaves, n=None, input_names=None, root=0) -> BdmcGraph:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    acyclic: bool
-    rooted: bool
+    """What a rooted DAG may lack of a valid sentence: decomposability,
+    smoothness and var(root) covering the declared inputs, each with its
+    witness.  analyze() refuses a cycle or an unreached node outright."""
+
     decomposable: bool
     smooth: bool
     covers_inputs: bool
-    cycle: tuple[int, ...] = ()
-    unreachable: tuple[int, ...] = ()
     decomp_witness: Optional[tuple[int, int]] = None  # (and-node, shared input var)
     smooth_witness: Optional[tuple[int, int, frozenset[int]]] = None  # (or-node, child, missing)
     missing_inputs: tuple[int, ...] = ()
 
     @property
     def is_valid_bdmc(self) -> bool:
-        """Acyclic, rooted, covering the inputs and decomposable: what every
-        operation relies on (GraphAnalysis.require_valid)."""
-        return self.acyclic and self.rooted and self.covers_inputs and self.decomposable
+        """Covering the inputs and decomposable: what every operation relies
+        on (GraphAnalysis.require_valid)."""
+        return self.covers_inputs and self.decomposable
 
 
 def _find_cycle(graph: BdmcGraph) -> tuple[int, ...]:
@@ -364,39 +365,29 @@ def bit_positions(mask: int) -> list[int]:
 
 @dataclass(frozen=True)
 class GraphAnalysis:
-    """The structure of one graph version, computed once by analyze().
+    """The structure of one graph version, a rooted DAG, computed once by
+    analyze().
 
     ``order`` is the deterministic topological order (parents first) of the
-    reachable nodes.  Node u occupies the depth layers ``starts[u]`` to
-    ``ends[u]``: it starts at its longest-path depth, every leaf at the
-    deepest leaf depth L; a one-child node ends one layer above its child's
-    start, any other node where it starts (-1 and -1 if unreachable).
-    ``layered`` holds when every child of every multi-child node starts one
-    layer below it; then the layers of every root-to-leaf path tile 0..L.
-    ``masks`` holds var(v) per node, bit i set for input i (0 for an
-    unreached node).  Order and spans are None when a reachable cycle leaves
-    them undefined; ``masks`` is None on any cycle.  Read it as
-    ``graph.analysis``, which computes it once per graph version.
+    nodes.  Node u occupies the depth layers ``starts[u]`` to ``ends[u]``:
+    it starts at its longest-path depth, every leaf at the deepest leaf
+    depth L; a one-child node ends one layer above its child's start, any
+    other node where it starts.  ``layered`` holds when every child of
+    every multi-child node starts one layer below it; then the layers of
+    every root-to-leaf path tile 0..L.  ``masks`` holds var(v) per node,
+    bit i set for input i.  Read it as ``graph.analysis``, which computes
+    it once per graph version.
     """
 
     report: ValidationReport
-    order: Optional[tuple[int, ...]]
-    starts: Optional[tuple[int, ...]]
-    ends: Optional[tuple[int, ...]]
+    order: tuple[int, ...]
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
     layered: bool
-    masks: Optional[tuple[int, ...]]
-
-    def topo_order(self) -> tuple[int, ...]:
-        if self.order is None:
-            raise StructureError("cycle detected; topological order undefined")
-        return self.order
+    masks: tuple[int, ...]
 
     def require_valid(self) -> "GraphAnalysis":
         report = self.report
-        if not report.acyclic:
-            raise StructureError(f"cycle detected through nodes {list(report.cycle)}")
-        if not report.rooted:
-            raise StructureError(f"nodes {list(report.unreachable)} are not reachable from the root")
         if not report.covers_inputs:
             raise StructureError(
                 f"input variables {list(report.missing_inputs)} appear in no leaf (var(root) != x)"
@@ -409,21 +400,21 @@ class GraphAnalysis:
 
 
 def analyze(graph: BdmcGraph) -> GraphAnalysis:
-    """Every structural fact of a graph version from one pass.
+    """Every structural fact of a graph version from one pass; a cycle, or
+    else a node the root does not reach, raises StructureError.
 
     A reachability sweep from the root counts in-degrees; one heap-ordered
     Kahn sweep then gives the topological order and the longest-path depths,
-    and one sweep over that order the layer spans.  Scope masks come from
+    and one sweep over that order the layer spans.  The order misses a node
+    exactly when there is a cycle or an unreached node; _find_cycle, over
+    all nodes, then names the cycle if there is one.  Scope masks come from
     one bottom-up sweep (a leaf ORs its inputs' bits, an inner node its
     children's masks), the validation report from one sweep over the
     nodes.  The report compares bit counts: a multi-child and-node is
-    decomposable iff its children's counts sum to the count of their union
-    (var(v) where v is reached), a multi-child or-node is smooth iff no
-    child's count is below its own (an unreached node's mask is 0).
-    The decomposability witness is the first child, in child order, sharing
-    a variable with an earlier child, and the least such variable.
-    Acyclicity covers all nodes: _find_cycle runs only to name a cycle, or
-    to rule one out among unreachable nodes.
+    decomposable iff its children's counts sum to its own, a multi-child
+    or-node is smooth iff no child's count is below its own.  The
+    decomposability witness is the first child, in child order, sharing a
+    variable with an earlier child, and the least such variable.
     """
     nodes, n, root = graph.nodes, graph.num_nodes, graph.root
     indeg = [0] * n
@@ -436,7 +427,6 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
             if not reached[ch]:
                 reached[ch] = True
                 todo.append(ch)
-    unreachable = tuple(nid for nid in range(n) if not reached[nid])
     start = [-1] * n
     start[root] = 0
     order: list[int] = []
@@ -451,7 +441,12 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
             indeg[ch] -= 1
             if not indeg[ch]:
                 heapq.heappush(heap, ch)
-    complete = len(order) + len(unreachable) == n
+    if len(order) < n:
+        cycle = _find_cycle(graph)
+        if cycle:
+            raise StructureError(f"cycle detected through nodes {list(cycle)}")
+        unreached = [nid for nid in range(n) if not reached[nid]]
+        raise StructureError(f"nodes {unreached} are not reachable from the root")
     leaf_ids = [nid for nid in order if nodes[nid].kind == "leaf"]
     full = max((start[nid] for nid in leaf_ids), default=0)
     for nid in leaf_ids:
@@ -464,57 +459,34 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
             end[nid] = start[kids[0]] - 1
         elif layered and any(start[ch] != start[nid] + 1 for ch in kids):
             layered = False
-    cycle = () if complete and not unreachable else _find_cycle(graph)
-    masks = None
-    decomposable = smooth = False
+    masks = [0] * n
+    for nid in reversed(order):
+        nd = nodes[nid]
+        m = 0
+        if nd.kind == "leaf":
+            for v in graph.leaves[nd.leaf - 1].input_vars:
+                m |= 1 << v
+        else:
+            for ch in nd.children:
+                m |= masks[ch]
+        masks[nid] = m
+    size = list(map(int.bit_count, masks))
     decomp_witness = smooth_witness = None
-    missing: tuple[int, ...] = ()
-    if not cycle:
-        masks = [0] * n
-        for nid in reversed(order):
-            nd = nodes[nid]
-            if nd.kind == "leaf":
-                m = 0
-                for v in graph.leaves[nd.leaf - 1].input_vars:
-                    m |= 1 << v
-            else:
-                m = 0
-                for ch in nd.children:
-                    m |= masks[ch]
-            masks[nid] = m
-        masks = tuple(masks)
-        size = list(map(int.bit_count, masks))
-        for nid, nd in enumerate(nodes):
-            kids = nd.children
-            if len(kids) < 2:  # one child: var(v) = var(child)
-                continue
-            if nd.kind == "and":
-                if decomp_witness is None:
-                    union = size[nid] if reached[nid] else reduce(
-                        or_, [masks[ch] for ch in kids]).bit_count()
-                    if sum([size[ch] for ch in kids]) != union:
-                        decomp_witness = _shared_var(nid, kids, masks)
-            elif smooth_witness is None and min([size[ch] for ch in kids]) < size[nid]:
-                ch = next(ch for ch in kids if size[ch] < size[nid])
-                smooth_witness = (nid, ch, frozenset(bit_positions(masks[nid] & ~masks[ch])))
-        decomposable, smooth = decomp_witness is None, smooth_witness is None
-        all_inputs = (1 << graph.num_inputs + 1) - 2  # bits 1..n
-        missing = tuple(bit_positions(all_inputs & ~masks[root]))
-    report = ValidationReport(
-        acyclic=not cycle,
-        rooted=not unreachable,
-        decomposable=decomposable,
-        smooth=smooth,
-        covers_inputs=not cycle and not missing,
-        cycle=cycle,
-        unreachable=unreachable,
-        decomp_witness=decomp_witness,
-        smooth_witness=smooth_witness,
-        missing_inputs=missing,
-    )
-    if not complete:
-        return GraphAnalysis(report, None, None, None, False, masks)
-    return GraphAnalysis(report, tuple(order), tuple(start), tuple(end), layered, masks)
+    for nid, nd in enumerate(nodes):
+        kids = nd.children
+        if len(kids) < 2:  # one child: var(v) = var(child)
+            continue
+        if nd.kind == "and":
+            if decomp_witness is None and sum([size[ch] for ch in kids]) != size[nid]:
+                decomp_witness = _shared_var(nid, kids, masks)
+        elif smooth_witness is None and min([size[ch] for ch in kids]) < size[nid]:
+            ch = next(ch for ch in kids if size[ch] < size[nid])
+            smooth_witness = (nid, ch, frozenset(bit_positions(masks[nid] & ~masks[ch])))
+    all_inputs = (1 << graph.num_inputs + 1) - 2  # bits 1..n
+    missing = tuple(bit_positions(all_inputs & ~masks[root]))
+    report = ValidationReport(decomp_witness is None, smooth_witness is None, not missing,
+                              decomp_witness, smooth_witness, missing)
+    return GraphAnalysis(report, tuple(order), tuple(start), tuple(end), layered, tuple(masks))
 
 
 def _shared_var(nid: int, kids: tuple[int, ...], masks) -> Optional[tuple[int, int]]:
@@ -531,24 +503,22 @@ def _shared_var(nid: int, kids: tuple[int, ...], masks) -> Optional[tuple[int, i
 
 
 def topo_order(graph: BdmcGraph) -> list[int]:
-    """Deterministic topological order (parents first) of reachable nodes."""
-    return list(graph.analysis.topo_order())
+    """Deterministic topological order (parents first) of the nodes."""
+    return list(graph.analysis.order)
 
 
 def compute_scopes(graph: BdmcGraph) -> tuple[int, ...]:
-    """var(v) of every node as a mask, bit i set for input i (0 for an
-    unreached node); raises StructureError on a cycle."""
-    masks = graph.analysis.masks
-    if masks is None:
-        raise StructureError(f"cycle detected through nodes {list(graph.analysis.report.cycle)}")
-    return masks
+    """var(v) of every node as a mask, bit i set for input i."""
+    return graph.analysis.masks
 
 
 def validate(graph: BdmcGraph) -> ValidationReport:
-    """Structural report: acyclicity, reachability, decomposability, smoothness
-    and var(root) covering the declared inputs (assemble_graph already
-    refuses aux variables shared between leaves)."""
+    """Structural report of a rooted DAG: decomposability, smoothness and
+    var(root) covering the declared inputs.  A cycle or an unreached node
+    raises StructureError (analyze); assemble_graph already refuses aux
+    variables shared between leaves."""
     return graph.analysis.report
+
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +570,7 @@ def _fold(graph: BdmcGraph, order: Sequence[int], leaf_value) -> int:
 def evaluate(graph: BdmcGraph, assignment: Assignment) -> bool:
     """f(a): each leaf contributes "phi_i is satisfiable under a", combined
     through the monotone circuit."""
-    order = graph.analysis.require_valid().topo_order()
+    order = graph.analysis.require_valid().order
     mask = _input_mask(graph, assignment)
     return _fold(graph, order, lambda leaf: engine.brute_sat(
         _local_clauses(leaf), leaf.num_vars,
@@ -623,7 +593,7 @@ def enumerate_models(graph: BdmcGraph, budget: int = DEFAULT_EXHAUSTIVE_BUDGET) 
         raise BudgetExceededError(
             f"enumerate_models walks 2^{n} input assignments, over the budget of {budget}"
         )
-    order = graph.analysis.require_valid().topo_order()
+    order = graph.analysis.require_valid().order
     w = min(n, CHUNK_BITS)
     full = (1 << (1 << w)) - 1
     low = [full // ((1 << (1 << b)) + 1) << (1 << b) for b in range(w)]  # the t with bit b set

@@ -101,7 +101,7 @@ class VarMap:
 
     def __init__(self, graph: BdmcGraph):
         self.space = MetaVarSpace.for_leaves(graph.leaves, graph.num_inputs + 1)
-        inner = [nid for nid in graph.analysis.require_valid().topo_order()
+        inner = [nid for nid in graph.analysis.require_valid().order
                  if graph.nodes[nid].kind != "leaf"]
         first = self.space.next_id
         self.node_vars: dict[int, int] = dict(zip(inner, range(first, first + len(inner))))
@@ -135,7 +135,7 @@ def _pair(a: int, b: int) -> Clause:
 def circuit_clauses(graph: BdmcGraph, varmap: VarMap) -> dict[str, list[Clause]]:
     """Groups N1 (or), N2 (and) and N3 (parents) over node literals.
 
-    Distinct nodes have distinct variables, assemble_graph refuses duplicate
+    Distinct nodes have distinct variables, a sentence has no duplicate
     edges and no node is its own child or parent, so the literals of a node
     and its children (or its parents) hold no variable twice: N2 binaries are
     ordered directly, and each N1 and N3 clause is sorted once by variable."""

@@ -25,7 +25,7 @@ class InputError(BdmcError):
 
 
 class StructureError(BdmcError):
-    """Graph fails a structural requirement (cycle, no root, undeclared variable, ...)."""
+    """Graph fails a structural requirement (bad parts, a cycle, an unreached node, ...)."""
 
 
 class PreconditionError(BdmcError):

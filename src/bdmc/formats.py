@@ -14,6 +14,11 @@ The optional trailing `class` tag records the leaf's claimed base class; files
 without it get a syntactic default (constant true, single input literal, else
 cc).  Auxiliary names may repeat across leaf blocks; they are renamed apart
 internally.
+
+parse_bdmc refuses each malformed line with a ParseError naming it, and
+builds the graph from its checked parts without core.assemble_graph.  A
+cycle or a node the root does not reach is refused when the graph is first
+analysed (core.analyze).
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import re
 from collections import Counter
 from typing import TYPE_CHECKING
 
-from .core import BdmcGraph, LeafEncoding, Node, assemble_graph, make_leaf
-from .errors import ParseError
+from .core import LEAF_CLASSES, BdmcGraph, LeafEncoding, Node, make_clause, make_leaf
+from .errors import InputError, ParseError
 
 if TYPE_CHECKING:
     from .encoder import EncodingOutput
@@ -96,7 +101,8 @@ def _leaf_index(tok: str, lno: int, n_leaves: int, seen: set[int], twice: str) -
 
 
 def parse_bdmc(text: str) -> BdmcGraph:
-    """Parse a BDMC document into a validated graph."""
+    """Parse a BDMC document into a graph whose ids, leaf<->node bijection,
+    edges and variables are checked, each on its line."""
     lines = _Lines(text)
     lno, toks = lines.next("header line 'bdmc ...'")
     if toks[0] != "bdmc" or len(toks) != 5:
@@ -224,15 +230,19 @@ def parse_bdmc(text: str) -> BdmcGraph:
                 else:
                     raise ParseError(f"unknown variable {name!r} in clause", line=clno, column=col)
                 lits.append(-var if neg else var)
-            clauses.append(lits)
+            try:
+                clauses.append(make_clause(lits))
+            except InputError as exc:
+                raise ParseError(str(exc), line=clno) from None
+        if claimed and claimed not in LEAF_CLASSES:  # a bad clause line is reported first
+            raise ParseError(f"unknown leaf class {claimed!r}", line=lno)
         in_ids = tuple(sorted(input_id[name] for name in in_names))
         leaves.append(make_leaf(index, in_ids, aux_ids, clauses, claimed, aux_names))
     if not lines.done:
         lno, toks = lines.next("")
         raise ParseError(f"unexpected trailing content {' '.join(toks)!r}", line=lno)
-    if len(leaves) != n_leaves:
-        raise ParseError(f"header declares {n_leaves} leaves, found {len(leaves)}")
-    return assemble_graph(nodes, root, leaves, input_names)
+    leaves.sort(key=lambda leaf: leaf.index)
+    return BdmcGraph(tuple(nodes), root, n_inputs, tuple(leaves), tuple(input_names))
 
 
 def serialize_bdmc(graph: BdmcGraph) -> str:

@@ -15,15 +15,15 @@ changes.
 
 Every operation reads validity, scope masks and layer spans from
 graph.analysis, the memoised core.GraphAnalysis of its graph version.  A
-rewrite returns a new graph version, whose analysis runs when something
-first reads it.
+rewrite only appends to a checked graph and returns the new version by
+dataclasses.replace; its analysis runs when something first reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .core import BdmcGraph, CLASS_TRUE, LeafEncoding, Node, assemble_graph, bit_positions
+from .core import BdmcGraph, CLASS_TRUE, LeafEncoding, Node, bit_positions
 from .errors import PreconditionError
 
 
@@ -62,7 +62,7 @@ def smooth(graph: BdmcGraph) -> BdmcGraph:
             nodes[nid] = Node("or", children=tuple(new_children))
     if not changed:
         return graph
-    return assemble_graph(nodes, graph.root, leaves, graph.input_names)
+    return replace(graph, nodes=tuple(nodes), leaves=tuple(leaves))
 
 
 def level(graph: BdmcGraph) -> BdmcGraph:
@@ -90,13 +90,11 @@ def level(graph: BdmcGraph) -> BdmcGraph:
         nodes[nid] = Node(nd.kind, children=tuple(new_children))
     if len(nodes) == graph.num_nodes:
         return graph
-    return assemble_graph(nodes, graph.root, list(graph.leaves), graph.input_names)
+    return replace(graph, nodes=tuple(nodes))
 
 
 def is_layered(graph: BdmcGraph) -> bool:
-    """Every child of every multi-child node starts one layer below it;
-    raises StructureError on a reachable cycle."""
-    graph.analysis.topo_order()
+    """Every child of every multi-child node starts one layer below it."""
     return graph.analysis.layered
 
 

@@ -9,8 +9,11 @@ transform.separator_cover, whose merged family must be theirs in order),
 the clause-derivation unit closure (against the propagation engine and dual
 rail), dual rail built clause by clause through make_clause (against
 dualrail's canonical builders) and the canonical-form check of compiled
-clause groups.  propagate, unit propagation of a seed assignment over
-engine.PropEngine, is the engine's reading that the strength oracles use.
+clause groups.  assert_assembled holds a graph the package built without
+core.assemble_graph (the parser, the rewrites, certify-leaf --apply) to the
+one assemble_graph checks and builds from the same parts.  propagate, unit
+propagation of a seed assignment over engine.PropEngine, is the engine's
+reading that the strength oracles use.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
-from bdmc.core import Assignment, BdmcGraph, Clause, LeafEncoding, _input_mask, make_clause
+from bdmc.core import (
+    Assignment, BdmcGraph, Clause, LeafEncoding, _input_mask, assemble_graph, make_clause)
 from bdmc.dualrail import MetaVarSpace
 from bdmc.engine import PropEngine, check_partial_assignment, code, decode
 from bdmc.errors import BudgetExceededError, PreconditionError
@@ -91,6 +95,20 @@ def evaluate_by_subtrees(graph: BdmcGraph, assignment: Assignment) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# graphs built without assemble_graph
+
+
+def assert_assembled(graph: BdmcGraph) -> None:
+    """graph is what assemble_graph checks and builds from its parts, field
+    by field (a list is not equal to the tuple assemble_graph makes), and
+    its parents are those its edges give."""
+    assert graph == assemble_graph(graph.nodes, graph.root, graph.leaves, graph.input_names)
+    assert graph.parents == tuple(
+        tuple(p for p, nd in enumerate(graph.nodes) if nid in nd.children)
+        for nid in range(graph.num_nodes))
+
+
+# ---------------------------------------------------------------------------
 # separator covers
 
 Separators = tuple[tuple[frozenset[int], ...], ...]  # per input variable, in layer order
@@ -143,7 +161,7 @@ def check_separator_cover(graph: BdmcGraph, per_var: Separators) -> CoverCheck:
     every such path hits, and those some path hits twice.  Only the first
     failing separator rebuilds a witness path.
     """
-    order = graph.analysis.topo_order()
+    order = graph.analysis.order
     for v in graph.input_vars:
         h = holders(graph, v)
         # D_i children before parents, each node with its children in D_i

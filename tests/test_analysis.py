@@ -21,7 +21,7 @@ from bdmc.core import (
 from bdmc.encoder import TARGETS
 from bdmc.errors import StructureError
 from bdmc.formats import parse_bdmc, serialize_bdmc
-from bdmc.transform import level, separator_cover, smooth
+from bdmc.transform import is_layered, level, separator_cover, smooth
 
 from conftest import parity_dnnf
 from oracles import ref_merged
@@ -87,8 +87,6 @@ def ref_cycle(g):
 
 
 def ref_scopes(g):
-    if ref_cycle(g):
-        raise StructureError("cycle")
     var_sets = [frozenset()] * g.num_nodes
     for nid in reversed(ref_topo_order(g)):
         nd = g.nodes[nid]
@@ -113,13 +111,19 @@ def scope_facts(g):
                   for v in g.input_vars))
 
 
-def ref_validate(g):
+def ref_refusal(g):
+    """The message analyze() refuses g with: a cycle first, then the nodes
+    the root does not reach; None for a rooted DAG."""
     cycle = ref_cycle(g)
-    unreachable = tuple(sorted(set(range(g.num_nodes)) - ref_reachable(g)))
-    fields = dict(acyclic=not cycle, rooted=not unreachable, decomposable=False, smooth=False,
-                  covers_inputs=False, cycle=cycle, unreachable=unreachable)
     if cycle:
-        return ValidationReport(**fields)
+        return f"cycle detected through nodes {list(cycle)}"
+    unreachable = sorted(set(range(g.num_nodes)) - ref_reachable(g))
+    if unreachable:
+        return f"nodes {unreachable} are not reachable from the root"
+    return None
+
+
+def ref_validate(g):
     var_sets = ref_scopes(g)[0]
     decomp = smooth_w = None
     for nid, nd in enumerate(g.nodes):
@@ -137,10 +141,9 @@ def ref_validate(g):
                 if gap:
                     smooth_w = smooth_w or (nid, ch, frozenset(gap))
     missing = tuple(sorted(set(g.input_vars) - var_sets[g.root]))
-    fields.update(decomposable=decomp is None, smooth=smooth_w is None,
-                  covers_inputs=not missing, decomp_witness=decomp,
-                  smooth_witness=smooth_w, missing_inputs=missing)
-    return ValidationReport(**fields)
+    return ValidationReport(decomposable=decomp is None, smooth=smooth_w is None,
+                            covers_inputs=not missing, decomp_witness=decomp,
+                            smooth_witness=smooth_w, missing_inputs=missing)
 
 
 def ref_depths(g):
@@ -173,19 +176,6 @@ def ref_spans(g):
     return starts, ends, layered
 
 
-def node_spans(g):
-    a = g.analysis
-    a.topo_order()  # raises where a reachable cycle leaves the spans undefined
-    return list(a.starts), list(a.ends), a.layered
-
-
-def outcome(fn, g):
-    try:
-        return fn(g)
-    except StructureError:
-        return StructureError
-
-
 # ---------------------------------------------------------------------------
 # graphs the corpus does not cover
 
@@ -199,12 +189,18 @@ ODD_GRAPHS = {
         nodes=[("or", [1]), ("and", [2, 3]), ("or", [1]), ("leaf", 1)], leaves=[LIT], n=1),
     "cycle_through_root": build_graph(
         nodes=[("and", [1, 2]), ("or", [0]), ("leaf", 1)], leaves=[LIT], n=1),
+    # reached leaf node 1 has the unreached parent 2
     "unreachable": build_graph(
         nodes=[("or", [1, 4]), ("leaf", 1), ("and", [1, 3]), ("leaf", 2), ("leaf", 3)],
         leaves=[LIT, LIT2, NEG], n=2),
+    # a cycle among unreached nodes comes before their reachability
     "cycle_among_unreachable": build_graph(
         nodes=[("or", [1]), ("leaf", 1), ("or", [3]), ("and", [2, 4]), ("leaf", 2)],
         leaves=[LIT, LIT2], n=2),
+    # nodes 3 and 4 are not reached, and the children of and-node 3 share x1
+    "unreached_not_decomposable": build_graph(
+        nodes=[("or", [1, 2]), ("leaf", 1), ("leaf", 2), ("and", [1, 2]), ("or", [1, 2])],
+        leaves=[LIT, NEG], n=1),
     "not_decomposable": build_graph(
         nodes=[("and", [1, 2]), ("leaf", 1), ("leaf", 2)], leaves=[LIT, NEG], n=1),
     "not_smooth_not_leveled": build_graph(
@@ -217,11 +213,6 @@ ODD_GRAPHS = {
         nodes=[("or", [1, 4, 7]), ("and", [2, 3]), ("leaf", 1), ("leaf", 2),
                ("and", [5, 6]), ("leaf", 3), ("leaf", 4), ("and", [6, 5])],
         leaves=[LIT, LIT2, BOTH, BOTH], n=2),
-    # nodes 3 and 4 are not reached; the children of and-node 3, both
-    # reached, share x1, and an unreached or-node is smooth
-    "unreached_not_decomposable": build_graph(
-        nodes=[("or", [1, 2]), ("leaf", 1), ("leaf", 2), ("and", [1, 2]), ("or", [1, 2])],
-        leaves=[LIT, NEG], n=1),
     # the second child of or-node 0 misses x2; or-node 1 fails too, later
     "or_second_child_misses": build_graph(
         nodes=[("or", [1, 2]), ("or", [3, 4]), ("leaf", 2), ("leaf", 1), ("leaf", 3)],
@@ -232,38 +223,50 @@ ODD_GRAPHS = {
 }
 
 
+# the message analyze() refuses each cyclic or unrooted odd graph with
+REFUSALS = {
+    "cycle": "cycle detected through nodes [1, 2, 1]",
+    "cycle_through_root": "cycle detected through nodes [0, 1, 0]",
+    "unreachable": "nodes [2, 3] are not reachable from the root",
+    "cycle_among_unreachable": "cycle detected through nodes [2, 3, 2]",
+    "unreached_not_decomposable": "nodes [3, 4] are not reachable from the root",
+}
+
+# analyze and every view of it
+VIEWS = (analyze, validate, compute_scopes, topo_order, is_layered, lambda g: g.analysis)
+
+
 def assert_agrees(g):
+    refusal = ref_refusal(g)
+    if refusal is not None:
+        for view in VIEWS:
+            with pytest.raises(StructureError) as refused:
+                view(g)
+            assert type(refused.value) is StructureError and str(refused.value) == refusal
+        return
     a = analyze(g)
     assert a.report == ref_validate(g) == validate(g)
-    assert outcome(topo_order, g) == outcome(ref_topo_order, g)
-    assert outcome(scope_facts, g) == outcome(ref_scopes, g)
-    if a.masks is not None:
-        assert a.masks == tuple(sum(1 << x for x in vs) for vs in ref_scopes(g)[0])
-    assert outcome(node_spans, g) == outcome(ref_spans, g)
-    if a.order is not None:
-        assert list(a.order) == ref_topo_order(g)
+    assert topo_order(g) == list(a.order) == ref_topo_order(g)
+    assert scope_facts(g) == ref_scopes(g)
+    assert a.masks == tuple(sum(1 << x for x in vs) for vs in ref_scopes(g)[0])
+    assert (list(a.starts), list(a.ends), a.layered) == ref_spans(g)
     if a.layered and a.report.is_valid_bdmc:
         assert separator_cover(g).merged == ref_merged(g)
 
 
 @pytest.mark.parametrize("name", sorted(ODD_GRAPHS))
 def test_analyze_agrees_on_odd_graphs(name):
+    assert ref_refusal(ODD_GRAPHS[name]) == REFUSALS.get(name)
     assert_agrees(ODD_GRAPHS[name])
 
 
 def test_analyze_witnesses_on_odd_graphs():
-    assert analyze(ODD_GRAPHS["cycle"]).report.cycle == (1, 2, 1)
-    assert analyze(ODD_GRAPHS["cycle_among_unreachable"]).order == (0, 1)
-    rep = analyze(ODD_GRAPHS["unreachable"]).report
-    assert rep.unreachable == (2, 3) and rep.acyclic and not rep.rooted
     assert analyze(ODD_GRAPHS["not_decomposable"]).report.decomp_witness == (0, 1)
     assert not analyze(ODD_GRAPHS["skip_edge"]).layered
     assert analyze(ODD_GRAPHS["not_smooth_not_leveled"]).report.smooth_witness == (
         0, 1, frozenset({2}))
     rep = analyze(ODD_GRAPHS["later_and_shares_two_vars"]).report
     assert rep.decomp_witness == (4, 1) and rep.smooth
-    rep = analyze(ODD_GRAPHS["unreached_not_decomposable"]).report
-    assert rep.decomp_witness == (3, 1) and rep.unreachable == (3, 4) and rep.smooth
     rep = analyze(ODD_GRAPHS["or_second_child_misses"]).report
     assert rep.decomposable and rep.smooth_witness == (0, 2, frozenset({2}))
 

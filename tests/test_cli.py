@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import bdmc
+from bdmc import formats
 from bdmc.cli import _parse_mode, build_parser, cmd_stats, main
 from bdmc.errors import InputError
 from bdmc.formats import parse_bdmc
+
+from oracles import assert_assembled
 
 G1_TEXT = """\
 bdmc 3 2 2 2
@@ -411,12 +414,18 @@ def test_certify_leaf_command(tmp_path, capsys):
                  "-o", str(tmp_path / "w.cnf")]) == 0
 
 
-def test_certify_one_leaf_applies_to_that_leaf_only(tmp_path, capsys):
+def test_certify_one_leaf_applies_to_that_leaf_only(tmp_path, capsys, monkeypatch):
     path, out = tmp_path / "two.bdmc", tmp_path / "out.bdmc"
     path.write_text("bdmc 3 2 2 2\ninputs x1 x2\nO 2 1 2\nL 1\nL 2\nroot 0\n"
                     "leaf 1 inputs x1 x2 aux clauses 1 class cc\nx1 x2 0\n"
                     "leaf 2 inputs x1 x2 aux clauses 1 class cc\nx1 -x2 0\n")
+    written = []
+    serialize = formats.serialize_bdmc
+    monkeypatch.setattr(formats, "serialize_bdmc", lambda g: written.append(g) or serialize(g))
     assert main(["certify-leaf", str(path), "--leaf", "1", "--apply", "-o", str(out)]) == 0
+    # the upgraded graph, built without assemble_graph, and the file it wrote
+    assert_assembled(written[0])
+    assert_assembled(parse_bdmc(out.read_text()))
     rows = json.loads(capsys.readouterr().out)
     assert [(row["leaf"], row["claimed"], row["best"]) for row in rows] == [(1, "cc", "pc")]
     leaves = parse_bdmc(out.read_text()).leaves
@@ -450,6 +459,19 @@ def test_unrooted_sentence_exits_1(tmp_path, capsys):
                  ["verify", "--target", "dc"], ["eval", "--assign", "x1=1,x2=0"]):
         assert main([*argv, str(path)]) == 1, argv
         assert "nodes [3] are not reachable from the root" in capsys.readouterr().err
+
+
+def test_cyclic_sentence_exits_1(tmp_path, capsys):
+    # and-node 3 leads back to the root: 0 -> 3 -> 0
+    path = tmp_path / "cyclic.bdmc"
+    path.write_text(G1_TEXT.replace("bdmc 3 2", "bdmc 4 4").replace("O 2 1 2", "O 2 1 3")
+                    .replace("L 2\n", "L 2\nA 2 0 2\n"))
+    capsys.readouterr()
+    for argv in (["compile", "--target", "pc", "--auto-smooth", "--auto-level"],
+                 ["verify", "--target", "dc"], ["eval", "--assign", "x1=1,x2=0"],
+                 ["smooth"], ["level", "--with-smooth"]):
+        assert main([*argv, str(path)]) == 1, argv
+        assert "cycle detected through nodes [0, 3, 0]" in capsys.readouterr().err
 
 
 def test_gen_compile_verify_pipeline(tmp_path, capsys):

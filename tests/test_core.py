@@ -53,7 +53,7 @@ def test_validate_single_leaf_all_flags():
     g = build_graph(nodes=[("leaf", 1)],
                     leaves=[leaf_spec(inputs=[1], clauses=[[1]])], n=1)
     rep = validate(g)
-    assert rep.acyclic and rep.rooted and rep.decomposable and rep.smooth
+    assert rep.decomposable and rep.smooth
     assert rep.covers_inputs
     assert rep.is_valid_bdmc
 
@@ -80,28 +80,6 @@ def test_validate_smoothness_witness():
     rep = validate(g)
     assert not rep.smooth
     assert rep.smooth_witness == (0, 1, frozenset({2}))
-
-
-def test_validate_cycle_witness():
-    from bdmc.core import Node, assemble_graph, LeafEncoding
-    nodes = [Node("or", children=(1,)), Node("or", children=(0, 2)), Node("leaf", leaf=1)]
-    leaves = [LeafEncoding(1, (1,), (), ((1,),), "cc")]
-    g = assemble_graph(nodes, 0, leaves, ("x1",))
-    rep = validate(g)
-    assert not rep.acyclic
-    assert len(rep.cycle) >= 3 and rep.cycle[0] == rep.cycle[-1]
-
-
-def test_validate_unreachable_warning():
-    g = build_graph(
-        nodes=[("leaf", 1), ("leaf", 2)],
-        leaves=[leaf_spec(inputs=[1], clauses=[[1]]),
-                leaf_spec(inputs=[1], clauses=[[-1]])],
-        n=1,
-    )
-    rep = validate(g)
-    assert rep.unreachable == (1,)
-    assert not rep.rooted
 
 
 def test_declared_but_unused_input_is_flagged():
@@ -179,6 +157,12 @@ REFUSALS = {
         StructureError, "cycle detected through nodes [0, 1, 0]"),
     "unreachable": (
         lambda: build_graph([("leaf", 1), ("or", [0])], [X1], n=1).analysis.require_valid(),
+        StructureError, "nodes [1] are not reachable from the root"),
+    "validate-cycle": (
+        lambda: validate(assemble_graph(CYCLE, 0, [make_leaf(1, (1,), (), [[1]])], ["x1"])),
+        StructureError, "cycle detected through nodes [0, 1, 0]"),
+    "validate-unreachable": (
+        lambda: validate(build_graph([("leaf", 1), ("leaf", 2)], [X1, NOT_X1], n=1)),
         StructureError, "nodes [1] are not reachable from the root"),
     "not-decomposable": (
         lambda: build_graph([("and", [1, 2]), ("leaf", 1), ("leaf", 2)], [X1, NOT_X1], n=1)

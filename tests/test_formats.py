@@ -11,6 +11,7 @@ from bdmc.formats import emit_dimacs, parse_bdmc, parse_dimacs, serialize_bdmc
 from bdmc.transform import level, smooth
 
 from conftest import g1
+from oracles import assert_assembled
 
 G1_TEXT = """\
 # running example
@@ -269,6 +270,14 @@ def test_parse_dimacs_clause_stream():
     assert parse_dimacs(text) == (3, [(1, -2, 3), (-1,), (2, -3), ()])
 
 
+def test_leaf_blocks_in_any_order():
+    # leaves are kept by index, as assemble_graph keeps them
+    head, leaf1, leaf2 = G1_TEXT.split("leaf ")
+    swapped = parse_bdmc(head + "leaf " + leaf2 + "leaf " + leaf1)
+    assert_assembled(swapped)
+    assert swapped == parse_bdmc(G1_TEXT)
+
+
 def test_serialize_is_deterministic(corpus):
     for g in corpus[:10]:
         assert serialize_bdmc(g) == serialize_bdmc(g)
@@ -277,7 +286,8 @@ def test_serialize_is_deterministic(corpus):
 
 
 def test_parser_mutations_raise_only_package_errors(corpus):
-    # byte-level fuzz: any mutation must parse or fail with a BdmcError
+    # byte-level fuzz: any mutation must parse or fail with a BdmcError, and
+    # a graph it parses is the one assemble_graph builds from its parts
     import random
     from bdmc.errors import BdmcError
 
@@ -296,9 +306,10 @@ def test_parser_mutations_raise_only_package_errors(corpus):
             else:
                 chars.insert(pos, rng.choice(alphabet))
         try:
-            parse_bdmc("".join(chars))
+            graph = parse_bdmc("".join(chars))
         except BdmcError:
-            pass
+            continue
+        assert_assembled(graph)
 
 
 def _sentence(inputs="x1 x2", nodes="L 1", root="root 0", leaf="leaf 1 inputs x1 x2 aux clauses 1"):
@@ -350,6 +361,10 @@ def _sentence(inputs="x1 x2", nodes="L 1", root="root 0", leaf="leaf 1 inputs x1
                  "leaf 1 has two 'leaf' blocks (line 10)", id="leaf-block-twice"),
     pytest.param(lambda: parse_bdmc(G1_TEXT.replace("O 2 1 2", "O 1 1").replace("L 2", "O 1 1")),
                  "leaf 2 has no node (line 10)", id="leaf-block-without-node"),
+    pytest.param(lambda: parse_bdmc(_sentence(leaf="leaf 1 inputs x1 x2 aux clauses 1 class bogus")),
+                 "unknown leaf class 'bogus' (line 5)", id="unknown-leaf-class"),
+    pytest.param(lambda: parse_bdmc(_sentence().replace("x1 x2 0", "x1 -x1 0")),
+                 "tautological clause: contains both 1 and -1 (line 6)", id="tautological-clause"),
     pytest.param(lambda: parse_dimacs("p cnf 2 1\n1 2_0 0\n"),
                  "expected an integer: '2_0' is not an ASCII decimal integer (line 2)",
                  id="dimacs-underscore-in-literal"),

@@ -29,7 +29,7 @@ COVERED = ("urc", "urc-seq", "pc")
 def longest_depths(g):
     depth = [-1] * g.num_nodes
     depth[g.root] = 0
-    for nid in g.analysis.topo_order():
+    for nid in g.analysis.order:
         for ch in g.nodes[nid].children:
             depth[ch] = max(depth[ch], depth[nid] + 1)
     return depth

@@ -17,11 +17,12 @@ from bdmc.core import build_graph, enumerate_models, leaf_spec  # noqa: E402
 from bdmc.cli import main  # noqa: E402
 from bdmc.errors import ParseError  # noqa: E402
 from bdmc.formats import parse_bdmc, parse_dimacs, serialize_bdmc  # noqa: E402
-from bdmc.transform import is_layered, level, separator_cover  # noqa: E402
+from bdmc.transform import is_layered, level, separator_cover, smooth  # noqa: E402
 
 from conftest import TARGETS, g1  # noqa: E402
 from oracles import (  # noqa: E402
-    check_separator_cover, non_canonical_clause, ref_merged, ref_separator_layers)
+    assert_assembled, check_separator_cover, non_canonical_clause, ref_merged,
+    ref_separator_layers)
 from test_level_reference import assert_substitution_matches  # noqa: E402
 
 BASE_DIMACS = emit_dimacs(compile_graph(g1(), "pc"))[0]
@@ -288,6 +289,8 @@ def test_level_on_random_or_dags(g):
     assert check_separator_cover(gl, ref_separator_layers(gl)).ok
     assert separator_cover(gl).merged == ref_merged(gl)
     assert_substitution_matches(g)
+    for rewritten in (smooth(g), gl, level(smooth(g))):
+        assert_assembled(rewritten)
 
 
 G1_CC = compile_graph(g1(), "cc")
@@ -348,6 +351,8 @@ def test_compiled_groups_are_canonical(data):
         g = data.draw(GRAPHS)
     except BdmcError:
         assume(False)
+    for rewritten in (smooth(g), level(g), level(smooth(g))):
+        assert_assembled(rewritten)
     for target in TARGETS:
         out = compile_graph(g, target, auto_smooth=True, auto_level=True)
         assert non_canonical_clause(out) is None, target

@@ -7,8 +7,9 @@ from bdmc.errors import PreconditionError
 from bdmc.propcheck import gen_random
 from bdmc.transform import is_layered, level, separator_cover, smooth
 
-from conftest import g1
-from oracles import check_separator_cover, holders, ref_merged, ref_separator_layers
+from conftest import g1, parity_dnnf
+from oracles import (
+    assert_assembled, check_separator_cover, holders, ref_merged, ref_separator_layers)
 
 
 def or_of_unbalanced():
@@ -96,6 +97,15 @@ def test_transforms_preserve_models():
         gl = level(gs)
         assert enumerate_models(gs) == want
         assert enumerate_models(gl) == want
+
+
+def test_rewrites_build_what_assemble_graph_builds(corpus):
+    # smooth and level append to a checked graph without assemble_graph
+    graphs = list(corpus) + [parity_dnnf(20)]
+    assert any(smooth(g) is not g for g in graphs) and any(level(g) is not g for g in graphs)
+    for g in graphs:
+        for rewritten in (smooth(g), level(g), level(smooth(g))):
+            assert_assembled(rewritten)
 
 
 def test_separator_cover_g1():

@@ -5,7 +5,6 @@ from .core import (
     BdmcGraph,
     LeafEncoding,
     Node,
-    ValidationReport,
     build_graph,
     compute_scopes,
     enumerate_models,

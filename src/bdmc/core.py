@@ -8,11 +8,13 @@ evaluation used as the oracle by every checker.  A node's scope var(v) is
 one int mask, bit i set for input i; bit_positions lists its variables.
 
 All structure comes from one pass, analyze(), whose GraphAnalysis
-(topological order, layer spans, scope masks, validation report) is memoised
+(topological order, layer spans, scope masks, smoothness witness) is memoised
 as BdmcGraph.analysis: a graph version is immutable and every rewrite returns
 a new one, so each version is analysed at most once.  validate,
-compute_scopes and topo_order are views of it.  analyze() refuses a cycle
-or a node the root does not reach, so every analysed graph is a rooted DAG.
+compute_scopes and topo_order are views of it.  analyze() refuses a cycle,
+a node the root does not reach, an input in no leaf and an and-node whose
+children share a variable, so every analysed graph is a valid BDMC; only
+smoothness, which compile can repair, may be missing.
 assemble_graph checks the parts build_graph is given; the parser checks the
 same facts line by line and the rewrites only add to a checked graph, so
 both build BdmcGraph directly.
@@ -138,9 +140,10 @@ def infer_claimed_class(input_vars, aux_vars, clauses) -> str:
 
 
 def make_leaf(index, input_vars, aux_vars, clauses, claimed=None, aux_names=()) -> LeafEncoding:
-    """The one leaf constructor of build_graph and parse_bdmc: the clauses
-    are made canonical (make_clause, then duplicates dropped) before the
-    claimed class, when not given, is inferred from them."""
+    """The leaf constructor of build_graph: the clauses are made canonical
+    (make_clause, then duplicates dropped) before the claimed class, when
+    not given, is inferred from them.  parse_bdmc does the same line by
+    line."""
     clauses = tuple(dict.fromkeys(make_clause(c) for c in clauses))
     claimed = claimed or infer_claimed_class(input_vars, aux_vars, clauses)
     return LeafEncoding(index, tuple(input_vars), tuple(aux_vars), clauses, claimed,
@@ -305,26 +308,6 @@ def build_graph(nodes, leaves, n=None, input_names=None, root=0) -> BdmcGraph:
 # structural validation
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """What a rooted DAG may lack of a valid sentence: decomposability,
-    smoothness and var(root) covering the declared inputs, each with its
-    witness.  analyze() refuses a cycle or an unreached node outright."""
-
-    decomposable: bool
-    smooth: bool
-    covers_inputs: bool
-    decomp_witness: Optional[tuple[int, int]] = None  # (and-node, shared input var)
-    smooth_witness: Optional[tuple[int, int, frozenset[int]]] = None  # (or-node, child, missing)
-    missing_inputs: tuple[int, ...] = ()
-
-    @property
-    def is_valid_bdmc(self) -> bool:
-        """Covering the inputs and decomposable: what every operation relies
-        on (GraphAnalysis.require_valid)."""
-        return self.covers_inputs and self.decomposable
-
-
 def _find_cycle(graph: BdmcGraph) -> tuple[int, ...]:
     color = [0] * graph.num_nodes  # 0 white, 1 on stack, 2 done
     for start in range(graph.num_nodes):
@@ -365,7 +348,8 @@ def bit_positions(mask: int) -> list[int]:
 
 @dataclass(frozen=True)
 class GraphAnalysis:
-    """The structure of one graph version, a rooted DAG, computed once by
+    """The structure of one graph version, a valid BDMC (a decomposable
+    rooted DAG whose root scope holds every input), computed once by
     analyze().
 
     ``order`` is the deterministic topological order (parents first) of the
@@ -375,33 +359,25 @@ class GraphAnalysis:
     other node where it starts.  ``layered`` holds when every child of
     every multi-child node starts one layer below it; then the layers of
     every root-to-leaf path tile 0..L.  ``masks`` holds var(v) per node,
-    bit i set for input i.  Read it as ``graph.analysis``, which computes
-    it once per graph version.
+    bit i set for input i.  ``smooth_witness`` is the first or-node, its
+    first child missing part of its scope and that part, or None when the
+    graph is smooth: the one property compile may repair.  Read it as
+    ``graph.analysis``, which computes it once per graph version.
     """
 
-    report: ValidationReport
     order: tuple[int, ...]
     starts: tuple[int, ...]
     ends: tuple[int, ...]
     layered: bool
     masks: tuple[int, ...]
-
-    def require_valid(self) -> "GraphAnalysis":
-        report = self.report
-        if not report.covers_inputs:
-            raise StructureError(
-                f"input variables {list(report.missing_inputs)} appear in no leaf (var(root) != x)"
-            )
-        if not report.decomposable:
-            raise StructureError(
-                f"graph is not decomposable; witness (node, var) = {report.decomp_witness}"
-            )
-        return self
+    smooth_witness: Optional[tuple[int, int, frozenset[int]]]
 
 
 def analyze(graph: BdmcGraph) -> GraphAnalysis:
-    """Every structural fact of a graph version from one pass; a cycle, or
-    else a node the root does not reach, raises StructureError.
+    """Every structural fact of a graph version from one pass.  It raises
+    StructureError, in this order, on a cycle, on a node the root does not
+    reach, on inputs missing from var(root), and on an and-node whose
+    children share a variable.
 
     A reachability sweep from the root counts in-degrees; one heap-ordered
     Kahn sweep then gives the topological order and the longest-path depths,
@@ -409,12 +385,13 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
     exactly when there is a cycle or an unreached node; _find_cycle, over
     all nodes, then names the cycle if there is one.  Scope masks come from
     one bottom-up sweep (a leaf ORs its inputs' bits, an inner node its
-    children's masks), the validation report from one sweep over the
-    nodes.  The report compares bit counts: a multi-child and-node is
-    decomposable iff its children's counts sum to its own, a multi-child
-    or-node is smooth iff no child's count is below its own.  The
-    decomposability witness is the first child, in child order, sharing a
-    variable with an earlier child, and the least such variable.
+    children's masks), the last two checks and the smoothness witness from
+    one sweep over the nodes, which compares bit counts: a multi-child
+    and-node is decomposable iff its children's counts sum to its own, a
+    multi-child or-node is smooth iff no child's count is below its own.
+    The decomposability witness names the first failing and-node and, for
+    its first child (in child order) sharing a variable with an earlier
+    child, the least such variable.
     """
     nodes, n, root = graph.nodes, graph.num_nodes, graph.root
     indeg = [0] * n
@@ -470,36 +447,37 @@ def analyze(graph: BdmcGraph) -> GraphAnalysis:
             for ch in nd.children:
                 m |= masks[ch]
         masks[nid] = m
+    all_inputs = (1 << graph.num_inputs + 1) - 2  # bits 1..n
+    missing = all_inputs & ~masks[root]
+    if missing:
+        raise StructureError(
+            f"input variables {bit_positions(missing)} appear in no leaf (var(root) != x)")
     size = list(map(int.bit_count, masks))
-    decomp_witness = smooth_witness = None
+    smooth_witness = None
     for nid, nd in enumerate(nodes):
         kids = nd.children
         if len(kids) < 2:  # one child: var(v) = var(child)
             continue
         if nd.kind == "and":
-            if decomp_witness is None and sum([size[ch] for ch in kids]) != size[nid]:
-                decomp_witness = _shared_var(nid, kids, masks)
+            if sum([size[ch] for ch in kids]) != size[nid]:
+                raise StructureError("graph is not decomposable; witness (node, var) ="
+                                     f" {(nid, _shared_var(kids, masks))}")
         elif smooth_witness is None and min([size[ch] for ch in kids]) < size[nid]:
             ch = next(ch for ch in kids if size[ch] < size[nid])
             smooth_witness = (nid, ch, frozenset(bit_positions(masks[nid] & ~masks[ch])))
-    all_inputs = (1 << graph.num_inputs + 1) - 2  # bits 1..n
-    missing = tuple(bit_positions(all_inputs & ~masks[root]))
-    report = ValidationReport(decomp_witness is None, smooth_witness is None, not missing,
-                              decomp_witness, smooth_witness, missing)
-    return GraphAnalysis(report, tuple(order), tuple(start), tuple(end), layered, tuple(masks))
+    return GraphAnalysis(tuple(order), tuple(start), tuple(end), layered, tuple(masks),
+                         smooth_witness)
 
 
-def _shared_var(nid: int, kids: tuple[int, ...], masks) -> Optional[tuple[int, int]]:
-    """(nid, v) for the first child, in child order, that shares a variable
-    with an earlier child of the and-node, and v the least such variable:
-    the decomposability witness."""
+def _shared_var(kids: tuple[int, ...], masks) -> int:
+    """The least variable the first child, in child order, shares with an
+    earlier child of an and-node whose children share one."""
     taken = 0
     for ch in kids:
         common = taken & masks[ch]
         if common:
-            return nid, (common & -common).bit_length() - 1
+            return (common & -common).bit_length() - 1
         taken |= masks[ch]
-    return None
 
 
 def topo_order(graph: BdmcGraph) -> list[int]:
@@ -512,13 +490,11 @@ def compute_scopes(graph: BdmcGraph) -> tuple[int, ...]:
     return graph.analysis.masks
 
 
-def validate(graph: BdmcGraph) -> ValidationReport:
-    """Structural report of a rooted DAG: decomposability, smoothness and
-    var(root) covering the declared inputs.  A cycle or an unreached node
-    raises StructureError (analyze); assemble_graph already refuses aux
-    variables shared between leaves."""
-    return graph.analysis.report
-
+def validate(graph: BdmcGraph) -> GraphAnalysis:
+    """The analysis of a valid BDMC, whose smooth_witness tells whether it
+    is smooth; every other structural fault raises StructureError (analyze).
+    assemble_graph already refuses aux variables shared between leaves."""
+    return graph.analysis
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +546,7 @@ def _fold(graph: BdmcGraph, order: Sequence[int], leaf_value) -> int:
 def evaluate(graph: BdmcGraph, assignment: Assignment) -> bool:
     """f(a): each leaf contributes "phi_i is satisfiable under a", combined
     through the monotone circuit."""
-    order = graph.analysis.require_valid().order
+    order = graph.analysis.order
     mask = _input_mask(graph, assignment)
     return _fold(graph, order, lambda leaf: engine.brute_sat(
         _local_clauses(leaf), leaf.num_vars,
@@ -593,7 +569,7 @@ def enumerate_models(graph: BdmcGraph, budget: int = DEFAULT_EXHAUSTIVE_BUDGET) 
         raise BudgetExceededError(
             f"enumerate_models walks 2^{n} input assignments, over the budget of {budget}"
         )
-    order = graph.analysis.require_valid().order
+    order = graph.analysis.order
     w = min(n, CHUNK_BITS)
     full = (1 << (1 << w)) - 1
     low = [full // ((1 << (1 << b)) + 1) << (1 << b) for b in range(w)]  # the t with bit b set

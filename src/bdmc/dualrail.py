@@ -11,9 +11,10 @@ tuple of clauses.
 Both build every clause canonical (sorted by variable, no variable twice),
 so neither runs core.make_clause, the check for clauses from user input:
 - A DR body is one meta literal per literal of a leaf clause.  A canonical
-  leaf clause (core.make_leaf builds them) holds each variable once, and a
-  block gives each variable its own pair of ids, so the body has no repeated
-  variable and tuple(sorted(body, key=abs)) is canonical.
+  leaf clause (core.make_leaf and formats.parse_bdmc build them) holds each
+  variable once, and a block gives each variable its own pair of ids, so the
+  body has no repeated variable and tuple(sorted(body, key=abs)) is
+  canonical.
 - The variable clauses are written in ascending order: a variable's
   positive meta, its negative one, then [[bot]], the block's last id.
 """

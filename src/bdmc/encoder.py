@@ -101,7 +101,7 @@ class VarMap:
 
     def __init__(self, graph: BdmcGraph):
         self.space = MetaVarSpace.for_leaves(graph.leaves, graph.num_inputs + 1)
-        inner = [nid for nid in graph.analysis.require_valid().order
+        inner = [nid for nid in graph.analysis.order
                  if graph.nodes[nid].kind != "leaf"]
         first = self.space.next_id
         self.node_vars: dict[int, int] = dict(zip(inner, range(first, first + len(inner))))
@@ -264,7 +264,7 @@ def leaf_clauses(
                 out.append((v, ids[-v]))
         return out
     if which == "E3":
-        if not graph.analysis.report.smooth:
+        if graph.analysis.smooth_witness is not None:
             raise PreconditionError("E3 clauses require a smooth graph")
         # pos[v] and neg[v] collect -[[v]]^i and -[[-v]]^i leaf by leaf
         pos: list[list[int]] = [[] for _ in range(graph.num_inputs + 1)]
@@ -325,7 +325,7 @@ def compile_graph(
     target = spec.name
     if lean_cc and target != "cc":
         raise InputError("--lean-cc only applies to the cc target")
-    report = graph.analysis.require_valid().report
+    witness = graph.analysis.smooth_witness
     for leaf in graph.leaves:
         if spec.leaf_class not in CLASS_SATISFIES[leaf.claimed_class]:
             raise PreconditionError(
@@ -338,11 +338,11 @@ def compile_graph(
                 f"leaf {leaf.index} contains the empty clause; the dual-rail groups"
                 " are only defined for satisfiable-shaped leaf formulas"
             )
-    if spec.needs_smooth and not report.smooth:
+    if spec.needs_smooth and witness is not None:
         if not auto_smooth:
             raise PreconditionError(
                 f"target {target} assumes {spec.assumption}, but the graph is"
-                f" not smooth (witness or-node/child/missing: {report.smooth_witness});"
+                f" not smooth (witness or-node/child/missing: {witness});"
                 " pass auto_smooth or run smooth() first"
             )
         graph = smooth(graph)

@@ -16,9 +16,10 @@ cc).  Auxiliary names may repeat across leaf blocks; they are renamed apart
 internally.
 
 parse_bdmc refuses each malformed line with a ParseError naming it, and
-builds the graph from its checked parts without core.assemble_graph.  A
-cycle or a node the root does not reach is refused when the graph is first
-analysed (core.analyze).
+builds the graph from its checked parts without core.assemble_graph or
+core.make_leaf.  A cycle, a node the root does not reach, an input in no
+leaf or an and-node whose children share a variable is refused when the
+graph is first analysed (core.analyze).
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import re
 from collections import Counter
 from typing import TYPE_CHECKING
 
-from .core import LEAF_CLASSES, BdmcGraph, LeafEncoding, Node, make_clause, make_leaf
+from .core import (LEAF_CLASSES, BdmcGraph, Clause, LeafEncoding, Node, infer_claimed_class,
+                   make_clause)
 from .errors import InputError, ParseError
 
 if TYPE_CHECKING:
@@ -104,10 +106,11 @@ def parse_bdmc(text: str) -> BdmcGraph:
     """Parse a BDMC document into a graph whose ids, leaf<->node bijection,
     edges and variables are checked, each on its line."""
     lines = _Lines(text)
-    lno, toks = lines.next("header line 'bdmc ...'")
+    header, toks = lines.next("header line 'bdmc ...'")
     if toks[0] != "bdmc" or len(toks) != 5:
-        raise ParseError("expected header 'bdmc <nodes> <edges> <leaves> <inputVars>'", line=lno)
-    n_nodes, n_edges, n_leaves, n_inputs = (_count(t, lno, "a count") for t in toks[1:])
+        raise ParseError("expected header 'bdmc <nodes> <edges> <leaves> <inputVars>'",
+                         line=header)
+    n_nodes, n_edges, n_leaves, n_inputs = (_count(t, header, "a count") for t in toks[1:])
     lno, toks = lines.next("'inputs' line")
     if toks[0] != "inputs":
         raise ParseError("expected 'inputs' line", line=lno)
@@ -125,7 +128,7 @@ def parse_bdmc(text: str) -> BdmcGraph:
     input_id = {name: i + 1 for i, name in enumerate(input_names)}
 
     if n_nodes == 0:
-        raise ParseError("no nodes: sentence has no root")
+        raise ParseError("no nodes: sentence has no root", line=header)
     nodes: list[Node] = []
     edge_count = 0
     attached: set[int] = set()
@@ -156,7 +159,8 @@ def parse_bdmc(text: str) -> BdmcGraph:
         else:
             raise ParseError(f"unknown node kind {kind!r}", line=lno, column=1)
     if edge_count != n_edges:
-        raise ParseError(f"header declares {n_edges} edges, nodes list {edge_count}")
+        raise ParseError(f"header declares {n_edges} edges, nodes list {edge_count}",
+                         line=header)
 
     lno, toks = lines.next("'root' line")
     if toks[0] != "root" or len(toks) != 2:
@@ -209,7 +213,7 @@ def parse_bdmc(text: str) -> BdmcGraph:
         aux_ids = tuple(range(next_aux, next_aux + len(aux_names)))
         next_aux += len(aux_names)
         local = dict(zip(aux_names, aux_ids))
-        clauses = []
+        clauses: dict[Clause, None] = {}  # canonical, each once, in first-seen order
         for _c in range(m):
             clno, ctoks = lines.next(f"clause {_c + 1} of leaf {index}")
             if not ctoks or ctoks[-1] != "0":
@@ -231,13 +235,18 @@ def parse_bdmc(text: str) -> BdmcGraph:
                     raise ParseError(f"unknown variable {name!r} in clause", line=clno, column=col)
                 lits.append(-var if neg else var)
             try:
-                clauses.append(make_clause(lits))
+                clauses.setdefault(make_clause(lits))
             except InputError as exc:
                 raise ParseError(str(exc), line=clno) from None
         if claimed and claimed not in LEAF_CLASSES:  # a bad clause line is reported first
             raise ParseError(f"unknown leaf class {claimed!r}", line=lno)
+        if not in_names and clauses and all(clauses):
+            raise ParseError(
+                f"leaf {index}: empty input set is only allowed for constant leaves", line=lno)
         in_ids = tuple(sorted(input_id[name] for name in in_names))
-        leaves.append(make_leaf(index, in_ids, aux_ids, clauses, claimed, aux_names))
+        cnf = tuple(clauses)
+        claimed = claimed or infer_claimed_class(in_ids, aux_ids, cnf)
+        leaves.append(LeafEncoding(index, in_ids, aux_ids, cnf, claimed, tuple(aux_names)))
     if not lines.done:
         lno, toks = lines.next("")
         raise ParseError(f"unexpected trailing content {' '.join(toks)!r}", line=lno)

@@ -48,7 +48,7 @@ from .core import (CLASS_PC, CLASS_SATISFIES, CLASS_STRENGTH, CLASS_URC, DEFAULT
                    BdmcGraph, LeafEncoding, build_graph, leaf_spec)
 from .engine import (PropEngine, all_scope_models, check_partial_assignment, code, decode, model_under,
                      scope_search)
-from .errors import BdmcError, BudgetExceededError, InputError
+from .errors import BdmcError, BudgetExceededError, InputError, StructureError
 
 DEFAULT_SAMPLES = 100_000
 STYLES = ("urc", "pc")
@@ -106,14 +106,17 @@ def check_encoding(
     oracle: BdmcGraph,
     budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
 ) -> EncodingCheck:
-    """Compare the CNF's models projected onto input_vars with the circuit's
-    models.  Both are sets of input bitmasks, bit i giving the value of
-    input_vars[i] in the CNF and of input i+1 in the circuit; the witness is
+    """Compare the CNF's models projected onto input_vars, one distinct CNF
+    variable per circuit input, with the circuit's models.  Both are sets of
+    input bitmasks, bit i giving the value of input_vars[i] in the CNF and
+    of input i+1 in the circuit; the witness is
     the least mask on which they differ.  The circuit's side is
     core.enumerate_models, which raises BudgetExceededError before any work
     when its 2^k assignments exceed the budget."""
     if len(input_vars) != oracle.num_inputs:
         raise InputError("input_vars must match the oracle's input count")
+    if len(set(input_vars)) != len(input_vars):
+        raise InputError("input_vars lists a variable twice")
     want = core.enumerate_models(oracle, budget)
     top = max(_mentioned(clauses, nvars, input_vars) | set(input_vars), default=0)
     got = set(all_scope_models(clauses, top, input_vars))
@@ -687,11 +690,12 @@ def gen_random(
         graph = _random_graph(rng, n, max_depth, leaf_class, verdicts)
         if graph is None:
             continue
-        if not graph.analysis.report.is_valid_bdmc:
+        try:
+            size = _post_transform_vars(graph)
+        except StructureError:  # analyze refuses a draw that is not a valid BDMC
             continue
-        if _post_transform_vars(graph) > max_encoding_vars:
-            continue
-        return graph
+        if size <= max_encoding_vars:
+            return graph
     raise BdmcError(
         f"generator could not produce a graph for n={n}, depth={max_depth},"
         f" class={leaf_class}, seed={seed} within the size budget"

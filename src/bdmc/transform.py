@@ -13,10 +13,11 @@ grows with the graph's edges and its separators' entries, not with layers
 times inputs: a variable is visited only at the layers where its separator
 changes.
 
-Every operation reads validity, scope masks and layer spans from
-graph.analysis, the memoised core.GraphAnalysis of its graph version.  A
-rewrite only appends to a checked graph and returns the new version by
-dataclasses.replace; its analysis runs when something first reads it.
+Every operation reads scope masks and layer spans from graph.analysis, the
+memoised core.GraphAnalysis of its graph version, which refuses a graph that
+is not a valid BDMC.  A rewrite only appends to a checked graph and returns
+the new version by dataclasses.replace; its analysis runs when something
+first reads it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def smooth(graph: BdmcGraph) -> BdmcGraph:
     is a fresh constant-true leaf over M.  The represented function, validity
     and decomposability are preserved.
     """
-    masks = graph.analysis.require_valid().masks
+    masks = graph.analysis.masks
     nodes = list(graph.nodes)
     leaves = list(graph.leaves)
     changed = False
@@ -76,7 +77,7 @@ def level(graph: BdmcGraph) -> BdmcGraph:
     child.  The function, smoothness and decomposability are preserved;
     each inserted node later contributes one N1 and one N3 clause.
     """
-    starts = graph.analysis.require_valid().starts
+    starts = graph.analysis.starts
     nodes = list(graph.nodes)
     for nid, nd in enumerate(graph.nodes):
         if len(nd.children) < 2:
@@ -164,7 +165,7 @@ def separator_cover(graph: BdmcGraph) -> SeparatorCover:
     one node per layer, so a node spanning d1 and d3 > d1 spans every layer
     between and is the only node of its paths there.
     """
-    a = graph.analysis.require_valid()
+    a = graph.analysis
     if not a.layered:
         raise PreconditionError(
             f"graph is not layered: {_layer_witness(graph)}; run level() first")

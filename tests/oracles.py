@@ -23,7 +23,8 @@ from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from bdmc.core import (
-    Assignment, BdmcGraph, Clause, LeafEncoding, _input_mask, assemble_graph, make_clause)
+    Assignment, BdmcGraph, Clause, LeafEncoding, _input_mask, assemble_graph, make_clause,
+    validate)
 from bdmc.dualrail import MetaVarSpace
 from bdmc.engine import PropEngine, check_partial_assignment, code, decode
 from bdmc.errors import BudgetExceededError, PreconditionError
@@ -42,7 +43,7 @@ def minimal_subtrees(graph: BdmcGraph, cap: int = DEFAULT_SUBTREE_CAP) -> list[f
     here because decomposability forbids two and-branches from sharing any
     node with a nonempty variable scope.
     """
-    graph.analysis.require_valid()
+    validate(graph)  # refuses a graph that is not a valid BDMC
     memo: dict[int, list[frozenset[int]]] = {}
 
     def rec(nid: int) -> list[frozenset[int]]:

@@ -9,7 +9,6 @@ import pytest
 from bdmc import compile_graph
 from bdmc import core
 from bdmc.core import (
-    ValidationReport,
     analyze,
     bit_positions,
     build_graph,
@@ -113,37 +112,40 @@ def scope_facts(g):
 
 def ref_refusal(g):
     """The message analyze() refuses g with: a cycle first, then the nodes
-    the root does not reach; None for a rooted DAG."""
+    the root does not reach, the inputs in no leaf, and the first and-node
+    whose children share a variable; None for a valid BDMC."""
     cycle = ref_cycle(g)
     if cycle:
         return f"cycle detected through nodes {list(cycle)}"
     unreachable = sorted(set(range(g.num_nodes)) - ref_reachable(g))
     if unreachable:
         return f"nodes {unreachable} are not reachable from the root"
-    return None
-
-
-def ref_validate(g):
     var_sets = ref_scopes(g)[0]
-    decomp = smooth_w = None
+    missing = sorted(set(g.input_vars) - var_sets[g.root])
+    if missing:
+        return f"input variables {missing} appear in no leaf (var(root) != x)"
     for nid, nd in enumerate(g.nodes):
         if nd.kind == "and":
             taken = {}
             for ch in nd.children:
                 for v in sorted(var_sets[ch]):
                     if v in taken and taken[v] != ch:
-                        decomp = decomp or (nid, v)
+                        return f"graph is not decomposable; witness (node, var) = {(nid, v)}"
                     taken.setdefault(v, ch)
+    return None
+
+
+def ref_smooth_witness(g):
+    """The first or-node, its first child missing part of its scope, and
+    that part; None for a smooth graph."""
+    var_sets = ref_scopes(g)[0]
     for nid, nd in enumerate(g.nodes):
         if nd.kind == "or":
             for ch in nd.children:
                 gap = var_sets[nid] - var_sets[ch]
                 if gap:
-                    smooth_w = smooth_w or (nid, ch, frozenset(gap))
-    missing = tuple(sorted(set(g.input_vars) - var_sets[g.root]))
-    return ValidationReport(decomposable=decomp is None, smooth=smooth_w is None,
-                            covers_inputs=not missing, decomp_witness=decomp,
-                            smooth_witness=smooth_w, missing_inputs=missing)
+                    return nid, ch, frozenset(gap)
+    return None
 
 
 def ref_depths(g):
@@ -223,13 +225,16 @@ ODD_GRAPHS = {
 }
 
 
-# the message analyze() refuses each cyclic or unrooted odd graph with
+# the message analyze() refuses each odd graph that is not a valid BDMC with
 REFUSALS = {
     "cycle": "cycle detected through nodes [1, 2, 1]",
     "cycle_through_root": "cycle detected through nodes [0, 1, 0]",
     "unreachable": "nodes [2, 3] are not reachable from the root",
     "cycle_among_unreachable": "cycle detected through nodes [2, 3, 2]",
     "unreached_not_decomposable": "nodes [3, 4] are not reachable from the root",
+    "not_decomposable": "graph is not decomposable; witness (node, var) = (0, 1)",
+    "missing_input": "input variables [2] appear in no leaf (var(root) != x)",
+    "later_and_shares_two_vars": "graph is not decomposable; witness (node, var) = (4, 1)",
 }
 
 # analyze and every view of it
@@ -245,12 +250,12 @@ def assert_agrees(g):
             assert type(refused.value) is StructureError and str(refused.value) == refusal
         return
     a = analyze(g)
-    assert a.report == ref_validate(g) == validate(g)
+    assert validate(g) == a and a.smooth_witness == ref_smooth_witness(g)
     assert topo_order(g) == list(a.order) == ref_topo_order(g)
     assert scope_facts(g) == ref_scopes(g)
     assert a.masks == tuple(sum(1 << x for x in vs) for vs in ref_scopes(g)[0])
     assert (list(a.starts), list(a.ends), a.layered) == ref_spans(g)
-    if a.layered and a.report.is_valid_bdmc:
+    if a.layered:
         assert separator_cover(g).merged == ref_merged(g)
 
 
@@ -261,25 +266,26 @@ def test_analyze_agrees_on_odd_graphs(name):
 
 
 def test_analyze_witnesses_on_odd_graphs():
-    assert analyze(ODD_GRAPHS["not_decomposable"]).report.decomp_witness == (0, 1)
+    # the decomposability witnesses are pinned by the refusal texts (REFUSALS)
     assert not analyze(ODD_GRAPHS["skip_edge"]).layered
-    assert analyze(ODD_GRAPHS["not_smooth_not_leveled"]).report.smooth_witness == (
+    assert analyze(ODD_GRAPHS["not_smooth_not_leveled"]).smooth_witness == (
         0, 1, frozenset({2}))
-    rep = analyze(ODD_GRAPHS["later_and_shares_two_vars"]).report
-    assert rep.decomp_witness == (4, 1) and rep.smooth
-    rep = analyze(ODD_GRAPHS["or_second_child_misses"]).report
-    assert rep.decomposable and rep.smooth_witness == (0, 2, frozenset({2}))
+    assert analyze(ODD_GRAPHS["or_second_child_misses"]).smooth_witness == (
+        0, 2, frozenset({2}))
 
 
 def test_decomp_witness_is_the_least_shared_variable():
-    # and-node 0's children both hold x1 and x9; iterating frozenset({1, 9})
-    # meets 9 first, the witness names the least shared variable
+    # and-node 0's first two children both hold x1 and x9; iterating
+    # frozenset({1, 9}) meets 9 first, the witness names the least shared
+    # variable (leaf 4 holds the other inputs, so none is missing)
     g = build_graph(
-        nodes=[("and", [1, 2]), ("leaf", 1), ("and", [3, 4]), ("leaf", 2), ("leaf", 3)],
+        nodes=[("and", [1, 2, 5]), ("leaf", 1), ("and", [3, 4]), ("leaf", 2), ("leaf", 3),
+               ("leaf", 4)],
         leaves=[leaf_spec(inputs=[1, 9], clauses=[[1, 2]], cls="pc"),
-                leaf_spec(inputs=[9], clauses=[[1]], cls="pc"), LIT],
+                leaf_spec(inputs=[9], clauses=[[1]], cls="pc"), LIT,
+                leaf_spec(inputs=range(2, 9), clauses=[[1]], cls="pc")],
         n=9)
-    assert analyze(g).report.decomp_witness == (0, 1)
+    assert ref_refusal(g) == "graph is not decomposable; witness (node, var) = (0, 1)"
     assert_agrees(g)
 
 
@@ -308,7 +314,7 @@ def test_analyze_agrees_on_corpus(corpus):
 def test_smooth_pads_the_reference_gap(corpus):
     """Each pad leaf smooth() adds covers var(v) - var(ch) of the or-edge it
     sits on, by the reference scopes of the unsmoothed graph."""
-    graphs = [g for g in corpus if not validate(g).smooth]
+    graphs = [g for g in corpus if validate(g).smooth_witness is not None]
     assert graphs
     for g in graphs:
         var_sets = ref_scopes(g)[0]
@@ -357,7 +363,8 @@ def test_compile_analyses_each_version_once(analyses):
 
 def test_compile_analyses_smoothed_and_leveled_versions_once(corpus, analyses):
     # a fresh copy: the session's corpus graphs already hold their analysis
-    g = parse_bdmc(serialize_bdmc(next(g for g in corpus if not validate(g).smooth)))
+    g = parse_bdmc(serialize_bdmc(next(g for g in corpus
+                                       if validate(g).smooth_witness is not None)))
     analyses.clear()
     out = compile_graph(g, "urc", auto_smooth=True, auto_level=True)
     assert len(analyses) == 3 and len({id(x) for x in analyses}) == 3

@@ -369,7 +369,7 @@ def test_smooth_and_level_commands(tmp_path, capsys):
     assert main(["smooth", str(path), "-o", str(out)]) == 0
     from bdmc.core import validate
     from bdmc.formats import parse_bdmc
-    assert validate(parse_bdmc(out.read_text())).smooth
+    assert validate(parse_bdmc(out.read_text())).smooth_witness is None
     leveled = tmp_path / "l.bdmc"
     assert main(["level", str(out), "-o", str(leveled)]) == 0
     from bdmc.transform import is_layered
@@ -396,7 +396,7 @@ def test_gen_command(tmp_path, capsys):
     from bdmc.formats import parse_bdmc
     from bdmc.core import validate
     for f in d.iterdir():
-        assert validate(parse_bdmc(f.read_text())).is_valid_bdmc
+        validate(parse_bdmc(f.read_text()))  # refuses a graph that is not a valid BDMC
 
 
 def test_certify_leaf_command(tmp_path, capsys):
@@ -443,7 +443,8 @@ def test_verify_judges_the_sentence_as_written(tmp_path, monkeypatch, capsys):
     path.write_text(NONSMOOTH_TEXT)
     wrong = parse_bdmc("bdmc 1 0 1 2\ninputs x1 x2\nL 1\nroot 0\n"
                        "leaf 1 inputs x1 x2 aux clauses 2 class pc\nx1 0\nx2 0\n")
-    assert wrong.analysis.report.smooth and not parse_bdmc(NONSMOOTH_TEXT).analysis.report.smooth
+    assert wrong.analysis.smooth_witness is None
+    assert parse_bdmc(NONSMOOTH_TEXT).analysis.smooth_witness is not None
     monkeypatch.setattr(encoder, "smooth", lambda graph: wrong)
     assert main(["verify", "--target", "pc", "--auto-smooth", "--auto-level", str(path)]) == 3
     verdict = json.loads(capsys.readouterr().out)
@@ -472,6 +473,26 @@ def test_cyclic_sentence_exits_1(tmp_path, capsys):
                  ["smooth"], ["level", "--with-smooth"]):
         assert main([*argv, str(path)]) == 1, argv
         assert "cycle detected through nodes [0, 3, 0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, assign, message", [
+    # and-node 0 over two leaves that both hold x1 and x2
+    pytest.param(G1_TEXT.replace("O 2 1 2", "A 2 1 2"), "x1=1,x2=0",
+                 "graph is not decomposable; witness (node, var) = (0, 1)", id="not-decomposable"),
+    # x3 is declared, but no leaf holds it
+    pytest.param(G1_TEXT.replace("bdmc 3 2 2 2", "bdmc 3 2 2 3").replace("x1 x2\nO", "x1 x2 x3\nO"),
+                 "x1=1,x2=0,x3=0", "input variables [3] appear in no leaf (var(root) != x)",
+                 id="input-in-no-leaf"),
+])
+def test_invalid_bdmc_sentence_exits_1(tmp_path, capsys, text, assign, message):
+    path = tmp_path / "invalid.bdmc"
+    path.write_text(text)
+    capsys.readouterr()
+    for argv in (["compile", "--target", "pc", "--auto-smooth", "--auto-level"],
+                 ["verify", "--target", "dc"], ["eval", "--assign", assign],
+                 ["smooth"], ["level", "--with-smooth"]):
+        assert main([*argv, str(path)]) == 1, argv
+        assert f"input error: {message}\n" in capsys.readouterr().err, argv
 
 
 def test_gen_compile_verify_pipeline(tmp_path, capsys):

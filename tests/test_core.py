@@ -52,10 +52,8 @@ def test_class_satisfies_derived_from_strength_table():
 def test_validate_single_leaf_all_flags():
     g = build_graph(nodes=[("leaf", 1)],
                     leaves=[leaf_spec(inputs=[1], clauses=[[1]])], n=1)
-    rep = validate(g)
-    assert rep.decomposable and rep.smooth
-    assert rep.covers_inputs
-    assert rep.is_valid_bdmc
+    # decomposable and covering its inputs, or validate would raise
+    assert validate(g).smooth_witness is None
 
 
 def test_validate_shared_variable_under_and():
@@ -65,9 +63,9 @@ def test_validate_shared_variable_under_and():
                 leaf_spec(inputs=[1], clauses=[[-1]])],
         n=1,
     )
-    rep = validate(g)
-    assert not rep.decomposable
-    assert rep.decomp_witness == (0, 1)
+    with pytest.raises(StructureError) as refused:
+        validate(g)
+    assert str(refused.value) == "graph is not decomposable; witness (node, var) = (0, 1)"
 
 
 def test_validate_smoothness_witness():
@@ -77,19 +75,16 @@ def test_validate_smoothness_witness():
                 leaf_spec(inputs=[1, 2], clauses=[[1, 2]])],
         n=2,
     )
-    rep = validate(g)
-    assert not rep.smooth
-    assert rep.smooth_witness == (0, 1, frozenset({2}))
+    assert validate(g).smooth_witness == (0, 1, frozenset({2}))
 
 
 def test_declared_but_unused_input_is_flagged():
     g = build_graph(nodes=[("leaf", 1)],
                     leaves=[leaf_spec(inputs=[1], clauses=[[1]])], n=2)
-    rep = validate(g)
-    assert not rep.covers_inputs
-    assert rep.missing_inputs == (2,)
-    with pytest.raises(StructureError):
-        evaluate(g, {1: True, 2: True})
+    for view in (validate, lambda g: evaluate(g, {1: True, 2: True})):
+        with pytest.raises(StructureError) as refused:
+            view(g)
+        assert str(refused.value) == "input variables [2] appear in no leaf (var(root) != x)"
 
 
 def test_empty_input_leaf_needs_constant():
@@ -152,11 +147,10 @@ REFUSALS = {
         lambda: build_graph([("leaf", 1)], [leaf_spec(inputs=[1], clauses=[[2]])], n=1),
         InputError, "leaf 1: clause literal 2 not declared"),
     "cycle": (
-        lambda: assemble_graph(CYCLE, 0, [make_leaf(1, (1,), (), [[1]])], ["x1"])
-        .analysis.require_valid(),
+        lambda: assemble_graph(CYCLE, 0, [make_leaf(1, (1,), (), [[1]])], ["x1"]).analysis,
         StructureError, "cycle detected through nodes [0, 1, 0]"),
     "unreachable": (
-        lambda: build_graph([("leaf", 1), ("or", [0])], [X1], n=1).analysis.require_valid(),
+        lambda: build_graph([("leaf", 1), ("or", [0])], [X1], n=1).analysis,
         StructureError, "nodes [1] are not reachable from the root"),
     "validate-cycle": (
         lambda: validate(assemble_graph(CYCLE, 0, [make_leaf(1, (1,), (), [[1]])], ["x1"])),
@@ -166,8 +160,15 @@ REFUSALS = {
         StructureError, "nodes [1] are not reachable from the root"),
     "not-decomposable": (
         lambda: build_graph([("and", [1, 2]), ("leaf", 1), ("leaf", 2)], [X1, NOT_X1], n=1)
-        .analysis.require_valid(),
+        .analysis,
         StructureError, "graph is not decomposable; witness (node, var) = (0, 1)"),
+    "missing-input": (lambda: build_graph([("leaf", 1)], [X1], n=2).analysis,
+                      StructureError, "input variables [2] appear in no leaf (var(root) != x)"),
+    # the missing inputs are refused before a shared variable
+    "missing-input-before-not-decomposable": (
+        lambda: build_graph([("and", [1, 2]), ("leaf", 1), ("leaf", 2)], [X1, NOT_X1], n=3)
+        .analysis,
+        StructureError, "input variables [2, 3] appear in no leaf (var(root) != x)"),
     "assignment-off-the-inputs": (lambda: evaluate(g1(), [1, -2, 3]),
                                   InputError, "assignment mentions 3, not an input variable (1..2)"),
 }
@@ -204,11 +205,11 @@ def test_scope_masks_hold_bit_v_for_input_v():
     g = build_graph(
         nodes=[("or", [1, 2]), ("leaf", 1), ("leaf", 2)],
         leaves=[leaf_spec(inputs=[3], clauses=[[1]]),
-                leaf_spec(inputs=[1, 3], clauses=[[1, 2]])],
+                leaf_spec(inputs=[1, 2, 3], clauses=[[1, 3]])],
         n=3,
     )
-    assert compute_scopes(g) == (0b1010, 0b1000, 0b1010)
-    assert validate(g).missing_inputs == (2,)
+    assert compute_scopes(g) == (0b1110, 0b1000, 0b1110)
+    assert validate(g).smooth_witness == (0, 1, frozenset({1, 2}))
 
 
 def test_bit_positions_on_dense_and_sparse_masks():

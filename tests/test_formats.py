@@ -121,6 +121,13 @@ def test_parse_errors():
     assert err.value.line == 6
 
 
+def test_constant_leaves_without_inputs_parse():
+    # constant true (no clause) and constant false (the empty clause)
+    for clauses, cls in (("clauses 0", "true"), ("clauses 1\n0", "pc")):
+        g = parse_bdmc(f"bdmc 1 0 1 0\ninputs\nL 1\nroot 0\nleaf 1 inputs aux {clauses}\n")
+        assert (g.leaves[0].input_vars, g.leaves[0].claimed_class) == ((), cls)
+
+
 def test_default_class_inference():
     text = ("bdmc 1 0 1 1\ninputs x1\nL 1\nroot 0\n"
             "leaf 1 inputs x1 aux clauses 1\nx1 0\n")
@@ -365,6 +372,14 @@ def _sentence(inputs="x1 x2", nodes="L 1", root="root 0", leaf="leaf 1 inputs x1
                  "unknown leaf class 'bogus' (line 5)", id="unknown-leaf-class"),
     pytest.param(lambda: parse_bdmc(_sentence().replace("x1 x2 0", "x1 -x1 0")),
                  "tautological clause: contains both 1 and -1 (line 6)", id="tautological-clause"),
+    pytest.param(lambda: parse_bdmc("bdmc 0 0 0 1\ninputs x1\n"),
+                 "no nodes: sentence has no root (line 1)", id="no-nodes"),
+    pytest.param(lambda: parse_bdmc(_sentence().replace("bdmc 1 0", "bdmc 1 5")),
+                 "header declares 5 edges, nodes list 0 (line 1)", id="edge-count"),
+    pytest.param(lambda: parse_bdmc(_sentence(leaf="leaf 1 inputs aux y clauses 1")
+                                    .replace("x1 x2 0", "y 0")),
+                 "leaf 1: empty input set is only allowed for constant leaves (line 5)",
+                 id="non-constant-leaf-without-inputs"),
     pytest.param(lambda: parse_dimacs("p cnf 2 1\n1 2_0 0\n"),
                  "expected an integer: '2_0' is not an ASCII decimal integer (line 2)",
                  id="dimacs-underscore-in-literal"),

@@ -880,6 +880,8 @@ def test_exhaustive_gate_counts_the_walked_variables():
                  "literal 5 outside variable universe 1..3", id="clause-off-the-universe"),
     pytest.param(lambda: check_encoding([(1, 2)], 2, [1], g1()),
                  "input_vars must match the oracle's input count", id="encoding-input-count"),
+    pytest.param(lambda: check_encoding([(1, 2)], 2, [1, 1], g1()),
+                 "input_vars lists a variable twice", id="encoding-repeated-input"),
     pytest.param(lambda: gen_random(leaf_class="cc"), "leaf_class must be 'pc' or 'urc'",
                  id="generator-leaf-class"),
     pytest.param(lambda: certify_formula([[5]], [1]),
@@ -898,8 +900,7 @@ def test_propcheck_input_refusals(call, message):
 def test_gen_random_contract():
     from bdmc.core import validate
     g = gen_random(n=4, max_depth=3, leaf_class="pc", seed=1)
-    rep = validate(g)
-    assert rep.is_valid_bdmc
+    validate(g)  # refuses a graph that is not a valid BDMC
     again = gen_random(n=4, max_depth=3, leaf_class="pc", seed=1)
     from bdmc.formats import serialize_bdmc
     assert serialize_bdmc(g) == serialize_bdmc(again)

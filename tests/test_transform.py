@@ -30,8 +30,7 @@ def test_smooth_fixpoint_on_smooth_graph():
 def test_smooth_pads_with_true_leaf():
     g = or_of_unbalanced()
     gs = smooth(g)
-    rep = validate(gs)
-    assert rep.smooth and rep.decomposable
+    assert validate(gs).smooth_witness is None  # valid, or validate would raise, and smooth
     # the thin branch became and(L1, true-leaf over {x2})
     wrap = gs.nodes[gs.nodes[0].children[0]]
     assert wrap.kind == "and"
@@ -64,8 +63,7 @@ def test_level_inserts_single_passthrough():
     inserted = gl.nodes[gl.nodes[0].children[0]]
     assert inserted.kind == "or" and len(inserted.children) == 1
     assert enumerate_models(gl) == enumerate_models(g)
-    rep = validate(gl)
-    assert rep.smooth and rep.decomposable
+    assert validate(gl).smooth_witness is None
 
 
 def test_level_edges_span_one_level():

@@ -13,11 +13,10 @@ from .core import (
     make_clause,
     validate,
 )
-from .dualrail import MetaVarSpace, dual_rail, extended_dual_rail
+from .dualrail import dual_rail, extended_dual_rail, meta_block
 from .encoder import (
     EncodingOutput,
     SizeStats,
-    cardinality,
     circuit_clauses,
     compile_graph,
     leaf_clauses,

@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import encoder, formats, propcheck, transform
-from .core import CLASS_STRENGTH, evaluate
+from .core import CLASS_SATISFIES, CLASS_STRENGTH, evaluate
 from .errors import (
     BdmcError,
     BudgetExceededError,
@@ -239,10 +239,11 @@ def cmd_certify_leaf(args) -> int:
         raise InputError(f"--leaf {args.leaf} is not a leaf index 1..{len(graph.leaves)}")
     budget = _budget()
     rows = []
-    upgraded = []
+    applied = []
+    refuted = []
     for leaf in graph.leaves:
         if args.leaf is not None and leaf.index != args.leaf:
-            upgraded.append(leaf)
+            applied.append(leaf)
             continue
         cert = propcheck.certify_leaf(leaf, budget=budget)
         rows.append({
@@ -251,13 +252,22 @@ def cmd_certify_leaf(args) -> int:
             "certified": sorted(cert.classes),
             "best": cert.best,
         })
-        if args.apply and cert.best != "none":
-            upgraded.append(replace(leaf, claimed_class=cert.best))
-        else:
-            upgraded.append(leaf)
+        # a held claim (every class it implies is certified) moves only to a
+        # strictly stronger best; a refuted one becomes best, if there is one
+        claimed = CLASS_SATISFIES[leaf.claimed_class]
+        if not claimed <= cert.classes and cert.best == "none":
+            refuted.append(leaf)
+        elif not claimed <= cert.classes or CLASS_SATISFIES[cert.best] > claimed:
+            leaf = replace(leaf, claimed_class=cert.best)
+        applied.append(leaf)
     print(json.dumps(rows, indent=2, sort_keys=True))
     if args.apply:
-        new_graph = replace(graph, leaves=tuple(upgraded))
+        for leaf in refuted:
+            print(f"leaf {leaf.index}: claimed class {leaf.claimed_class} is refuted and no"
+                  " class is certified; nothing written", file=sys.stderr)
+        if refuted:
+            return EXIT_VERIFY_FAIL
+        new_graph = replace(graph, leaves=tuple(applied))
         out = args.output or args.input
         _write(out, formats.serialize_bdmc(new_graph))
         print(f"wrote {out}", file=sys.stderr)
@@ -335,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("certify-leaf", help="brute-force certify leaf classes")
     sp.add_argument("input")
     sp.add_argument("--leaf", type=int, help="only this leaf index")
-    sp.add_argument("--apply", action="store_true", help="write back upgraded claims")
+    sp.add_argument("--apply", action="store_true",
+                    help="write back certified claims (exit 3 if a refuted leaf certifies none)")
     sp.add_argument("-o", "--output", help="target file for --apply (default: in place)")
     sp.set_defaults(func=cmd_certify_leaf)
     return p

@@ -4,8 +4,9 @@ DR rewrites a leaf's clauses over meta-variables so that unit propagation in
 the leaf's formula is simulated by Horn propagation over variables standing
 for "literal l was derived" plus one variable standing for "contradiction
 derived".  DR+ adds clauses making the contradiction variable propagate every
-literal, and totality clauses [[x]] v [[-x]].  Both read the leaf's clauses,
-take its variables from one read of its MetaVarSpace block, and return a
+literal, and totality clauses [[x]] v [[-x]].  meta_block numbers one leaf's
+meta-variables; encoder.VarMap chains the blocks of a compile in leaf order.
+Both encodings read the leaf's clauses and its block once, and return a
 tuple of clauses.
 
 Both build every clause canonical (sorted by variable, no variable twice),
@@ -21,48 +22,22 @@ so neither runs core.make_clause, the check for clauses from user input:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 from .core import Clause, LeafEncoding
 from .errors import InputError, PreconditionError
 
+# one leaf's meta-variables: ({literal: [[literal]]} in id order, [[bot]])
+Block = tuple[dict[int, int], int]
 
-@dataclass(frozen=True)
-class MetaVarSpace:
-    """Injective map (leaf index, literal-or-bot) -> solver variable.
 
-    Variables are handed out per leaf: for each leaf's variables in ascending
-    order, the positive meta before the negative one, with the bot marker
-    last.  Leaves own pairwise disjoint blocks, handed out in leaf order, and
-    each block is kept as the map from the leaf's literals to their ids.
-    """
-
-    next_id: int
-    _blocks: dict  # leaf index -> ({literal: id} in id order, id of bot)
-
-    @staticmethod
-    def for_leaves(leaves: Sequence[LeafEncoding], first_id: int) -> "MetaVarSpace":
-        blocks: dict[int, tuple[dict[int, int], int]] = {}
-        nxt = first_id
-        for leaf in leaves:
-            ids: dict[int, int] = {}
-            for v in sorted(set(leaf.input_vars) | set(leaf.aux_vars)):
-                ids[v] = nxt
-                ids[-v] = nxt + 1
-                nxt += 2
-            blocks[leaf.index] = (ids, nxt)
-            nxt += 1
-        return MetaVarSpace(nxt, blocks)
-
-    def block(self, i: int) -> tuple[dict[int, int], int]:
-        """Leaf i's block: {lit: [[lit]]^i} over the literals of its
-        variables, in id order, and [[bot]]^i, the id after them."""
-        return self._blocks[i]
-
-    def bot(self, i: int) -> int:
-        """Solver variable for [[bot]]^i."""
-        return self._blocks[i][1]
+def meta_block(leaf: LeafEncoding, first_id: int) -> Block:
+    """The leaf's block of ids from first_id on: for its variables in
+    ascending order, the positive meta before the negative one, then
+    [[bot]], the id after them."""
+    ids: dict[int, int] = {}
+    for v in sorted(set(leaf.input_vars) | set(leaf.aux_vars)):
+        ids[v] = first_id + len(ids)
+        ids[-v] = first_id + len(ids)
+    return ids, first_id + len(ids)
 
 
 def _dr(leaf: LeafEncoding, ids: dict[int, int], bot: int) -> list[Clause]:
@@ -83,31 +58,30 @@ def _dr(leaf: LeafEncoding, ids: dict[int, int], bot: int) -> list[Clause]:
     return out
 
 
-def dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tuple[Clause, ...]:
-    """DR of the leaf's clauses over its meta-variables.
+def dual_rail(leaf: LeafEncoding, block: Block) -> tuple[Clause, ...]:
+    """DR of the leaf's clauses over its meta block.
 
     A formula containing the empty clause collapses to the unit [[bot]].
     Otherwise every clause C and every l in C contribute the definite Horn
     clause (AND_{e in C-l} [[-e]]) -> [[l]], and every variable contributes
     [[x]] & [[-x]] -> [[bot]].  Unit clauses of phi become unit meta clauses.
-    A literal outside the leaf's block raises InputError.
+    A literal outside the block raises InputError.
     """
-    ids, bot = space.block(leaf.index)
+    ids, bot = block
     if leaf.is_constant_false:
         return ((bot,),)
     return tuple(_dr(leaf, ids, bot))
 
 
-def extended_dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tuple[Clause, ...]:
+def extended_dual_rail(leaf: LeafEncoding, block: Block) -> tuple[Clause, ...]:
     """DR+: DR plus [[bot]] -> [[l]] for every literal and the totality
     clauses [[x]] v [[-x]].  Clause count is exactly ||phi|| + 4|vars|."""
-    i = leaf.index
     if leaf.is_constant_false:
         raise PreconditionError(
-            f"leaf {i}: extended dual rail is undefined on formulas containing the"
-            " empty clause; simplify the leaf to a constant-false leaf first"
+            f"leaf {leaf.index}: extended dual rail is undefined on formulas containing"
+            " the empty clause; simplify the leaf to a constant-false leaf first"
         )
-    ids, bot = space.block(i)
+    ids, bot = block
     out = _dr(leaf, ids, bot)
     metas = list(ids.values())
     pairs = list(zip(metas[0::2], metas[1::2]))

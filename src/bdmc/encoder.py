@@ -25,20 +25,21 @@ Every builder returns its clauses canonical, sorted by variable with no
 variable twice, so compile never runs core.make_clause, the check for
 clauses from user input (make_leaf, build_graph, parse_bdmc).  The reasons
 are in each builder's docstring: node literals are distinct variables and
-edges are never duplicated (N1-N3, N5, N6), a meta id is above every input
-id and blocks ascend with the leaf index (E2, E3), and dualrail builds E1 in
-the order of a leaf's block.  VarMap builds the node literals and the meta
-blocks once per compile.  It holds only the numbering: formats.emit_dimacs
+edges are never duplicated (N1-N3, N5, N6), a ladder auxiliary is above
+every node (N5), a meta id is above every input id and blocks ascend with
+the leaf index (E2, E3), and dualrail builds E1 in the order of a leaf's
+block.  VarMap, the one numbering of a compile, builds the meta blocks and
+node literals once and hands out ladder auxiliaries; formats.emit_dimacs
 writes the varmap sidecar that names each variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import BdmcGraph, CLASS_SATISFIES, Clause
-from .dualrail import MetaVarSpace, dual_rail, extended_dual_rail
+from .dualrail import Block, dual_rail, extended_dual_rail, meta_block
 from .errors import InputError, PreconditionError
 from .transform import SeparatorCover, is_layered, level, separator_cover, smooth
 
@@ -90,25 +91,28 @@ def target_spec(target: str) -> Target:
 
 
 class VarMap:
-    """Solver-variable numbering of one compile.
+    """Solver-variable numbering of one compile, the one owner of its ids.
 
-    Inputs take ids 1..n, then meta-variables leaf by leaf (space, variable
-    ascending, positive before negative, bot last), then inner nodes in
-    topological order (node_vars), then cardinality auxiliaries, whose
-    (separator, position) pairs card_aux keeps in id order.
-    formats.emit_dimacs names every variable from this numbering.
+    Inputs take ids 1..n, then the leaves' dualrail.meta_block in leaf order
+    (blocks[i - 1] is leaf i's), then inner nodes in topological order
+    (node_vars), then ladder auxiliaries, whose (separator, position) pairs
+    card_aux keeps in id order.  formats.emit_dimacs names every variable
+    from this numbering.
     """
 
     def __init__(self, graph: BdmcGraph):
-        self.space = MetaVarSpace.for_leaves(graph.leaves, graph.num_inputs + 1)
+        self.blocks: list[Block] = []
+        first = graph.num_inputs + 1
+        for leaf in graph.leaves:
+            self.blocks.append(meta_block(leaf, first))
+            first = self.blocks[-1][1] + 1
         inner = [nid for nid in graph.analysis.order
                  if graph.nodes[nid].kind != "leaf"]
-        first = self.space.next_id
         self.node_vars: dict[int, int] = dict(zip(inner, range(first, first + len(inner))))
         # the literal of every node, by node id, for the clause builders: its
         # own variable for an inner node, -[[bot]]^i for the leaf of formula i
         self.node_lits: list[int] = [
-            -self.space.bot(nd.leaf) if nd.kind == "leaf" else self.node_vars[nid]
+            -self.blocks[nd.leaf - 1][1] if nd.kind == "leaf" else self.node_vars[nid]
             for nid, nd in enumerate(graph.nodes)]
         self.num_vars = first + len(inner) - 1
         self.card_aux: list[tuple[int, int]] = []
@@ -157,82 +161,55 @@ def circuit_clauses(graph: BdmcGraph, varmap: VarMap) -> dict[str, list[Clause]]
     return {"N1": n1, "N2": n2, "N3": n3}
 
 
-AMO_CANONICAL = "AMO_CANONICAL"
-EO_CANONICAL = "EO_CANONICAL"
-AMO_SEQUENTIAL = "AMO_SEQUENTIAL"
+def _amo(lits: list[int]) -> list[Clause]:
+    """At-most-one as its prime implicates -a v -b, each pair of literals
+    over distinct variables (node literals) and so canonical once ordered."""
+    neg = [-lit for lit in lits]
+    return [_pair(a, b) for i, a in enumerate(neg) for b in neg[i + 1:]]
 
 
-def cardinality(kind: str, lits: Sequence[int], first_aux: Optional[int] = None):
-    """Cardinality constraint over the given literals.
-
-    The literals must be over distinct variables (and the auxiliaries
-    clear of them), which makes every clause canonical as built.
-    Returns (clauses, aux_vars).  AMO_CANONICAL emits all prime implicates
-    (the pairwise negative binaries); EO_CANONICAL adds the at-least-one
-    clause; AMO_SEQUENTIAL is the Sinz ladder with len(lits)-1 fresh
-    auxiliaries starting at first_aux and at most 3*len(lits)-4 clauses.
-    """
-    lits = list(lits)
-    if not lits:
-        raise InputError("cardinality constraint over an empty list")
+def _ladder(lits: list[int], aux: list[int]) -> list[Clause]:
+    """Sinz's sequential at-most-one (CP 2005) over k >= 2 literals with k-1
+    ascending auxiliaries s_i above the literals' variables: 3k-4 clauses,
+    canonical as written, l_1 -> s_1; l_i -> s_i, s_{i-1} -> s_i and
+    -(l_i & s_{i-1}) for 1 < i < k; -(l_k & s_{k-1})."""
     k = len(lits)
-    used = {abs(lit) for lit in lits}
-    if len(used) != k or 0 in used:
-        raise InputError("cardinality constraint over repeated variables or literal 0")
-    if kind in (AMO_CANONICAL, EO_CANONICAL):
-        neg = [-lit for lit in lits]
-        out = [_pair(neg[i], neg[j]) for i in range(k) for j in range(i + 1, k)]
-        if kind == EO_CANONICAL:
-            out.append(tuple(sorted(lits, key=abs)))
-        return out, []
-    if kind != AMO_SEQUENTIAL:
-        raise InputError(f"unknown cardinality kind {kind!r}")
-    if k == 1:
-        return [], []
-    if first_aux is None:
-        raise InputError("sequential encoding needs a first_aux variable id")
-    aux = list(range(first_aux, first_aux + k - 1))
-    if used.intersection(aux) or first_aux < 1:
-        raise InputError("sequential auxiliaries overlap the constrained variables")
-    out = [_pair(-lits[0], aux[0])]
+    out = [(-lits[0], aux[0])]
     for i in range(1, k - 1):
-        out.append(_pair(-lits[i], aux[i]))
+        out.append((-lits[i], aux[i]))
         out.append((-aux[i - 1], aux[i]))
-        out.append(_pair(-lits[i], -aux[i - 1]))
-    out.append(_pair(-lits[k - 1], -aux[k - 2]))
-    return out, aux
+        out.append((-lits[i], -aux[i - 1]))
+    out.append((-lits[k - 1], -aux[k - 2]))
+    return out
 
 
 def separator_clauses(cover: SeparatorCover, varmap: VarMap, kind: str) -> list[Clause]:
-    """Group N5 (amo) or N6 (exactly-one) over the merged separator family."""
+    """Group N5 (amo) or N6 (exactly-one: amo plus the at-least-one clause)
+    over the merged separator family, each clause once."""
     if kind not in ("N5", "N6"):
         raise InputError("kind must be 'N5' or 'N6'")
     out: dict[Clause, None] = {}
     node_lits = varmap.node_lits
     for sep in cover.merged:
         lits = [node_lits[nid] for nid in sorted(sep)]
-        clauses, _ = cardinality(EO_CANONICAL if kind == "N6" else AMO_CANONICAL, lits)
-        for c in clauses:
-            out.setdefault(c)
+        out.update(dict.fromkeys(_amo(lits)))
+        if kind == "N6":
+            out.setdefault(tuple(sorted(lits, key=abs)))
     return list(out)
 
 
 def seq_separator_clauses(cover: SeparatorCover, varmap: VarMap) -> list[Clause]:
-    """N5 variant for urc-seq: Sinz ladders for separators of size >= 3,
-    canonical pairs below that (same clause count, no auxiliaries)."""
+    """N5 variant for urc-seq: Sinz ladders, auxiliaries from add_card_aux,
+    for separators of size >= 3, canonical pairs below (same clause count)."""
     out: dict[Clause, None] = {}
     node_lits = varmap.node_lits
     for idx, sep in enumerate(cover.merged):
         lits = [node_lits[nid] for nid in sorted(sep)]
         if len(lits) <= 2:
-            clauses, _ = cardinality(AMO_CANONICAL, lits)
+            clauses = _amo(lits)
         else:
-            first = varmap.num_vars + 1
-            clauses, aux = cardinality(AMO_SEQUENTIAL, lits, first_aux=first)
-            for pos in range(len(aux)):
-                varmap.add_card_aux(idx, pos + 1)
-        for c in clauses:
-            out.setdefault(c)
+            clauses = _ladder(lits, [varmap.add_card_aux(idx, pos) for pos in range(1, len(lits))])
+        out.update(dict.fromkeys(clauses))
     return list(out)
 
 
@@ -249,16 +226,15 @@ def leaf_clauses(
     most n, every meta id is above n, and blocks are handed out in leaf
     order, so the metas of one literal ascend with the leaf index, the
     order in which E3 collects them."""
-    space = varmap.space
+    blocks = varmap.blocks
     out: list[Clause] = []
     if which == "E1":
         build = dual_rail if lean else extended_dual_rail
-        for leaf in graph.leaves:
-            out.extend(build(leaf, space))
+        for leaf, block in zip(graph.leaves, blocks):
+            out.extend(build(leaf, block))
         return out
     if which == "E2":
-        for leaf in graph.leaves:
-            ids = space.block(leaf.index)[0]
+        for leaf, (ids, _) in zip(graph.leaves, blocks):
             for v in leaf.input_vars:
                 out.append((-v, ids[v]))
                 out.append((v, ids[-v]))
@@ -269,8 +245,7 @@ def leaf_clauses(
         # pos[v] and neg[v] collect -[[v]]^i and -[[-v]]^i leaf by leaf
         pos: list[list[int]] = [[] for _ in range(graph.num_inputs + 1)]
         neg: list[list[int]] = [[] for _ in range(graph.num_inputs + 1)]
-        for leaf in graph.leaves:
-            ids = space.block(leaf.index)[0]
+        for leaf, (ids, _) in zip(graph.leaves, blocks):
             for v in leaf.input_vars:
                 pos[v].append(-ids[v])
                 neg[v].append(-ids[-v])
@@ -290,7 +265,6 @@ class EncodingOutput:
     target: str
     groups: dict[str, list[Clause]]
     varmap: VarMap
-    num_vars: int
     graph: BdmcGraph
     cover: Optional[SeparatorCover]
     lean_cc: bool = False
@@ -305,6 +279,10 @@ class EncodingOutput:
     @property
     def num_inputs(self) -> int:
         return self.graph.num_inputs
+
+    @property
+    def num_vars(self) -> int:
+        return self.varmap.num_vars
 
 
 def compile_graph(
@@ -374,7 +352,6 @@ def compile_graph(
         target=target,
         groups=groups,
         varmap=varmap,
-        num_vars=varmap.num_vars,
         graph=graph,
         cover=cover,
         lean_cc=lean_cc,

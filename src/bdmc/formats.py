@@ -255,7 +255,16 @@ def parse_bdmc(text: str) -> BdmcGraph:
 
 
 def serialize_bdmc(graph: BdmcGraph) -> str:
-    """Canonical text for a graph; parse(serialize(g)) is isomorphic to g."""
+    """Canonical text for a graph; parse(serialize(g)) is isomorphic to g.
+    Raises InputError on names the text cannot carry: one that is not a name
+    token, an input or one leaf's aux named twice, an aux name equal to an
+    input's, and an aux variable without a name."""
+    inputs = set(graph.input_names)
+    for name in graph.input_names:
+        if not _is_name(name):
+            raise InputError(f"invalid input variable name {name!r}")
+    if len(inputs) != len(graph.input_names):
+        raise InputError("duplicate input variable name")
     out = [f"bdmc {graph.num_nodes} {graph.num_edges} {graph.num_leaves} {graph.num_inputs}"]
     out.append("inputs " + " ".join(graph.input_names))
     for nd in graph.nodes:
@@ -266,6 +275,15 @@ def serialize_bdmc(graph: BdmcGraph) -> str:
             out.append(f"{head} {len(nd.children)} " + " ".join(str(c) for c in nd.children))
     out.append(f"root {graph.root}")
     for leaf in graph.leaves:
+        if len(leaf.aux_names) != len(leaf.aux_vars):
+            raise InputError(f"leaf {leaf.index}: aux name count mismatch")
+        for name in leaf.aux_names:
+            if not _is_name(name):
+                raise InputError(f"invalid aux variable name {name!r}")
+            if name in inputs:
+                raise InputError(f"aux name {name!r} clashes with an input variable")
+        if len(set(leaf.aux_names)) != len(leaf.aux_names):
+            raise InputError(f"leaf {leaf.index} lists an aux variable twice")
         name_of = {v: graph.input_names[v - 1] for v in leaf.input_vars}
         name_of.update(dict(zip(leaf.aux_vars, leaf.aux_names)))
         head = (
@@ -291,9 +309,10 @@ def emit_dimacs(output: "EncodingOutput") -> tuple[str, str]:
     The sidecar has one row per solver variable, in id order, each the text
     of json.dumps(row, separators=(", ", ": ")) from the format for its
     role.  This is the one writer of those rows, and it takes them straight
-    from the VarMap numbering: input names, each leaf's meta block, then
-    node_vars, then card_aux on the last ids.  An aux variable goes by its
-    name, suffixed @leaf where leaves share the name (v<id> if it has none).
+    from the VarMap numbering: input names, varmap.blocks in leaf order,
+    then node_vars, then card_aux on the last ids.  An aux variable goes by
+    its name, suffixed @leaf where leaves share the name (v<id> if it has
+    none).
     Each name from the sentence is escaped once by encode_basestring_ascii;
     the generated names need no escaping.
     """
@@ -309,9 +328,8 @@ def emit_dimacs(output: "EncodingOutput") -> tuple[str, str]:
         for v, name in zip(leaf.aux_vars, leaf.aux_names):
             text[v] = _json_str(name if uses[name] <= 1 else f"{name}@{leaf.index}")[1:-1]
     meta = '{"id": %d, "role": "meta", "name": "[[%s%s]]@%d", "leaf": %d, "literal": "%s%s"}'
-    for leaf in graph.leaves:
+    for leaf, (ids, bot) in zip(graph.leaves, varmap.blocks):
         i = leaf.index
-        ids, bot = varmap.space.block(i)
         metas = iter(ids.items())
         for (v, pos), (_, neg) in zip(metas, metas):
             name = text[v] if v in text else f"v{v}"

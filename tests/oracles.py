@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 from bdmc.core import (
     Assignment, BdmcGraph, Clause, LeafEncoding, _input_mask, assemble_graph, make_clause,
     validate)
-from bdmc.dualrail import MetaVarSpace
+from bdmc.dualrail import Block
 from bdmc.engine import PropEngine, check_partial_assignment, code, decode
 from bdmc.errors import BudgetExceededError, PreconditionError
 
@@ -263,11 +263,10 @@ def unit_closure(clauses: Sequence[Sequence[int]], alpha: Iterable[int] = ()) ->
 # dual rail through make_clause, and the canonical form of compiled groups
 
 
-def reference_dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tuple[Clause, ...]:
+def reference_dual_rail(leaf: LeafEncoding, block: Block) -> tuple[Clause, ...]:
     """DR with every clause put together literal by literal and made
     canonical by make_clause, each meta id looked up on its own."""
-    i = leaf.index
-    meta, bot = space.block(i)
+    meta, bot = block
     if leaf.is_constant_false:
         return ((bot,),)
     out: list[Clause] = []
@@ -280,13 +279,13 @@ def reference_dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tuple[Clause
     return tuple(out)
 
 
-def reference_extended_dual_rail(leaf: LeafEncoding, space: MetaVarSpace) -> tuple[Clause, ...]:
+def reference_extended_dual_rail(leaf: LeafEncoding, block: Block) -> tuple[Clause, ...]:
     """DR+ on top of reference_dual_rail, in the same way."""
-    i = leaf.index
     if leaf.is_constant_false:
-        raise PreconditionError(f"leaf {i}: extended dual rail needs a satisfiable-shaped leaf")
-    out = list(reference_dual_rail(leaf, space))
-    meta, bot = space.block(i)
+        raise PreconditionError(
+            f"leaf {leaf.index}: extended dual rail needs a satisfiable-shaped leaf")
+    out = list(reference_dual_rail(leaf, block))
+    meta, bot = block
     leaf_vars = sorted(set(leaf.input_vars) | set(leaf.aux_vars))
     for v in leaf_vars:
         out.append(make_clause([-bot, meta[v]]))

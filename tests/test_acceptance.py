@@ -14,7 +14,7 @@ import pytest
 
 from bdmc import compile_graph
 from bdmc.core import build_graph, enumerate_models, leaf_spec, make_clause
-from bdmc.dualrail import MetaVarSpace, extended_dual_rail
+from bdmc.dualrail import extended_dual_rail, meta_block
 from bdmc.core import LeafEncoding
 from bdmc.encoder import separator_clauses
 from bdmc.propcheck import (
@@ -92,17 +92,16 @@ def test_criterion_3_dual_rail_equivalence():
             for _ in range(rng.randint(0, 6))
         })
         leaf = LeafEncoding(1, tuple(range(1, nv + 1)), (), tuple(cls), "cc")
-        sp = MetaVarSpace.for_leaves([leaf], 1)
-        dr = dual_rail(leaf, sp)
+        meta, bot = block = meta_block(leaf, 1)
+        dr = dual_rail(leaf, block)
         alpha = [v if rng.random() < 0.5 else -v
                  for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
         lhs_units, lhs_bot = unit_closure(cls, alpha)
-        meta = sp.block(1)[0]
         rhs_units, _ = unit_closure(dr, [meta[l] for l in alpha])
         for v in range(1, nv + 1):
             for lit in (v, -v):
                 assert (lit in lhs_units) == (meta[lit] in rhs_units), (cls, alpha, lit)
-        assert lhs_bot == (sp.bot(1) in rhs_units), (cls, alpha)
+        assert lhs_bot == (bot in rhs_units), (cls, alpha)
         pairs += 1
     report(3, pairs == 1000, f"derivation equivalence held on {pairs} random (phi, alpha) pairs")
 
@@ -131,9 +130,9 @@ def test_criterion_4_extended_dual_rail_strength():
     for want, style in (("urc", "urc"), ("pc", "pc")):
         for cls, nv in _random_leaf_formulas(rng, want, 50):
             leaf = LeafEncoding(1, tuple(range(1, nv + 1)), (), tuple(cls), "cc")
-            sp = MetaVarSpace.for_leaves([leaf], 1)
-            xdr = extended_dual_rail(leaf, sp)
-            mv = sp.next_id - 1
+            block = meta_block(leaf, 1)
+            xdr = extended_dual_rail(leaf, block)
+            mv = block[1]
             v = check_strength(xdr, mv, list(range(1, mv + 1)), style)
             assert v.passed, (want, cls, v.counterexample)
     report(4, True, "DR+ kept URC on 50 certified-URC and PC on 50 certified-PC formulas")
@@ -195,7 +194,7 @@ def test_criterion_7_negative_controls():
     g = build_graph(nodes=[("leaf", 1)],
                     leaves=[leaf_spec(inputs=[1, 2], clauses=[[-1, 2]], cls="pc")], n=2)
     out = compile_graph(g, "cc")
-    dropped = make_clause([-1, out.varmap.space.block(1)[0][1]])
+    dropped = make_clause([-1, out.varmap.blocks[0][0][1]])
     assert dropped in out.groups["E2"]
     mutant = [c for c in out.all_clauses() if c != dropped]
     res = check_encoding(mutant, out.num_vars, [1, 2], out.graph)

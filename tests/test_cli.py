@@ -434,6 +434,48 @@ def test_certify_one_leaf_applies_to_that_leaf_only(tmp_path, capsys, monkeypatc
                                                 parse_bdmc(path.read_text()).leaves]
 
 
+def test_certify_apply_keeps_a_held_claim_best_does_not_cover(tmp_path, capsys):
+    # dc holds and urc is certified too: urc is stronger in style, not in
+    # scope, so rewriting dc to urc would make the dc target refuse the file
+    path, out = tmp_path / "held.bdmc", tmp_path / "out.bdmc"
+    path.write_text("bdmc 1 0 1 1\ninputs x1\nL 1\nroot 0\n"
+                    "leaf 1 inputs x1 aux y z clauses 2 class dc\nx1 y -z 0\nx1 -y -z 0\n")
+    assert main(["certify-leaf", str(path), "--apply", "-o", str(out)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert (rows[0]["certified"], rows[0]["best"]) == (["cc", "dc", "urc"], "urc")
+    assert out.read_text() == path.read_text()
+    assert main(["compile", "--target", "dc", str(out), "-o", str(tmp_path / "o.cnf")]) == 0
+
+
+def test_certify_apply_replaces_a_refuted_claim_with_best(tmp_path, capsys):
+    path = tmp_path / "refuted.bdmc"
+    path.write_text("bdmc 1 0 1 3\ninputs a b c\nL 1\nroot 0\n"
+                    "leaf 1 inputs a b c aux clauses 2 class pc\n-a -b 0\na -b c 0\n")
+    assert main(["certify-leaf", str(path), "--apply"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert (rows[0]["certified"], rows[0]["best"]) == (["cc", "urc"], "urc")
+    assert parse_bdmc(path.read_text()).leaves[0].claimed_class == "urc"
+
+
+def test_certify_apply_writes_nothing_when_a_refuted_leaf_certifies_no_class(tmp_path, capsys):
+    # UP derives nothing from no assignment, though the clauses imply a, b and
+    # c: the pc claim is false and no class holds
+    path, out = tmp_path / "none.bdmc", tmp_path / "out.bdmc"
+    text = ("bdmc 1 0 1 3\ninputs a b c\nL 1\nroot 0\n"
+            "leaf 1 inputs a b c aux clauses 4 class pc\na b 0\n-a b 0\na -b 0\n-a -b c 0\n")
+    path.write_text(text)
+    assert main(["certify-leaf", str(path), "--apply", "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)[0]["best"] == "none"
+    assert ("leaf 1: claimed class pc is refuted and no class is certified;"
+            " nothing written") in captured.err
+    assert not out.exists()
+    assert main(["certify-leaf", str(path), "--apply"]) == 3
+    assert path.read_text() == text
+    # without --apply the report alone exits 0
+    assert main(["certify-leaf", str(path)]) == 0
+
+
 def test_verify_judges_the_sentence_as_written(tmp_path, monkeypatch, capsys):
     # a smoothing bug that changes the function (x1 | x2 becomes x1 & x2)
     # must fail verify: the encoding is compared with the parsed sentence

@@ -5,87 +5,101 @@ import random
 
 import pytest
 
-from bdmc.core import LeafEncoding, make_clause, make_leaf
-from bdmc.dualrail import MetaVarSpace, dual_rail, extended_dual_rail
+from bdmc.core import LeafEncoding, build_graph, leaf_spec, make_clause, make_leaf
+from bdmc.dualrail import dual_rail, extended_dual_rail, meta_block
+from bdmc.encoder import build_varmap
 from bdmc.errors import InputError, PreconditionError
 
 from oracles import reference_dual_rail, reference_extended_dual_rail, unit_closure
 
 
-def space_for(clauses, inputs, aux=()):
+def block_for(clauses, inputs, aux=()):
     leaf = LeafEncoding(1, tuple(inputs), tuple(aux), tuple(make_clause(c) for c in clauses), "cc")
-    return leaf, MetaVarSpace.for_leaves([leaf], first_id=1)
+    return leaf, meta_block(leaf, 1)
 
 
-def vars_of(sp, i):
-    """z_i: all meta-variables of leaf i, bot included."""
-    return set(sp.block(i)[0].values()) | {sp.bot(i)}
+def vars_of(block):
+    """z_i: all meta-variables of a leaf's block, bot included."""
+    return set(block[0].values()) | {block[1]}
 
 
 def test_meta_ids_ordering():
-    leaf, sp = space_for([[1, 2]], [1, 2])
+    leaf, block = block_for([[1, 2]], [1, 2])
     # var ascending, positive before negative, bot last
-    meta = sp.block(1)[0]
-    assert (meta[1], meta[-1], meta[2], meta[-2], sp.bot(1)) == (1, 2, 3, 4, 5)
-    assert vars_of(sp, 1) == {1, 2, 3, 4, 5}
+    meta, bot = block
+    assert (meta[1], meta[-1], meta[2], meta[-2], bot) == (1, 2, 3, 4, 5)
+    assert vars_of(block) == {1, 2, 3, 4, 5}
 
 
 def test_meta_disjoint_across_leaves():
-    l1 = LeafEncoding(1, (1,), (), ((1,),), "cc")
-    l2 = LeafEncoding(2, (1,), (), ((-1,),), "cc")
-    sp = MetaVarSpace.for_leaves([l1, l2], first_id=1)
-    assert vars_of(sp, 1).isdisjoint(vars_of(sp, 2))
+    # VarMap chains the blocks in leaf order from n+1: contiguous and
+    # disjoint, blocks[i - 1] is leaf i's, and the node ids follow the last
+    # [[bot]]
+    g = build_graph(
+        nodes=[("or", [1, 2, 3]), ("leaf", 1), ("leaf", 2), ("leaf", 3)],
+        leaves=[leaf_spec(inputs=[1, 2], clauses=[[1]], cls="pc"),
+                leaf_spec(inputs=[1, 2], aux=2, clauses=[[-1, 3], [2, 4]], cls="pc"),
+                leaf_spec(inputs=[1, 2], clauses=[[-2]], cls="pc")],
+        n=2,
+    )
+    vm = build_varmap(g)
+    ids = [sorted(vars_of(block)) for block in vm.blocks]
+    assert ids == [list(range(3, 8)), list(range(8, 17)), list(range(17, 22))]
+    for leaf, block in zip(g.leaves, vm.blocks):
+        assert block == meta_block(leaf, min(vars_of(block)))
+    assert vm.node_vars == {0: 22} and vm.num_vars == 22
+    assert vm.node_lits[1:] == [-7, -16, -21]
 
 
 def test_dual_rail_expansion_exact():
     # phi = {x v y}: two implication clauses plus one bot rule per variable
-    leaf, sp = space_for([[1, 2]], [1, 2])
-    dr = dual_rail(leaf, sp)
-    meta = sp.block(1)[0]
+    leaf, block = block_for([[1, 2]], [1, 2])
+    dr = dual_rail(leaf, block)
+    meta, bot = block
     assert set(dr) == {
         make_clause([-meta[-2], meta[1]]),   # [[-y]] -> [[x]]
         make_clause([-meta[-1], meta[2]]),   # [[-x]] -> [[y]]
-        make_clause([-meta[1], -meta[-1], sp.bot(1)]),
-        make_clause([-meta[2], -meta[-2], sp.bot(1)]),
+        make_clause([-meta[1], -meta[-1], bot]),
+        make_clause([-meta[2], -meta[-2], bot]),
     }
 
 
 def test_dual_rail_empty_formula_only_bot_rules():
-    leaf, sp = space_for([], [1, 2])
-    dr = dual_rail(leaf, sp)
+    leaf, block = block_for([], [1, 2])
+    dr = dual_rail(leaf, block)
     assert len(dr) == 2
     assert all(len(c) == 3 for c in dr)
 
 
 def test_dual_rail_empty_clause_collapses_to_bot_unit():
-    leaf, sp = space_for([[]], [1])
-    dr = dual_rail(leaf, sp)
-    assert dr == ((sp.bot(1),),)
+    leaf, block = block_for([[]], [1])
+    dr = dual_rail(leaf, block)
+    assert dr == ((block[1],),)
 
 
 def test_dual_rail_unit_clause_gives_unit_meta():
-    leaf, sp = space_for([[1]], [1])
-    dr = dual_rail(leaf, sp)
-    assert (sp.block(1)[0][1],) in dr
+    leaf, block = block_for([[1]], [1])
+    dr = dual_rail(leaf, block)
+    assert (block[0][1],) in dr
 
 
 def test_dual_rail_alien_variable_rejected():
-    leaf, sp = space_for([[1]], [1])
-    bad = LeafEncoding(1, (1, 2), (), ((2,),), "cc")  # variable 2 has no meta in sp
+    leaf, block = block_for([[1]], [1])
+    bad = LeafEncoding(1, (1, 2), (), ((2,),), "cc")  # variable 2 has no meta in the block
     with pytest.raises(InputError):
-        dual_rail(bad, sp)
+        dual_rail(bad, block)
 
 
 def test_extended_dual_rail_expansion():
-    leaf, sp = space_for([[1, 2]], [1, 2])
-    dr = set(dual_rail(leaf, sp))
-    xdr = set(extended_dual_rail(leaf, sp))
-    meta = sp.block(1)[0]
+    leaf, block = block_for([[1, 2]], [1, 2])
+    dr = set(dual_rail(leaf, block))
+    xdr = set(extended_dual_rail(leaf, block))
+    meta, bot = block
     extra = {
-        make_clause([-sp.bot(1), meta[1]]),
-        make_clause([-sp.bot(1), meta[-1]]),
-        make_clause([-sp.bot(1), meta[2]]),
-        make_clause([-sp.bot(1), meta[-2]]),
+        make_clause([-bot, meta[1]]),
+        make_clause([-bot, meta[-1]]),
+        make_clause([-bot, meta[2]]),
+        make_clause([-bot, meta[-2]]),
         make_clause([meta[1], meta[-1]]),
         make_clause([meta[2], meta[-2]]),
     }
@@ -101,26 +115,26 @@ def test_extended_dual_rail_counts():
         cls = {make_clause(v if rng.random() < 0.5 else -v
                            for v in rng.sample(range(1, nv + 1), rng.randint(1, nv)))
                for _ in range(m)}
-        leaf, sp = space_for(sorted(cls), range(1, nv + 1))
-        xdr = extended_dual_rail(leaf, sp)
+        leaf, block = block_for(sorted(cls), range(1, nv + 1))
+        xdr = extended_dual_rail(leaf, block)
         assert len(xdr) == sum(map(len, leaf.clauses)) + 4 * nv
 
 
 def test_extended_dual_rail_single_unit():
-    leaf, sp = space_for([[1]], [1])
-    assert len(extended_dual_rail(leaf, sp)) == 5
+    leaf, block = block_for([[1]], [1])
+    assert len(extended_dual_rail(leaf, block)) == 5
 
 
 def test_extended_dual_rail_rejects_empty_clause():
-    leaf, sp = space_for([[]], [1])
+    leaf, block = block_for([[]], [1])
     with pytest.raises(PreconditionError, match="constant-false"):
-        extended_dual_rail(leaf, sp)
+        extended_dual_rail(leaf, block)
 
 
 def test_shapes_are_horn_like_and_meta_only():
-    leaf, sp = space_for([[1, -2], [2]], [1, 2], aux=())
-    xdr = extended_dual_rail(leaf, sp)
-    meta_vars = vars_of(sp, 1)
+    leaf, block = block_for([[1, -2], [2]], [1, 2], aux=())
+    xdr = extended_dual_rail(leaf, block)
+    meta_vars = vars_of(block)
     for clause in xdr:
         assert {abs(l) for l in clause} <= meta_vars
         positives = [l for l in clause if l > 0]
@@ -138,21 +152,21 @@ def test_propagation_equivalence_random():
                         for v in rng.sample(range(1, nv + 1), rng.randint(1, min(3, nv))))
             for _ in range(rng.randint(0, 6))
         })
-        leaf, sp = space_for(cls, range(1, nv + 1))
-        dr = dual_rail(leaf, sp)
+        leaf, block = block_for(cls, range(1, nv + 1))
+        dr = dual_rail(leaf, block)
         alpha = [v if rng.random() < 0.5 else -v
                  for v in rng.sample(range(1, nv + 1), rng.randint(0, nv))]
         lhs_units, lhs_bot = unit_closure(cls, alpha)
-        meta = sp.block(1)[0]
+        meta, bot = block
         rhs_units, _ = unit_closure(dr, [meta[l] for l in alpha])
         for v in range(1, nv + 1):
             for lit in (v, -v):
                 assert (lit in lhs_units) == (meta[lit] in rhs_units)
-        assert lhs_bot == (sp.bot(1) in rhs_units)
+        assert lhs_bot == (bot in rhs_units)
 
 
 def test_builders_match_the_make_clause_reference():
-    # several leaves share one space, so later blocks start far from 1; the
+    # several leaves' blocks are chained, so later blocks start far from 1; the
     # clauses, their order and the ids must equal the reference's
     rng = random.Random(25)
     for _ in range(200):
@@ -166,16 +180,17 @@ def test_builders_match_the_make_clause_reference():
                         for v in rng.sample(pool, rng.randint(1, min(4, len(pool))))]
                        for _ in range(rng.randint(0, 5))]
             leaves.append(make_leaf(index, inputs, aux, clauses, "cc"))
-        sp = MetaVarSpace.for_leaves(leaves, first_id=rng.randint(1, 30))
+        first = rng.randint(1, 30)
         for leaf in leaves:
-            assert dual_rail(leaf, sp) == reference_dual_rail(leaf, sp)
-            assert extended_dual_rail(leaf, sp) == reference_extended_dual_rail(leaf, sp)
+            block = meta_block(leaf, first)
+            first = block[1] + 1
+            assert dual_rail(leaf, block) == reference_dual_rail(leaf, block)
+            assert extended_dual_rail(leaf, block) == reference_extended_dual_rail(leaf, block)
 
 
 def test_block_matches_meta_and_bot():
     leaf = make_leaf(2, [1, 3], [5], [[1, -5], [3, 5]], "cc")
-    sp = MetaVarSpace.for_leaves([leaf], first_id=10)
-    ids, bot = sp.block(2)
+    ids, bot = meta_block(leaf, 10)
     assert list(ids) == [1, -1, 3, -3, 5, -5]
     assert list(ids.values()) == list(range(10, 16))
-    assert bot == sp.bot(2) == 16 and sp.next_id == 17
+    assert bot == 16

@@ -1,18 +1,18 @@
 """Clause groups, cardinality encodings, target assembly, size accounting."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from bdmc import compile_graph
 from bdmc.core import CLASS_STRENGTH, Node, assemble_graph, build_graph, leaf_spec, make_clause
 from bdmc.encoder import (
-    AMO_CANONICAL,
-    AMO_SEQUENTIAL,
-    EO_CANONICAL,
     GROUP_ORDER,
     TARGET_TABLE,
     TARGETS,
+    _amo,
+    _ladder,
     build_varmap,
-    cardinality,
     circuit_clauses,
     leaf_clauses,
     separator_clauses,
@@ -21,7 +21,7 @@ from bdmc.encoder import (
 from bdmc.engine import brute_sat
 from bdmc.errors import InputError, PreconditionError, StructureError
 from bdmc.propcheck import gen_random
-from bdmc.transform import separator_cover
+from bdmc.transform import SeparatorCover, separator_cover
 
 from conftest import TARGET_CHECK, g1, parity_dnnf
 from oracles import non_canonical_clause
@@ -31,8 +31,8 @@ from test_golden import output_digest
 def test_varmap_numbering_g1():
     vm = build_varmap(g1())
     # inputs 1..2, leaf 1 metas 3..7, leaf 2 metas 8..12, root node 13
-    assert vm.space.block(1)[0][1] == 3 and vm.space.block(1)[0][-1] == 4
-    assert vm.space.bot(1) == 7 and vm.space.bot(2) == 12
+    assert vm.blocks[0][0][1] == 3 and vm.blocks[0][0][-1] == 4
+    assert vm.blocks[0][1] == 7 and vm.blocks[1][1] == 12
     assert vm.node_vars[0] == 13
     assert vm.num_vars == 13
     assert vm.node_lits[1] == -7 and vm.node_lits[0] == 13
@@ -62,37 +62,45 @@ def test_circuit_clauses_and_node():
     assert groups["N1"] == []
 
 
-def test_cardinality_canonical():
-    cl, aux = cardinality(AMO_CANONICAL, [1, 2, 3])
-    assert cl == [(-1, -2), (-1, -3), (-2, -3)] and aux == []
-    cl, _ = cardinality(EO_CANONICAL, [7])
-    assert cl == [(7,)]
-    with pytest.raises(InputError):
-        cardinality(AMO_CANONICAL, [])
-    # clauses are built canonical without make_clause: mixed signs sort by
-    # variable, and a repeated variable or an overlapping auxiliary is refused
-    cl, _ = cardinality(EO_CANONICAL, [-3, 1, -2])
-    assert cl == [(-1, 3), (2, 3), (-1, 2), (1, -2, -3)]
-    for lits in ([1, 1], [2, -2], [0, 1]):
-        with pytest.raises(InputError):
-            cardinality(AMO_CANONICAL, lits)
-    with pytest.raises(InputError):
-        cardinality(AMO_SEQUENTIAL, [1, 2, 3], first_aux=3)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-def test_cardinality_sequential_projection(k):
-    lits = list(range(1, k + 1))
-    clauses, aux = cardinality(AMO_SEQUENTIAL, lits, first_aux=k + 1)
-    assert len(aux) == max(0, k - 1)
-    assert len(clauses) <= max(0, 3 * k - 4)
-    nv = k + len(aux)
+def models_over(clauses, lits, nvars):
+    """The masks m over lits (bit j: lits[j] is true) that extend to a model."""
     got = set()
-    for mask in range(1 << k):
-        alpha = [v if mask >> (v - 1) & 1 else -v for v in lits]
-        if brute_sat(clauses, nv, alpha) is not None:
-            got.add(mask)
-    assert got == {m for m in range(1 << k) if bin(m).count("1") <= 1}
+    for m in range(1 << len(lits)):
+        alpha = [lit if m >> j & 1 else -lit for j, lit in enumerate(lits)]
+        if brute_sat(clauses, nvars, alpha) is not None:
+            got.add(m)
+    return got
+
+
+def test_cardinality_canonical():
+    # _amo is N5 over one separator, and N6 adds the at-least-one clause:
+    # at most one and exactly one of k literals, mixed signs as a leaf's
+    # -[[bot]] and an inner node's variable mix them, every clause canonical
+    assert _amo([1, 2, 3]) == [(-1, -2), (-1, -3), (-2, -3)]
+    for k in range(1, 6):
+        lits = [v if v % 2 else -v for v in range(1, k + 1)]
+        cover, varmap = SeparatorCover((frozenset(range(k)),)), SimpleNamespace(node_lits=lits)
+        n5 = separator_clauses(cover, varmap, "N5")
+        n6 = separator_clauses(cover, varmap, "N6")
+        assert n5 == _amo(lits) and n6 == n5 + [make_clause(lits)]
+        assert all(make_clause(c) == c for c in n6)
+        assert models_over(n5, lits, k) == {m for m in range(1 << k) if bin(m).count("1") <= 1}
+        assert models_over(n6, lits, k) == {1 << j for j in range(k)}
+    assert separator_clauses(SeparatorCover((frozenset({0, 1, 2}),)),
+                             SimpleNamespace(node_lits=[-3, 1, -2]), "N6") == [
+        (-1, 3), (2, 3), (-1, 2), (1, -2, -3)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_cardinality_sequential_projection(k):
+    # the Sinz ladder: 3k-4 canonical clauses over k-1 auxiliaries above the
+    # literals' variables, whose projection onto the literals is at-most-one
+    lits = [v if v % 2 else -v for v in range(1, k + 1)]
+    clauses = _ladder(lits, list(range(k + 1, 2 * k)))
+    assert len(clauses) == 3 * k - 4
+    assert all(make_clause(c) == c for c in clauses)
+    assert models_over(clauses, lits, 2 * k - 1) == {
+        m for m in range(1 << k) if bin(m).count("1") <= 1}
 
 
 def test_separator_clauses_g1():
@@ -289,7 +297,6 @@ def test_size_report_json_shape():
 
 
 def test_separator_clauses_empty_cover():
-    from bdmc.transform import SeparatorCover
     vm = build_varmap(g1())
     empty = SeparatorCover(())
     assert separator_clauses(empty, vm, "N5") == []
@@ -330,10 +337,6 @@ def test_n3_lists_all_parents_of_shared_node():
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: target_spec("sat"),
                  "unknown target 'sat'; expected one of cc, dc, urc, urc-seq, pc", id="unknown-target"),
-    pytest.param(lambda: cardinality("amk", [1, 2]), "unknown cardinality kind 'amk'",
-                 id="unknown-cardinality"),
-    pytest.param(lambda: cardinality(AMO_SEQUENTIAL, [1, 2, 3]),
-                 "sequential encoding needs a first_aux variable id", id="sequential-without-aux"),
     pytest.param(lambda: separator_clauses(separator_cover(g1()), build_varmap(g1()), "N4"),
                  "kind must be 'N5' or 'N6'", id="separator-kind"),
     pytest.param(lambda: leaf_clauses(g1(), build_varmap(g1()), "E4"),

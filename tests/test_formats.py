@@ -1,12 +1,13 @@
 """BDMC text format round-trips, DIMACS emission, varmap sidecar."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from bdmc import compile_graph
 from bdmc.core import build_graph, enumerate_models, leaf_spec
-from bdmc.errors import ParseError
+from bdmc.errors import InputError, ParseError
 from bdmc.formats import emit_dimacs, parse_bdmc, parse_dimacs, serialize_bdmc
 from bdmc.transform import level, smooth
 
@@ -170,7 +171,7 @@ def test_varmap_roles_are_bijective(compiled_corpus):
             assert [r["id"] for r in rows] == list(range(1, out.num_vars + 1)), target
             roles = [r["role"] for r in rows]
             vm = out.varmap
-            n_meta = vm.space.next_id - out.num_inputs - 1
+            n_meta = vm.blocks[-1][1] - out.num_inputs
             assert roles == (["input"] * out.num_inputs + ["meta"] * n_meta
                              + ["node"] * len(vm.node_vars) + ["card-aux"] * len(vm.card_aux))
 
@@ -210,9 +211,8 @@ def test_varmap_rows_of_every_role():
     # node_vars, card-aux rows from card_aux after every other id
     vm = out.varmap
     want = []
-    for leaf in out.graph.leaves:
+    for leaf, (ids, bot) in zip(out.graph.leaves, vm.blocks):
         i = leaf.index
-        ids, bot = vm.space.block(i)
         name_of = {**dict(enumerate(names, start=1)), leaf.aux_vars[0]: f"y\u2603@{i}"}
         for lit, mid in ids.items():
             literal = ("-" if lit < 0 else "") + name_of[abs(lit)]
@@ -283,6 +283,41 @@ def test_leaf_blocks_in_any_order():
     swapped = parse_bdmc(head + "leaf " + leaf2 + "leaf " + leaf1)
     assert_assembled(swapped)
     assert swapped == parse_bdmc(G1_TEXT)
+
+
+@pytest.mark.parametrize("names, aux_names, message", [
+    pytest.param(["y1"], ["y1"], "aux name 'y1' clashes with an input variable",
+                 id="aux-is-input"),
+    pytest.param(["x 1"], ["y1"], "invalid input variable name 'x 1'", id="bad-input"),
+    pytest.param(["class"], ["y1"], "invalid input variable name 'class'", id="keyword-input"),
+    pytest.param(["x1"], ["-y"], "invalid aux variable name '-y'", id="bad-aux"),
+    pytest.param(["x1", "x1"], ["y1"], "duplicate input variable name", id="input-twice"),
+    pytest.param(["x1"], ["y1", "y1"], "leaf 1 lists an aux variable twice", id="aux-twice"),
+])
+def test_serialize_refuses_names_the_text_cannot_carry(names, aux_names, message):
+    # build_graph takes any name; the text must read back as the same graph
+    clause = list(range(1, len(names) + len(aux_names) + 1))
+    g = build_graph([("leaf", 1)], [leaf_spec(inputs=range(1, len(names) + 1), aux=len(aux_names),
+                                              aux_names=aux_names, clauses=[clause])],
+                    input_names=names)
+    with pytest.raises(InputError) as refused:
+        serialize_bdmc(g)
+    assert str(refused.value) == message
+
+
+def test_serialize_refuses_an_aux_variable_without_a_name():
+    g = build_graph([("leaf", 1)], [leaf_spec(inputs=[1], aux=1, clauses=[[1, 2]])], n=1)
+    g = replace(g, leaves=(replace(g.leaves[0], aux_names=()),))
+    with pytest.raises(InputError, match="leaf 1: aux name count mismatch"):
+        serialize_bdmc(g)
+
+
+def test_serialize_keeps_an_aux_name_shared_across_leaves():
+    leaves = [leaf_spec(inputs=[v], aux=1, aux_names=["y"], clauses=[[1, 2]], cls="pc")
+              for v in (1, 2)]
+    g = build_graph([("and", [1, 2]), ("leaf", 1), ("leaf", 2)], leaves, n=2)
+    text = serialize_bdmc(g)
+    assert serialize_bdmc(parse_bdmc(text)) == text
 
 
 def test_serialize_is_deterministic(corpus):

@@ -934,16 +934,15 @@ def test_brute_sat_on_extended_dual_rail_bot_case():
     # DR+({x v y}) under [[-x]], [[-y]]: propagation reaches [[bot]], and the
     # all-meta-true assignment still satisfies the formula
     from bdmc.core import LeafEncoding
-    from bdmc.dualrail import MetaVarSpace, extended_dual_rail
+    from bdmc.dualrail import extended_dual_rail, meta_block
     leaf = LeafEncoding(1, (1, 2), (), ((1, 2),), "pc")
-    sp = MetaVarSpace.for_leaves([leaf], 1)
-    xdr = extended_dual_rail(leaf, sp)
-    nv = sp.next_id - 1
-    meta = sp.block(1)[0]
+    meta, bot = block = meta_block(leaf, 1)
+    xdr = extended_dual_rail(leaf, block)
+    nv = bot
     alpha = [meta[-1], meta[-2]]
     model = brute_sat(xdr, nv, alpha)
     assert model is not None
-    assert model[sp.bot(1) - 1] == sp.bot(1)  # [[bot]] is set
+    assert model[bot - 1] == bot  # [[bot]] is set
     assert brute_sat(xdr, nv, [v for v in range(1, nv + 1)]) is not None
 
 

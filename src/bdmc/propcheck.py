@@ -25,13 +25,16 @@ no subtree the models settle: when the models of a passing alpha take every
 value on the r variables the subtree decides (for PC, on those together
 with each earlier one left open), no such literal is entailed, so each
 extension closes to that alpha's closure plus its own literals and passes,
-and the walk counts the 3^r - 1 of them in closed form.  Sampled
-mode draws sample j over them from its own stream of BLAKE2b words, keyed
-by (seed, j), against a lazily filled table of single-literal UP closures: the
-draw stops as vacuous once their union holds a failed literal or a
-complementary pair, and only an alpha the table does not refute is asserted
-on the engine, whole.  It grows the projection on demand: a literal no known
-model sets goes to the DPLL oracle.
+and the walk counts the 3^r - 1 of them in closed form.  It visits each UP
+closure once, keeping no record of the closures seen: an alpha whose last
+decision derives a literal of an earlier walked variable repeats the
+closure of an alpha walked before it, and is skipped with its subtree.
+Sampled mode draws sample j over them from its own stream of BLAKE2b words,
+keyed by (seed, j), against a lazily filled table of single-literal UP
+closures: the draw stops as vacuous once their union holds a failed literal
+or a complementary pair, and only an alpha the table does not refute is
+asserted on the engine, whole.  It grows the projection on demand: a
+literal no known model sets goes to the DPLL oracle.
 """
 
 from __future__ import annotations
@@ -147,9 +150,13 @@ class StrengthVerdict:
     modes check assignments over its clause-mentioned variables, counting in
     alphas_checked those up to and including the first failure and in vacuous
     (sampled mode) those among them that UP refutes.  Exhaustive mode counts
-    the alphas of a subtree its models settle without visiting them, with the
-    same numbers a walk of each would give.  Every sampled job grows its own
-    model cache, so sat_calls depends on jobs; no other field does."""
+    one alpha per UP closure on the walked variables, the first in walk order
+    to reach it, and counts the alphas of a subtree its models settle without
+    visiting them: for PC that is the number of distinct closures, and for
+    URC, whose settled subtrees may hold alphas that repeat a closure, it
+    lies between that and the number of UP-consistent alphas.  Every sampled
+    job grows its own model cache, so sat_calls depends on jobs; no other
+    field does."""
 
     style: str  # 'urc' | 'pc'
     scope: Sequence[int]
@@ -329,10 +336,11 @@ class _Projection:
 
 
 def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterexample], int]:
-    """Walk every UP-consistent partial assignment over the walked variables
-    depth first, on one engine: scope_search first reads the complete
-    projection off it, then the walk starts from its base trail.  Returns
-    the first counterexample (None on a pass) and the alphas visited.
+    """Judge every UP-consistent partial assignment over the walked
+    variables, walking one per UP closure depth first, on one engine:
+    scope_search first reads the complete projection off it, then the walk
+    starts from its base trail.  Returns the first counterexample (None on a
+    pass) and the alphas counted.
 
     A frame is (next slot, models consistent so far, forced slots, number of
     decisions), in _Projection's slot numbering: slot 2i asserts +walked[i]
@@ -360,7 +368,28 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
     They are counted, and no frame is pushed.  The models are distinct on
     the walked variables and agree with forced, so 2^(r + |E|) of them are
     the full cube, and fewer than 2^r (PC with E: 2^(r+1)) rule it out;
-    otherwise the test splits the models by R's variables, layer by layer."""
+    otherwise the test splits the models by R's variables, layer by layer.
+
+    The walk visits only canonical alphas, whose every decision derives new
+    walked literals only on later variables: an asserted child P + d whose
+    closure C holds a literal l not in P's closure, on a variable before
+    d's, is skipped with its subtree, uncounted and unchecked, as on a
+    conflict.  By induction on walk order, an earlier subtree has judged
+    every extension of P + d.  Inserting l among P's decisions, in variable
+    order, gives a prefix the walk reaches earlier: l's slot is below the
+    slot P (or d) takes at that position, and the prefix is consistent, as
+    it lies in C.  Going on with P's later decisions and then d, each
+    skipped when UP already derives it, stays inside C and ends on an alpha
+    with closure C whose next slot is no later than P + d's.  As alpha is
+    in C and C in UP(alpha), UP(C) = UP(alpha) and phi & alpha is phi & C,
+    so the two subtrees hold the same conditions.  A closure has one
+    canonical alpha, as v is a decision iff v is open under the decisions
+    before it, so each closure is visited once, by its first alpha in walk
+    order.  The first failing alpha in walk order is thus never skipped, and
+    the verdict and counterexample are those of the unpruned walk.  A child
+    that is not asserted closes to forced plus its own literal and is never
+    skipped; URC's settled subtrees skip no test on the earlier open
+    variables, so some alphas they count repeat a closure."""
     proj = _Projection(walked, nvars)
     eng = PropEngine(clauses, nvars)
     alphas = 0
@@ -432,6 +461,8 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
                 if not ok:  # the next frame backtracks it
                     continue
                 sub_forced = forced | proj.trail_slots(trail, marks[-1])
+                if (sub_forced & ~forced) & ((1 << (slot & ~1)) - 1):
+                    continue  # not canonical; the next frame backtracks it, as on a conflict
                 cex = proj.violation(decisions, style, sub_avail, sub_forced)
             alphas += 1
             if cex is not None:
@@ -446,13 +477,15 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
 
 def _sampled_check(clauses, nvars, scope, walked, style, samples, seed, jobs) -> StrengthVerdict:
     """Split [0, samples) into at most one chunk per job, run on at most one
-    worker per chunk and per CPU; the first failing sample over all chunks
-    decides, and chunks that start after it are dropped, so the verdict does
-    not depend on jobs or on the CPU count."""
+    worker per chunk and per CPU this process may run on (its affinity mask
+    where the platform has one, else the host's count); the first failing
+    sample over all chunks decides, and chunks that start after it are
+    dropped, so the verdict does not depend on jobs or on the CPU count."""
     chunk = max(1, -(-samples // max(jobs, 1)))
     tasks = [(clauses, nvars, walked, style, seed, lo, min(lo + chunk, samples))
              for lo in range(0, samples, chunk)]
-    workers = min(len(tasks), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(tasks), cpus)
     if workers > 1:
         import multiprocessing as mp
 

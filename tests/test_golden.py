@@ -62,8 +62,10 @@ def test_corpus_is_fixed(corpus):
 # check_strength verdicts (to_dict) of every target on the corpus, then on
 # parity_dnnf(8): each target's scope and style, exhaustive where feasible,
 # otherwise 500 samples at seed 1000 + graph index; parity_dnnf(8) exhaustive
-# over its inputs.  A speedup of the checkers must leave it unchanged.
-VERDICTS_DIGEST = "eb9c99a01f3c36e2cfad61692e80b7345ec49bec468617b3b4aba97a08ef36ed"
+# over its inputs.  A speedup of the checkers must leave it unchanged; a
+# change in what alphas_checked counts re-pins it, with a before/after dump
+# that shows every other field equal.
+VERDICTS_DIGEST = "3649ce085b45502160808439a42767428e6f9bbe973fa349e427a4d77e8cad56"
 
 
 def verdict_dicts(compiled_corpus):

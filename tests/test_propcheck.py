@@ -158,13 +158,17 @@ def test_exhaustive_matches_naive_reference():
 
 
 def reference_walk(clauses, nvars, scope, style):
-    """The documented walk, alpha by alpha: from each UP-consistent alpha, the
-    +v subtree then the -v one, variable by variable after its last decision,
-    skipping variables its closure sets.  It walks the scope variables some
-    clause mentions (the first if none is) and returns (counterexample,
-    alphas_checked), every alpha judged by propagate and brute_sat."""
+    """The documented walk without its prune, alpha by alpha: from each
+    UP-consistent alpha, the +v subtree then the -v one, variable by variable
+    after its last decision, skipping variables its closure sets.  It walks
+    the scope variables some clause mentions (the first if none is), every
+    alpha judged by propagate and brute_sat, and returns (counterexample,
+    closures, alphas): alphas counts every alpha walked up to and including
+    the first failure, closures the distinct walked-scope UP closures among
+    them."""
     mentioned = {abs(lit) for c in clauses for lit in c}
     walked = [v for v in scope if v in mentioned] or list(scope[:1])
+    closures = set()
     alphas = 0
 
     def visit(alpha, start):
@@ -173,6 +177,7 @@ def reference_walk(clauses, nvars, scope, style):
         if up is None:
             return None
         alphas += 1
+        closures.add(frozenset(lit for lit in up if abs(lit) in walked))
         if style == "urc":
             if brute_sat(clauses, nvars, alpha) is None:
                 return {"alpha": alpha, "literal": "bot"}
@@ -190,14 +195,18 @@ def reference_walk(clauses, nvars, scope, style):
                     return cex
         return None
 
-    return visit([], 0), alphas
+    cex = visit([], 0)
+    return cex, len(closures), alphas
 
 
 def test_exhaustive_matches_reference_walk():
-    # the closed-form settling of free subtrees counts, and fails, exactly
-    # where the alpha-by-alpha walk does.  In the first case 4 is auxiliary:
-    # {2, 3} entails 1 and UP misses it, while the models with 2 take both
-    # values of 3, so only PC's test on (3, 1) keeps the subtree under 2
+    # the walk fails exactly where the unpruned alpha-by-alpha walk does.
+    # It visits one alpha per walked-scope closure, so PC counts the
+    # closures; URC's settling counts in closed form some extensions that
+    # derive an earlier literal, so it lies between the closures and every
+    # alpha.  In the first case 4 is auxiliary: {2, 3} entails 1 and UP
+    # misses it, while the models with 2 take both values of 3, so only
+    # PC's test on (3, 1) keeps the subtree under 2
     cases = [([(1, -2, 4), (1, -3, -4)], 4, [1, 2, 3])]
     rng = random.Random(2022)
     for _ in range(320):
@@ -210,12 +219,18 @@ def test_exhaustive_matches_reference_walk():
         cases.append((cls, nv, rng.sample(range(1, nv + 1), rng.randint(1, nv))))
     for case, (cls, nv, scope) in enumerate(cases):
         for style in ("urc", "pc"):
-            cex, alphas = reference_walk(cls, nv, scope, style)
+            cex, closures, alphas = reference_walk(cls, nv, scope, style)
+            got = check_strength(cls, nv, scope, style).to_dict()
+            checked = got.pop("alphas_checked")
             want = {"style": style, "scope_size": len(scope), "mode": "exhaustive",
-                    "passed": cex is None, "alphas_checked": alphas, "sat_calls": 0}
+                    "passed": cex is None, "sat_calls": 0}
             if cex is not None:
                 want["counterexample"] = cex
-            assert check_strength(cls, nv, scope, style).to_dict() == want, (case, cls, scope, style)
+            assert got == want, (case, cls, scope, style)
+            if style == "pc":
+                assert checked == closures, (case, cls, scope)
+            else:
+                assert closures <= checked <= alphas, (case, cls, scope)
 
 
 def test_exhaustive_exact_with_clause_free_scope_variables():
@@ -565,9 +580,19 @@ def test_sampled_vacuous_counter():
     assert both.passed and both.vacuous == 50
 
 
+def _cpus(monkeypatch, n):
+    """Pretend this process may run on n CPUs (None: the platform cannot say)."""
+    import os
+
+    if n is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def test_sampled_pool_has_one_worker_per_chunk(monkeypatch):
     import multiprocessing
-    import os
 
     started = []
 
@@ -585,7 +610,7 @@ def test_sampled_pool_has_one_worker_per_chunk(monkeypatch):
             return [fn(*task) for task in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    _cpus(monkeypatch, 64)
     out = compile_graph(g1(), "pc")
     cls, nv = out.all_clauses(), out.num_vars
     scope = list(range(1, nv + 1))
@@ -594,14 +619,34 @@ def test_sampled_pool_has_one_worker_per_chunk(monkeypatch):
     check_strength(cls, nv, scope, "pc", mode="sampled", samples=1, jobs=64)
     assert started == [10]  # a single chunk runs in process
     # fewer CPUs than chunks: one worker per CPU, the same verdict
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _cpus(monkeypatch, 3)
     assert check_strength(cls, nv, scope, "pc", mode="sampled", samples=10, jobs=64) == verdict
     assert started == [10, 3]
     # one CPU (or an unknown count): every chunk runs in process
     for cpus in (1, None):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        _cpus(monkeypatch, cpus)
         assert check_strength(cls, nv, scope, "pc", mode="sampled", samples=10, jobs=64) == verdict
     assert started == [10, 3]
+
+
+def test_sampled_workers_capped_by_the_affinity_mask(monkeypatch):
+    # a host with many CPUs, of which this process may run on one: --jobs 4
+    # runs every chunk in process and starts no pool
+    import multiprocessing
+    import os
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one usable CPU")
+
+    out = compile_graph(g1(), "pc")
+    cls, nv = out.all_clauses(), out.num_vars
+    scope = list(range(1, nv + 1))
+    verdict = check_strength(cls, nv, scope, "pc", mode="sampled", samples=40, jobs=1)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    _cpus(monkeypatch, 1)
+    got = check_strength(cls, nv, scope, "pc", mode="sampled", samples=40, jobs=4)
+    assert dataclasses.replace(got, sat_calls=verdict.sat_calls) == verdict  # a cache per chunk
 
 
 def test_certify_leaf_examples():
@@ -740,7 +785,9 @@ def test_exhaustive_check_builds_one_engine(monkeypatch):
 def test_exhaustive_walk_does_not_recurse():
     # every pair of 14 variables has a clause (x_i | x_j): the UP-consistent
     # alphas set at most one variable false, so the walk goes 13 decisions
-    # deep before the models settle the last variable's subtree
+    # deep before the models settle the last variable's subtree.  Their
+    # closures are the 2^14 sets of true variables and the 14 with one
+    # variable false and the rest true
     n = 14
     clauses = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     depth, frame = 0, sys._getframe()
@@ -752,7 +799,7 @@ def test_exhaustive_walk_does_not_recurse():
         verdict = check_strength(clauses, n, range(1, n + 1), "pc")
     finally:
         sys.setrecursionlimit(limit)
-    assert verdict.passed and verdict.alphas_checked == 32_767
+    assert verdict.passed and verdict.alphas_checked == 16_398
 
 
 def _exhaustive(alphas, cex=None, scope_size=3):
@@ -766,24 +813,30 @@ def _exhaustive(alphas, cex=None, scope_size=3):
 # the walk settles an alpha from the models alone when they set every scope
 # literal its closure does not refute; each formula sends some alpha down one
 # of the engine's branches, and the verdicts are those of a walk that asserts
-# every alpha
+# every alpha.  An alpha whose last decision derives a literal of an earlier
+# variable repeats the closure of an earlier alpha: it is skipped, not counted
 @pytest.mark.parametrize("clauses, urc, pc", [
     # {-1} has no model and UP refutes it: pruned, not counted; PC fails at
-    # the root, where 1 is entailed but not derived
-    ([(1, 2), (1, -2), (3, 2)], _exhaustive(14), _exhaustive(1, ([], 1))),
+    # the root, where 1 is entailed but not derived.  {2}, {-2} and {-3}
+    # derive 1, and {1, -3} derives 2: each is skipped with its subtree
+    ([(1, 2), (1, -2), (3, 2)], _exhaustive(8), _exhaustive(1, ([], 1))),
     # {1} has no model and UP leaves it alone: the URC counterexample
     ([(-1, 2, 3), (-1, -2, 3), (-1, 2, -3), (-1, -2, -3)],
      _exhaustive(2, ([1], "bot")), _exhaustive(1, ([], -1))),
     # the same over the scope {1}: no other literal is open at {1}
     ([(-1, 2, 3), (-1, -2, 3), (-1, 2, -3), (-1, -2, -3)],
      _exhaustive(2, ([1], "bot"), 1), _exhaustive(1, ([], -1), 1)),
-    # {1} entails 2, which UP does not derive: the PC counterexample
-    ([(-1, 2, 3), (-1, 2, -3)], _exhaustive(24), _exhaustive(2, ([1], 2))),
+    # {1} entails 2, which UP does not derive: the PC counterexample.  URC
+    # skips {-2, 3} and {-2, -3}, which derive -1
+    ([(-1, 2, 3), (-1, 2, -3)], _exhaustive(22), _exhaustive(2, ([1], 2))),
     # {1} is settled by the models, {1, 2} derives 3 once 1 is asserted
-    # under it; 3 is skipped below both
-    ([(-1, -2, 3)], _exhaustive(25), _exhaustive(25)),
-    # the unit 2 is on the base trail: the root's forced slots skip 2
-    ([(2,), (-2, -1, 3)], _exhaustive(7), _exhaustive(7)),
+    # under it; 3 is skipped below both.  {1, -3} derives -2 and is skipped;
+    # PC also skips {2, -3}, which derives -1, and URC counts it with the
+    # subtree its models settle below {2}
+    ([(-1, -2, 3)], _exhaustive(24), _exhaustive(23)),
+    # the unit 2 is on the base trail: the root's forced slots skip 2.
+    # {-3} derives -1 and is skipped
+    ([(2,), (-2, -1, 3)], _exhaustive(6), _exhaustive(6)),
 ])
 def test_exhaustive_branch_verdicts(clauses, urc, pc):
     scope = [1, 2, 3][:urc["scope_size"]]
@@ -794,7 +847,8 @@ def test_exhaustive_branch_verdicts(clauses, urc, pc):
 @pytest.mark.parametrize("style", ["pc", "urc"])
 def test_exhaustive_walk_asserts_only_open_alphas(monkeypatch, style):
     # most alphas of a pc encoding are settled by its models: the engine sees
-    # fewer assertions than there are alphas
+    # fewer assertions than there are alphas.  URC counts 128 more than PC:
+    # extensions its models settle in closed form that repeat a closure
     out = compile_graph(parity_dnnf(6), "pc", auto_smooth=True, auto_level=True)
     calls = []
     assert_lits = PropEngine.assert_lits
@@ -806,8 +860,19 @@ def test_exhaustive_walk_asserts_only_open_alphas(monkeypatch, style):
     monkeypatch.setattr(PropEngine, "assert_lits", counting)
     verdict = check_strength(out.all_clauses(), out.num_vars,
                              range(1, out.num_inputs + 1), style)
-    assert verdict.passed and verdict.alphas_checked == 665
+    assert verdict.passed and verdict.alphas_checked == {"pc": 505, "urc": 633}[style]
     assert len(calls) < verdict.alphas_checked
+
+
+def test_exhaustive_walk_visits_each_closure_once():
+    # PC over all 66 variables of a pc encoding of 5-variable parity: the
+    # walk visits one alpha per closure, 711 of them; a walk of every
+    # alpha visits 2,027,315
+    out = compile_graph(parity_dnnf(5), "pc", auto_smooth=True, auto_level=True)
+    assert out.num_vars == 66
+    verdict = check_strength(out.all_clauses(), out.num_vars, range(1, out.num_vars + 1), "pc",
+                             budget=3 ** 66)
+    assert verdict.passed and verdict.mode == "exhaustive" and verdict.alphas_checked == 711
 
 
 def _count_open_slots(monkeypatch):
@@ -827,10 +892,13 @@ def test_exhaustive_settles_free_subtrees(monkeypatch, style):
     # (x1 | ... | x10): below +x1, or any alpha with a true literal, the
     # models take every value on the later variables, so each such subtree
     # is counted as 3^r - 1 alphas, not walked; walking every alpha asks
-    # open_slot 59,057 (pc) and 59,046 (urc) times
+    # open_slot 59,057 (pc) and 59,046 (urc) times.  Of the 59,047 alphas,
+    # the nine that set all variables but x_j false, j < 10, derive x_j and
+    # repeat a closure: PC skips them, and URC counts all but one of them
+    # in the subtrees its models settle
     calls = _count_open_slots(monkeypatch)
     verdict = check_strength([tuple(range(1, 11))], 10, range(1, 11), style)
-    assert verdict.passed and verdict.alphas_checked == 59_047
+    assert verdict.passed and verdict.alphas_checked == {"pc": 59_038, "urc": 59_046}[style]
     assert len(calls) < 500
 
 
@@ -838,17 +906,22 @@ XOR3 = [(1, 2, 3), (1, -2, -3), (-1, 2, -3), (-1, -2, 3)]  # x1 ^ x2 ^ x3 = 1
 
 
 @pytest.mark.parametrize("style, open_slots", [
-    # below {2}, the models 010 and 111 take both values of 3: settled
+    # below {2}, the models 010 and 111 take both values of 3: settled.
+    # Any two literals derive the third variable's, so the walk skips
+    # {1, 3}, {1, -3}, {-1, 3} and {-1, -3}, whose last decision derives 2;
+    # the four below {2} and {-2} are counted in the settled subtrees
     ("urc", 14),
-    # but only (0, 0) and (1, 1) on (3, 1), where 1 is unset before 2
-    ("pc", 31),
+    # but only (0, 0) and (1, 1) on (3, 1), where 1 is unset before 2: not
+    # settled, so all eight are skipped, leaving the 11 closures of the 19
+    # alphas
+    ("pc", 23),
 ])
 def test_exhaustive_settles_subtree_by_style(monkeypatch, style, open_slots):
     calls = _count_open_slots(monkeypatch)
     verdict = check_strength(XOR3, 3, [1, 2, 3], style)
-    assert verdict.passed and verdict.alphas_checked == 19
+    assert verdict.passed and verdict.alphas_checked == {"urc": 15, "pc": 11}[style]
     assert len(calls) == open_slots
-    assert reference_walk(XOR3, 3, [1, 2, 3], style) == (None, 19)
+    assert reference_walk(XOR3, 3, [1, 2, 3], style) == (None, 11, 19)
 
 
 def test_certify_leaf_wrapper():

@@ -51,7 +51,7 @@ from .core import (CLASS_PC, CLASS_SATISFIES, CLASS_STRENGTH, CLASS_URC, DEFAULT
                    BdmcGraph, LeafEncoding, build_graph, leaf_spec)
 from .engine import (PropEngine, all_scope_models, check_partial_assignment, code, decode, model_under,
                      scope_search)
-from .errors import BdmcError, BudgetExceededError, InputError, StructureError
+from .errors import BdmcError, BudgetExceededError, InputError
 
 DEFAULT_SAMPLES = 100_000
 STYLES = ("urc", "pc")
@@ -649,9 +649,6 @@ class LeafCertificate:
     classes: frozenset[str]
     best: str
 
-    def satisfies(self, requirement: str) -> bool:
-        return requirement in self.classes
-
 
 def certify_formula(
     clauses: Sequence[Sequence[int]],
@@ -705,29 +702,20 @@ def gen_random(
     seed: int = 0,
     max_encoding_vars: int = 40,
 ) -> BdmcGraph:
-    """A random validated decomposable BDMC with certified leaves.
+    """A random valid decomposable BDMC whose leaves are in leaf_class.
 
-    Deterministic per seed.  Leaves are drawn from class-specific generators
-    (single clauses, small prime-ish 2-CNFs and gate encodings for pc;
-    renamable Horn for urc) and re-certified before use; candidates failing
-    certification or the size budget are discarded and redrawn.  Each
-    distinct candidate leaf is certified once per call.
+    Deterministic per seed.  Leaves come from _leaf_formula's families, each
+    in its class by construction, so none is certified here.  A draw over
+    the size budget is redrawn, up to 400 draws.
     """
     if leaf_class not in (CLASS_PC, CLASS_URC):
         raise InputError("leaf_class must be 'pc' or 'urc'")
     if n < 1:
         raise InputError(f"a sentence needs at least one input, got n={n}")
     rng = random.Random(seed)
-    verdicts: dict[tuple, bool] = {}
     for _ in range(400):
-        graph = _random_graph(rng, n, max_depth, leaf_class, verdicts)
-        if graph is None:
-            continue
-        try:
-            size = _post_transform_vars(graph)
-        except StructureError:  # analyze refuses a draw that is not a valid BDMC
-            continue
-        if size <= max_encoding_vars:
+        graph = _random_graph(rng, n, max_depth, leaf_class)
+        if _post_transform_vars(graph) <= max_encoding_vars:
             return graph
     raise BdmcError(
         f"generator could not produce a graph for n={n}, depth={max_depth},"
@@ -749,9 +737,14 @@ def _post_transform_vars(graph: BdmcGraph) -> int:
     return g2.num_inputs + 2 * m + g2.num_nodes + padding
 
 
-def _random_graph(rng, n, max_depth, leaf_class, verdicts) -> Optional[BdmcGraph]:
-    """One draw; verdicts maps (width, aux count, clauses) to whether that
-    candidate leaf certifies as leaf_class, shared by the draws of one call."""
+def _random_graph(rng, n, max_depth, leaf_class) -> BdmcGraph:
+    """One draw, a valid BDMC by construction: every child id is below its
+    parent's, so the graph is acyclic; an and-node's children are built over
+    a partition of its cell, and every node's scope lies in its cell, so
+    and-nodes are decomposable; every fresh node sits in exactly one
+    parent's child list (dict.fromkeys drops only registry repeats), so
+    every node is reachable; and the root's cell holds every input, each
+    cell covered by its and-parts or its first or-child down to the leaves."""
     nodes: list[tuple] = []
     leaves: list[dict] = []
     registry: dict[frozenset[int], int] = {}
@@ -760,23 +753,8 @@ def _random_graph(rng, n, max_depth, leaf_class, verdicts) -> Optional[BdmcGraph
         nodes.append(spec)
         return len(nodes) - 1
 
-    def certified(width, aux_ct, clauses):
-        key = (width, aux_ct, tuple(map(tuple, clauses)))
-        if key not in verdicts:
-            verdicts[key] = certify_formula(
-                clauses, list(range(1, width + 1)),
-                list(range(width + 1, width + 1 + aux_ct)),
-            ).satisfies(leaf_class)
-        return verdicts[key]
-
     def make_leaf(cell: tuple[int, ...]) -> int:
-        for _ in range(25):
-            aux_ct, clauses = _leaf_formula(rng, len(cell), leaf_class)
-            if certified(len(cell), aux_ct, clauses):
-                break
-        else:
-            aux_ct, clauses = 0, [[v for v in range(1, len(cell) + 1)]]  # single clause
-            assert certified(len(cell), aux_ct, clauses)
+        aux_ct, clauses = _leaf_formula(rng, len(cell), leaf_class)
         leaves.append(leaf_spec(inputs=cell, aux=aux_ct, clauses=clauses, cls=leaf_class))
         return add_node(("leaf", len(leaves)))
 
@@ -808,30 +786,27 @@ def _random_graph(rng, n, max_depth, leaf_class, verdicts) -> Optional[BdmcGraph
         return nid
 
     root = build(tuple(range(1, n + 1)), 0)
-    try:
-        return build_graph(nodes, leaves, n=n, root=root)
-    except BdmcError:
-        return None
+    return build_graph(nodes, leaves, n=n, root=root)
 
 
 def _partition(rng, cell, k):
     items = list(cell)
     rng.shuffle(items)
-    cuts = sorted(rng.sample(range(1, len(items)), k - 1))
-    parts = []
-    prev = 0
-    for c in list(cuts) + [len(items)]:
-        parts.append(tuple(sorted(items[prev:c])))
-        prev = c
-    return parts
+    ends = [0, *sorted(rng.sample(range(1, len(items)), k - 1)), len(items)]
+    return [tuple(sorted(items[a:b])) for a, b in zip(ends, ends[1:])]
 
 
 def _leaf_formula(rng, width, leaf_class):
-    """(aux_count, clauses over local vars 1..width inputs, width+1.. aux)."""
+    """(aux_count, clauses over inputs 1..width, aux width+1..), in leaf_class by construction:
+      single clause over the cell (pc): UP derives its last open literal, the only one entailed;
+      unit (pc): UP derives it;
+      equivalence or xor of two variables (pc): each side entails the other, by UP;
+      and gate y <-> a & b, y aux (pc): its three clauses are all its prime implicates;
+      implication chain over 2-3 cell vars (pc): its entailed literals lie on the paths UP follows;
+      renamed Horn (urc): UP decides Horn satisfiability (Dowling, Gallier 1984), renamed or not."""
     if leaf_class == CLASS_PC:
         pick = rng.randrange(5)
         if pick == 0 or width == 1:
-            # single clause over the whole cell, random polarities
             return 0, [[(v if rng.random() < 0.5 else -v) for v in range(1, width + 1)]]
         if pick == 1:
             lit = rng.choice([1, -1]) * rng.randint(1, width)
@@ -842,16 +817,11 @@ def _leaf_formula(rng, width, leaf_class):
                 return 0, [[-a, b], [a, -b]]  # equivalence
             return 0, [[a, b], [-a, -b]]      # xor
         if pick == 3 and width >= 2:
-            # and-gate with an aux output: y <-> x_a & x_b
             a, b = rng.sample(range(1, width + 1), 2)
             y = width + 1
             return 1, [[-y, a], [-y, b], [y, -a, -b]]
-        # implication chain over a few cell vars
         vars_ = rng.sample(range(1, width + 1), min(width, rng.randint(2, 3)))
-        out = []
-        for u, v in zip(vars_, vars_[1:]):
-            out.append([-u, v])
-        return 0, out
+        return 0, [[-u, v] for u, v in zip(vars_, vars_[1:])]
     # urc: small Horn formula, then a random renaming flip per variable
     aux_ct = rng.randrange(2)
     pool = list(range(1, width + 1 + aux_ct))

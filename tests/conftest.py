@@ -106,7 +106,7 @@ def parity_dnnf(k: int):
 @pytest.fixture(scope="session")
 def corpus():
     """The acceptance corpus: generated graphs plus the handcrafted tiny
-    family; n <= 8, encoding variables <= 40, certified pc leaves."""
+    family; n <= 8, encoding variables <= 40, pc leaves."""
     graphs = list(tiny_family())
     seed = 0
     while len(graphs) < CORPUS_SIZE + len(tiny_family()):

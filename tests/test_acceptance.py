@@ -119,7 +119,7 @@ def _random_leaf_formulas(rng, want_class, count):
         if any(len(c) == 0 for c in cls):
             continue
         cert = certify_formula(cls, list(range(1, nv + 1)))
-        if cert.satisfies(want_class):
+        if want_class in cert.classes:
             out.append((cls, nv))
     return out
 

@@ -537,6 +537,22 @@ def test_invalid_bdmc_sentence_exits_1(tmp_path, capsys, text, assign, message):
         assert f"input error: {message}\n" in capsys.readouterr().err, argv
 
 
+@pytest.mark.slow
+def test_gen_wide_cell_needs_no_budget(tmp_path, capsys, monkeypatch):
+    """gen certifies no leaf, so a single clause over 20 inputs, past the
+    default 3^14 strength budget, is generated under it; its 2^20-input
+    correctness check is what takes the time."""
+    monkeypatch.delenv("BDMC_BUDGET", raising=False)
+    d, cnf = tmp_path / "wide", tmp_path / "g2.cnf"
+    assert main(["gen", "--n", "20", "--depth", "0", "--max-vars", "500", "--seed", "2", "-o", str(d)]) == 0
+    assert main(["compile", "--target", "pc", str(d / "g2.bdmc"), "-o", str(cnf)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--target", "pc", str(d / "g2.bdmc"), "--cnf", str(cnf),
+                 "--mode", "sample:2000:0"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["passed"] and verdict["encoding"]["ok"]
+
+
 def test_gen_compile_verify_pipeline(tmp_path, capsys):
     d = tmp_path / "gen"
     assert main(["gen", "--seed", "17", "--n", "4", "--count", "3", "-o", str(d)]) == 0

@@ -21,7 +21,7 @@ from bdmc.propcheck import (
     gen_random,
 )
 
-from conftest import g1, parity_dnnf
+from conftest import g1, parity_dnnf, tiny_family
 from oracles import propagate
 
 NON_URC = [(1, 2), (-1, 2), (1, -2), (-1, -2)]  # unsat, but UP-quiet under empty alpha
@@ -981,14 +981,26 @@ def test_gen_random_contract():
     assert serialize_bdmc(g) != serialize_bdmc(other)
 
 
-def test_gen_random_certified_leaves():
-    for seed in (0, 3, 8):
-        g = gen_random(n=4, max_depth=2, leaf_class="pc", seed=seed)
+def test_gen_random_certified_leaves(corpus):
+    graphs = corpus[len(tiny_family()):]  # the generated pc graphs
+    graphs += [gen_random(n=4, max_depth=2, leaf_class="urc", seed=seed) for seed in range(20)]
+    for g in graphs:
         for leaf in g.leaves:
-            assert certify_leaf(leaf).satisfies("pc")
-    g = gen_random(n=4, max_depth=2, leaf_class="urc", seed=5)
-    for leaf in g.leaves:
-        assert certify_leaf(leaf).satisfies("urc")
+            assert leaf.claimed_class in certify_leaf(leaf).classes, leaf
+
+
+@pytest.mark.parametrize("leaf_class", ["pc", "urc"])
+def test_leaf_formula_families_in_their_class(leaf_class):
+    """Every family _leaf_formula draws is in its class by construction, so
+    gen_random does not certify its leaves: each distinct candidate over
+    widths 1..10, from 200 seeded draws per width, certifies as leaf_class."""
+    for width in range(1, 11):
+        rng = random.Random(width)
+        drawn = {(aux_ct, tuple(map(tuple, clauses)))
+                 for aux_ct, clauses in (propcheck._leaf_formula(rng, width, leaf_class) for _ in range(200))}
+        for aux_ct, clauses in drawn:
+            cert = certify_formula(clauses, range(1, width + 1), range(width + 1, width + 1 + aux_ct))
+            assert leaf_class in cert.classes, (width, aux_ct, clauses)
 
 
 def test_urc_leaf_family_end_to_end():

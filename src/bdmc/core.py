@@ -197,6 +197,12 @@ class BdmcGraph:
         """The structure of this graph version, analysed on first use."""
         return analyze(self)
 
+    @cached_property
+    def models(self) -> frozenset[int]:
+        """The circuit's models, enumerated on first use under no budget:
+        callers go through enumerate_models, which gates them."""
+        return _models(self)
+
 
 def assemble_graph(
     nodes: Sequence[Node],
@@ -557,18 +563,25 @@ CHUNK_BITS = 12  # enumerate_models evaluates the circuit on 2^CHUNK_BITS masks 
 
 
 def enumerate_models(graph: BdmcGraph, budget: int = DEFAULT_EXHAUSTIVE_BUDGET) -> frozenset[int]:
-    """All satisfying full assignments as bitmasks (bit v-1 = value of input v);
-    over the budget it raises BudgetExceededError before any work.
+    """All satisfying full assignments as bitmasks (bit v-1 = value of input v),
+    computed once per graph (BdmcGraph.models); over the budget it raises
+    BudgetExceededError first, whether or not they are cached."""
+    n = graph.num_inputs
+    if (1 << n) > budget:
+        raise BudgetExceededError(
+            f"enumerate_models walks 2^{n} input assignments, over the budget of {budget}"
+        )
+    return graph.models
+
+
+def _models(graph: BdmcGraph) -> frozenset[int]:
+    """The models of enumerate_models, over any budget.
 
     Inputs 1..w (w = min(n, CHUNK_BITS)) vary within a chunk, the others
     pick it; a node's value on a chunk is a 2^w-bit int, bit t for mask
     chunk << w | t.  A leaf's int comes from a table keyed by its inputs'
     chunk bits, built from one all_scope_models over its inputs."""
     n = graph.num_inputs
-    if (1 << n) > budget:
-        raise BudgetExceededError(
-            f"enumerate_models walks 2^{n} input assignments, over the budget of {budget}"
-        )
     order = graph.analysis.order
     w = min(n, CHUNK_BITS)
     full = (1 << (1 << w)) - 1

@@ -32,8 +32,9 @@ closure of an alpha walked before it, and is skipped with its subtree.
 Sampled mode draws sample j over them from its own stream of BLAKE2b words,
 keyed by (seed, j), against a lazily filled table of single-literal UP
 closures: the draw stops as vacuous once their union holds a failed literal
-or a complementary pair, and only an alpha the table does not refute is
-asserted on the engine, whole.  It grows the projection on demand: a
+or a complementary pair.  An alpha the table does not refute passes
+unasserted when its known models settle it, by the walk's rule; any other
+is asserted on the engine, whole.  It grows the projection on demand: a
 literal no known model sets goes to the DPLL oracle.
 """
 
@@ -114,8 +115,9 @@ def check_encoding(
     input bitmasks, bit i giving the value of input_vars[i] in the CNF and
     of input i+1 in the circuit; the witness is
     the least mask on which they differ.  The circuit's side is
-    core.enumerate_models, which raises BudgetExceededError before any work
-    when its 2^k assignments exceed the budget."""
+    core.enumerate_models, computed once per graph, which raises
+    BudgetExceededError before any work when its 2^k assignments exceed the
+    budget."""
     if len(input_vars) != oracle.num_inputs:
         raise InputError("input_vars must match the oracle's input count")
     if len(set(input_vars)) != len(input_vars):
@@ -310,6 +312,14 @@ class _Projection:
             return None
         return Counterexample(tuple(map(decode, alpha)), decode(self.codes[slot ^ 1]))
 
+    def settles(self, avail: int, forced: int, style: str = "pc") -> bool:
+        """Whether avail, the known models of an alpha, pass it unasserted,
+        given forced, scope slots UP derives from it: for URC one model, for
+        PC (the default) one setting each slot forced does not refute.  Then
+        UP does not refute alpha, and for PC derives, being sound, no other
+        scope literal: its closure on the scope is forced."""
+        return avail != 0 if style == "urc" else self.open_slot(avail, forced) is None
+
     def open_slot(self, avail: int, forced: int, extend=None) -> Optional[int]:
         """PC's first unmet need at an alpha closed to forced: a slot not
         refuted by forced that no model in avail (nor extend) sets, or None.
@@ -354,7 +364,9 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
 
     A child whose models set every slot not refuted by its forced plus its
     literal is satisfiable and entails no other scope literal, so UP closes
-    it to exactly that and both conditions hold: it is not asserted.  Any
+    it to exactly that and both conditions hold: it is not asserted.  This
+    is _Projection.settles under PC's rule for both styles, as the walk
+    needs each alpha's exact closure.  Any
     other child first asserts the deferred decisions, each at its own mark,
     so its siblings share them.
 
@@ -396,7 +408,7 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
     cex = None
     if not eng.base_conflict:  # else every condition holds vacuously
         val, trail, blit, codes = eng.val, eng.trail, proj.blit, proj.codes
-        open_slot = proj.open_slot
+        settles = proj.settles
         end, base = 2 * len(walked), eng.mark()
         for _ in scope_search(eng, walked):
             proj.add(val[2 * v] > 0 for v in walked)
@@ -454,7 +466,7 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
             frames.append((slot + 1, avail, forced, depth))
             decisions.append(codes[slot])
             sub_avail, sub_forced = avail & blit[slot], forced | 1 << slot
-            if open_slot(sub_avail, sub_forced) is not None:
+            if not settles(sub_avail, sub_forced):
                 for c in decisions[len(marks):]:  # all but the last are satisfiable
                     marks.append(len(trail))
                     ok = eng.assert_lits((c,))
@@ -532,15 +544,25 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
     ORs its closure into acc.  UP is monotone, so a consistent closure of
     the alpha would contain every such closure: a failed literal or a
     complementary pair in acc refutes the whole alpha, and the sample, which
-    passes vacuously, stops there without an engine call.  An alpha the
-    table does not refute is asserted whole, which decides it exactly, and a
-    surviving one is checked in scope order on the engine that holds it."""
+    passes vacuously, stops there without an engine call.
+
+    An alpha the table leaves open passes with no engine call when
+    settles(avail, base plus its own slots) holds, avail being its known
+    models.  A model of phi & alpha means UP does not refute it, so it is
+    not vacuous, and URC holds.  The closure holds those slots, so PC's
+    pending slots there are among those tested, each set by a model in
+    avail, and PC holds without calling extend.  The cache grows only
+    through new_model, so every count and the counterexample are those of
+    asserting it.  (PC settles the one alpha () over an empty scope, with
+    no model: the base does not refute it.)  Any other alpha is asserted
+    whole, which decides it exactly, and a surviving one is checked in
+    scope order on the engine that holds it."""
     proj = _Projection(scope, nvars)
     k = len(scope)
     eng = PropEngine(clauses, nvars)
     if eng.base_conflict:  # the formula UP-refutes itself: every sample is vacuous
         return None, None, 0, stop - start
-    val, trail, codes = eng.val, eng.trail, proj.codes
+    val, trail, codes, settles = eng.val, eng.trail, proj.codes, proj.settles
     limits = [0] + [(1 << 64) - (1 << 64) % n for n in range(1, 2 * k + 2)]  # n <= max(k+1, 2k)
     sat_calls = vacuous = 0
     base = proj.trail_slots(trail)  # scope literals forced by the formula's own units
@@ -609,9 +631,12 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
             vacuous += 1
             continue
         alpha = tuple(codes[slot] for slot in sorted(slots))
+        avail = proj.consistent(alpha)
+        if settles(avail, base | sum(1 << slot for slot in slots), style):
+            continue
         if eng.assert_lits(alpha):
             forced = base | proj.trail_slots(trail, mark)
-            cex = proj.violation(alpha, style, proj.consistent(alpha), forced, new_model)
+            cex = proj.violation(alpha, style, avail, forced, new_model)
             if cex is not None:
                 return j, cex, sat_calls, vacuous
         else:

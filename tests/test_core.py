@@ -1,5 +1,6 @@
 """Graph model, validation, scopes, and brute-force semantics."""
 
+import dataclasses
 import random
 
 import pytest
@@ -260,10 +261,18 @@ def test_enumerate_models_bound():
         enumerate_models(g, budget=1)
 
 
+def test_enumerate_models_bound_holds_once_cached():
+    g = g1()
+    assert enumerate_models(g) == g.models
+    with pytest.raises(BudgetExceededError):
+        enumerate_models(g, budget=1)
+
+
 def test_enumerate_models_builds_one_engine_per_leaf(corpus, monkeypatch):
+    # on a fresh copy: another test may have cached the corpus graph's models
     from bdmc import engine
 
-    g = next(g for g in corpus if len(g.leaves) >= 3)
+    g = dataclasses.replace(next(g for g in corpus if len(g.leaves) >= 3))
     counts = {"builds": 0, "brute_sat": 0}
     real_engine, real_brute_sat = engine.PropEngine, engine.brute_sat
 
@@ -278,7 +287,11 @@ def test_enumerate_models_builds_one_engine_per_leaf(corpus, monkeypatch):
 
     monkeypatch.setattr(engine, "PropEngine", CountingEngine)
     monkeypatch.setattr(engine, "brute_sat", counting_brute_sat)
-    assert enumerate_models(g)
+    models = enumerate_models(g)
+    assert models
+    assert counts == {"builds": len(g.leaves), "brute_sat": 0}
+    # the second call reads the graph's cache: no engine at all
+    assert enumerate_models(g) is models
     assert counts == {"builds": len(g.leaves), "brute_sat": 0}
 
 

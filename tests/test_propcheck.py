@@ -436,6 +436,17 @@ def test_sampled_early_stop_matches_full_draws():
 ])
 def test_sampled_closure_table_exact(monkeypatch, clauses, table_refutes):
     # both formulas are URC, so every sample runs, and neither is PC
+    mentioned = {abs(lit) for c in clauses for lit in c}
+    walked = [v for v in (1, 2, 3) if v in mentioned]
+    singles = {lit: propagate(clauses, 3, [lit]) for v in walked for lit in (v, -v)}
+
+    def table_open(alpha):
+        """Whether the single-literal closures leave alpha open."""
+        if any(singles[lit] is None for lit in alpha):
+            return False
+        union = set().union(*(singles[lit] for lit in alpha))
+        return not any(-lit in union for lit in union)
+
     calls, oracle = [], []  # the sampler's engine calls; set while the oracle runs
     assert_lits, model_under = propcheck.PropEngine.assert_lits, propcheck.model_under
 
@@ -465,10 +476,16 @@ def test_sampled_closure_table_exact(monkeypatch, clauses, table_refutes):
         assert got.passed == (style == "urc")
         if style == "urc":
             assert got.vacuous > 0
-            # past the fills, only the alphas the table leaves open reach
-            # the engine, one call each
-            open_alphas = samples - (got.vacuous if table_refutes else 0)
-            assert open_alphas <= engine_calls <= fills + open_alphas
+            drawn = [full_draw(walked, seed, j) for j in range(samples)]
+            assert sum(not table_open(alpha) for alpha in drawn) == (got.vacuous if table_refutes
+                                                                     else 0)
+            # past the fills, an alpha the table leaves open reaches the
+            # engine, one call, only when no known model agrees with it:
+            # it is unsatisfiable, or its model is a new one, one SAT call
+            unsat_open = sum(table_open(alpha) and brute_sat(clauses, 3, alpha) is None
+                             for alpha in drawn)
+            low = unsat_open + got.sat_calls
+            assert low <= engine_calls <= fills + low
 
 
 def test_open_slot_refuses_a_model_that_misses_its_slot():
@@ -489,16 +506,17 @@ def test_open_slot_refuses_a_model_that_misses_its_slot():
 
 
 def recorded_survivors(monkeypatch):
-    """The alphas reaching _Projection.violation, as DIMACS literals, in the
-    order the sampler checks them."""
+    """The alphas the closure table leaves open, as DIMACS literals, in the
+    order the sampler checks them: each reaches _Projection.consistent once,
+    whether its known models settle it or the engine asserts it."""
     seen = []
-    violation = propcheck._Projection.violation
+    consistent = propcheck._Projection.consistent
 
-    def record(self, alpha, *args):
+    def record(self, alpha):
         seen.append(tuple(map(propcheck.decode, alpha)))
-        return violation(self, alpha, *args)
+        return consistent(self, alpha)
 
-    monkeypatch.setattr(propcheck._Projection, "violation", record)
+    monkeypatch.setattr(propcheck._Projection, "consistent", record)
     return seen
 
 
@@ -531,7 +549,7 @@ def test_sample_stream_known_answer():
 
 def test_sampled_draws_match_full_draws_past_one_block(monkeypatch):
     # over 12 variables a draw of size 8 or more reads a second digest:
-    # every alpha UP does not refute reaches the check, as drawn in full
+    # every alpha UP does not refute survives the table, as drawn in full
     clauses = [tuple(range(1, 13)), (-1, -2), (-3, 4), (5, -6, 7)]
     scope = list(range(1, 13))
     seen = recorded_survivors(monkeypatch)
@@ -540,7 +558,8 @@ def test_sampled_draws_match_full_draws_past_one_block(monkeypatch):
         got = check_strength(clauses, 12, scope, "urc", mode="sampled", samples=300, seed=seed)
         drawn = [full_draw(scope, seed, j) for j in range(300)]
         want = [alpha for alpha in drawn if propagate(clauses, 12, alpha) is not None]
-        assert got.passed and seen == want
+        assert got.passed
+        assert [alpha for alpha in seen if propagate(clauses, 12, alpha) is not None] == want
         assert got.vacuous == 300 - len(want) > 0
         assert max(map(len, want)) >= 8
 
@@ -562,6 +581,41 @@ def test_sampled_seeds_do_not_alias(monkeypatch, a, b):
                        seed=seed)  # no alpha over the scope refutes the clause
         runs.append(seen[first:])
     assert len(runs[0]) == len(runs[1]) == 20 and runs[0] != runs[1]
+
+
+def test_sampled_settled_survivors_change_no_verdict(monkeypatch):
+    # a survivor of the table that its known models settle is never
+    # asserted; turning that off (the path that asserts every survivor)
+    # changes no field of any verdict, sat_calls and vacuous included
+    rng = random.Random(34)
+    cases = []
+    for i in range(2000):
+        nv = rng.randint(1, 7)
+        cls = [tuple(x if rng.random() < 0.5 else -x
+                     for x in rng.sample(range(1, nv + 1), rng.randint(1, min(3, nv))))
+               for _ in range(rng.randint(1, 10))]
+        scope = rng.sample(range(1, nv + 1), rng.randint(1, nv))
+        cases.append((cls, nv, scope, i, 1 if i % 250 else 2))
+    settles = propcheck._Projection.settles
+    settled = []
+
+    def counting(self, avail, forced, style="pc"):
+        out = settles(self, avail, forced, style)
+        settled.append(out)
+        return out
+
+    def verdicts():
+        return [check_strength(cls, nv, scope, style, mode="sampled", samples=60, seed=seed,
+                               jobs=jobs).to_dict()
+                for cls, nv, scope, seed, jobs in cases for style in ("urc", "pc")]
+
+    monkeypatch.setattr(propcheck._Projection, "settles", counting)
+    on = verdicts()
+    monkeypatch.setattr(propcheck._Projection, "settles", lambda *args: False)
+    assert verdicts() == on
+    assert any(settled) and not all(settled)
+    assert {(d["style"], d["passed"]) for d in on} == {(style, passed) for style in ("urc", "pc")
+                                                       for passed in (True, False)}
 
 
 def test_sampled_vacuous_counter():

@@ -8,7 +8,8 @@ The BDMC_BUDGET environment variable (a positive integer, default 3^14) caps
 the assignments of every exhaustive sweep: 3^k for a strength check over the
 k scope variables some clause mentions, 2^n for the correctness check over n
 inputs, which verify runs against the sentence as written, not a smoothed or
-leveled copy.
+leveled copy.  Only verify and certify-leaf run sweeps, so only they read it
+(once a run) and echo it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ def _budget() -> int:
 
 def _echo_config(args: argparse.Namespace) -> None:
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    cfg["budget"] = _budget()
     print("config " + json.dumps(cfg, sort_keys=True, default=str), file=sys.stderr)
 
 
@@ -137,10 +137,10 @@ def cmd_verify(args) -> int:
     verdict = {"target": spec.name, "source": source, "style": style, "scope": scope_kind}
     checks = {
         "encoding": lambda: propcheck.check_encoding(
-            clauses, nvars, list(range(1, num_inputs + 1)), graph, budget=_budget()),
+            clauses, nvars, list(range(1, num_inputs + 1)), graph, budget=args.budget),
         "strength": lambda: propcheck.check_strength(
             clauses, nvars, scope, style, mode=mode, samples=samples, seed=seed,
-            budget=_budget(), jobs=args.jobs,
+            budget=args.budget, jobs=args.jobs,
         ),
     }
     # first the check whose budget gate can refuse before any work: 3^k over
@@ -217,6 +217,8 @@ def cmd_level(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 0:
+        raise InputError(f"sentence count must be non-negative, got {args.count}")
     for k in range(args.count):
         graph = propcheck.gen_random(
             n=args.n, max_depth=args.depth, leaf_class=args.leaf_class,
@@ -237,7 +239,6 @@ def cmd_certify_leaf(args) -> int:
     graph = _read_graph(args.input)
     if args.leaf is not None and not 1 <= args.leaf <= len(graph.leaves):
         raise InputError(f"--leaf {args.leaf} is not a leaf index 1..{len(graph.leaves)}")
-    budget = _budget()
     rows = []
     applied = []
     refuted = []
@@ -245,7 +246,7 @@ def cmd_certify_leaf(args) -> int:
         if args.leaf is not None and leaf.index != args.leaf:
             applied.append(leaf)
             continue
-        cert = propcheck.certify_leaf(leaf, budget=budget)
+        cert = propcheck.certify_leaf(leaf, budget=args.budget)
         rows.append({
             "leaf": leaf.index,
             "claimed": leaf.claimed_class,
@@ -356,6 +357,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.func in (cmd_verify, cmd_certify_leaf):  # the commands that run sweeps
+            args.budget = _budget()
         _echo_config(args)
         return args.func(args)
     except ParseError as exc:

@@ -12,28 +12,27 @@ Both are decided through the equivalent satisfiability formulation: after
 propagating alpha without conflict, the formula must be satisfiable (URC), and
 for every scope literal l whose negation was not derived, phi & alpha & l must
 be satisfiable (PC).  Both modes answer these queries from one _Projection: the
-formula's models projected onto V, kept as per-literal bitsets, with one PC
-pending-literal loop, and both take the variables of V that some clause
-mentions (the first of V if none is).  Exhaustive mode reads the complete
-projection off its one engine, then walks the partial assignments over them
-in one loop over an explicit frame stack, pruning every extension of a
-conflicting assignment; a literal no model sets is a failure.  It asserts
-an alpha only when its models leave a literal open: if they set each scope
-literal not refuted by its parent's closure plus its own literal, UP, being
-sound, closes alpha to exactly that set, and both conditions hold.  It walks
-no subtree the models settle: when the models of a passing alpha take every
-value on the r variables the subtree decides (for PC, on those together
-with each earlier one left open), no such literal is entailed, so each
-extension closes to that alpha's closure plus its own literals and passes,
-and the walk counts the 3^r - 1 of them in closed form.  It visits each UP
-closure once, keeping no record of the closures seen: an alpha whose last
+formula's models projected onto V, kept as per-literal bitsets, and judge
+every alpha by one rule, _Projection.unmet, whose docstring states why it
+is sound; both take the variables of V that some clause mentions (the
+first of V if none is).  Exhaustive mode reads the complete projection off
+its one engine, then walks the partial assignments over them in one loop
+over an explicit frame stack, pruning every extension of a conflicting
+assignment; a literal no model sets is a failure.  It asserts an alpha only
+when its models do not settle it, given its parent's closure plus its own
+literal.  It walks no subtree the models settle: when the models of a
+passing alpha take every value on the r variables the subtree decides (for
+PC, on those together with each earlier one left open), no such literal is
+entailed, so each extension closes to that alpha's closure plus its own
+literals and passes, and the walk counts the 3^r - 1 of them in closed
+form.  It visits each UP closure once, keeping no record of the closures seen: an alpha whose last
 decision derives a literal of an earlier walked variable repeats the
 closure of an alpha walked before it, and is skipped with its subtree.
 Sampled mode draws sample j over them from its own stream of BLAKE2b words,
 keyed by (seed, j), against a lazily filled table of single-literal UP
 closures: the draw stops as vacuous once their union holds a failed literal
 or a complementary pair.  An alpha the table does not refute passes
-unasserted when its known models settle it, by the walk's rule; any other
+unasserted when its known models settle it, by the same rule; any other
 is asserted on the engine, whole.  It grows the projection on demand: a
 literal no known model sets goes to the DPLL oracle.
 """
@@ -149,9 +148,10 @@ class Counterexample:
 @dataclass(frozen=True)
 class StrengthVerdict:
     """A strength verdict on the declared scope (a range stays a range); both
-    modes check assignments over its clause-mentioned variables, counting in
-    alphas_checked those up to and including the first failure and in vacuous
-    (sampled mode) those among them that UP refutes.  Exhaustive mode counts
+    modes judge assignments over its clause-mentioned variables by
+    _Projection.unmet's rule, counting in alphas_checked those up to and
+    including the first failure and in vacuous (sampled mode) those among
+    them that UP refutes.  Exhaustive mode counts
     one alpha per UP closure on the walked variables, the first in walk order
     to reach it, and counts the alphas of a subtree its models settle without
     visiting them: for PC that is the number of distinct closures, and for
@@ -292,40 +292,37 @@ class _Projection:
             acc &= self.blit[self.bit[c].bit_length() - 1]
         return acc
 
-    def violation(self, alpha: Sequence[int], style: str, avail: int, forced: int,
-                  extend: Optional[Callable[[Optional[int]], Optional[int]]] = None,
-                  ) -> Optional[Counterexample]:
-        """Check the style's condition at alpha, which UP closes without
-        conflict to the scope slots in forced; avail holds the known models
-        consistent with alpha.  URC needs one such model; PC needs, for every
-        slot whose complement is not forced, one that sets it.  A need no
-        model in avail meets goes to extend(slot) (slot None for URC), which
-        returns the index of a new model meeting it, or None; without extend,
-        or on None, the need is the counterexample.  None means the
-        condition holds."""
+    def unmet(self, avail: int, forced: int, style: str,
+              extend: Optional[Callable[[Optional[int]], Optional[int]]] = None) -> Optional[int]:
+        """The style's first unmet need at an alpha, or None when it has none.
+        avail holds known models consistent with alpha, and forced scope
+        slots UP derives from alpha.  URC needs one model; its need is -1.
+        PC needs, for each slot whose complement forced does not hold, a
+        model setting it; its need is the lowest such slot no model meets.
+        A need no model in avail meets goes to extend(slot) (slot None for
+        URC), which returns the index of a new model of the formula and
+        alpha meeting it, or None when there is none.  A model from extend
+        that leaves its slot unset is a fault of the oracle, not of the
+        formula: it raises RuntimeError rather than asking again for ever.
+
+        This is the one rule that judges an alpha, and it rests on UP being
+        sound.  A model in avail, or from extend, is a model of phi & alpha,
+        so a need it meets holds: alpha is satisfiable, or the complement of
+        the slot's literal is not entailed.  So None means that alpha passes
+        and that UP does not refute it.  For URC a model exists.  For PC over
+        a nonempty scope each variable has a needed slot, so a model exists
+        too, and each scope literal l that UP derives is entailed, so no
+        model sets its complement, which would be an unmet need unless
+        forced holds l: forced is alpha's exact closure on the scope.
+        (Over an empty scope PC needs nothing.)  That is settles, which
+        passes an alpha with no unmet need unasserted.  Conversely, when
+        forced is the exact closure and extend finds a model for every need
+        that phi & alpha can meet, an unmet need is a violation: phi & alpha
+        is unsatisfiable though UP does not refute alpha, or the complement
+        of the slot's literal is entailed but, not being in forced, not
+        derived.  counterexample reports it."""
         if style == "urc":
-            if avail or (extend is not None and extend(None) is not None):
-                return None
-            return Counterexample(tuple(map(decode, alpha)), None)
-        slot = self.open_slot(avail, forced, extend)
-        if slot is None:
-            return None
-        return Counterexample(tuple(map(decode, alpha)), decode(self.codes[slot ^ 1]))
-
-    def settles(self, avail: int, forced: int, style: str = "pc") -> bool:
-        """Whether avail, the known models of an alpha, pass it unasserted,
-        given forced, scope slots UP derives from it: for URC one model, for
-        PC (the default) one setting each slot forced does not refute.  Then
-        UP does not refute alpha, and for PC derives, being sound, no other
-        scope literal: its closure on the scope is forced."""
-        return avail != 0 if style == "urc" else self.open_slot(avail, forced) is None
-
-    def open_slot(self, avail: int, forced: int, extend=None) -> Optional[int]:
-        """PC's first unmet need at an alpha closed to forced: a slot not
-        refuted by forced that no model in avail (nor extend) sets, or None.
-        A model from extend that leaves its slot unset is a fault of the
-        oracle, not of the formula: it raises RuntimeError rather than
-        asking again for ever."""
+            return None if avail or (extend is not None and extend(None) is not None) else -1
         swapped = ((forced & self.even) << 1) | ((forced & (self.even << 1)) >> 1)
         pend = self.all_lits & ~swapped
         while pend:
@@ -343,6 +340,16 @@ class _Projection:
             j = (t & -t).bit_length() - 1
             pend &= ~self.model_lits[j]
         return None
+
+    def settles(self, avail: int, forced: int, style: str = "pc") -> bool:
+        """Whether avail passes the alpha unasserted, by unmet's rule; PC's
+        (the default) also makes forced the exact closure."""
+        return self.unmet(avail, forced, style) is None
+
+    def counterexample(self, alpha: Sequence[int], need: int) -> Counterexample:
+        """The violation at alpha (codes) of an unmet need: URC's -1 is bot,
+        and a PC slot is unmet because its complement is entailed."""
+        return Counterexample(tuple(map(decode, alpha)), None if need < 0 else decode(self.codes[need ^ 1]))
 
 
 def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterexample], int]:
@@ -362,13 +369,12 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
     A UP conflict moves to the next slot, pruning every extension; an alpha
     that passes opens a frame at the next variable's first slot.
 
-    A child whose models set every slot not refuted by its forced plus its
-    literal is satisfiable and entails no other scope literal, so UP closes
-    it to exactly that and both conditions hold: it is not asserted.  This
-    is _Projection.settles under PC's rule for both styles, as the walk
-    needs each alpha's exact closure.  Any
-    other child first asserts the deferred decisions, each at its own mark,
-    so its siblings share them.
+    Every alpha is judged by _Projection.unmet, whose docstring holds the
+    argument.  A child that settles with its forced plus its own literal
+    passes and closes to exactly that: it is not asserted.  The test takes
+    PC's rule for both styles, as the walk needs each alpha's exact closure.
+    Any other child first asserts the deferred decisions, each at its own
+    mark, so its siblings share them.
 
     An alpha that passes, the root included, settles its subtree when its
     models take all 2^r values on R, the r walked variables after its last
@@ -404,11 +410,11 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
     variables, so some alphas they count repeat a closure."""
     proj = _Projection(walked, nvars)
     eng = PropEngine(clauses, nvars)
-    alphas = 0
-    cex = None
+    alphas, need = 0, None
+    decisions: list[int] = []
     if not eng.base_conflict:  # else every condition holds vacuously
         val, trail, blit, codes = eng.val, eng.trail, proj.blit, proj.codes
-        settles = proj.settles
+        settles, unmet = proj.settles, proj.unmet
         end, base = 2 * len(walked), eng.mark()
         for _ in scope_search(eng, walked):
             proj.add(val[2 * v] > 0 for v in walked)
@@ -416,7 +422,7 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
         forced = proj.trail_slots(trail)
         avail = (1 << len(proj.model_lits)) - 1
         alphas = 1
-        cex = proj.violation((), style, avail, forced)
+        need = unmet(avail, forced, style)
         even, pc = proj.even, style == "pc"
 
         def free_cube(avail: int, forced: int, first: int) -> Optional[int]:
@@ -447,9 +453,8 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
                     return None
             return 3 ** r - 1
 
-        decisions: list[int] = []
         marks: list[int] = []  # marks[i]: the trail before decisions[i], while asserted
-        settled = free_cube(avail, forced, 0) if cex is None else 0
+        settled = free_cube(avail, forced, 0) if need is None else 0
         alphas += settled or 0
         frames = [(0, avail, forced, 0)] if settled is None else []
         while frames:
@@ -475,16 +480,16 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
                 sub_forced = forced | proj.trail_slots(trail, marks[-1])
                 if (sub_forced & ~forced) & ((1 << (slot & ~1)) - 1):
                     continue  # not canonical; the next frame backtracks it, as on a conflict
-                cex = proj.violation(decisions, style, sub_avail, sub_forced)
+                need = unmet(sub_avail, sub_forced, style)
             alphas += 1
-            if cex is not None:
+            if need is not None:
                 break
             settled = free_cube(sub_avail, sub_forced, (slot | 1) + 1)
             if settled is None:
                 frames.append(((slot | 1) + 1, sub_avail, sub_forced, depth + 1))
             else:
                 alphas += settled
-    return cex, alphas
+    return (None if need is None else proj.counterexample(decisions, need)), alphas
 
 
 def _sampled_check(clauses, nvars, scope, walked, style, samples, seed, jobs) -> StrengthVerdict:
@@ -546,17 +551,16 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
     complementary pair in acc refutes the whole alpha, and the sample, which
     passes vacuously, stops there without an engine call.
 
-    An alpha the table leaves open passes with no engine call when
-    settles(avail, base plus its own slots) holds, avail being its known
-    models.  A model of phi & alpha means UP does not refute it, so it is
-    not vacuous, and URC holds.  The closure holds those slots, so PC's
-    pending slots there are among those tested, each set by a model in
-    avail, and PC holds without calling extend.  The cache grows only
-    through new_model, so every count and the counterexample are those of
-    asserting it.  (PC settles the one alpha () over an empty scope, with
-    no model: the base does not refute it.)  Any other alpha is asserted
-    whole, which decides it exactly, and a surviving one is checked in
-    scope order on the engine that holds it."""
+    Every alpha is judged by _Projection.unmet, whose docstring holds the
+    argument.  An alpha the table leaves open passes with no engine call
+    when it settles with base plus its own slots, avail being its known
+    models: it passes and UP does not refute it, so it is not vacuous.  The
+    cache grows only through new_model, so every count and the
+    counterexample are those of asserting it.  (PC settles the one alpha ()
+    over an empty scope, with no model: the base does not refute it.)  Any
+    other alpha is asserted whole, which gives its exact closure, and a
+    surviving one is judged with new_model as extend, on the engine that
+    holds it."""
     proj = _Projection(scope, nvars)
     k = len(scope)
     eng = PropEngine(clauses, nvars)
@@ -636,9 +640,9 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
             continue
         if eng.assert_lits(alpha):
             forced = base | proj.trail_slots(trail, mark)
-            cex = proj.violation(alpha, style, avail, forced, new_model)
-            if cex is not None:
-                return j, cex, sat_calls, vacuous
+            need = proj.unmet(avail, forced, style, new_model)
+            if need is not None:
+                return j, proj.counterexample(alpha, need), sat_calls, vacuous
         else:
             vacuous += 1
         eng.backtrack(mark)

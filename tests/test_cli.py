@@ -146,9 +146,10 @@ def test_verify_scope_override(g1_file, capsys):
     assert verdict["strength"]["scope_size"] == 2
 
 
-def test_verify_budget_exit(g1_file, monkeypatch):
+def test_verify_budget_exit(g1_file, monkeypatch, capsys):
     monkeypatch.setenv("BDMC_BUDGET", "9")
     assert main(["verify", "--target", "pc", str(g1_file)]) == 4
+    assert '"budget": 9' in capsys.readouterr().err  # echoed on the config line
 
 
 @pytest.mark.parametrize("budget, code", [("7", 4), ("8", 0)])
@@ -161,21 +162,37 @@ def test_budget_bounds_correctness_sweep(tmp_path, monkeypatch, budget, code):
     assert main(["verify", "--target", "cc", "--mode", "sample:10:0", str(path)]) == code
 
 
+MALFORMED_BUDGETS = (("abc", "BDMC_BUDGET must be an integer"),
+                     ("0", "BDMC_BUDGET must be a positive integer"),
+                     ("-1", "BDMC_BUDGET must be a positive integer"))
+
+
 @pytest.mark.parametrize("argv", [
-    ["compile", "--target", "pc", "G1", "-o", "OUT"],
     ["verify", "--target", "cc", "G1"],
-    ["gen", "--count", "1", "-o", "OUT"],
+    ["certify-leaf", "G1"],
 ])
-def test_malformed_budget_exits_1(tmp_path, g1_file, capsys, monkeypatch, argv):
-    # the config echo reads BDMC_BUDGET before any command runs; a budget
-    # below 1 would refuse every sweep as over it (exit 4)
-    argv = [{"G1": str(g1_file), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
-    for budget, message in (("abc", "BDMC_BUDGET must be an integer"),
-                            ("0", "BDMC_BUDGET must be a positive integer"),
-                            ("-1", "BDMC_BUDGET must be a positive integer")):
+def test_malformed_budget_exits_1(g1_file, capsys, monkeypatch, argv):
+    # the two commands that run sweeps read BDMC_BUDGET before any work; a
+    # budget below 1 would refuse every sweep as over it (exit 4)
+    argv = [str(g1_file) if a == "G1" else a for a in argv]
+    for budget, message in MALFORMED_BUDGETS:
         monkeypatch.setenv("BDMC_BUDGET", budget)
         assert main(argv) == 1, budget
-        assert message in capsys.readouterr().err, budget
+        err = capsys.readouterr().err
+        assert message in err and "config" not in err, budget
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "--target", "pc", "G1", "-o", "OUT"],
+    ["gen", "--count", "1", "-o", "OUT"],
+])
+def test_malformed_budget_unread_without_a_sweep(tmp_path, g1_file, capsys, monkeypatch, argv):
+    # compile and gen run no sweep: they neither read nor echo BDMC_BUDGET
+    argv = [{"G1": str(g1_file), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    for budget, _ in MALFORMED_BUDGETS:
+        monkeypatch.setenv("BDMC_BUDGET", budget)
+        assert main(argv) == 0, budget
+        assert '"budget"' not in capsys.readouterr().err, budget
 
 
 def test_verify_clause_with_repeated_literal(tmp_path, g1_file, capsys):
@@ -352,10 +369,11 @@ def test_eval(g1_file, capsys):
     (["certify-leaf", "{g1}", "--leaf", "9"], "--leaf 9 is not a leaf index 1..2"),
     (["certify-leaf", "{g1}", "--leaf", "0"], "--leaf 0 is not a leaf index 1..2"),
     (["gen", "--n", "0"], "a sentence needs at least one input, got n=0"),
+    (["gen", "--count", "-1"], "sentence count must be non-negative, got -1"),
     (["verify", "--target", "pc", "{g1}", "--mode", "sample:-5:0"],
      "sample count must be non-negative, got -5"),
 ], ids=["eval-duplicate-input", "certify-leaf-past-last", "certify-leaf-zero", "gen-no-inputs",
-        "verify-negative-samples"])
+        "gen-negative-count", "verify-negative-samples"])
 def test_bad_cli_input_exits_1(g1_file, capsys, argv, message):
     assert main([a.format(g1=g1_file) for a in argv]) == 1
     captured = capsys.readouterr()

@@ -488,7 +488,7 @@ def test_sampled_closure_table_exact(monkeypatch, clauses, table_refutes):
             assert low <= engine_calls <= fills + low
 
 
-def test_open_slot_refuses_a_model_that_misses_its_slot():
+def test_unmet_refuses_a_model_that_misses_its_slot():
     # an oracle whose model leaves the asked slot unset must not be asked
     # again for ever
     proj = propcheck._Projection([1, 2], 2)
@@ -497,11 +497,11 @@ def test_open_slot_refuses_a_model_that_misses_its_slot():
     def extend(slot):
         asked.append(slot)
         if len(asked) > 3:
-            pytest.fail("open_slot asked again for the same slot")
+            pytest.fail("unmet asked again for the same slot")
         return proj.add([False, False])  # sets -1 and -2, never +1
 
     with pytest.raises(RuntimeError, match=r"does not set slot 0 \(literal 1\)"):
-        proj.open_slot(0, 0, extend)
+        proj.unmet(0, 0, "pc", extend)
     assert asked == [0]
 
 
@@ -583,19 +583,25 @@ def test_sampled_seeds_do_not_alias(monkeypatch, a, b):
     assert len(runs[0]) == len(runs[1]) == 20 and runs[0] != runs[1]
 
 
-def test_sampled_settled_survivors_change_no_verdict(monkeypatch):
-    # a survivor of the table that its known models settle is never
-    # asserted; turning that off (the path that asserts every survivor)
-    # changes no field of any verdict, sat_calls and vacuous included
-    rng = random.Random(34)
-    cases = []
-    for i in range(2000):
+def _random_cnfs(seed, count):
+    """count random (clauses, nvars, scope): 1 to 10 clauses of 1 to 3
+    literals over 1 to 7 variables, and a random scope over them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
         nv = rng.randint(1, 7)
         cls = [tuple(x if rng.random() < 0.5 else -x
                      for x in rng.sample(range(1, nv + 1), rng.randint(1, min(3, nv))))
                for _ in range(rng.randint(1, 10))]
-        scope = rng.sample(range(1, nv + 1), rng.randint(1, nv))
-        cases.append((cls, nv, scope, i, 1 if i % 250 else 2))
+        out.append((cls, nv, rng.sample(range(1, nv + 1), rng.randint(1, nv))))
+    return out
+
+
+def _assert_settles_changes_no_verdict(monkeypatch, verdicts):
+    """verdicts() is the same with _Projection.settles as it is and patched
+    to False (every alpha it would pass is asserted and judged instead);
+    settles both passed and refused some alpha, and both styles both
+    passed and failed."""
     settles = propcheck._Projection.settles
     settled = []
 
@@ -604,11 +610,6 @@ def test_sampled_settled_survivors_change_no_verdict(monkeypatch):
         settled.append(out)
         return out
 
-    def verdicts():
-        return [check_strength(cls, nv, scope, style, mode="sampled", samples=60, seed=seed,
-                               jobs=jobs).to_dict()
-                for cls, nv, scope, seed, jobs in cases for style in ("urc", "pc")]
-
     monkeypatch.setattr(propcheck._Projection, "settles", counting)
     on = verdicts()
     monkeypatch.setattr(propcheck._Projection, "settles", lambda *args: False)
@@ -616,6 +617,35 @@ def test_sampled_settled_survivors_change_no_verdict(monkeypatch):
     assert any(settled) and not all(settled)
     assert {(d["style"], d["passed"]) for d in on} == {(style, passed) for style in ("urc", "pc")
                                                        for passed in (True, False)}
+
+
+def test_sampled_settled_survivors_change_no_verdict(monkeypatch):
+    # a survivor of the table that its known models settle is never
+    # asserted; turning that off (the path that asserts every survivor)
+    # changes no field of any verdict, sat_calls and vacuous included
+    cases = [(cls, nv, scope, i, 1 if i % 250 else 2)
+             for i, (cls, nv, scope) in enumerate(_random_cnfs(34, 2000))]
+
+    def verdicts():
+        return [check_strength(cls, nv, scope, style, mode="sampled", samples=60, seed=seed,
+                               jobs=jobs).to_dict()
+                for cls, nv, scope, seed, jobs in cases for style in ("urc", "pc")]
+
+    _assert_settles_changes_no_verdict(monkeypatch, verdicts)
+
+
+def test_exhaustive_settled_children_change_no_verdict(monkeypatch):
+    # a child the walk settles from its models is never asserted; turning
+    # that off (the walk asserts and judges every child) changes no field
+    # of any verdict.  Settling on any known model alone, which leaves the
+    # closure inexact, changes about 16% of these verdicts
+    cases = _random_cnfs(35, 2000)
+
+    def verdicts():
+        return [check_strength(cls, nv, scope, style).to_dict()
+                for cls, nv, scope in cases for style in ("urc", "pc")]
+
+    _assert_settles_changes_no_verdict(monkeypatch, verdicts)
 
 
 def test_sampled_vacuous_counter():
@@ -929,15 +959,18 @@ def test_exhaustive_walk_visits_each_closure_once():
     assert verdict.passed and verdict.mode == "exhaustive" and verdict.alphas_checked == 711
 
 
-def _count_open_slots(monkeypatch):
+def _count_pc_needs(monkeypatch):
+    """The calls of _Projection.unmet under PC's rule: the walk's settles
+    tests for both styles, and its judgments of PC alphas."""
     calls = []
-    open_slot = propcheck._Projection.open_slot
+    unmet = propcheck._Projection.unmet
 
-    def counting(self, *args):
-        calls.append(args)
-        return open_slot(self, *args)
+    def counting(self, avail, forced, style, extend=None):
+        if style == "pc":
+            calls.append((avail, forced))
+        return unmet(self, avail, forced, style, extend)
 
-    monkeypatch.setattr(propcheck._Projection, "open_slot", counting)
+    monkeypatch.setattr(propcheck._Projection, "unmet", counting)
     return calls
 
 
@@ -946,11 +979,11 @@ def test_exhaustive_settles_free_subtrees(monkeypatch, style):
     # (x1 | ... | x10): below +x1, or any alpha with a true literal, the
     # models take every value on the later variables, so each such subtree
     # is counted as 3^r - 1 alphas, not walked; walking every alpha asks
-    # open_slot 59,057 (pc) and 59,046 (urc) times.  Of the 59,047 alphas,
+    # PC's rule 59,057 (pc) and 59,046 (urc) times.  Of the 59,047 alphas,
     # the nine that set all variables but x_j false, j < 10, derive x_j and
     # repeat a closure: PC skips them, and URC counts all but one of them
     # in the subtrees its models settle
-    calls = _count_open_slots(monkeypatch)
+    calls = _count_pc_needs(monkeypatch)
     verdict = check_strength([tuple(range(1, 11))], 10, range(1, 11), style)
     assert verdict.passed and verdict.alphas_checked == {"pc": 59_038, "urc": 59_046}[style]
     assert len(calls) < 500
@@ -959,7 +992,7 @@ def test_exhaustive_settles_free_subtrees(monkeypatch, style):
 XOR3 = [(1, 2, 3), (1, -2, -3), (-1, 2, -3), (-1, -2, 3)]  # x1 ^ x2 ^ x3 = 1
 
 
-@pytest.mark.parametrize("style, open_slots", [
+@pytest.mark.parametrize("style, pc_needs", [
     # below {2}, the models 010 and 111 take both values of 3: settled.
     # Any two literals derive the third variable's, so the walk skips
     # {1, 3}, {1, -3}, {-1, 3} and {-1, -3}, whose last decision derives 2;
@@ -970,11 +1003,11 @@ XOR3 = [(1, 2, 3), (1, -2, -3), (-1, 2, -3), (-1, -2, 3)]  # x1 ^ x2 ^ x3 = 1
     # alphas
     ("pc", 23),
 ])
-def test_exhaustive_settles_subtree_by_style(monkeypatch, style, open_slots):
-    calls = _count_open_slots(monkeypatch)
+def test_exhaustive_settles_subtree_by_style(monkeypatch, style, pc_needs):
+    calls = _count_pc_needs(monkeypatch)
     verdict = check_strength(XOR3, 3, [1, 2, 3], style)
     assert verdict.passed and verdict.alphas_checked == {"urc": 15, "pc": 11}[style]
-    assert len(calls) == open_slots
+    assert len(calls) == pc_needs
     assert reference_walk(XOR3, 3, [1, 2, 3], style) == (None, 11, 19)
 
 

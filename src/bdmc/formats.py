@@ -17,7 +17,9 @@ internally.
 
 parse_bdmc refuses each malformed line with a ParseError naming it, and
 builds the graph from its checked parts without core.assemble_graph or
-core.make_leaf.  A cycle, a node the root does not reach, an input in no
+core.make_leaf.  The rules LeafEncoding itself holds (a known class, and
+inputs unless the leaf is constant) are left to it and reported on the
+leaf's line.  A cycle, a node the root does not reach, an input in no
 leaf or an and-node whose children share a variable is refused when the
 graph is first analysed (core.analyze).
 """
@@ -29,8 +31,7 @@ import re
 from collections import Counter
 from typing import TYPE_CHECKING
 
-from .core import (LEAF_CLASSES, BdmcGraph, Clause, LeafEncoding, Node, infer_claimed_class,
-                   make_clause)
+from .core import BdmcGraph, Clause, LeafEncoding, Node, infer_claimed_class, make_clause
 from .errors import InputError, ParseError
 
 if TYPE_CHECKING:
@@ -45,27 +46,6 @@ def _is_name(tok: str) -> bool:
     if not tok or tok in KEYWORDS or tok == "0" or tok.startswith("-"):
         return False
     return all(ch.isalnum() or ch in "_@." for ch in tok) and not tok[0].isdigit()
-
-
-class _Lines:
-    def __init__(self, text: str):
-        self.rows = []
-        for lno, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0]
-            if body.strip():
-                self.rows.append((lno, body.split()))
-        self.pos = 0
-
-    def next(self, what: str):
-        if self.pos >= len(self.rows):
-            raise ParseError(f"unexpected end of file, expected {what}")
-        row = self.rows[self.pos]
-        self.pos += 1
-        return row
-
-    @property
-    def done(self) -> bool:
-        return self.pos >= len(self.rows)
 
 
 def _decimal(tok: str) -> int:
@@ -105,13 +85,21 @@ def _leaf_index(tok: str, lno: int, n_leaves: int, seen: set[int], twice: str) -
 def parse_bdmc(text: str) -> BdmcGraph:
     """Parse a BDMC document into a graph whose ids, leaf<->node bijection,
     edges and variables are checked, each on its line."""
-    lines = _Lines(text)
-    header, toks = lines.next("header line 'bdmc ...'")
+    rows = iter([(lno, toks) for lno, raw in enumerate(text.splitlines(), start=1)
+                 for toks in [raw.split("#", 1)[0].split()] if toks])
+
+    def take(what: str) -> tuple[int, list[str]]:
+        row = next(rows, None)
+        if row is None:
+            raise ParseError(f"unexpected end of file, expected {what}")
+        return row
+
+    header, toks = take("header line 'bdmc ...'")
     if toks[0] != "bdmc" or len(toks) != 5:
         raise ParseError("expected header 'bdmc <nodes> <edges> <leaves> <inputVars>'",
                          line=header)
     n_nodes, n_edges, n_leaves, n_inputs = (_count(t, header, "a count") for t in toks[1:])
-    lno, toks = lines.next("'inputs' line")
+    lno, toks = take("'inputs' line")
     if toks[0] != "inputs":
         raise ParseError("expected 'inputs' line", line=lno)
     input_names = toks[1:]
@@ -133,7 +121,7 @@ def parse_bdmc(text: str) -> BdmcGraph:
     edge_count = 0
     attached: set[int] = set()
     for _ in range(n_nodes):
-        lno, toks = lines.next("a node line")
+        lno, toks = take("a node line")
         kind = toks[0]
         if kind == "L":
             if len(toks) != 2:
@@ -162,7 +150,7 @@ def parse_bdmc(text: str) -> BdmcGraph:
         raise ParseError(f"header declares {n_edges} edges, nodes list {edge_count}",
                          line=header)
 
-    lno, toks = lines.next("'root' line")
+    lno, toks = take("'root' line")
     if toks[0] != "root" or len(toks) != 2:
         raise ParseError("expected 'root <nodeId>'", line=lno)
     root = _int(toks[1], lno, "a node id")
@@ -173,7 +161,7 @@ def parse_bdmc(text: str) -> BdmcGraph:
     declared: set[int] = set()
     next_aux = n_inputs + 1
     for _ in range(n_leaves):
-        lno, toks = lines.next("a 'leaf' block")
+        lno, toks = take("a 'leaf' block")
         if toks[0] != "leaf":
             raise ParseError("expected 'leaf' block", line=lno)
         try:
@@ -212,43 +200,38 @@ def parse_bdmc(text: str) -> BdmcGraph:
             raise ParseError(f"leaf {index} lists an aux variable twice", line=lno)
         aux_ids = tuple(range(next_aux, next_aux + len(aux_names)))
         next_aux += len(aux_names)
-        local = dict(zip(aux_names, aux_ids))
+        local = {name: input_id[name] for name in in_names}  # aux names are not input names
+        local.update(zip(aux_names, aux_ids))
         clauses: dict[Clause, None] = {}  # canonical, each once, in first-seen order
         for _c in range(m):
-            clno, ctoks = lines.next(f"clause {_c + 1} of leaf {index}")
+            clno, ctoks = take(f"clause {_c + 1} of leaf {index}")
             if not ctoks or ctoks[-1] != "0":
                 raise ParseError("clause line must be 0-terminated", line=clno)
             lits = []
             for col, tok in enumerate(ctoks[:-1], start=1):
                 neg = tok.startswith("-")
                 name = tok[1:] if neg else tok
-                if name in local:
-                    var = local[name]
-                elif name in input_id:
-                    var = input_id[name]
-                    if name not in in_names:
+                var = local.get(name)
+                if var is None:
+                    if name in input_id:
                         raise ParseError(
                             f"leaf {index}: clause uses input {name!r} not declared for this leaf",
                             line=clno, column=col,
                         )
-                else:
                     raise ParseError(f"unknown variable {name!r} in clause", line=clno, column=col)
                 lits.append(-var if neg else var)
             try:
                 clauses.setdefault(make_clause(lits))
             except InputError as exc:
                 raise ParseError(str(exc), line=clno) from None
-        if claimed and claimed not in LEAF_CLASSES:  # a bad clause line is reported first
-            raise ParseError(f"unknown leaf class {claimed!r}", line=lno)
-        if not in_names and clauses and all(clauses):
-            raise ParseError(
-                f"leaf {index}: empty input set is only allowed for constant leaves", line=lno)
-        in_ids = tuple(sorted(input_id[name] for name in in_names))
+        in_ids = tuple(sorted(local[name] for name in in_names))
         cnf = tuple(clauses)
         claimed = claimed or infer_claimed_class(in_ids, aux_ids, cnf)
-        leaves.append(LeafEncoding(index, in_ids, aux_ids, cnf, claimed, tuple(aux_names)))
-    if not lines.done:
-        lno, toks = lines.next("")
+        try:  # the leaf's own rules, after any bad clause line
+            leaves.append(LeafEncoding(index, in_ids, aux_ids, cnf, claimed, tuple(aux_names)))
+        except InputError as exc:
+            raise ParseError(str(exc), line=lno) from None
+    for lno, toks in rows:
         raise ParseError(f"unexpected trailing content {' '.join(toks)!r}", line=lno)
     leaves.sort(key=lambda leaf: leaf.index)
     return BdmcGraph(tuple(nodes), root, n_inputs, tuple(leaves), tuple(input_names))

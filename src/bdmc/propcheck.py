@@ -214,9 +214,12 @@ def check_strength(
     the scope variables some clause mentions, or the first if none is (PC over
     none checks no satisfiability): exhaustive mode walks them, refusing
     before the walk when 3^k over those k is over the budget, and sampled
-    mode draws over them, the same for any jobs."""
+    mode draws over them, the same for any jobs (an int >= 1, checked in both
+    modes)."""
     if style not in STYLES:
         raise InputError("style must be 'urc' or 'pc'")
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise InputError(f"jobs must be an int >= 1, got {jobs!r}")
     if not isinstance(scope, range):  # a range repeats nothing, and may be huge
         scope = tuple(dict.fromkeys(scope))
     clauses = [tuple(c) for c in clauses]
@@ -498,7 +501,7 @@ def _sampled_check(clauses, nvars, scope, walked, style, samples, seed, jobs) ->
     where the platform has one, else the host's count); the first failing
     sample over all chunks decides, and chunks that start after it are
     dropped, so the verdict does not depend on jobs or on the CPU count."""
-    chunk = max(1, -(-samples // max(jobs, 1)))
+    chunk = max(1, -(-samples // jobs))
     tasks = [(clauses, nvars, walked, style, seed, lo, min(lo + chunk, samples))
              for lo in range(0, samples, chunk)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

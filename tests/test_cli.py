@@ -372,8 +372,10 @@ def test_eval(g1_file, capsys):
     (["gen", "--count", "-1"], "sentence count must be non-negative, got -1"),
     (["verify", "--target", "pc", "{g1}", "--mode", "sample:-5:0"],
      "sample count must be non-negative, got -5"),
+    (["verify", "--target", "cc", "{g1}", "--mode", "sample:10:0", "--jobs", "0"],
+     "jobs must be an int >= 1, got 0"),
 ], ids=["eval-duplicate-input", "certify-leaf-past-last", "certify-leaf-zero", "gen-no-inputs",
-        "gen-negative-count", "verify-negative-samples"])
+        "gen-negative-count", "verify-negative-samples", "verify-zero-jobs"])
 def test_bad_cli_input_exits_1(g1_file, capsys, argv, message):
     assert main([a.format(g1=g1_file) for a in argv]) == 1
     captured = capsys.readouterr()

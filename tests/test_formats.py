@@ -415,6 +415,18 @@ def _sentence(inputs="x1 x2", nodes="L 1", root="root 0", leaf="leaf 1 inputs x1
                                     .replace("x1 x2 0", "y 0")),
                  "leaf 1: empty input set is only allowed for constant leaves (line 5)",
                  id="non-constant-leaf-without-inputs"),
+    # a leaf's own rules come after its clause lines, and its input set's duplicates before them
+    pytest.param(lambda: parse_bdmc(_sentence(leaf="leaf 1 inputs x1 x2 aux clauses 1 class bogus")
+                                    .replace("x1 x2 0", "x1 -x1 0")),
+                 "tautological clause: contains both 1 and -1 (line 6)",
+                 id="bad-clause-before-unknown-class"),
+    pytest.param(lambda: parse_bdmc(_sentence(leaf="leaf 1 inputs aux y clauses 1")
+                                    .replace("x1 x2 0", "y z 0")),
+                 "unknown variable 'z' in clause (line 6, col 2)",
+                 id="bad-clause-before-empty-input-set"),
+    pytest.param(lambda: parse_bdmc(_sentence(leaf="leaf 1 inputs x1 x1 aux clauses 1 class bogus")),
+                 "leaf 1 lists an input variable twice (line 5)",
+                 id="input-twice-before-unknown-class"),
     pytest.param(lambda: parse_dimacs("p cnf 2 1\n1 2_0 0\n"),
                  "expected an integer: '2_0' is not an ASCII decimal integer (line 2)",
                  id="dimacs-underscore-in-literal"),

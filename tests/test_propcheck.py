@@ -139,6 +139,14 @@ def test_check_strength_refuses_non_int_seed_and_samples(field, value):
         check_strength([(1, 2)], 2, [1, 2], "urc", mode="sampled", **args)
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("jobs", [1.5, "2", True, 0, -3])
+def test_check_strength_refuses_jobs_that_are_not_positive_ints(mode, jobs):
+    # 1.5 would end in a TypeError, and 0, -3 and True would run as one chunk
+    with pytest.raises(InputError, match=f"jobs must be an int >= 1, got {jobs!r}"):
+        check_strength([(1, 2)], 2, [1, 2], "urc", mode=mode, samples=10, jobs=jobs)
+
+
 def test_exhaustive_matches_naive_reference():
     rng = random.Random(42)
     for _ in range(150):

@@ -107,13 +107,19 @@ def _parse_mode(text: str):
         if len(parts) != 3:
             raise InputError("sampled mode is sample:<count>:<seed>")
         try:
-            return ("sampled", int(parts[1]), int(parts[2]))
+            samples, seed = int(parts[1]), int(parts[2])
         except ValueError:
             raise InputError("sampled mode is sample:<count>:<seed> with integers") from None
+        if samples < 0:
+            raise InputError(f"sample count must be non-negative, got {samples}")
+        return ("sampled", samples, seed)
     raise InputError(f"unknown mode {text!r}; use 'exhaustive' or 'sample:N:SEED'")
 
 
 def cmd_verify(args) -> int:
+    mode, samples, seed = _parse_mode(args.mode)
+    if args.jobs < 1:
+        raise InputError(f"jobs must be an int >= 1, got {args.jobs}")
     graph = _read_graph(args.input)
     spec = encoder.target_spec(args.target)
     if args.cnf:
@@ -133,7 +139,6 @@ def cmd_verify(args) -> int:
     scope_kind = args.scope or scope_kind
     # a range: an absurd header's variable count costs nothing
     scope = range(1, (num_inputs if scope_kind == "inputs" else nvars) + 1)
-    mode, samples, seed = _parse_mode(args.mode)
     verdict = {"target": spec.name, "source": source, "style": style, "scope": scope_kind}
     checks = {
         "encoding": lambda: propcheck.check_encoding(

@@ -25,16 +25,20 @@ passing alpha take every value on the r variables the subtree decides (for
 PC, on those together with each earlier one left open), no such literal is
 entailed, so each extension closes to that alpha's closure plus its own
 literals and passes, and the walk counts the 3^r - 1 of them in closed
-form.  It visits each UP closure once, keeping no record of the closures seen: an alpha whose last
-decision derives a literal of an earlier walked variable repeats the
-closure of an alpha walked before it, and is skipped with its subtree.
-Sampled mode draws sample j over them from its own stream of BLAKE2b words,
-keyed by (seed, j), against a lazily filled table of single-literal UP
-closures: the draw stops as vacuous once their union holds a failed literal
-or a complementary pair.  An alpha the table does not refute passes
-unasserted when its known models settle it, by the same rule; any other
-is asserted on the engine, whole.  It grows the projection on demand: a
-literal no known model sets goes to the DPLL oracle.
+form.  It visits each UP closure once, keeping no record of the closures
+seen: an alpha whose last decision derives a literal of an earlier walked
+variable repeats the closure of an alpha walked before it, and is skipped
+with its subtree.  Both modes read one table of single-literal UP closures
+at the base trail (_Projection.closure_table): UP is monotone, so an entry
+lies in the closure of every consistent alpha holding its literal.  The
+exhaustive walk fills it at the root and drops unasserted a child whose
+entry shows a conflict or a repeated closure.  Sampled mode draws sample j
+from its own stream of BLAKE2b words, keyed by (seed, j), filling an entry
+on its first draw: the draw stops as vacuous once an entry conflicts or the
+drawn entries hold a complementary pair.  An alpha the table does not
+refute passes unasserted when its known models settle it, by the same rule;
+any other is asserted on the engine, whole.  It grows the projection on
+demand: a literal no known model sets goes to the DPLL oracle.
 """
 
 from __future__ import annotations
@@ -354,6 +358,36 @@ class _Projection:
         and a PC slot is unmet because its complement is entailed."""
         return Counterexample(tuple(map(decode, alpha)), None if need < 0 else decode(self.codes[need ^ 1]))
 
+    def closure_table(self, eng: PropEngine) -> tuple[list, Callable[[int], tuple[int, int, int]]]:
+        """The single-literal UP closures at eng's trail, the base both walks
+        start from: a list indexed by slot, and fill(slot), which sets and
+        returns an open slot's entry, None until then, by one assertion of
+        its literal, backtracked at once.  An entry is (codes, complements,
+        slots): what UP derives beyond the base, the complements of that, and
+        the scope slots in it; or _CONFLICT when UP refutes the literal.  A
+        slot the base decides has its entry from the start, unasserted:
+        _CONFLICT when the base refutes it, (0, 0, 0) when it implies it."""
+        val, trail, codes = eng.val, eng.trail, self.codes
+        mark = eng.mark()
+        table = [None if val[c] == 0 else (0, 0, 0) if val[c] > 0 else _CONFLICT for c in codes]
+
+        def fill(slot: int) -> tuple[int, int, int]:
+            entry = _CONFLICT
+            if eng.assert_lits((codes[slot],)):
+                got = comp = 0
+                for d in trail[mark:]:
+                    got |= 1 << d
+                    comp |= 1 << (d ^ 1)
+                entry = (got, comp, self.trail_slots(trail, mark))
+            eng.backtrack(mark)
+            table[slot] = entry
+            return entry
+
+        return table, fill
+
+
+_CONFLICT = (-1, -1, -1)  # the closure-table entry of a literal UP refutes, told apart by identity
+
 
 def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterexample], int]:
     """Judge every UP-consistent partial assignment over the walked
@@ -410,7 +444,16 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
     the verdict and counterexample are those of the unpruned walk.  A child
     that is not asserted closes to forced plus its own literal and is never
     skipped; URC's settled subtrees skip no test on the earlier open
-    variables, so some alphas they count repeat a closure."""
+    variables, so some alphas they count repeat a closure.
+
+    The walk drops most such children unasserted.  Leaving the root, it
+    fills the closure table for every walked slot.  UP is monotone and P's
+    trail holds the base, so s's entry lies in the closure of P + s when
+    that is consistent: a child whose entry is _CONFLICT conflicts, and one
+    whose entry holds a slot outside forced on a variable before s's is not
+    canonical.  Asserting it would only drop it, uncounted, so dropping it
+    first changes no count and no verdict.  A child that settles is never
+    dropped: it closes to forced plus its own literal, which holds its entry."""
     proj = _Projection(walked, nvars)
     eng = PropEngine(clauses, nvars)
     alphas, need = 0, None
@@ -460,6 +503,9 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
         settled = free_cube(avail, forced, 0) if need is None else 0
         alphas += settled or 0
         frames = [(0, avail, forced, 0)] if settled is None else []
+        if frames:  # the walk leaves the root
+            table, fill = proj.closure_table(eng)
+            table = [entry or fill(s) for s, entry in enumerate(table)]
         while frames:
             slot, avail, forced, depth = frames.pop()
             del decisions[depth:]
@@ -475,13 +521,16 @@ def _exhaustive_check(clauses, nvars, walked, style) -> tuple[Optional[Counterex
             decisions.append(codes[slot])
             sub_avail, sub_forced = avail & blit[slot], forced | 1 << slot
             if not settles(sub_avail, sub_forced):
+                earlier, r = (1 << (slot & ~1)) - 1, table[slot]
+                if r is _CONFLICT or r[2] & ~forced & earlier:
+                    continue  # a conflict or not canonical, by the table alone
                 for c in decisions[len(marks):]:  # all but the last are satisfiable
                     marks.append(len(trail))
                     ok = eng.assert_lits((c,))
                 if not ok:  # the next frame backtracks it
                     continue
                 sub_forced = forced | proj.trail_slots(trail, marks[-1])
-                if (sub_forced & ~forced) & ((1 << (slot & ~1)) - 1):
+                if sub_forced & ~forced & earlier:
                     continue  # not canonical; the next frame backtracks it, as on a conflict
                 need = unmet(sub_avail, sub_forced, style)
             alphas += 1
@@ -537,22 +586,19 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
     b"seed j b" for blocks b = 0, 1, ..., eight words a block, hashing a
     block only when the draw reaches it, and nothing else, so any partition
     of the index range yields the same first failure.  A uniform int in
-    [0, n) is the first word under limits[n], the largest multiple of n that
-    fits in 64 bits, reduced mod n.  The first is a size in 0..k, and each
-    later one a scope position and a sign, making that many distinct
-    positions by a partial Fisher-Yates shuffle of pos, whose touched
-    entries are restored after the draw: a uniform subset with independent
-    signs, each literal kept as its slot.
+    [0, n) is the first word under the largest multiple of n that fits in
+    64 bits, reduced mod n.  The first is a size in 0..k, and the one at
+    step i a position in [i, k) and a sign, making that many distinct
+    positions by a partial Fisher-Yates shuffle of a fresh copy of the
+    identity: a uniform subset with independent signs, kept as one int of
+    slots, the alpha listing their codes in slot order.
 
-    The engine stays at its base trail while literals are drawn.  reach[c],
-    filled on the first draw of a literal c the base leaves open, is its
-    single-literal closure: an int with bit d for every code d that UP
-    derives from the base plus c, or -1 when that conflicts.  A literal the
-    base refutes is a conflict and one it implies adds nothing; any other
-    ORs its closure into acc.  UP is monotone, so a consistent closure of
-    the alpha would contain every such closure: a failed literal or a
-    complementary pair in acc refutes the whole alpha, and the sample, which
-    passes vacuously, stops there without an engine call.
+    The engine stays at its base trail while literals are drawn, and each
+    slot's closure-table entry is filled there on its first draw.  UP is
+    monotone, so a consistent closure of the alpha would hold every drawn
+    entry: one that conflicts, or whose complements meet acc, the union of
+    those drawn before it, refutes the alpha, which passes vacuously with
+    no engine call.  A base-decided literal has its entry already.
 
     Every alpha is judged by _Projection.unmet, whose docstring holds the
     argument.  An alpha the table leaves open passes with no engine call
@@ -569,26 +615,15 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
     eng = PropEngine(clauses, nvars)
     if eng.base_conflict:  # the formula UP-refutes itself: every sample is vacuous
         return None, None, 0, stop - start
-    val, trail, codes, settles = eng.val, eng.trail, proj.codes, proj.settles
-    limits = [0] + [(1 << 64) - (1 << 64) % n for n in range(1, 2 * k + 2)]  # n <= max(k+1, 2k)
+    trail, codes, settles = eng.trail, proj.codes, proj.settles
     sat_calls = vacuous = 0
     base = proj.trail_slots(trail)  # scope literals forced by the formula's own units
     mark = eng.mark()
-    reach = [0] * len(val)  # 0 until filled: a closure holds its own literal's bit
-    even = ((1 << len(val)) - 1) // 3  # the bits of the +v codes 2v
-    pos = list(range(k))  # the identity between draws
+    table, fill = proj.closure_table(eng)
+    mods = [2 * (k - i) for i in range(k)]  # step i draws a position in [i, k) and a sign
+    size_limit, *limits = [(1 << 64) - (1 << 64) % n for n in (k + 1, *mods)]
+    ident = list(range(k))
     words8 = struct.Struct("<8Q").unpack
-
-    def closure(c: int) -> int:
-        """Fill reach[c] from one assertion of c on the base trail."""
-        got = -1
-        if eng.assert_lits((c,)):
-            got = 0
-            for d in trail[mark:]:
-                got |= 1 << d
-        eng.backtrack(mark)
-        reach[c] = got
-        return got
 
     def new_model(slot: Optional[int]) -> Optional[int]:
         """Ask the oracle for a model of the trail (asserting only the slot's literal)."""
@@ -598,57 +633,55 @@ def _sampled_range(clauses, nvars, scope, style, seed, start, stop):
         return None if model is None else proj.add(model[v - 1] > 0 for v in scope)
 
     for j in range(start, stop):
-        w, block = 8, -1  # no block hashed yet
-        slots, moved = [], []  # the drawn slots; the positions swapped into place
-        acc = 0  # the union of the drawn literals' closures
-        i, size, n = -1, 0, k + 1  # i is -1 while the size is drawn, then the literal's index
-        while i < size:
+        key = b"%d %d " % (seed, j)
+        words, w, b = words8(blake2b(key + b"0").digest()), 1, 0
+        z = words[0]
+        while z >= size_limit:
             if w == 8:
-                block += 1
-                words, w = words8(blake2b(b"%d %d %d" % (seed, j, block)).digest()), 0
+                b += 1
+                words, w = words8(blake2b(b"%s%d" % (key, b)).digest()), 0
             z = words[w]
             w += 1
-            if z >= limits[n]:
+        size, i = z % (k + 1), 0
+        pos = ident[:]
+        drawn = acc = 0  # the drawn slots; the union of their closures' codes
+        while i < size:
+            if w == 8:
+                b += 1
+                words, w = words8(blake2b(b"%s%d" % (key, b)).digest()), 0
+            z = words[w]
+            w += 1
+            if z >= limits[i]:
                 continue
-            if i < 0:
-                size = z % n
-            else:
-                r = z % n  # a position in [i, k) and a sign
-                p = i + (r >> 1)
-                slot = 2 * pos[p] | r & 1
-                pos[p] = pos[i]  # pos[i] is never read again in this draw
-                moved.append(p)
-                slots.append(slot)
-                c = codes[slot]
-                cur = val[c]
-                if cur < 0:
-                    break
-                if cur == 0:
-                    got = reach[c] or closure(c)
-                    if got < 0:
-                        break
-                    acc |= got
-                    if acc & (acc >> 1) & even:
-                        break
+            r = z % mods[i]
+            p = i + (r >> 1)
+            slot = 2 * pos[p] | r & 1
+            pos[p] = pos[i]  # pos[i] is never read again in this draw
+            drawn |= 1 << slot
+            entry = table[slot] or fill(slot)
+            if entry is _CONFLICT or entry[1] & acc:
+                vacuous += 1  # the base and the table refute it; the engine holds only its base trail
+                break
+            acc |= entry[0]
             i += 1
-            n = 2 * (k - i)
-        for p in moved:
-            pos[p] = p
-        if i < size:  # the base and the table refute it; the engine holds only its base trail
-            vacuous += 1
-            continue
-        alpha = tuple(codes[slot] for slot in sorted(slots))
-        avail = proj.consistent(alpha)
-        if settles(avail, base | sum(1 << slot for slot in slots), style):
-            continue
-        if eng.assert_lits(alpha):
-            forced = base | proj.trail_slots(trail, mark)
-            need = proj.unmet(avail, forced, style, new_model)
-            if need is not None:
-                return j, proj.counterexample(alpha, need), sat_calls, vacuous
         else:
-            vacuous += 1
-        eng.backtrack(mark)
+            alpha, rest = [], drawn  # the drawn codes in slot order
+            while rest:
+                low = rest & -rest
+                alpha.append(codes[low.bit_length() - 1])
+                rest ^= low
+            alpha = tuple(alpha)
+            avail = proj.consistent(alpha)
+            if settles(avail, base | drawn, style):
+                continue
+            if eng.assert_lits(alpha):
+                forced = base | proj.trail_slots(trail, mark)
+                need = proj.unmet(avail, forced, style, new_model)
+                if need is not None:
+                    return j, proj.counterexample(alpha, need), sat_calls, vacuous
+            else:
+                vacuous += 1
+            eng.backtrack(mark)
     return None, None, sat_calls, vacuous
 
 

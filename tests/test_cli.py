@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bdmc
-from bdmc import formats
+from bdmc import formats, propcheck
 from bdmc.cli import _parse_mode, build_parser, cmd_stats, main
 from bdmc.errors import InputError
 from bdmc.formats import parse_bdmc
@@ -380,6 +380,20 @@ def test_bad_cli_input_exits_1(g1_file, capsys, argv, message):
     assert main([a.format(g1=g1_file) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and f"input error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--mode", "sample:10:0", "--jobs", "0"], ["--mode", "sample:-5:0"]],
+                         ids=["zero-jobs", "negative-samples"])
+def test_verify_refuses_bad_arguments_before_any_check(g1_file, monkeypatch, capsys, argv):
+    # on a wide sentence the encoding sweep alone takes seconds: a bad
+    # argument must not wait for it
+    def never(*args, **kwargs):
+        pytest.fail("a check ran before the arguments were refused")
+
+    monkeypatch.setattr(propcheck, "check_encoding", never)
+    monkeypatch.setattr(propcheck, "check_strength", never)
+    assert main(["verify", "--target", "cc", str(g1_file), *argv]) == 1
+    assert "input error" in capsys.readouterr().err
 
 
 def test_smooth_and_level_commands(tmp_path, capsys):

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from bdmc import compile_graph, propcheck
-from bdmc.engine import PropEngine, brute_sat
+from bdmc.engine import PropEngine, brute_sat, code
 from bdmc.errors import BudgetExceededError, InputError, PreconditionError
 from bdmc.propcheck import (
     certify_formula,
@@ -965,6 +965,69 @@ def test_exhaustive_walk_visits_each_closure_once():
     verdict = check_strength(out.all_clauses(), out.num_vars, range(1, out.num_vars + 1), "pc",
                              budget=3 ** 66)
     assert verdict.passed and verdict.mode == "exhaustive" and verdict.alphas_checked == 711
+
+
+def _count_assertions(monkeypatch):
+    """The literal lists every PropEngine.assert_lits call receives."""
+    calls = []
+    assert_lits = PropEngine.assert_lits
+
+    def counting(self, lits):
+        calls.append(lits)
+        return assert_lits(self, lits)
+
+    monkeypatch.setattr(PropEngine, "assert_lits", counting)
+    return calls
+
+
+def test_exhaustive_walk_predicts_skipped_children(monkeypatch):
+    # PC over all 66 variables of parity_dnnf(5)'s pc encoding: the closure
+    # table drops most children that conflict or are not canonical before
+    # they are asserted, where asserting each one first made 20,065 engine
+    # calls
+    out = compile_graph(parity_dnnf(5), "pc", auto_smooth=True, auto_level=True)
+    calls = _count_assertions(monkeypatch)
+    verdict = check_strength(out.all_clauses(), out.num_vars, range(1, out.num_vars + 1), "pc",
+                             budget=3 ** 66)
+    assert verdict.passed and verdict.alphas_checked == 711
+    assert len(calls) <= 5_000
+
+
+def test_closure_table_matches_independent_closures(monkeypatch):
+    # each entry is what UP derives beyond the base from the slot's literal:
+    # its codes, their complements and its scope slots, or the conflict
+    # sentinel.  Slots the base decides get theirs with no assertion, and
+    # each fill asserts once and leaves the engine on its base trail
+    calls = _count_assertions(monkeypatch)
+    decided = conflicts = 0
+    for cls, nv, scope in _random_cnfs(37, 600):
+        eng = PropEngine(cls, nv)
+        if eng.base_conflict:
+            continue
+        base, trail = propagate(cls, nv), list(eng.trail)
+        lits = [lit for v in scope for lit in (v, -v)]
+        singles = [propagate(cls, nv, [lit]) for lit in lits]
+        del calls[:]
+        table, fill = propcheck._Projection(scope, nv).closure_table(eng)
+        assert not calls
+        open_slots = table.count(None)
+        for slot, lit in enumerate(lits):
+            if table[slot] is None:
+                entry = fill(slot)
+                assert table[slot] is entry and eng.trail == trail
+            else:
+                decided += 1
+                entry = table[slot]
+            up = singles[slot]
+            conflicts += up is None
+            if up is None:
+                assert entry is propcheck._CONFLICT
+                continue
+            new = up - base
+            assert entry == (sum(1 << code(d) for d in new), sum(1 << code(-d) for d in new),
+                             sum(1 << s for s, d in enumerate(lits) if d in new)), (cls, scope, lit)
+        assert len(calls) == open_slots  # one assertion a fill
+    assert decided > 0 and conflicts > 0
 
 
 def _count_pc_needs(monkeypatch):
